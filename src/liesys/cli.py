@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import group as G
-from .acceptance import run_all
+from .acceptance import relative_errors, run_all
 from .errors import IntegrationError, LiesysError, ScenarioError
 from .integrate import FREQUENCY_PROFILES, Trajectory
 from .invariants import (angular_momentum, drift, ermakov_pair_invariants,
@@ -34,6 +34,8 @@ from .vectorfield import bracket, minimal_m, prolonged_rank
 
 PIPELINES = ("integrate", "drift", "superpose", "reduce", "verify-algebra",
              "minimal-m", "group-solve")
+
+REDUCE_METHODS = ("dalembert", "pinney-osc", "pinney-self")
 
 OUT_ENV_VAR = "LIESYS_OUT"
 
@@ -210,11 +212,13 @@ def pipeline_integrate(scn, tol_override):
     for i, y0 in enumerate(states):
         traj = sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
         header = ["time"] + [f"y{j}" for j in range(sysd.dimension)]
-        rows = [[_fmt(t)] + [_fmt(c) for c in traj.dense(t)] for t in times]
+        rows = [[_fmt(t)] + [_fmt(c) for c in state]
+                for t, state in zip(times, traj.dense(times))]
         files.append((f"run{i}", header, rows))
         runs.append({"initial_state": [float(c) for c in y0],
                      "final_state": [float(c) for c in traj.final_state],
-                     "accepted_steps": len(traj.times)})
+                     "accepted_steps": len(traj.times) - 1,
+                     "nfev": traj.nfev})
     return True, {"system": sysd.name, "runs": runs}, files
 
 
@@ -265,13 +269,10 @@ def pipeline_superpose(scn, tol_override):
                           for y0 in _initial_states(scn, sysd, 3)[:3]]
         k1, k2 = keys_from(*target.initial_state, *s1.initial_state,
                            *s2.initial_state)
-        rows, max_err = [], 0.0
-        for t in times:
-            x, v = linear_rule(*s1.dense(t), *s2.dense(t), k1, k2)
-            rx, rv = target.dense(t)
-            err = max(abs(x - rx), abs(v - rv))
-            max_err = max(max_err, err)
-            rows.append([_fmt(t), _fmt(x), _fmt(rx), _fmt(err)])
+        x, v = linear_rule(*s1.dense(times).T, *s2.dense(times).T, k1, k2)
+        rx, rv = target.dense(times).T
+        err = np.maximum(np.abs(x - rx), np.abs(v - rv))
+        max_err = float(np.max(err))
         header = ["time", "reconstructed_x", "reference_x", "abs_error"]
         extra = {"keys": [k1, k2]}
 
@@ -288,13 +289,10 @@ def pipeline_superpose(scn, tol_override):
         y0 = [k_prime * x1.initial_state[0],
               k_prime * x1.initial_state[1] + k / x1.initial_state[0]]
         ref = sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
-        rows, max_err = [], 0.0
-        for t in times:
-            x = quadrature_rule(x1, k_prime, k, t)
-            rx = float(ref.position(t))
-            err = abs(x - rx)
-            max_err = max(max_err, err)
-            rows.append([_fmt(t), _fmt(x), _fmt(rx), _fmt(err)])
+        x = quadrature_rule(x1, k_prime, k, times)
+        rx = ref.position(times)
+        err = np.abs(x - rx)
+        max_err = float(np.max(err))
         header = ["time", "reconstructed_x", "reference_x", "abs_error"]
         extra = {"keys": [k_prime, k]}
 
@@ -315,16 +313,13 @@ def pipeline_superpose(scn, tol_override):
         k = sysd.params["k"]
         rec = pinney_rule_from_solutions(y, z, x0, v0, k)
         ref = sysd.integrate([x0, v0], (t0, t1), abs_tol, rel_tol)
-        rows, max_err = [], 0.0
-        for t in times:
-            x = float(rec.position(t))
-            rx = float(ref.position(t))
-            err = abs(x - rx)
-            max_err = max(max_err, err / max(1.0, abs(rx)))
-            rows.append([_fmt(t), _fmt(x), _fmt(rx), _fmt(err)])
+        x, rx = rec.position(times), ref.position(times)
+        err = np.abs(x - rx)
+        max_err = float(np.max(relative_errors(x, rx)))
         header = ["time", "reconstructed_x", "reference_x", "abs_error"]
         extra = {"k": k}
 
+    rows = [[_fmt(c) for c in row] for row in zip(times, x, rx, err)]
     ok = max_err < threshold
     summary = {"rule": rule, "max_error": max_err,
                "threshold": threshold, "pass": ok, **extra}
@@ -333,9 +328,9 @@ def pipeline_superpose(scn, tol_override):
 
 def pipeline_reduce(scn, tol_override):
     method = scn.get("method")
-    if method not in ("dalembert", "pinney-osc", "pinney-self"):
+    if method not in REDUCE_METHODS:
         raise ScenarioError(
-            "method must be dalembert, pinney-osc or pinney-self",
+            f"method must be one of {', '.join(REDUCE_METHODS)}",
             field="method")
     syscfg = _require(scn, "system")
     t0, t1 = _t_span(scn)
@@ -369,19 +364,13 @@ def pipeline_reduce(scn, tol_override):
         red = G.reduce_pinney_from_pinney(x1, states[1][0], states[1][1], k)
         ref = mp.integrate(states[1], (t0, t1), abs_tol, rel_tol)
 
-    taus = G.tau_grid(x1)
-    tau_nodes = dict(zip(x1.times, taus))
-    g1 = G.particular_solution_curve(x1)
-    rows, max_err = [], 0.0
-    for t in times:
-        tau = tau_nodes.get(t, G.tau_reparametrization(x1, t)) if t != t0 else 0.0
-        x = float(red.position(t))
-        rx = float(ref.position(t))
-        err = abs(x - rx)
-        max_err = max(max_err, err / max(1.0, abs(rx)))
-        det_drift = abs(g1(t).det - 1.0)
-        rows.append([_fmt(t), _fmt(tau), _fmt(x), _fmt(rx), _fmt(err),
-                     _fmt(det_drift)])
+    tau = x1.tau_clock()(times)  # the clock the reduction itself ran on
+    x, rx = red.position(times), ref.position(times)
+    err = np.abs(x - rx)
+    max_err = float(np.max(relative_errors(x, rx)))
+    det_drift = np.abs(np.linalg.det(G.particular_solution_matrices(x1, times)) - 1.0)
+    rows = [[_fmt(c) for c in row]
+            for row in zip(times, tau, x, rx, err, det_drift)]
     ok = max_err < threshold
     summary = {"method": method, "max_rel_error": max_err,
                "threshold": threshold, "pass": ok}
@@ -445,18 +434,14 @@ def pipeline_group_solve(scn, tol_override):
     sol = G.solve_group_equation(
         lambda t: G.Sl2Vector(omega(t), -1.0, 0.0), (t0, t1), abs_tol, rel_tol)
     ref = osc.integrate(p0, (t0, t1), abs_tol, rel_tol)
-    rows, max_err, max_det = [], 0.0, 0.0
-    for t in times:
-        g = sol(t)
-        raw_det = float(np.linalg.det(sol.raw(t)))
-        acted = G.linear_action(g, p0)
-        err = float(np.max(np.abs(acted - ref.dense(t)))) \
-            / max(1.0, float(np.max(np.abs(ref.dense(t)))))
-        max_err = max(max_err, err)
-        max_det = max(max_det, abs(raw_det - 1.0))
-        a = g.array
-        rows.append([_fmt(t), _fmt(a[0, 0]), _fmt(a[0, 1]), _fmt(a[1, 0]),
-                     _fmt(a[1, 1]), _fmt(raw_det - 1.0), _fmt(err)])
+    g = sol.normalized(times)
+    det_minus_1 = np.linalg.det(sol.raw(times)) - 1.0
+    err = relative_errors(g @ p0, ref.dense(times))
+    max_err = float(np.max(err))
+    max_det = float(np.max(np.abs(det_minus_1)))
+    rows = [[_fmt(c) for c in row] for row in
+            zip(times, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1],
+                det_minus_1, err)]
     ok = max_err < threshold and max_det < 1e-9
     summary = {"frequency": omega.description, "max_action_error": max_err,
                "max_det_drift": max_det, "threshold": threshold, "pass": ok}
@@ -557,8 +542,8 @@ def cmd_list(_args):
           "tolerances.threshold")
     print("  superpose      rule (linear|quadrature|pinney), system, "
           "initial_states, t_span [, keys]")
-    print("  reduce         method (oscillator|pinney_from_oscillator|"
-          "pinney_from_pinney), system, initial_states, t_span [, keys]")
+    print(f"  reduce         method ({'|'.join(REDUCE_METHODS)}), system, "
+          "initial_states, t_span [, keys]")
     print("  verify-algebra system, probes, tolerances.threshold")
     print("  minimal-m      system, max_copies [, expected_m]")
     print("  group-solve    system.frequency, initial_states, t_span")

@@ -8,9 +8,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, SingularityError
-from .integrate import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Trajectory,
-                        integrate, quadrature)
+from .errors import DomainError, SingularityError
+from .integrate import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, TAU_TOL, Trajectory,
+                        integrate)
+from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 
 # Basis of the traceless 2x2 real matrices used throughout.
 A1 = np.array([[0.0, 0.0], [-1.0, 0.0]])
@@ -116,16 +117,20 @@ class GroupSolution:
         self.times = trajectory.times
 
     def raw(self, t):
-        return np.asarray(self._traj.dense(t), dtype=float).reshape(2, 2)
+        """Solver output at t: one 2x2 matrix, or a stack for an array of t."""
+        return self._traj.dense(t).reshape(np.shape(t) + (2, 2))
+
+    def normalized(self, t):
+        """raw(t) scaled to determinant 1, on scalars or arrays of t."""
+        m = self.raw(t)
+        return m / np.sqrt(np.linalg.det(m))[..., None, None]
 
     def __call__(self, t) -> SL2Matrix:
-        m = self.raw(t)
-        return SL2Matrix(m / math.sqrt(float(np.linalg.det(m))))
+        return SL2Matrix(self.normalized(float(t)))
 
     @property
     def max_det_drift(self):
-        dets = [abs(float(np.linalg.det(self.raw(t))) - 1.0) for t in self.times]
-        return max(dets)
+        return float(np.max(np.abs(np.linalg.det(self.raw(self.times)) - 1.0)))
 
 
 def solve_group_equation(a, t_span, abs_tol=DEFAULT_ABS_TOL,
@@ -192,83 +197,55 @@ def generator_by_finite_difference(apply_fn, v: Sl2Vector, p, step=1e-5):
     return (plus - minus) / (2.0 * step)
 
 
-def _check_nonvanishing(x1: Trajectory, t_lo, t_hi):
-    mask = (x1.times >= t_lo - 1e-12) & (x1.times <= t_hi + 1e-12)
-    xs = x1.states[mask, 0]
-    if len(xs) and (np.min(np.abs(xs)) < 1e-9 or np.min(xs) * np.max(xs) < 0.0):
-        raise QuadratureError(
-            "the position component vanishes inside the quadrature window"
-        )
+def tau_reparametrization(x1: Trajectory, t, quad_tol=TAU_TOL):
+    """tau(t) = integral_{t0}^{t} dz / x1(z)^2, read off x1's tau clock."""
+    return x1.tau_clock(quad_tol)(t)
 
 
-def tau_reparametrization(x1: Trajectory, t, quad_tol=1e-12):
-    """tau(t) = integral_{t0}^{t} dz / x1(z)^2 over the dense interpolant."""
-    t = float(t)
-    _check_nonvanishing(x1, min(x1.t0, t), max(x1.t0, t))
-    return quadrature(lambda z: 1.0 / float(x1.position(z)) ** 2,
-                      (x1.t0, t), tol=quad_tol)
-
-
-def tau_grid(x1: Trajectory, quad_tol=1e-12):
+def tau_grid(x1: Trajectory, quad_tol=TAU_TOL):
     """Cumulative tau at every sample time of the trajectory."""
-    _check_nonvanishing(x1, x1.t0, x1.t1)
-    taus = np.empty(len(x1.times))
-    taus[0] = 0.0
-    for i in range(1, len(x1.times)):
-        taus[i] = taus[i - 1] + quadrature(
-            lambda z: 1.0 / float(x1.position(z)) ** 2,
-            (x1.times[i - 1], x1.times[i]), tol=quad_tol,
-        )
-    return taus
-
-
-def _tau_function(x1: Trajectory, taus, quad_tol):
-    """tau at arbitrary t, anchored on the cumulative node values."""
-    times = x1.times
-
-    def tau_at(t):
-        t = float(t)
-        j = int(np.searchsorted(times, t))
-        if j < len(times) and times[j] == t:
-            return float(taus[j])
-        j = int(np.clip(j, 1, len(times) - 1))
-        return float(taus[j - 1]) + quadrature(
-            lambda z: 1.0 / float(x1.position(z)) ** 2,
-            (times[j - 1], t), tol=quad_tol,
-        )
-
-    return tau_at
+    return x1.tau_clock(quad_tol)(x1.times)
 
 
 def _closed_form_trajectory(x1: Trajectory, evaluate):
     """Trajectory sampled on x1's grid whose dense output re-evaluates the
-    closed form (interpolation would waste its accuracy)."""
-    states = np.array([evaluate(t) for t in x1.times])
-    return Trajectory(x1.times, states, interpolant=evaluate)
+    closed form (interpolation would waste its accuracy).  ``evaluate`` maps
+    an array of times to rows of states."""
+    return Trajectory(x1.times, evaluate(x1.times), interpolant=evaluate)
+
+
+def particular_solution_matrices(x1: Trajectory, t):
+    """g1(t) = [[x1, 0], [x1', 1/x1]] for an array of times, shape (n, 2, 2)."""
+    x, v = x1.dense(np.atleast_1d(t))[:, :2].T
+    if np.any(x == 0.0):
+        raise SingularityError("particular solution vanishes at this time")
+    zero = np.zeros_like(x)
+    return np.stack([np.stack([x, zero], -1), np.stack([v, 1.0 / x], -1)], -2)
 
 
 def particular_solution_curve(x1: Trajectory):
     """The curve g1(t) = [[x1, 0], [x1', 1/x1]] mapping (1, 0) onto x1."""
 
     def g1(t):
-        x, v = np.asarray(x1.dense(t), dtype=float)[:2]
-        if x == 0.0:
-            raise SingularityError("particular solution vanishes at this time")
-        return SL2Matrix(np.array([[x, 0.0], [v, 1.0 / x]]))
+        return SL2Matrix(particular_solution_matrices(x1, t)[0])
 
     return g1
 
 
-def reduce_oscillator(x1: Trajectory, k_prime, k, quad_tol=1e-12) -> Trajectory:
+def _position_and_velocity(x1: Trajectory, t):
+    rows = x1.dense(t)
+    return rows[:, 0], rows[:, 1]
+
+
+def reduce_oscillator(x1: Trajectory, k_prime, k, quad_tol=TAU_TOL) -> Trajectory:
     """General oscillator solution from one nonvanishing solution by the
     order-reduction quadrature: x = k' x1 + k x1 tau."""
-    taus = tau_grid(x1, quad_tol)
-    tau_at = _tau_function(x1, taus, quad_tol)
+    clock = x1.tau_clock(quad_tol)
 
     def evaluate(t):
-        pos, vel = np.asarray(x1.dense(t), dtype=float)[:2]
-        tau = tau_at(t)
-        return np.array([
+        pos, vel = _position_and_velocity(x1, t)
+        tau = clock(t)
+        return np.column_stack([
             k_prime * pos + k * pos * tau,
             k_prime * vel + k * (vel * tau + 1.0 / pos),
         ])
@@ -306,34 +283,38 @@ def reduction_parameters(x1: Trajectory, x0, v0, k) -> ReductionParameters:
     return ReductionParameters(A=res.x, B=b)
 
 
+def _check_radicand(s):
+    if np.any(s <= 0.0):
+        worst = float(np.min(s))
+        raise DomainError("nonpositive radicand in the reduced solution", worst)
+
+
 def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k,
-                                  quad_tol=1e-12) -> Trajectory:
+                                  quad_tol=TAU_TOL) -> Trajectory:
     """Milne-Pinney solution from a nonvanishing oscillator solution x1:
 
         x(t) = (x1(t) / A) sqrt(A^4 + 2 A^3 B tau + (A^2 B^2 + k) tau^2)
     """
     params = reduction_parameters(x1, x0, v0, k)
     a, b = params.A, params.B
-    taus = tau_grid(x1, quad_tol)
-    tau_at = _tau_function(x1, taus, quad_tol)
+    clock = x1.tau_clock(quad_tol)
 
     def evaluate(t):
-        pos, vel = np.asarray(x1.dense(t), dtype=float)[:2]
-        tau = tau_at(t)
+        pos, vel = _position_and_velocity(x1, t)
+        tau = clock(t)
         s = a**4 + 2.0 * a**3 * b * tau + (a * a * b * b + k) * tau * tau
-        if s <= 0.0:
-            raise DomainError("nonpositive radicand in the reduced solution", s)
-        root = math.sqrt(s)
+        _check_radicand(s)
+        root = np.sqrt(s)
         ds_dtau = 2.0 * a**3 * b + 2.0 * (a * a * b * b + k) * tau
         # chain rule with dtau/dt = 1/x1^2
         v = vel * root / a + ds_dtau / (2.0 * root * a * pos)
-        return np.array([pos * root / a, v])
+        return np.column_stack([pos * root / a, v])
 
     return _closed_form_trajectory(x1, evaluate)
 
 
 def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k,
-                              quad_tol=1e-12) -> Trajectory:
+                              quad_tol=TAU_TOL) -> Trajectory:
     """Milne-Pinney solution from a particular Milne-Pinney solution x1.
 
     In the reduced time tau the ratio z = x/x1 obeys the autonomous equation
@@ -350,23 +331,21 @@ def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k,
         raise DomainError("this reduction needs k > 0", k)
     params = reduction_parameters(x1, x0, v0, k)
     a, b = params.A, params.B
-    taus = tau_grid(x1, quad_tol)
-    tau_at = _tau_function(x1, taus, quad_tol)
+    clock = x1.tau_clock(quad_tol)
     rk = math.sqrt(k)
     alpha = (b * b + k / a**2 + k * a * a) / (2.0 * k)
     beta = (k * a * a - b * b - k / a**2) / (2.0 * k)
     gamma = a * b / rk
 
     def evaluate(t):
-        pos, vel = np.asarray(x1.dense(t), dtype=float)[:2]
-        tau = tau_at(t)
-        s = alpha + beta * math.cos(2.0 * rk * tau) + gamma * math.sin(2.0 * rk * tau)
-        if s <= 0.0:
-            raise DomainError("nonpositive radicand in the reduced solution", s)
-        root = math.sqrt(s)
-        ds_dtau = 2.0 * rk * (gamma * math.cos(2.0 * rk * tau)
-                              - beta * math.sin(2.0 * rk * tau))
+        pos, vel = _position_and_velocity(x1, t)
+        tau = clock(t)
+        s = alpha + beta * np.cos(2.0 * rk * tau) + gamma * np.sin(2.0 * rk * tau)
+        _check_radicand(s)
+        root = np.sqrt(s)
+        ds_dtau = 2.0 * rk * (gamma * np.cos(2.0 * rk * tau)
+                              - beta * np.sin(2.0 * rk * tau))
         v = vel * root + ds_dtau / (2.0 * root * pos)
-        return np.array([pos * root, v])
+        return np.column_stack([pos * root, v])
 
     return _closed_form_trajectory(x1, evaluate)

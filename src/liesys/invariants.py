@@ -99,12 +99,11 @@ def drift(trajectories, invariant, label="invariant"):
     """
     if isinstance(trajectories, Trajectory):
         trajectories = (trajectories,)
-    lead = trajectories[0]
-    times = lead.times
+    times = trajectories[0].times
+    states = np.concatenate([tr.dense(times) for tr in trajectories], axis=1)
     values = []
     partial = False
-    for t in times:
-        state = np.concatenate([np.atleast_1d(tr.dense(t)) for tr in trajectories])
+    for state in states:
         try:
             values.append(invariant(state))
         except SingularityError:

@@ -6,7 +6,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DependentSolutionsError, DomainError
-from .integrate import Trajectory, quadrature
+from .integrate import TAU_TOL, Trajectory
+from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 from .invariants import ermakov_pair_invariants
 
 
@@ -19,25 +20,25 @@ def linear_rule(x1, v1, x2, v2, k1, k2):
     """Reconstruct (x, v) from two independent oscillator solutions.
 
     Solves {x v2 - x2 v = k1, x1 v - v1 x = k2}; the Wronskian
-    k = x1 v2 - x2 v1 must be nonzero.
+    k = x1 v2 - x2 v1 must be nonzero.  Works on scalars and on arrays.
     """
     k = x1 * v2 - x2 * v1
-    if k == 0.0:
+    if np.any(k == 0.0):
         raise DependentSolutionsError("the two solutions have zero Wronskian")
     return (k1 * x1 + k2 * x2) / k, (k1 * v1 + k2 * v2) / k
 
 
-def quadrature_rule(x1: Trajectory, k_prime, k, t, quad_tol=1e-12):
+def quadrature_rule(x1: Trajectory, k_prime, k, t, quad_tol=TAU_TOL):
     """Second oscillator solution from a nonvanishing one by quadrature:
 
         x2(t) = k' x1(t) + k x1(t) * integral_{t0}^{t} dz / x1(z)^2
+
+    ``t`` may be a scalar or an array; the integral is read off x1's tau clock.
     """
-    pos = float(x1.position(t))
+    pos = x1.position(t)
     if k == 0.0:
         return k_prime * pos
-    tau = quadrature(lambda z: 1.0 / float(x1.position(z)) ** 2,
-                     (x1.t0, float(t)), tol=quad_tol)
-    return k_prime * pos + k * pos * tau
+    return k_prime * pos + k * pos * x1.tau_clock(quad_tol)(t)
 
 
 class PinneyValue(NamedTuple):
@@ -54,7 +55,7 @@ def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
 
     The prefactor can be negative, so the returned ``x`` is the magnitude
     mapped into the construction-time half-plane; ``raw`` keeps the signed
-    value.
+    value.  ``y`` and ``z`` may be scalars or arrays.
     """
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
@@ -62,9 +63,10 @@ def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
     if disc < 0.0:
         raise DomainError(f"negative discriminant 4 I1 I2 - k W^2 = {disc:.6g}", disc)
     radicand = i2 * y * y + i1 * z * z + branch * math.sqrt(disc) * y * z
-    if radicand < 0.0:
-        raise DomainError(f"negative radicand {radicand:.6g} in the Pinney rule", radicand)
-    raw = math.sqrt(2.0) / w * math.sqrt(radicand)
+    if np.any(radicand < 0.0):
+        worst = float(np.min(radicand))
+        raise DomainError(f"negative radicand {worst:.6g} in the Pinney rule", worst)
+    raw = math.sqrt(2.0) / w * np.sqrt(radicand)
     return PinneyValue(half_plane * abs(raw), raw)
 
 
@@ -113,16 +115,15 @@ def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory,
     disc_root = math.sqrt(max(0.0, 4.0 * i1 * i2 - k * w * w))
 
     def evaluate(t):
-        y, vy = np.asarray(y_traj.dense(t), dtype=float)[:2]
-        z, vz = np.asarray(z_traj.dense(t), dtype=float)[:2]
+        y, vy = y_traj.dense(t)[:, :2].T
+        z, vz = z_traj.dense(t)[:, :2].T
         x = pinney_rule(y, z, i1, i2, w, k, branch=branch, half_plane=half_plane).x
         # v from the exact derivative of x^2 = (2/W^2)(I2 y^2 + I1 z^2 +- r y z)
         dx2 = (2.0 / (w * w)) * (
             2.0 * i2 * y * vy + 2.0 * i1 * z * vz
             + branch * disc_root * (vy * z + y * vz)
         )
-        return np.array([x, dx2 / (2.0 * x)])
+        return np.column_stack([x, dx2 / (2.0 * x)])
 
     times = y_traj.times
-    states = np.array([evaluate(t) for t in times])
-    return Trajectory(times, states, interpolant=evaluate)
+    return Trajectory(times, evaluate(times), interpolant=evaluate)

@@ -17,10 +17,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import SingularityError
-from .integrate import (FrequencyProfile, Trajectory, constant_frequency,
-                        integrate, two_plus_sin, step_frequency,
-                        FREQUENCY_PROFILES, DEFAULT_ABS_TOL, DEFAULT_REL_TOL)
+from .errors import DimensionMismatchError, SingularityError
+from .integrate import (FrequencyProfile, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
+                        integrate)
 from .vectorfield import StructureConstants, VectorField, diagonal_prolongation, sl2_constants
 
 
@@ -77,6 +76,10 @@ SHAPE_FUNCTIONS = {
 class SystemDef:
     """A Lie system: generators X_a, coefficients b_a(t), structure constants.
 
+    ``fused`` is the closed form of sum_a b_a(t) X_a(p): the same
+    expressions, singularity guards and order of summation as the generator
+    sum, so the two agree bit for bit (the tests hold them equal).  The
+    generators remain the source of truth for the algebra and rank checks.
     ``singular_coords`` are state indices whose vanishing is a genuine
     singularity; ``positive_coords`` are those confined to the chosen
     half-plane (x > 0 by default, x < 0 with half_plane = -1).
@@ -87,20 +90,20 @@ class SystemDef:
     generators: Tuple[VectorField, ...]
     coefficients: Tuple[Callable[[float], float], ...]
     constants: StructureConstants
+    fused: Callable[[float, np.ndarray], np.ndarray]
     singular_coords: Tuple[int, ...] = ()
     positive_coords: Tuple[int, ...] = ()
     half_plane: int = 1
     params: dict = field(default_factory=dict)
 
     def rhs(self, t, p):
-        """sum_a b_a(t) X_a(p) -- assembled from the generators themselves."""
+        """sum_a b_a(t) X_a(p), evaluated through the ``fused`` closed form."""
         p = np.asarray(p, dtype=float)
-        out = np.zeros(self.dimension)
-        for b, X in zip(self.coefficients, self.generators):
-            ba = float(b(t))
-            if ba != 0.0:
-                out += ba * X(p)
-        return out
+        if p.shape != (self.dimension,):
+            raise DimensionMismatchError(
+                f"point of shape {p.shape} on a system of dimension {self.dimension}"
+            )
+        return self.fused(t, p)
 
     def integrate(self, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
         return integrate(self.rhs, y0, t_span, abs_tol, rel_tol,
@@ -126,6 +129,8 @@ def _guard(x, what):
 
 
 def _coefficients(omega):
+    """b = (-omega^2(t), 1, 0).  Every factory's fused field expands
+    b_1 X_1 + b_2 X_2 in that order; b_3 = 0 drops X_3."""
     return (lambda t: -omega(t), lambda t: 1.0, lambda t: 0.0)
 
 
@@ -143,10 +148,14 @@ def oscillator_1d(omega: FrequencyProfile) -> SystemDef:
         2, lambda p: np.array([0.5 * p[0], -0.5 * p[1]]),
         lambda p: np.array([[0.5, 0.0], [0.0, -0.5]]), name="X3",
     )
+
+    def fused(t, p):
+        return np.array([p[1], -omega(t) * p[0]])
+
     return SystemDef(
         name="oscillator_1d", dimension=2, generators=(X1, X2, X3),
         coefficients=_coefficients(omega), constants=sl2_constants(),
-        params={"frequency": omega.description},
+        fused=fused, params={"frequency": omega.description},
     )
 
 
@@ -155,10 +164,15 @@ def oscillator_2d(omega: FrequencyProfile) -> SystemDef:
     diagonal prolongations of the 1-dim ones."""
     base = oscillator_1d(omega)
     gens = tuple(diagonal_prolongation(X, 2) for X in base.generators)
+
+    def fused(t, p):
+        w = -omega(t)
+        return np.array([p[1], w * p[0], p[3], w * p[2]])
+
     return SystemDef(
         name="oscillator_2d", dimension=4, generators=gens,
         coefficients=_coefficients(omega), constants=sl2_constants(),
-        params={"frequency": omega.description},
+        fused=fused, params={"frequency": omega.description},
     )
 
 
@@ -183,11 +197,16 @@ def milne_pinney(omega: FrequencyProfile, k: float, half_plane: int = 1) -> Syst
         2, lambda p: np.array([0.5 * p[0], -0.5 * p[1]]),
         lambda p: np.array([[0.5, 0.0], [0.0, -0.5]]), name="L3",
     )
+
+    def fused(t, p):
+        x = _guard(p[0], "Milne-Pinney field")
+        return np.array([p[1], -omega(t) * x + k / x**3])
+
     singular = (0,) if k != 0.0 else ()
     return SystemDef(
         name="milne_pinney", dimension=2, generators=(L1, L2, L3),
         coefficients=_coefficients(omega), constants=sl2_constants(),
-        singular_coords=singular, positive_coords=singular,
+        fused=fused, singular_coords=singular, positive_coords=singular,
         half_plane=int(half_plane),
         params={"k": k, "frequency": omega.description},
     )
@@ -236,10 +255,18 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
         4, lambda p: 0.5 * np.array([p[0], -p[1], p[2], -p[3]]),
         lambda p: 0.5 * np.diag([1.0, -1.0, 1.0, -1.0]), name="N3",
     )
+
+    def fused(t, p):
+        x = _guard(p[0], "generalized Ermakov field")
+        y = _guard(p[2], "generalized Ermakov field")
+        u = y / x
+        w = -omega(t)
+        return np.array([p[1], w * x + f(u) / x**3, p[3], w * y + g(u) / y**3])
+
     return SystemDef(
         name="generalized_ermakov", dimension=4, generators=(N1, N2, N3),
         coefficients=_coefficients(omega), constants=sl2_constants(),
-        singular_coords=(0, 2), positive_coords=(0, 2),
+        fused=fused, singular_coords=(0, 2), positive_coords=(0, 2),
         half_plane=int(half_plane),
         params={"shapes": shapes.description, "frequency": omega.description},
     )
@@ -274,10 +301,16 @@ def ermakov(omega: FrequencyProfile, half_plane: int = 1) -> SystemDef:
         4, lambda p: 0.5 * np.array([p[0], -p[1], p[2], -p[3]]),
         lambda p: 0.5 * np.diag([1.0, -1.0, 1.0, -1.0]), name="X3",
     )
+
+    def fused(t, p):
+        y = _guard(p[2], "Ermakov field")
+        w = -omega(t)
+        return np.array([p[1], w * p[0], p[3], w * y + 1.0 / y**3])
+
     return SystemDef(
         name="ermakov", dimension=4, generators=(X1, X2, X3),
         coefficients=_coefficients(omega), constants=sl2_constants(),
-        singular_coords=(2,), positive_coords=(2,),
+        fused=fused, singular_coords=(2,), positive_coords=(2,),
         half_plane=int(half_plane),
         params={"frequency": omega.description},
     )
@@ -314,11 +347,17 @@ def pinney_triple(omega: FrequencyProfile, k: float, half_plane: int = 1) -> Sys
         6, lambda p: 0.5 * np.array([p[0], p[1], p[2], -p[3], -p[4], -p[5]]),
         lambda p: 0.5 * np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), name="N3",
     )
+
+    def fused(t, p):
+        x = _guard(p[0], "Pinney-triple field")
+        w = -omega(t)
+        return np.array([p[3], p[4], p[5], w * x + k / x**3, w * p[1], w * p[2]])
+
     singular = (0,) if k != 0.0 else ()
     return SystemDef(
         name="pinney_triple", dimension=6, generators=(N1, N2, N3),
         coefficients=_coefficients(omega), constants=sl2_constants(),
-        singular_coords=singular, positive_coords=singular,
+        fused=fused, singular_coords=singular, positive_coords=singular,
         half_plane=int(half_plane),
         params={"k": k, "frequency": omega.description},
     )

@@ -26,6 +26,19 @@ def test_list_catalog(capsys):
     assert "generalized_ermakov" in out
     for pipeline in cli.PIPELINES:
         assert pipeline in out
+    reduce_line = next(line for line in out.splitlines()
+                       if line.split()[:1] == ["reduce"])
+    for method in cli.REDUCE_METHODS:
+        assert method in reduce_line
+
+
+def test_reduce_rejects_an_unlisted_method(tmp_path, capsys):
+    path = write_scenario(tmp_path, {
+        "pipeline": "reduce", "method": "pinney_from_pinney",
+        "initial_states": [[1.0, 0.0], [1.0, 0.0]], "t_span": [0.0, 1.0],
+    })
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 2
+    assert "method" in capsys.readouterr().err
 
 
 def test_integrate_equilibrium_scenario(tmp_path):
@@ -38,6 +51,19 @@ def test_integrate_equilibrium_scenario(tmp_path):
         assert abs(float(x) - 1.0) < 1e-7 and abs(float(v)) < 1e-7
     summary = json.loads((tmp_path / "pinney_equilibrium_summary.json").read_text())
     assert summary["pass"] is True
+
+
+def test_integrate_summary_reports_solver_statistics(tmp_path):
+    assert run_scenario("integrate_pinney_equilibrium.json", tmp_path) == 0
+    summary = json.loads((tmp_path / "pinney_equilibrium_summary.json").read_text())
+    run = summary["runs"][0]
+    sysd = cli.build_system({"name": "milne_pinney", "k": 1.0,
+                             "frequency": {"name": "constant", "omega_squared": 1.0}})
+    traj = sysd.integrate([1.0, 0.0], (0.0, 10.0))
+    assert run["accepted_steps"] == len(traj.times) - 1
+    assert run["nfev"] == traj.nfev
+    # DOP853 spends 12 stages on every accepted step
+    assert run["nfev"] >= 12 * run["accepted_steps"] > 0
 
 
 def test_verify_algebra_scenario(tmp_path):

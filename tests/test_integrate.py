@@ -6,7 +6,10 @@ from numpy.testing import assert_allclose
 
 from liesys import (IntegrationError, QuadratureError, Trajectory,
                     constant_frequency, integrate, milne_pinney, oscillator_1d,
-                    quadrature, step_frequency, two_plus_sin)
+                    pinney_rule_from_solutions, quadrature, quadrature_rule,
+                    reduce_oscillator, reduce_pinney_from_pinney,
+                    step_frequency, tau_grid, tau_reparametrization,
+                    two_plus_sin)
 
 TOL = 1e-10
 
@@ -123,3 +126,156 @@ def test_frequency_profiles():
     assert two_plus_sin()(0.0) == pytest.approx(2.0)
     prof = step_frequency(t_switch=5.0, before=1.0, after=4.0)
     assert prof(4.9) == 1.0 and prof(5.1) == 4.0
+
+
+# --- array dense output ------------------------------------------------------
+
+def _dense_trajectories():
+    """Solver output, a Hermite spline and two closed-form trajectories."""
+    solved = milne_pinney(two_plus_sin(), 1.0).integrate([1.3, 0.2], (0.0, 5.0))
+    spline = Trajectory.from_function(
+        lambda t: np.array([math.cos(t), -math.sin(t)]), np.linspace(0.0, 1.2, 41),
+        lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    reduced = reduce_pinney_from_pinney(solved, 0.8, 0.5, 1.0)
+    osc = oscillator_1d(two_plus_sin())
+    superposed = pinney_rule_from_solutions(osc.integrate([1.0, 0.0], (0.0, 5.0)),
+                                            osc.integrate([0.0, 1.0], (0.0, 5.0)),
+                                            0.7, 0.4, 1.0)
+    return solved, spline, reduced, superposed
+
+
+def test_dense_array_equals_scalar_loop():
+    for traj in _dense_trajectories():
+        nodes = traj.times
+        assert np.array_equal(traj.dense(nodes),
+                              np.array([traj.dense(t) for t in nodes]))
+        off = np.random.default_rng(0).uniform(traj.t0, traj.t1, size=200)
+        got = traj.dense(off)
+        want = np.array([traj.dense(t) for t in off])
+        ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+        assert np.all(np.abs(got - want) <= 4 * ulp)
+
+
+def test_dense_rejects_a_scalar_style_interpolant():
+    # maps one time to one state, so an array of n times gives (dimension, n)
+    def scalar_style(t):
+        return np.array([np.cos(t), -np.sin(t)])
+    grid = np.linspace(0.0, 1.0, 11)
+    traj = Trajectory(grid, scalar_style(grid).T, interpolant=scalar_style)
+    for off in ([0.05], [0.05, 0.15], [0.05, 0.15, 0.25]):
+        with pytest.raises(ValueError, match="shape"):
+            traj.dense(np.array(off))
+
+
+def test_dense_keeps_the_shape_of_t():
+    solved = _dense_trajectories()[0]
+    t = np.linspace(0.1, 4.9, 6).reshape(2, 3)
+    assert solved.dense(0.7).shape == (2,)
+    assert solved.dense(t).shape == (2, 3, 2)
+    assert solved.position(t).shape == (2, 3)
+
+
+# --- tau clock ---------------------------------------------------------------
+
+def quad_tau_reference(x1, ts):
+    """tau at each of ts by scipy's quad: one call per node interval, summed,
+    plus one partial interval for an off-node t."""
+    from scipy.integrate import quad
+
+    def f(z):
+        return 1.0 / float(x1.position(z)) ** 2
+
+    def integral(a, b):
+        return quad(f, a, b, epsabs=1e-14, epsrel=1e-14, limit=500)[0]
+
+    times = x1.times
+    nodes = np.cumsum([0.0] + [integral(a, b) for a, b in zip(times[:-1], times[1:])])
+    out = []
+    for t in ts:
+        j = np.searchsorted(times, t, side="right") - 1
+        out.append(nodes[j] + (integral(times[j], t) if t > times[j] else 0.0))
+    return np.array(out)
+
+
+def exact_cosine(t_end=1.2, n=121):
+    """x1 = cos t whose dense output is the closed form itself."""
+    def evaluate(t):
+        return np.column_stack([np.cos(t), -np.sin(t)])
+    grid = np.linspace(0.0, t_end, n)
+    return Trajectory(grid, evaluate(grid), interpolant=evaluate)
+
+
+TAU_CLOCK_TOL = 1e-12
+
+
+def test_tau_clock_on_cosine_matches_quad_and_tan():
+    x1 = exact_cosine()
+    clock = x1.tau_clock()
+    off = np.random.default_rng(1).uniform(0.0, 1.2, size=15)
+    ts = np.concatenate([x1.times[::10], off])
+    taus = clock(ts)
+    scale = TAU_CLOCK_TOL * np.maximum(1.0, taus)
+    assert np.all(np.abs(taus - quad_tau_reference(x1, ts)) <= scale)
+    assert np.all(np.abs(taus - np.tan(ts)) <= scale)
+    assert np.array_equal(taus, [clock(t) for t in ts])
+
+
+def test_tau_clock_on_integrated_pinney_matches_quad():
+    x1 = milne_pinney(two_plus_sin(), 1.0).integrate([1.3, 0.2], (0.0, 5.0))
+    clock = x1.tau_clock()
+    off = np.random.default_rng(2).uniform(0.0, 5.0, size=15)
+    ts = np.concatenate([x1.times[::4], off])
+    taus = clock(ts)
+    assert np.all(np.abs(taus - quad_tau_reference(x1, ts))
+                  <= TAU_CLOCK_TOL * np.maximum(1.0, taus))
+    assert x1.tau_clock() is clock  # built once, shared
+
+
+def test_tau_clock_raises_when_x1_vanishes():
+    grid = np.linspace(0.0, 3.0, 100)  # cos vanishes at pi/2
+    x1 = Trajectory(grid, np.column_stack([np.cos(grid), -np.sin(grid)]))
+    # before the zero, tau and the rules on it are defined
+    assert abs(tau_reparametrization(x1, 1.0) - math.tan(1.0)) < 1e-6
+    assert abs(quadrature_rule(x1, 0.0, 1.0, 1.0) - math.sin(1.0)) < 1e-6
+    assert abs(x1.tau_clock()(np.array([0.0, 0.5, 1.0]))[-1] - math.tan(1.0)) < 1e-6
+    # a window [t0, t] that reaches the zero raises, also for arrays of t
+    for call in (lambda: tau_reparametrization(x1, 3.0),
+                 lambda: quadrature_rule(x1, 0.0, 1.0, 3.0),
+                 lambda: x1.tau_clock()(np.array([1.0, 2.0])),
+                 lambda: tau_grid(x1),
+                 lambda: reduce_oscillator(x1, 0.0, 1.0)):
+        with pytest.raises(QuadratureError):
+            call()
+    assert quadrature_rule(x1, 0.5, 0.0, 3.0) == pytest.approx(0.5 * math.cos(3.0),
+                                                              abs=1e-6)
+
+
+def test_tau_clock_raises_on_nonfinite_integrand():
+    # node values pass the sign check, but the dense output is NaN between them
+    def evaluate(t):
+        return np.full((len(t), 2), np.nan)
+    grid = np.linspace(0.0, 1.0, 11)
+    x1 = Trajectory(grid, np.column_stack([1.0 + grid, np.ones_like(grid)]),
+                    interpolant=evaluate)
+    with pytest.raises(QuadratureError) as exc:
+        x1.tau_clock()
+    assert 0.0 <= exc.value.abscissa <= 1.0
+
+
+def test_tau_clock_bisects_wide_panels():
+    # two panels over [0, 1.4]: 1/cos^2 is too steep for one GK 7/15 panel
+    x1 = exact_cosine(1.4, 3)
+    ts = np.array([0.7, 1.0, 1.4])
+    assert np.all(np.abs(x1.tau_clock()(ts) - np.tan(ts))
+                  <= TAU_CLOCK_TOL * np.tan(ts))
+
+
+def test_tau_clock_gives_up_on_a_jump():
+    # a jump inside a panel keeps |K15 - G7| large under every bisection
+    def evaluate(t):
+        return np.column_stack([np.where(t < 0.3 * math.pi, 1.0, 2.0),
+                                np.zeros_like(t)])
+    grid = np.linspace(0.0, 1.0, 5)
+    x1 = Trajectory(grid, evaluate(grid), interpolant=evaluate)
+    with pytest.raises(QuadratureError):
+        x1.tau_clock()

@@ -2,23 +2,24 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from liesys import (SingularityError, constant_frequency, ermakov,
+from liesys import (DimensionMismatchError, SingularityError,
+                    constant_frequency, diagonal_prolongation, ermakov,
                     generalized_ermakov, milne_pinney, oscillator_1d,
                     oscillator_2d, pinney_triple, prolonged_rank,
-                    quadratic_shapes, sl2_constants, two_plus_sin,
-                    verify_algebra, zero_one_shapes, diagonal_prolongation)
+                    quadratic_shapes, sl2_constants, step_frequency,
+                    two_plus_sin, verify_algebra, zero_one_shapes)
 
 W1 = constant_frequency(1.0)
 
 
-def all_systems():
+def all_systems(omega=W1):
     return [
-        oscillator_1d(W1),
-        oscillator_2d(W1),
-        milne_pinney(W1, 1.0),
-        ermakov(W1),
-        generalized_ermakov(W1, quadratic_shapes()),
-        pinney_triple(W1, 1.0),
+        oscillator_1d(omega),
+        oscillator_2d(omega),
+        milne_pinney(omega, 1.0),
+        ermakov(omega),
+        generalized_ermakov(omega, quadratic_shapes()),
+        pinney_triple(omega, 1.0),
     ]
 
 
@@ -105,14 +106,44 @@ def test_every_factory_closes_the_algebra():
         assert report.ok, f"{sysd.name}: {report}"
 
 
+def assembled_rhs(sysd, t, p):
+    """sum_a b_a(t) X_a(p) summed from the generators: the reference every
+    fused field must reproduce bit for bit."""
+    p = np.asarray(p, dtype=float)
+    out = np.zeros(sysd.dimension)
+    for b, X in zip(sysd.coefficients, sysd.generators):
+        ba = float(b(t))
+        if ba != 0.0:
+            out += ba * X(p)
+    return out
+
+
 def test_rhs_assembly_identity():
     rng = np.random.default_rng(3)
+    for profile in (constant_frequency(1.0), two_plus_sin(), step_frequency()):
+        systems = all_systems(profile) + [generalized_ermakov(profile, zero_one_shapes())]
+        for sysd in systems:
+            for p in sysd.sample_domain(rng, 200):
+                t = rng.uniform(0, 10)
+                assert np.array_equal(sysd.rhs(t, p), assembled_rhs(sysd, t, p)), \
+                    (sysd.name, profile.description, t, p)
+
+
+def test_rhs_rejects_a_point_of_the_wrong_dimension():
     for sysd in all_systems():
-        for p in sysd.sample_domain(rng, 5):
-            t = rng.uniform(0, 10)
-            manual = sum(b(t) * X(p) for b, X in
-                         zip(sysd.coefficients, sysd.generators))
-            assert np.max(np.abs(sysd.rhs(t, p) - manual)) < 1e-14
+        with pytest.raises(DimensionMismatchError):
+            sysd.rhs(0.0, np.ones(sysd.dimension + 1))
+
+
+def test_fused_field_guards_like_the_generators():
+    for sysd in all_systems():
+        for i in sysd.singular_coords:
+            p = np.ones(sysd.dimension)
+            p[i] = 0.0
+            with pytest.raises(SingularityError):
+                assembled_rhs(sysd, 0.5, p)
+            with pytest.raises(SingularityError):
+                sysd.rhs(0.5, p)
 
 
 def test_ermakov_matches_generalized_zero_one():
