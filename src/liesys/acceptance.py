@@ -12,18 +12,14 @@ import numpy as np
 from . import group as G
 from .errors import DomainError
 from .integrate import Trajectory, constant_frequency, two_plus_sin
-from .invariants import (angular_momentum, drift, ermakov_pair_invariants,
-                         generalized_invariant, lewis_ermakov)
+from .invariants import (drift, generalized_invariant, invariants_for,
+                         lewis_ermakov)
 from .superposition import (keys_from, linear_rule, pinney_rule_from_solutions,
                             quadrature_rule)
 from .systems import (ermakov, generalized_ermakov, milne_pinney,
                       oscillator_1d, oscillator_2d, pinney_triple,
                       quadratic_shapes, zero_one_shapes)
 from .vectorfield import minimal_m, verify_algebra
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def relative_errors(got, want):
@@ -70,7 +66,7 @@ def criterion_1(seed=0):
     for sysd in _four_realizations():
         probes = sysd.sample_domain(rng, 100)
         rep = verify_algebra(sysd.generators, sysd.constants, probes, 1e-9)
-        rows.append([sysd.name, _fmt(rep.worst_residual)])
+        rows.append([sysd.name, rep.worst_residual])
         worst = max(worst, rep.worst_residual)
         ok = ok and rep.ok
     return CriterionResult(1, "sl(2,R) closure residual < 1e-9", ok,
@@ -85,7 +81,7 @@ def criterion_2(seed=0):
     m = minimal_m(sysd.generators, max_copies=4, rng=rng)
     return CriterionResult(2, "minimal m for the 1-dim oscillator", m == 2,
                            f"m = {m} (expected 2)",
-                           ["m"], [[str(m)]])
+                           ["m"], [[m]])
 
 
 def _seeded_states(rng, count, ranges):
@@ -100,40 +96,23 @@ def criterion_3(seed=0):
     """Invariant constancy along integrated trajectories."""
     w = two_plus_sin()
     rng = np.random.default_rng(seed)
-    span = (0.0, 20.0)
-    shapes = quadratic_shapes()
     rows, ok, worst = [], True, 0.0
-
-    cases = []
-    erma = ermakov(w)
-    for ic in _seeded_states(rng, 5, [(-1, 1), (-1, 1), (0.5, 2), (-1, 1)]):
-        cases.append(("lewis_ermakov", erma, ic,
-                      lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])))
-    osc2 = oscillator_2d(w)
-    for ic in _seeded_states(rng, 5, [(-1, 1)] * 4):
-        cases.append(("angular_momentum", osc2, ic,
-                      lambda s: angular_momentum(s[0], s[1], s[2], s[3])))
-    trip = pinney_triple(w, 1.0)
-    for ic in _seeded_states(rng, 5, [(0.5, 2)] + [(-1, 1)] * 5):
-        for name, idx in [("pair_I1", 0), ("pair_I2", 1), ("wronskian", 2)]:
-            cases.append((name, trip, ic,
-                          lambda s, _i=idx: ermakov_pair_invariants(s, 1.0)[_i]))
-    gen = generalized_ermakov(w, shapes)
-    for ic in _seeded_states(rng, 5, [(0.5, 2), (-1, 1), (0.5, 2), (-1, 1)]):
-        cases.append(("generalized", gen, ic,
-                      lambda s: generalized_invariant(s[0], s[2], s[1], s[3], shapes)))
-
-    traj_cache = {}
-    for name, sysd, ic, fn in cases:
-        key = (sysd.name, tuple(ic))
-        if key not in traj_cache:
-            traj_cache[key] = sysd.integrate(ic, span)
-        series = drift(traj_cache[key], fn, name)
-        rows.append([name, _fmt(series.drift_rel)])
-        worst = max(worst, series.drift_rel)
-        ok = ok and series.drift_rel < 1e-6 and not series.partial
+    for sysd, ranges in [
+            (ermakov(w), [(-1, 1), (-1, 1), (0.5, 2), (-1, 1)]),
+            (oscillator_2d(w), [(-1, 1)] * 4),
+            (pinney_triple(w, 1.0), [(0.5, 2)] + [(-1, 1)] * 5),
+            (generalized_ermakov(w, quadratic_shapes()),
+             [(0.5, 2), (-1, 1), (0.5, 2), (-1, 1)])]:
+        invariants = invariants_for(sysd)
+        for ic in _seeded_states(rng, 5, ranges):
+            traj = sysd.integrate(ic, (0.0, 20.0))
+            for name, fn in invariants.items():
+                series = drift(traj, fn, name)
+                rows.append([name, series.drift_rel])
+                worst = max(worst, series.drift_rel)
+                ok = ok and series.drift_rel < 1e-6 and not series.partial
     return CriterionResult(3, "invariant drift_rel < 1e-6 over [0,20]", ok,
-                           f"worst drift {worst:.3e} across {len(cases)} runs",
+                           f"worst drift {worst:.3e} across {len(rows)} runs",
                            ["invariant", "drift_rel"], rows)
 
 
@@ -151,7 +130,7 @@ def criterion_4(seed=0):
         rec = pinney_rule_from_solutions(y, z, x0, v0, 1.0)
         ref = mp.integrate([x0, v0], (0.0, 10.0))
         err = _max_rel_error(rec.position(sample), ref.position(sample))
-        rows.append([_fmt(x0), _fmt(v0), _fmt(err)])
+        rows.append([x0, v0, err])
         worst = max(worst, err)
         ok = ok and err < 1e-5
 
@@ -162,7 +141,7 @@ def criterion_4(seed=0):
                                   grid, lambda t: np.array([-math.sin(t), -math.cos(t)]))
     rec = pinney_rule_from_solutions(ya, za, 1.0, 0.0, 1.0)
     err_exact = float(np.max(np.abs(rec.states[:, 0] - 1.0)))
-    rows.append(["analytic", "", _fmt(err_exact)])
+    rows.append(["analytic", "", err_exact])
     ok = ok and err_exact < 1e-8
     return CriterionResult(4, "Pinney superposition oracle equivalence", ok,
                            f"worst relative error {worst:.3e}, analytic {err_exact:.3e}",
@@ -193,7 +172,7 @@ def criterion_5(seed=0):
         5, "linear and quadrature superposition to 1e-8", ok,
         f"linear {err_lin:.3e}, quadrature {err_quad:.3e}",
         ["rule", "max_abs_error"],
-        [["linear", _fmt(err_lin)], ["quadrature", _fmt(err_quad)]],
+        [["linear", err_lin], ["quadrature", err_quad]],
     )
 
 
@@ -212,8 +191,7 @@ def criterion_6(seed=0):
         for p0 in _seeded_states(rng, 5, [(-1.5, 1.5)] * 2):
             ref = osc.integrate(p0, (0.0, 10.0))
             err = _max_rel_error(g @ p0, ref.dense(sample))
-            rows.append([w.description, _fmt(p0[0]), _fmt(p0[1]),
-                         _fmt(err), _fmt(det_drift)])
+            rows.append([w.description, p0[0], p0[1], err, det_drift])
             worst_err = max(worst_err, err)
         worst_det = max(worst_det, det_drift)
         ok = ok and det_drift < 1e-9
@@ -237,7 +215,7 @@ def criterion_7(seed=0):
     sample = np.linspace(0.0, 1.2, 25)
     red = G.reduce_oscillator(cos_traj, 0.0, 1.0)
     err = float(np.max(np.abs(red.position(sample) - np.sin(sample))))
-    rows.append(["dalembert_analytic", _fmt(err)])
+    rows.append(["dalembert_analytic", err])
     ok = ok and err < 1e-8
 
     w = two_plus_sin()
@@ -248,7 +226,7 @@ def criterion_7(seed=0):
     ref = osc.integrate(red.states[0], (0.0, 0.9))
     sample = np.linspace(0.0, 0.9, 25)
     err = _max_rel_error(red.dense(sample), ref.dense(sample))
-    rows.append(["dalembert_vs_oracle", _fmt(err)])
+    rows.append(["dalembert_vs_oracle", err])
     ok = ok and err < 1e-6
 
     # Milne-Pinney from a particular Milne-Pinney solution
@@ -258,7 +236,7 @@ def criterion_7(seed=0):
                                     lambda t: np.array([0.0, 0.0]))
     err = float(np.max(np.abs(
         G.reduce_pinney_from_pinney(ones, 1.0, 0.0, 1.0).states[:, 0] - 1.0)))
-    rows.append(["pinney_self_analytic", _fmt(err)])
+    rows.append(["pinney_self_analytic", err])
     ok = ok and err < 1e-8
 
     x1p = mp.integrate([1.3, 0.2], (0.0, 5.0))
@@ -267,13 +245,13 @@ def criterion_7(seed=0):
         ref = mp.integrate([x0, v0], (0.0, 5.0))
         sample = np.linspace(0.0, 5.0, 101)
         err = _max_rel_error(red.position(sample), ref.position(sample))
-        rows.append(["pinney_self_vs_oracle", _fmt(err)])
+        rows.append(["pinney_self_vs_oracle", err])
         ok = ok and err < 1e-5
 
     # Milne-Pinney from an oscillator solution (x1 = cos t analytic case)
     err = float(np.max(np.abs(
         G.reduce_pinney_from_oscillator(cos_traj, 1.0, 0.0, 1.0).states[:, 0] - 1.0)))
-    rows.append(["pinney_osc_analytic", _fmt(err)])
+    rows.append(["pinney_osc_analytic", err])
     ok = ok and err < 1e-8
 
     osc_c = oscillator_1d(constant_frequency(1.0))
@@ -283,10 +261,10 @@ def criterion_7(seed=0):
         ref = mp.integrate([x0, v0], (0.0, 1.2))
         sample = np.linspace(0.0, 1.2, 49)
         err = _max_rel_error(red.position(sample), ref.position(sample))
-        rows.append(["pinney_osc_vs_oracle", _fmt(err)])
+        rows.append(["pinney_osc_vs_oracle", err])
         ok = ok and err < 1e-5
 
-    worst = max(float(r[1]) for r in rows)
+    worst = max(r[1] for r in rows)
     return CriterionResult(7, "reductions match direct integration", ok,
                            f"worst error {worst:.3e}",
                            ["check", "max_error"], rows)
@@ -333,8 +311,7 @@ def criterion_8(seed=0):
             fd_lin = G.generator_by_finite_difference(G.linear_action, v, p)
             err_ff = max(err_ff, float(np.max(np.abs(fd_lin - Xi(p)))))
             fd_pin = G.generator_by_finite_difference(
-                lambda g, q: np.array([G.pinney_action(g, q, k).x,
-                                       G.pinney_action(g, q, k).v_abs]), v, p)
+                lambda g, q: np.array(G.pinney_action(g, q, k)[:2]), v, p)
             err_ff = max(err_ff, float(np.max(np.abs(fd_pin - Li(p)))))
 
     ok = err_id < 1e-12 and signs_ok and valid > 900 and err_ff < 1e-5
@@ -344,10 +321,10 @@ def criterion_8(seed=0):
         f"({'all preserved' if signs_ok else 'VIOLATED'}), "
         f"fundamental-field error {err_ff:.2e}",
         ["check", "value"],
-        [["identity_error", _fmt(err_id)],
-         ["valid_sign_samples", str(valid)],
-         ["signs_preserved", str(signs_ok)],
-         ["fundamental_field_error", _fmt(err_ff)]],
+        [["identity_error", err_id],
+         ["valid_sign_samples", valid],
+         ["signs_preserved", signs_ok],
+         ["fundamental_field_error", err_ff]],
     )
 
 
@@ -369,8 +346,8 @@ def criterion_9(seed=0):
         9, "cross-consistency (generalized vs Ermakov)", ok,
         f"invariant diff {err_inv:.3e}, rhs diff {err_rhs:.3e}",
         ["check", "max_diff"],
-        [["generalized_vs_half_lewis", _fmt(err_inv)],
-         ["rhs_generalized_vs_ermakov", _fmt(err_rhs)]],
+        [["generalized_vs_half_lewis", err_inv],
+         ["rhs_generalized_vs_ermakov", err_rhs]],
     )
 
 

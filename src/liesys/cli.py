@@ -15,6 +15,7 @@ overrides the default output directory.
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,24 +25,32 @@ import numpy as np
 from . import group as G
 from .acceptance import relative_errors, run_all
 from .errors import IntegrationError, LiesysError, ScenarioError
-from .integrate import FREQUENCY_PROFILES, Trajectory
-from .invariants import (angular_momentum, drift, ermakov_pair_invariants,
-                         generalized_invariant, lewis_ermakov)
+from .integrate import FREQUENCY_PROFILES
+from .invariants import drift, invariants_for
+from .invariants import generalized_invariant  # noqa: F401  bound for perfbench/tracer.py
 from .superposition import (keys_from, linear_rule, pinney_rule_from_solutions,
                             quadrature_rule)
 from .systems import SHAPE_FUNCTIONS, SYSTEM_FACTORIES
-from .vectorfield import bracket, minimal_m, prolonged_rank
-
-PIPELINES = ("integrate", "drift", "superpose", "reduce", "verify-algebra",
-             "minimal-m", "group-solve")
+from .vectorfield import bracket  # noqa: F401  bound for perfbench/tracer.py
+from .vectorfield import minimal_m, prolonged_rank, verify_algebra
 
 REDUCE_METHODS = ("dalembert", "pinney-osc", "pinney-self")
 
+# Pipeline name -> the scenario fields `liesys list` prints for it.  Each
+# name runs the function pipeline_<name with - as _> below.
+PIPELINES = {
+    "integrate": "system, initial_states, t_span",
+    "drift": "system, invariant, initial_states, t_span, tolerances.threshold",
+    "superpose": "rule (linear|quadrature|pinney), system, initial_states, "
+                 "t_span [, keys]",
+    "reduce": f"method ({'|'.join(REDUCE_METHODS)}), system, initial_states, "
+              "t_span [, keys]",
+    "verify-algebra": "system, probes, tolerances.threshold",
+    "minimal-m": "system, max_copies [, expected_m]",
+    "group-solve": "system.frequency, initial_states, t_span",
+}
+
 OUT_ENV_VAR = "LIESYS_OUT"
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def _atomic_write(path, text):
@@ -58,9 +67,14 @@ def _atomic_write(path, text):
         raise
 
 
+def _cell(c):
+    return f"{c:.17g}" if isinstance(c, (float, np.floating)) else str(c)
+
+
 def write_csv(path, header, rows):
+    """Floats get 17 significant digits; every other cell is written by str."""
     lines = [",".join(header)]
-    lines.extend(",".join(str(c) for c in row) for row in rows)
+    lines.extend(",".join(_cell(c) for c in row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -88,18 +102,38 @@ def _require(scn, field, types=None):
     return v
 
 
+def _number(value, field, integer=False):
+    """``value`` as a finite float, or as an int when ``integer`` is set.
+
+    Anything else (a string, a bool, NaN, an infinity, 2.5 for a count) is a
+    ScenarioError naming ``field``.
+    """
+    try:
+        x = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x) or (integer and not x.is_integer()):
+        kind = "a whole number" if integer else "a finite number"
+        raise ScenarioError(f"field '{field}' must be {kind}", field=field)
+    return int(value) if integer else x
+
+
 def build_frequency(cfg):
     if cfg is None:
         cfg = {"name": "constant"}
     if isinstance(cfg, str):
         cfg = {"name": cfg}
+    if not isinstance(cfg, dict):
+        raise ScenarioError("frequency must be a profile name or an object",
+                            field="system.frequency")
     name = cfg.get("name")
     if name not in FREQUENCY_PROFILES:
         raise ScenarioError(
             f"unknown frequency profile '{name}' "
             f"(available: {', '.join(sorted(FREQUENCY_PROFILES))})",
             field="system.frequency")
-    kwargs = {k: v for k, v in cfg.items() if k != "name"}
+    kwargs = {k: _number(v, "system.frequency") for k, v in cfg.items()
+              if k != "name"}
     try:
         return FREQUENCY_PROFILES[name](**kwargs)
     except TypeError as exc:
@@ -107,10 +141,15 @@ def build_frequency(cfg):
                             field="system.frequency")
 
 
-def build_system(cfg):
+def build_system(cfg, name=None):
+    """The system a scenario's ``system`` entry describes; ``name``, when
+    given, replaces its name (a pipeline building the oscillator or the
+    Milne-Pinney system of the same frequency and k)."""
     if isinstance(cfg, str):
         cfg = {"name": cfg}
-    name = cfg.get("name")
+    if not isinstance(cfg, dict):
+        raise ScenarioError("system must be a name or an object", field="system")
+    name = name or cfg.get("name")
     if name not in SYSTEM_FACTORIES:
         raise ScenarioError(
             f"unknown system '{name}' "
@@ -119,7 +158,7 @@ def build_system(cfg):
     omega = build_frequency(cfg.get("frequency"))
     kwargs = {}
     if name in ("milne_pinney", "pinney_triple"):
-        kwargs["k"] = float(cfg.get("k", 1.0))
+        kwargs["k"] = _number(cfg.get("k", 1.0), "system.k")
     if name == "generalized_ermakov":
         shape_name = cfg.get("shapes", "quadratic")
         if shape_name not in SHAPE_FUNCTIONS:
@@ -129,91 +168,79 @@ def build_system(cfg):
                 field="system.shapes")
         kwargs["shapes"] = SHAPE_FUNCTIONS[shape_name]()
     if "half_plane" in cfg and name != "oscillator_1d" and name != "oscillator_2d":
-        kwargs["half_plane"] = int(cfg["half_plane"])
+        half_plane = _number(cfg["half_plane"], "system.half_plane", integer=True)
+        if half_plane not in (1, -1):
+            raise ScenarioError("half_plane must be 1 or -1",
+                                field="system.half_plane")
+        kwargs["half_plane"] = half_plane
     return SYSTEM_FACTORIES[name](omega, **kwargs)
 
 
-def _initial_states(scn, sysd, count_min=1):
+def _initial_states(scn, dimension, count_min=1):
     states = _require(scn, "initial_states", list)
     if len(states) < count_min:
         raise ScenarioError(
             f"pipeline needs at least {count_min} initial state(s)",
             field="initial_states")
-    out = []
     for i, s in enumerate(states):
-        s = np.asarray(s, dtype=float)
-        if sysd is not None and s.shape != (sysd.dimension,):
+        if not isinstance(s, list) or len(s) != dimension:
             raise ScenarioError(
-                f"initial state #{i} has dimension {s.size}, "
-                f"system '{sysd.name}' needs {sysd.dimension}",
+                f"initial state #{i} must be a list of {dimension} numbers",
                 field="initial_states")
-        out.append(s)
-    return out
+    return [np.array([_number(c, "initial_states") for c in s]) for s in states]
 
 
 def _t_span(scn):
-    span = _require(scn, "t_span", list)
-    if len(span) != 2 or float(span[0]) == float(span[1]):
+    span = [_number(t, "t_span") for t in _require(scn, "t_span", list)]
+    if len(span) != 2 or span[0] == span[1]:
         raise ScenarioError("t_span must be two distinct numbers", field="t_span")
-    return float(span[0]), float(span[1])
+    return span[0], span[1]
 
 
 def _tolerances(scn, tol_override=None, default_threshold=1e-6):
     tols = scn.get("tolerances", {})
-    abs_tol = float(tols.get("abs", 1e-10))
-    rel_tol = float(tols.get("rel", 1e-10))
-    threshold = float(tols.get("threshold", default_threshold))
+    if not isinstance(tols, dict):
+        raise ScenarioError("tolerances must be an object", field="tolerances")
+    abs_tol, rel_tol, threshold = (
+        _number(tols.get(key, default), f"tolerances.{key}")
+        for key, default in (("abs", 1e-10), ("rel", 1e-10),
+                             ("threshold", default_threshold)))
     if tol_override is not None:
-        threshold = float(tol_override)
+        threshold = _number(tol_override, "--tol-override")
     if abs_tol <= 0 or rel_tol <= 0 or threshold <= 0:
         raise ScenarioError("tolerances must be positive", field="tolerances")
     return abs_tol, rel_tol, threshold
 
 
-def _sample_times(scn, t0, t1, default=201):
-    n = int(scn.get("samples", default))
+def _sample_times(scn, t0, t1):
+    n = _number(scn.get("samples", 201), "samples", integer=True)
     if n < 2:
         raise ScenarioError("samples must be >= 2", field="samples")
     return np.linspace(t0, t1, n)
 
 
-# --- invariant registry for the drift pipeline -------------------------------
-
-def _invariant_registry(sysd):
-    """Invariant evaluators applicable to a given system."""
-    reg = {}
-    if sysd.name == "oscillator_2d":
-        reg["angular_momentum"] = lambda s: angular_momentum(s[0], s[1], s[2], s[3])
-    if sysd.name == "ermakov":
-        reg["lewis_ermakov"] = lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])
-    if sysd.name == "pinney_triple":
-        k = sysd.params["k"]
-        reg["pair_i1"] = lambda s: ermakov_pair_invariants(s, k)[0]
-        reg["pair_i2"] = lambda s: ermakov_pair_invariants(s, k)[1]
-        reg["wronskian"] = lambda s: ermakov_pair_invariants(s, k)[2]
-    if sysd.name == "generalized_ermakov":
-        shapes = SHAPE_FUNCTIONS[
-            "quadratic" if "u^2" in sysd.params["shapes"] else "zero_one"]()
-        reg["generalized"] = lambda s: generalized_invariant(
-            s[0], s[2], s[1], s[3], shapes)
-    return reg
+def _keys(scn):
+    keys = scn.get("keys")
+    if not isinstance(keys, list) or len(keys) != 2:
+        raise ScenarioError("keys must be [k_prime, k]", field="keys")
+    return _number(keys[0], "keys"), _number(keys[1], "keys")
 
 
 # --- pipelines ---------------------------------------------------------------
-# Each returns (ok, summary, files) where files is [(suffix, header, rows)].
+# Each takes (scn, tol_override, seed) and returns (ok, summary, files), where
+# files is [(suffix, header, rows)].
 
-def pipeline_integrate(scn, tol_override):
+def pipeline_integrate(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, _ = _tolerances(scn, tol_override)
-    states = _initial_states(scn, sysd)
+    states = _initial_states(scn, sysd.dimension)
     times = _sample_times(scn, t0, t1)
     files, runs = [], []
     for i, y0 in enumerate(states):
         traj = sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
         header = ["time"] + [f"y{j}" for j in range(sysd.dimension)]
-        rows = [[_fmt(t)] + [_fmt(c) for c in state]
-                for t, state in zip(times, traj.dense(times))]
+        rows = [[t, *state] for t, state in zip(times, traj.dense(times))]
         files.append((f"run{i}", header, rows))
         runs.append({"initial_state": [float(c) for c in y0],
                      "final_state": [float(c) for c in traj.final_state],
@@ -222,9 +249,9 @@ def pipeline_integrate(scn, tol_override):
     return True, {"system": sysd.name, "runs": runs}, files
 
 
-def pipeline_drift(scn, tol_override):
+def pipeline_drift(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
-    reg = _invariant_registry(sysd)
+    reg = invariants_for(sysd)
     name = scn.get("invariant")
     if name not in reg:
         raise ScenarioError(
@@ -232,14 +259,13 @@ def pipeline_drift(scn, tol_override):
             f"(available: {', '.join(sorted(reg))})", field="invariant")
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override)
-    states = _initial_states(scn, sysd)
+    states = _initial_states(scn, sysd.dimension)
     files, runs, ok = [], [], True
     for i, y0 in enumerate(states):
         traj = sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
         series = drift(traj, reg[name], name)
-        rows = [[_fmt(t), _fmt(v), _fmt(d)] for t, v, d in
-                zip(series.times, series.values,
-                    np.maximum.accumulate(np.abs(series.values - series.values[0])))]
+        rows = zip(series.times, series.values,
+                   np.maximum.accumulate(np.abs(series.values - series.values[0])))
         files.append((f"run{i}", ["time", "value", "running_drift"], rows))
         passed = series.drift_rel < threshold and not series.partial
         ok = ok and passed
@@ -251,40 +277,35 @@ def pipeline_drift(scn, tol_override):
                 "threshold": threshold, "runs": runs}, files
 
 
-def pipeline_superpose(scn, tol_override):
+def pipeline_superpose(scn, tol_override, seed):
     rule = scn.get("rule")
     if rule not in ("linear", "quadrature", "pinney"):
         raise ScenarioError("rule must be linear, quadrature or pinney",
                             field="rule")
-    sysd = build_system(_require(scn, "system"))
+    syscfg = _require(scn, "system")
+    sysd = build_system(syscfg)
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override, 1e-5)
     times = _sample_times(scn, t0, t1)
+    needs = "milne_pinney" if rule == "pinney" else "oscillator_1d"
+    if sysd.name != needs:
+        raise ScenarioError(f"the {rule} rule needs system {needs}",
+                            field="system.name")
 
     if rule == "linear":
-        if sysd.name != "oscillator_1d":
-            raise ScenarioError("the linear rule needs system oscillator_1d",
-                                field="system.name")
         s1, s2, target = [sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
-                          for y0 in _initial_states(scn, sysd, 3)[:3]]
+                          for y0 in _initial_states(scn, 2, 3)[:3]]
         k1, k2 = keys_from(*target.initial_state, *s1.initial_state,
                            *s2.initial_state)
         x, v = linear_rule(*s1.dense(times).T, *s2.dense(times).T, k1, k2)
         rx, rv = target.dense(times).T
         err = np.maximum(np.abs(x - rx), np.abs(v - rv))
         max_err = float(np.max(err))
-        header = ["time", "reconstructed_x", "reference_x", "abs_error"]
         extra = {"keys": [k1, k2]}
 
     elif rule == "quadrature":
-        if sysd.name != "oscillator_1d":
-            raise ScenarioError("the quadrature rule needs system oscillator_1d",
-                                field="system.name")
-        keys = scn.get("keys")
-        if not isinstance(keys, list) or len(keys) != 2:
-            raise ScenarioError("keys must be [k_prime, k]", field="keys")
-        k_prime, k = float(keys[0]), float(keys[1])
-        x1 = sysd.integrate(_initial_states(scn, sysd)[0], (t0, t1),
+        k_prime, k = _keys(scn)
+        x1 = sysd.integrate(_initial_states(scn, 2)[0], (t0, t1),
                             abs_tol, rel_tol)
         y0 = [k_prime * x1.initial_state[0],
               k_prime * x1.initial_state[1] + k / x1.initial_state[0]]
@@ -293,20 +314,11 @@ def pipeline_superpose(scn, tol_override):
         rx = ref.position(times)
         err = np.abs(x - rx)
         max_err = float(np.max(err))
-        header = ["time", "reconstructed_x", "reference_x", "abs_error"]
         extra = {"keys": [k_prime, k]}
 
     else:  # pinney
-        if sysd.name != "milne_pinney":
-            raise ScenarioError("the pinney rule needs system milne_pinney",
-                                field="system.name")
-        states = _initial_states(scn, None, 3)
-        for i, s in enumerate(states):
-            if s.shape != (2,):
-                raise ScenarioError(f"initial state #{i} must be (x, v)",
-                                    field="initial_states")
-        osc = build_system({"name": "oscillator_1d",
-                            "frequency": _require(scn, "system").get("frequency")})
+        states = _initial_states(scn, 2, 3)
+        osc = build_system(syscfg, "oscillator_1d")
         y = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
         z = osc.integrate(states[1], (t0, t1), abs_tol, rel_tol)
         x0, v0 = states[2]
@@ -316,17 +328,16 @@ def pipeline_superpose(scn, tol_override):
         x, rx = rec.position(times), ref.position(times)
         err = np.abs(x - rx)
         max_err = float(np.max(relative_errors(x, rx)))
-        header = ["time", "reconstructed_x", "reference_x", "abs_error"]
         extra = {"k": k}
 
-    rows = [[_fmt(c) for c in row] for row in zip(times, x, rx, err)]
     ok = max_err < threshold
     summary = {"rule": rule, "max_error": max_err,
                "threshold": threshold, "pass": ok, **extra}
-    return ok, summary, [("errors", header, rows)]
+    return ok, summary, [("errors", ["time", "reconstructed_x", "reference_x",
+                                     "abs_error"], zip(times, x, rx, err))]
 
 
-def pipeline_reduce(scn, tol_override):
+def pipeline_reduce(scn, tol_override, seed):
     method = scn.get("method")
     if method not in REDUCE_METHODS:
         raise ScenarioError(
@@ -336,24 +347,14 @@ def pipeline_reduce(scn, tol_override):
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override, 1e-5)
     times = _sample_times(scn, t0, t1)
-    states = _initial_states(scn, None, 1 if method == "dalembert" else 2)
-    for i, s in enumerate(states):
-        if s.shape != (2,):
-            raise ScenarioError(f"initial state #{i} must be (x, v)",
-                                field="initial_states")
-
-    freq = syscfg.get("frequency") if isinstance(syscfg, dict) else None
-    osc = build_system({"name": "oscillator_1d", "frequency": freq})
-    mp = build_system({"name": "milne_pinney", "frequency": freq,
-                       "k": syscfg.get("k", 1.0) if isinstance(syscfg, dict) else 1.0})
+    states = _initial_states(scn, 2, 1 if method == "dalembert" else 2)
+    osc = build_system(syscfg, "oscillator_1d")
+    mp = build_system(syscfg, "milne_pinney")
     k = mp.params["k"]
 
     if method == "dalembert":
-        keys = scn.get("keys")
-        if not isinstance(keys, list) or len(keys) != 2:
-            raise ScenarioError("keys must be [k_prime, k]", field="keys")
         x1 = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
-        red = G.reduce_oscillator(x1, float(keys[0]), float(keys[1]))
+        red = G.reduce_oscillator(x1, *_keys(scn))
         ref = osc.integrate(red.initial_state, (t0, t1), abs_tol, rel_tol)
     elif method == "pinney-osc":
         x1 = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
@@ -369,84 +370,75 @@ def pipeline_reduce(scn, tol_override):
     err = np.abs(x - rx)
     max_err = float(np.max(relative_errors(x, rx)))
     det_drift = np.abs(np.linalg.det(G.particular_solution_matrices(x1, times)) - 1.0)
-    rows = [[_fmt(c) for c in row]
-            for row in zip(times, tau, x, rx, err, det_drift)]
     ok = max_err < threshold
     summary = {"method": method, "max_rel_error": max_err,
                "threshold": threshold, "pass": ok}
     return ok, summary, [("errors", ["time", "tau", "reduced_x", "reference_x",
-                                     "abs_error", "det_drift"], rows)]
+                                     "abs_error", "det_drift"],
+                          zip(times, tau, x, rx, err, det_drift))]
 
 
 def pipeline_verify_algebra(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
     _, _, threshold = _tolerances(scn, tol_override, 1e-9)
-    n_probes = int(scn.get("probes", 100))
-    rng = np.random.default_rng(seed)
-    probes = sysd.sample_domain(rng, n_probes)
-    c = sysd.constants.c
-    gens = sysd.generators
-    r = len(gens)
-    rows, worst = [], 0.0
-    for a in range(r):
-        for b in range(a + 1, r):
-            res = 0.0
-            for p in probes:
-                got = bracket(gens[a], gens[b], p)
-                want = sum(c[a, b, g] * gens[g](p) for g in range(r))
-                res = max(res, float(np.max(np.abs(got - want))))
-            rows.append([f"{gens[a].name}-{gens[b].name}", _fmt(res)])
-            worst = max(worst, res)
-    ok = worst < threshold
+    n_probes = _number(scn.get("probes", 100), "probes", integer=True)
+    if n_probes < 1:
+        raise ScenarioError("probes must be >= 1", field="probes")
+    probes = sysd.sample_domain(np.random.default_rng(seed), n_probes)
+    report = verify_algebra(sysd.generators, sysd.constants, probes, threshold)
+    names = [X.name for X in sysd.generators]
+    rows = [[f"{names[a]}-{names[b]}", res]
+            for (a, b), res in report.pair_residuals.items()]
+    ok = report.worst_residual < threshold
     summary = {"system": sysd.name, "probes": n_probes,
-               "worst_residual": worst, "threshold": threshold, "pass": ok}
+               "worst_residual": report.worst_residual, "threshold": threshold,
+               "pass": ok}
     return ok, summary, [("residuals", ["pair", "max_residual"], rows)]
 
 
 def pipeline_minimal_m(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
-    max_copies = int(scn.get("max_copies", 4))
+    max_copies = _number(scn.get("max_copies", 4), "max_copies", integer=True)
+    expected = scn.get("expected_m")
+    if expected is not None:
+        expected = _number(expected, "expected_m", integer=True)
     rng = np.random.default_rng(seed)
     m = minimal_m(sysd.generators, max_copies, rng=rng)
     probe_rng = np.random.default_rng(seed)
     rows = []
     for copies in range(1, m + 1):
         probe = np.concatenate(sysd.sample_domain(probe_rng, copies))
-        rows.append([str(copies), str(prolonged_rank(sysd.generators, copies, probe))])
-    expected = scn.get("expected_m")
-    ok = True if expected is None else (m == int(expected))
+        rows.append([copies, prolonged_rank(sysd.generators, copies, probe)])
+    ok = expected is None or m == expected
     summary = {"system": sysd.name, "m": m, "pass": ok}
     if expected is not None:
-        summary["expected_m"] = int(expected)
+        summary["expected_m"] = expected
     return ok, summary, [("ranks", ["copies", "rank"], rows)]
 
 
-def pipeline_group_solve(scn, tol_override):
-    syscfg = _require(scn, "system")
-    omega = build_frequency(syscfg.get("frequency") if isinstance(syscfg, dict)
-                            else None)
-    osc = build_system({"name": "oscillator_1d",
-                        "frequency": syscfg.get("frequency") if isinstance(syscfg, dict) else None})
+def pipeline_group_solve(scn, tol_override, seed):
+    osc = build_system(_require(scn, "system"), "oscillator_1d")
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override, 1e-6)
     times = _sample_times(scn, t0, t1)
-    p0 = _initial_states(scn, osc)[0]
+    p0 = _initial_states(scn, osc.dimension)[0]
+    # The group curve of the oscillator: a(t) = -sum_a b_a(t) e_a.
     sol = G.solve_group_equation(
-        lambda t: G.Sl2Vector(omega(t), -1.0, 0.0), (t0, t1), abs_tol, rel_tol)
+        lambda t: G.Sl2Vector(*(-b(t) for b in osc.coefficients)),
+        (t0, t1), abs_tol, rel_tol)
     ref = osc.integrate(p0, (t0, t1), abs_tol, rel_tol)
     g = sol.normalized(times)
     det_minus_1 = np.linalg.det(sol.raw(times)) - 1.0
     err = relative_errors(g @ p0, ref.dense(times))
     max_err = float(np.max(err))
     max_det = float(np.max(np.abs(det_minus_1)))
-    rows = [[_fmt(c) for c in row] for row in
-            zip(times, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1],
-                det_minus_1, err)]
     ok = max_err < threshold and max_det < 1e-9
-    summary = {"frequency": omega.description, "max_action_error": max_err,
+    summary = {"frequency": osc.params["frequency"], "max_action_error": max_err,
                "max_det_drift": max_det, "threshold": threshold, "pass": ok}
     return ok, summary, [("group", ["time", "g11", "g12", "g21", "g22",
-                                    "det_minus_1", "action_error"], rows)]
+                                    "det_minus_1", "action_error"],
+                          zip(times, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0],
+                              g[:, 1, 1], det_minus_1, err))]
 
 
 # --- verbs -------------------------------------------------------------------
@@ -466,28 +458,23 @@ def cmd_run(args):
         print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
         return 2
 
-    seed = args.seed if args.seed is not None else int(scn.get("seed", 0))
+    if not isinstance(scn, dict):
+        print("error: scenario must be a JSON object", file=sys.stderr)
+        return 2
+
     out_dir = _resolve_out(args.out)
     try:
+        seed = (args.seed if args.seed is not None
+                else _number(scn.get("seed", 0), "seed", integer=True))
         pipeline = _require(scn, "pipeline", str)
         if pipeline not in PIPELINES:
             raise ScenarioError(
                 f"unknown pipeline '{pipeline}' "
                 f"(available: {', '.join(PIPELINES)})", field="pipeline")
-        if pipeline == "integrate":
-            ok, summary, files = pipeline_integrate(scn, args.tol_override)
-        elif pipeline == "drift":
-            ok, summary, files = pipeline_drift(scn, args.tol_override)
-        elif pipeline == "superpose":
-            ok, summary, files = pipeline_superpose(scn, args.tol_override)
-        elif pipeline == "reduce":
-            ok, summary, files = pipeline_reduce(scn, args.tol_override)
-        elif pipeline == "verify-algebra":
-            ok, summary, files = pipeline_verify_algebra(scn, args.tol_override, seed)
-        elif pipeline == "minimal-m":
-            ok, summary, files = pipeline_minimal_m(scn, args.tol_override, seed)
-        else:
-            ok, summary, files = pipeline_group_solve(scn, args.tol_override)
+        # Looked up by name on every run, so that a rebinding of a module
+        # attribute pipeline_* (perfbench/tracer.py wraps them) takes effect.
+        run = globals()["pipeline_" + pipeline.replace("-", "_")]
+        ok, summary, files = run(scn, args.tol_override, seed)
     except ScenarioError as exc:
         print(f"usage error in field '{exc.field}': {exc}", file=sys.stderr)
         return 2
@@ -537,16 +524,8 @@ def cmd_list(_args):
     print("  zero_one      f(u) = 0,   g(u) = 1")
     print("  quadratic     f(u) = u^2, g(u) = 1")
     print("pipelines:")
-    print("  integrate      system, initial_states, t_span")
-    print("  drift          system, invariant, initial_states, t_span, "
-          "tolerances.threshold")
-    print("  superpose      rule (linear|quadrature|pinney), system, "
-          "initial_states, t_span [, keys]")
-    print(f"  reduce         method ({'|'.join(REDUCE_METHODS)}), system, "
-          "initial_states, t_span [, keys]")
-    print("  verify-algebra system, probes, tolerances.threshold")
-    print("  minimal-m      system, max_copies [, expected_m]")
-    print("  group-solve    system.frequency, initial_states, t_span")
+    for name, fields in PIPELINES.items():
+        print(f"  {name:<14} {fields}")
     return 0
 
 

@@ -1,6 +1,5 @@
 """Closed-form first integrals and drift measurement along trajectories."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,16 +28,6 @@ class InvariantSeries:
         v0 = self.values[0]
         self.drift_abs = float(np.max(np.abs(self.values - v0)))
         self.drift_rel = self.drift_abs / max(1.0, abs(float(v0)))
-
-    def write_csv(self, stream):
-        """Columns: time, value, running drift |value - value0|."""
-        writer = csv.writer(stream)
-        writer.writerow(["time", "value", "running_drift"])
-        v0 = self.values[0]
-        run = 0.0
-        for t, v in zip(self.times, self.values):
-            run = max(run, abs(v - v0))
-            writer.writerow([f"{t:.17g}", f"{v:.17g}", f"{run:.17g}"])
 
 
 def angular_momentum(x1, v1, x2, v2):
@@ -88,6 +77,24 @@ def generalized_invariant(x, y, vx, vy, shapes: ShapeFunctions, quad_tol=1e-12):
 
     q = quadrature(integrand, (1.0, u), tol=quad_tol)
     return 0.5 * xi * xi + q
+
+
+def invariants_for(sysd):
+    """The first integrals of ``sysd`` by name, each a function of its state
+    vector; empty for a system without one here."""
+    if sysd.name == "oscillator_2d":
+        return {"angular_momentum": lambda s: angular_momentum(s[0], s[1], s[2], s[3])}
+    if sysd.name == "ermakov":
+        return {"lewis_ermakov": lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])}
+    if sysd.name == "pinney_triple":
+        k = sysd.params["k"]
+        return {name: lambda s, i=i: ermakov_pair_invariants(s, k)[i]
+                for i, name in enumerate(("pair_i1", "pair_i2", "wronskian"))}
+    if sysd.name == "generalized_ermakov":
+        shapes = sysd.params["shapes"]
+        return {"generalized": lambda s: generalized_invariant(s[0], s[2], s[1], s[3],
+                                                               shapes)}
+    return {}
 
 
 def drift(trajectories, invariant, label="invariant"):

@@ -268,7 +268,7 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
         coefficients=_coefficients(omega), constants=sl2_constants(),
         fused=fused, singular_coords=(0, 2), positive_coords=(0, 2),
         half_plane=int(half_plane),
-        params={"shapes": shapes.description, "frequency": omega.description},
+        params={"shapes": shapes, "frequency": omega.description},
     )
 
 

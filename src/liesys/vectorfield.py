@@ -110,13 +110,18 @@ def bracket(X, Y, p):
 
 @dataclass(frozen=True)
 class AlgebraReport:
-    """Outcome of a closure check against a table of structure constants."""
+    """Outcome of a closure check against a table of structure constants.
+
+    Residuals are 2-norms; ``pair_residuals`` maps each generator pair
+    (a, b), a < b, to its worst residual over the probes.
+    """
 
     ok: bool
     tol: float
     worst_residual: float
     worst_pair: tuple
     worst_point: np.ndarray
+    pair_residuals: dict
 
     def __str__(self):
         verdict = "pass" if self.ok else "FAIL"
@@ -143,21 +148,23 @@ def verify_algebra(fields, constants, probes, tol):
     worst = -1.0
     worst_pair = None
     worst_point = None
+    pair_residuals = {(a, b): 0.0 for a in range(r) for b in range(a + 1, r)}
     for p in probes:
         p = np.asarray(p, dtype=float)
         vals = [X(p) for X in fields]
-        for a in range(r):
-            for b in range(a + 1, r):
-                expected = sum(constants.c[a, b, g] * vals[g] for g in range(r))
-                res = float(np.linalg.norm(bracket(fields[a], fields[b], p) - expected))
-                if res > worst:
-                    worst, worst_pair, worst_point = res, (a, b), p
+        for a, b in pair_residuals:
+            expected = sum(constants.c[a, b, g] * vals[g] for g in range(r))
+            res = float(np.linalg.norm(bracket(fields[a], fields[b], p) - expected))
+            pair_residuals[a, b] = max(pair_residuals[a, b], res)
+            if res > worst:
+                worst, worst_pair, worst_point = res, (a, b), p
     return AlgebraReport(
         ok=worst <= tol,
         tol=tol,
         worst_residual=worst,
         worst_pair=worst_pair,
         worst_point=worst_point,
+        pair_residuals=pair_residuals,
     )
 
 

@@ -1,11 +1,14 @@
 import json
+import math
 import os
+import runpy
 
 import pytest
 
 from liesys import cli
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
 def run_scenario(name, tmp_path, extra=()):
@@ -162,3 +165,71 @@ def test_every_shipped_scenario_validates():
             scn = json.load(fh)
         assert scn["pipeline"] in cli.PIPELINES
         assert "seed" in scn
+
+
+INTEGRATE = {"pipeline": "integrate", "system": {"name": "oscillator_1d"},
+             "initial_states": [[1.0, 0.0]], "t_span": [0.0, 1.0]}
+NAN_FREQUENCY = {"name": "oscillator_1d",
+                 "frequency": {"name": "constant", "omega_squared": math.nan}}
+BAD_FIELDS = {
+    "nan_state": ({**INTEGRATE, "initial_states": [[math.nan, 0.0]]},
+                  "initial_states"),
+    "string_state": ({**INTEGRATE, "initial_states": [["1", 0.0]]},
+                     "initial_states"),
+    "nan_abs_tol": ({**INTEGRATE, "tolerances": {"abs": math.nan}},
+                    "tolerances.abs"),
+    "infinite_span": ({**INTEGRATE, "t_span": [0.0, math.inf]}, "t_span"),
+    "string_span": ({**INTEGRATE, "t_span": ["0", 1.0]}, "t_span"),
+    "string_samples": ({**INTEGRATE, "samples": "201"}, "samples"),
+    "fractional_samples": ({**INTEGRATE, "samples": 2.9}, "samples"),
+    "nan_seed": ({**INTEGRATE, "seed": math.nan}, "seed"),
+    "nan_frequency": ({**INTEGRATE, "system": NAN_FREQUENCY}, "system.frequency"),
+    "string_k": ({**INTEGRATE, "system": {"name": "milne_pinney", "k": "1"}},
+                 "system.k"),
+    "string_keys": ({**INTEGRATE, "pipeline": "superpose", "rule": "quadrature",
+                     "keys": ["0.4", 0.7]}, "keys"),
+    "zero_probes": ({"pipeline": "verify-algebra", "system": {"name": "ermakov"},
+                     "probes": 0}, "probes"),
+    "zero_half_plane": ({"pipeline": "verify-algebra",
+                         "system": {"name": "milne_pinney", "half_plane": 0}},
+                        "system.half_plane"),
+    "fractional_max_copies": ({"pipeline": "minimal-m",
+                               "system": {"name": "oscillator_1d"},
+                               "max_copies": 2.5}, "max_copies"),
+    "string_expected_m": ({"pipeline": "minimal-m",
+                           "system": {"name": "oscillator_1d"},
+                           "expected_m": "2"}, "expected_m"),
+    "number_as_system": ({**INTEGRATE, "system": 3}, "system"),
+    "number_as_frequency": ({**INTEGRATE, "system": {"name": "oscillator_1d",
+                                                     "frequency": 2.0}},
+                            "system.frequency"),
+    "number_as_tolerances": ({**INTEGRATE, "tolerances": 1e-6}, "tolerances"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+def test_bad_field_is_usage_error(case, tmp_path, capsys):
+    body, field = BAD_FIELDS[case]
+    assert cli.main(["run", write_scenario(tmp_path, body),
+                     "--out", str(tmp_path)]) == 2
+    assert f"usage error in field '{field}'" in capsys.readouterr().err
+
+
+def test_scenario_that_is_not_an_object_is_usage_error(tmp_path, capsys):
+    assert cli.main(["run", write_scenario(tmp_path, [INTEGRATE]),
+                     "--out", str(tmp_path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_tracer_bindings_exist(tmp_path):
+    # perfbench/tracer.py wraps liesys functions at the module attributes
+    # their callers look up; install() raises if one of them is gone.
+    tracer = runpy.run_path(TRACER)["Tracer"]()
+    try:
+        tracer.install()
+        assert run_scenario("minimal_m_oscillator.json", tmp_path) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["cli.pipeline"][0] == 1
+    assert tracer.stats["cli.build"][0] >= 1
+    assert not hasattr(cli.pipeline_minimal_m, "__wrapped__")

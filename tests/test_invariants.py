@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -8,8 +7,8 @@ from numpy.testing import assert_allclose
 from liesys import (SingularityError, Trajectory, angular_momentum,
                     constant_frequency, drift, ermakov,
                     ermakov_pair_invariants, generalized_ermakov,
-                    generalized_invariant, lewis_ermakov, milne_pinney,
-                    oscillator_1d, oscillator_2d, pinney_triple,
+                    generalized_invariant, invariants_for, lewis_ermakov,
+                    milne_pinney, oscillator_1d, oscillator_2d, pinney_triple,
                     quadratic_shapes, two_plus_sin, zero_one_shapes)
 
 
@@ -153,16 +152,34 @@ def test_directional_derivative_vanishes():
                 assert abs(deriv) < 1e-6, (sysd.name, X.name, p)
 
 
-# --- series export -----------------------------------------------------------
+# --- registry ----------------------------------------------------------------
 
-def test_invariant_series_csv():
-    traj = oscillator_1d(constant_frequency(1.0)).integrate([1.0, 0.0],
-                                                            (0.0, 2.0))
-    series = drift(traj, lambda s: s[0] ** 2 + s[1] ** 2, "energy")
-    buf = io.StringIO()
-    series.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "time,value,running_drift"
-    assert len(lines) == len(series.times) + 1
-    first = lines[1].split(",")
-    assert float(first[0]) == series.times[0]
+def test_invariants_for_each_system():
+    w = constant_frequency(1.0)
+    names = {
+        sysd.name: list(invariants_for(sysd))
+        for sysd in (oscillator_1d(w), oscillator_2d(w), milne_pinney(w, 1.0),
+                     ermakov(w), pinney_triple(w, 1.0),
+                     generalized_ermakov(w, quadratic_shapes()))
+    }
+    # the names the README lists for the drift pipeline
+    assert names == {
+        "oscillator_1d": [], "milne_pinney": [],
+        "oscillator_2d": ["angular_momentum"], "ermakov": ["lewis_ermakov"],
+        "pinney_triple": ["pair_i1", "pair_i2", "wronskian"],
+        "generalized_ermakov": ["generalized"],
+    }
+    state = np.array([1.3, 0.2, 0.7, -0.4, 0.5, 0.9])
+    i1, i2, wr = ermakov_pair_invariants(state, 2.5)
+    triple = invariants_for(pinney_triple(w, 2.5))
+    assert [fn(state) for fn in triple.values()] == [i1, i2, wr]
+
+
+def test_invariants_for_uses_the_systems_own_shapes():
+    x, vx, y, vy = p = np.array([1.3, 0.2, 0.7, -0.4])
+    for shapes, other in ((zero_one_shapes(), quadratic_shapes()),
+                          (quadratic_shapes(), zero_one_shapes())):
+        fn = invariants_for(generalized_ermakov(constant_frequency(1.0), shapes))
+        value = fn["generalized"](p)
+        assert value == generalized_invariant(x, y, vx, vy, shapes)
+        assert value != generalized_invariant(x, y, vx, vy, other)

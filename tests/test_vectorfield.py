@@ -127,6 +127,8 @@ def test_verify_algebra_oscillator():
                             probes_for(2, rng), 1e-9)
     assert report.ok
     assert report.worst_residual < 1e-9
+    assert list(report.pair_residuals) == [(0, 1), (0, 2), (1, 2)]
+    assert max(report.pair_residuals.values()) == report.worst_residual
 
 
 def test_verify_algebra_wrong_constant_fails():
@@ -138,7 +140,10 @@ def test_verify_algebra_wrong_constant_fails():
     rng = np.random.default_rng(1)
     report = verify_algebra(osc_fields(), wrong, probes_for(2, rng, 20), 1e-9)
     assert not report.ok
-    assert report.worst_pair is not None
+    assert report.worst_pair == (0, 1)
+    assert max(report.pair_residuals.values()) == report.worst_residual
+    assert report.pair_residuals[0, 1] > 1e-3
+    assert report.pair_residuals[0, 2] < 1e-9 and report.pair_residuals[1, 2] < 1e-9
 
 
 # --- diagonal prolongation ---------------------------------------------------
