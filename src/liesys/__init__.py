@@ -5,7 +5,8 @@ from .errors import (DependentSolutionsError, DimensionMismatchError,
                      QuadratureError, ScenarioError, SingularityError,
                      UndeterminedRankError)
 from .integrate import (FrequencyProfile, Trajectory, constant_frequency,
-                        integrate, quadrature, step_frequency, two_plus_sin)
+                        integrate, integrate_lanes, quadrature, step_frequency,
+                        two_plus_sin)
 from .invariants import (InvariantSeries, angular_momentum, drift,
                          ermakov_pair_invariants, generalized_invariant,
                          invariants_for, lewis_ermakov)

@@ -118,6 +118,14 @@ def _number(value, field, integer=False):
     return int(value) if integer else x
 
 
+def _seed(value):
+    """A random seed: a whole number >= 0, or a ScenarioError naming seed."""
+    seed = _number(value, "seed", integer=True)
+    if seed < 0:
+        raise ScenarioError("field 'seed' must not be negative", field="seed")
+    return seed
+
+
 def build_frequency(cfg):
     if cfg is None:
         cfg = {"name": "constant"}
@@ -464,8 +472,7 @@ def cmd_run(args):
 
     out_dir = _resolve_out(args.out)
     try:
-        seed = (args.seed if args.seed is not None
-                else _number(scn.get("seed", 0), "seed", integer=True))
+        seed = _seed(args.seed if args.seed is not None else scn.get("seed", 0))
         pipeline = _require(scn, "pipeline", str)
         if pipeline not in PIPELINES:
             raise ScenarioError(
@@ -531,11 +538,17 @@ def cmd_list(_args):
 
 def cmd_verify(args):
     out_dir = _resolve_out(args.out)
-    seed = args.seed if args.seed is not None else 0
-    results = run_all(seed)
+    try:
+        seed = _seed(args.seed if args.seed is not None else 0)
+    except ScenarioError as exc:
+        print(f"usage error in field '{exc.field}': {exc}", file=sys.stderr)
+        return 2
+    results = []
     summary = {"seed": seed, "criteria": []}
-    for r in results:
-        print(r.line())
+    for r, seconds in run_all(seed):
+        # the wall time goes to stdout only, so the files stay byte-identical
+        print(f"{r.line()} [{seconds:.2f} s]")
+        results.append(r)
         name = f"criterion_{r.index}.csv"
         write_csv(os.path.join(out_dir, name), r.csv_header, r.csv_rows)
         summary["criteria"].append({"index": r.index, "name": r.name,

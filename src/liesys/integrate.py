@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from .errors import IntegrationError, QuadratureError
@@ -271,39 +271,89 @@ class TauClock:
         return out.reshape(t_arr.shape)[()]  # a scalar t gives a scalar
 
 
-def integrate(rhs, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
-              singular_coords=(), singular_radius=SINGULARITY_RADIUS):
-    """Adaptive embedded Runge-Kutta solve of y' = rhs(t, y) with dense output.
+class LaneDOP853(DOP853):
+    """DOP853 over ``lanes`` states stacked component-major: entry
+    i * lanes + j of the stacked vector is component i of lane j.
 
-    ``singular_coords`` lists state indices whose approach within
-    ``singular_radius`` of zero aborts the solve (Pinney-type 1/x^3 terms).
-    Raises IntegrationError carrying the last good time on abort or failure.
+    The step-size control sees the maximum over lanes of scipy's own DOP853
+    error norm on each lane's slice (Hairer-Norsett-Wanner, Solving ODEs I,
+    II.5), so every accepted step passes each lane's own error test at the
+    unchanged tolerances.  Scipy's RMS norm over the whole stack would let
+    one lane's error exceed them by up to sqrt(lanes).
     """
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+
+    _E53 = np.vstack([DOP853.E5, DOP853.E3])
+
+    def __init__(self, fun, t0, y0, t_bound, lanes, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.lanes = lanes
+
+    def _estimate_error_norm(self, K, h, scale):
+        # rows: the 5th- and 3rd-order error estimates over the stack
+        err = np.dot(self._E53, K) / scale
+        err *= err
+        # per lane: the squared 2-norms |err5|^2 and |err3|^2
+        sq = err.reshape(2, -1, self.lanes).sum(axis=1)
+        denom = sq[0] + 0.01 * sq[1]
+        denom[denom == 0.0] = 1.0  # both estimates zero: norm 0, as in DOP853
+        dimension = len(scale) // self.lanes
+        return abs(h) * float((sq[0] / np.sqrt(denom * dimension)).max())
+
+
+def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
+                    rel_tol=DEFAULT_REL_TOL, singular_coords=(),
+                    singular_radius=SINGULARITY_RADIUS):
+    """One adaptive DOP853 solve of y' = rhs(t, y) from every state at once;
+    returns one Trajectory per state, all on the shared step grid.
+
+    With n states of dimension d, ``rhs`` receives (d, n) blocks, one column
+    per lane, and must return a block of the same shape; the error control
+    is ``LaneDOP853``'s per-lane norm.  A single state is solved by scipy's
+    own DOP853 on the (d,) point.  ``singular_coords`` lists state indices
+    whose approach within ``singular_radius`` of zero, in any lane, aborts
+    the solve (Pinney-type 1/x^3 terms).  Raises IntegrationError carrying
+    the last good time on abort (the message names the lane) or failure.
+    """
+    lanes = np.asarray(states, dtype=float)
+    if lanes.ndim != 2 or len(lanes) == 0:
+        raise ValueError("states must be a nonempty list of equal-length vectors")
+    n, d = lanes.shape
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 == t1:
         raise ValueError("t_span must be nondegenerate")
 
-    # Signed event pair per guarded coordinate: |y| - radius would be
-    # positive on both sides of a fast zero crossing and the root finder
+    if n == 1:
+        fun, y0, options = rhs, lanes[0], {"method": "DOP853"}
+    else:
+        def fun(t, y):
+            return rhs(t, y.reshape(d, n)).reshape(-1)
+        y0, options = lanes.T.reshape(-1), {"method": LaneDOP853, "lanes": n}
+
+    # Signed event pair per guarded coordinate and lane: |y| - radius would
+    # be positive on both sides of a fast zero crossing and the root finder
     # could step straight over it.
-    events = []
-    for i in list(singular_coords):
-        def hit_above(t, y, _i=i):
-            return y[_i] - singular_radius
-        def hit_below(t, y, _i=i):
-            return y[_i] + singular_radius
-        hit_above.terminal = True
-        hit_below.terminal = True
-        events.extend([hit_above, hit_below])
+    events = []  # in the order (coordinate, lane, above/below)
+    for i in singular_coords:
+        for j in range(n):
+            def hit_above(t, y, _k=i * n + j):
+                return y[_k] - singular_radius
+            def hit_below(t, y, _k=i * n + j):
+                return y[_k] + singular_radius
+            hit_above.terminal = True
+            hit_below.terminal = True
+            events.extend([hit_above, hit_below])
 
     sol = solve_ivp(
-        rhs, (t0, t1), y0, method="DOP853", dense_output=True,
-        rtol=rel_tol, atol=abs_tol, events=events or None,
+        fun, (t0, t1), y0, dense_output=True, rtol=rel_tol, atol=abs_tol,
+        events=events or None, **options,
     )
     if sol.status == 1:
+        where = ""
+        if n > 1:
+            hit = next(k for k, te in enumerate(sol.t_events) if len(te))
+            where = f" in lane {hit // 2 % n}"
         raise IntegrationError(
-            f"integration aborted near a singularity at t = {sol.t[-1]:.6g}",
+            f"integration aborted near a singularity{where} at t = {sol.t[-1]:.6g}",
             last_time=float(sol.t[-1]),
         )
     if not sol.success:
@@ -313,12 +363,23 @@ def integrate(rhs, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
             last_time=last,
         )
 
-    times, states = sol.t, sol.y.T
+    times, stacked = sol.t, sol.y
     if t1 < t0:  # keep Trajectory times increasing for reverse-time solves
-        times, states = times[::-1], states[::-1]
+        times, stacked = times[::-1], stacked[:, ::-1]
 
-    return Trajectory(times, states, interpolant=lambda t: sol.sol(t).T,
-                      nfev=int(sol.nfev))
+    return [Trajectory(times, stacked[j::n].T,
+                       interpolant=lambda t, j=j: sol.sol(t)[j::n].T,
+                       nfev=int(sol.nfev))
+            for j in range(n)]
+
+
+def integrate(rhs, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
+              singular_coords=(), singular_radius=SINGULARITY_RADIUS):
+    """Adaptive embedded Runge-Kutta (DOP853) solve of y' = rhs(t, y) from
+    one state: ``integrate_lanes`` with a single lane."""
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    return integrate_lanes(rhs, [y0], t_span, abs_tol, rel_tol,
+                           singular_coords, singular_radius)[0]
 
 
 def quadrature(f, t_span, tol=1e-12):

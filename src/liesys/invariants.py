@@ -65,12 +65,15 @@ def generalized_invariant(x, y, vx, vy, shapes: ShapeFunctions, quad_tol=1e-12):
     integration variable is x/y: the characteristic system pairs d(x/y)
     with this integrand, and the f = 0, g = 1 case then reproduces the
     Lewis-Ermakov invariant (up to the affine normalization fixed by the
-    reference point).
+    reference point).  Q is the shapes' closed form ``shapes.Q`` when they
+    have one, and a quadrature to ``quad_tol`` otherwise.
     """
     if x == 0.0 or y == 0.0:
         raise SingularityError("generalized invariant undefined at x = 0 or y = 0")
     xi = x * vy - y * vx
     u = x / y
+    if shapes.Q is not None:
+        return 0.5 * xi * xi + shapes.Q(u)
 
     def integrand(z):
         return -shapes.f(1.0 / z) / z**3 + z * shapes.g(1.0 / z)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularityError
 from .integrate import (FrequencyProfile, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
-                        integrate)
+                        integrate, integrate_lanes)
 from .vectorfield import StructureConstants, VectorField, diagonal_prolongation, sl2_constants
 
 
@@ -32,7 +32,11 @@ class ShapeFunctions:
 
     ``df`` and ``dg`` are the derivatives; they feed the analytic Jacobian of
     the coupled generator, so supply them when available (a central-difference
-    fallback covers user-provided shapes).
+    fallback covers user-provided shapes).  ``Q`` is the closed-form
+    antiderivative integral_1^u (-z^-3 f(1/z) + z g(1/z)) dz of the
+    generalized invariant; without it the invariant runs a quadrature.
+    Lane solves (``SystemDef.integrate_lanes``) call ``f`` and ``g`` on
+    arrays of u.
     """
 
     f: Callable[[float], float]
@@ -40,6 +44,7 @@ class ShapeFunctions:
     df: Callable[[float], float] = None
     dg: Callable[[float], float] = None
     description: str = "custom"
+    Q: Callable[[float], float] = None
 
     def f_prime(self, u):
         if self.df is not None:
@@ -57,13 +62,15 @@ class ShapeFunctions:
 def zero_one_shapes():
     """f = 0, g = 1: the plain Ermakov coupling."""
     return ShapeFunctions(lambda u: 0.0, lambda u: 1.0,
-                          lambda u: 0.0, lambda u: 0.0, "f(u) = 0, g(u) = 1")
+                          lambda u: 0.0, lambda u: 0.0, "f(u) = 0, g(u) = 1",
+                          Q=lambda u: 0.5 * (u * u - 1.0))
 
 
 def quadratic_shapes():
     """f(u) = u^2, g = 1: the standard nontrivial test coupling."""
     return ShapeFunctions(lambda u: u * u, lambda u: 1.0,
-                          lambda u: 2.0 * u, lambda u: 0.0, "f(u) = u^2, g(u) = 1")
+                          lambda u: 2.0 * u, lambda u: 0.0, "f(u) = u^2, g(u) = 1",
+                          Q=lambda u: 0.25 * (u**-4 - 1.0) + 0.5 * (u * u - 1.0))
 
 
 SHAPE_FUNCTIONS = {
@@ -78,8 +85,10 @@ class SystemDef:
 
     ``fused`` is the closed form of sum_a b_a(t) X_a(p): the same
     expressions, singularity guards and order of summation as the generator
-    sum, so the two agree bit for bit (the tests hold them equal).  The
-    generators remain the source of truth for the algebra and rank checks.
+    sum, so the two agree bit for bit (the tests hold them equal).  It takes
+    a (dimension,) point or a (dimension, n) block of n points, one per
+    column.  The generators remain the source of truth for the algebra and
+    rank checks.
     ``singular_coords`` are state indices whose vanishing is a genuine
     singularity; ``positive_coords`` are those confined to the chosen
     half-plane (x > 0 by default, x < 0 with half_plane = -1).
@@ -97,9 +106,10 @@ class SystemDef:
     params: dict = field(default_factory=dict)
 
     def rhs(self, t, p):
-        """sum_a b_a(t) X_a(p), evaluated through the ``fused`` closed form."""
+        """sum_a b_a(t) X_a(p), evaluated through the ``fused`` closed form,
+        at a (dimension,) point or on each column of a (dimension, n) block."""
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dimension,):
+        if p.shape != (self.dimension,) and (p.ndim != 2 or len(p) != self.dimension):
             raise DimensionMismatchError(
                 f"point of shape {p.shape} on a system of dimension {self.dimension}"
             )
@@ -108,6 +118,13 @@ class SystemDef:
     def integrate(self, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
         return integrate(self.rhs, y0, t_span, abs_tol, rel_tol,
                          singular_coords=self.singular_coords)
+
+    def integrate_lanes(self, states, t_span, abs_tol=DEFAULT_ABS_TOL,
+                        rel_tol=DEFAULT_REL_TOL):
+        """One trajectory per state, from one solve of the states as lanes
+        (the diagonal prolongation of this system to len(states) copies)."""
+        return integrate_lanes(self.rhs, states, t_span, abs_tol, rel_tol,
+                               singular_coords=self.singular_coords)
 
     def sample_domain(self, rng, count=1, low=-2.0, high=2.0, guard=0.1):
         """Seeded random probes in the guarded domain of this system."""
@@ -123,7 +140,14 @@ class SystemDef:
 
 
 def _guard(x, what):
-    if x == 0.0:
+    """x, unless it is zero: a coordinate, or one row of a (dimension, n)
+    block, whose zero is a singularity of the field."""
+    if x.__class__ is np.ndarray:
+        if np.count_nonzero(x) < x.size:
+            lane = int(np.flatnonzero(x == 0.0)[0])
+            raise SingularityError(
+                f"{what} evaluated at its singularity x = 0 in lane {lane}")
+    elif x == 0.0:
         raise SingularityError(f"{what} evaluated at its singularity x = 0")
     return x
 

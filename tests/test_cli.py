@@ -1,11 +1,12 @@
 import json
 import math
 import os
+import re
 import runpy
 
 import pytest
 
-from liesys import cli
+from liesys import acceptance, cli
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -183,6 +184,11 @@ BAD_FIELDS = {
     "string_samples": ({**INTEGRATE, "samples": "201"}, "samples"),
     "fractional_samples": ({**INTEGRATE, "samples": 2.9}, "samples"),
     "nan_seed": ({**INTEGRATE, "seed": math.nan}, "seed"),
+    "negative_seed": ({"pipeline": "verify-algebra", "system": {"name": "ermakov"},
+                       "seed": -1}, "seed"),
+    "negative_seed_minimal_m": ({"pipeline": "minimal-m",
+                                 "system": {"name": "oscillator_1d"}, "seed": -1},
+                                "seed"),
     "nan_frequency": ({**INTEGRATE, "system": NAN_FREQUENCY}, "system.frequency"),
     "string_k": ({**INTEGRATE, "system": {"name": "milne_pinney", "k": "1"}},
                  "system.k"),
@@ -213,6 +219,31 @@ def test_bad_field_is_usage_error(case, tmp_path, capsys):
     assert cli.main(["run", write_scenario(tmp_path, body),
                      "--out", str(tmp_path)]) == 2
     assert f"usage error in field '{field}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", os.path.join(SCENARIO_DIR, "verify_algebra_ermakov.json")],
+    ["run", os.path.join(SCENARIO_DIR, "minimal_m_oscillator.json")],
+    ["verify"],
+], ids=["run_verify_algebra", "run_minimal_m", "verify"])
+def test_negative_seed_option_is_usage_error(argv, tmp_path, capsys):
+    assert cli.main([*argv, "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "usage error in field 'seed'" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_verify_prints_each_criterion_wall_time(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        [acceptance.criterion_2, acceptance.criterion_9])
+    assert cli.main(["verify", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[-1].startswith("overall: PASS")
+    for line, index in zip(lines, (2, 9)):
+        assert line.startswith(f"criterion  {index} [PASS]")
+        assert re.search(r" \[\d+\.\d\d s\]$", line)
+    # the time is on stdout only
+    summary = (tmp_path / "verify_summary.json").read_text()
+    assert " s]" not in summary
 
 
 def test_scenario_that_is_not_an_object_is_usage_error(tmp_path, capsys):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from liesys import (DomainError, QuadratureError, Trajectory,
                     constant_frequency, integrate, milne_pinney,
                     oscillator_1d, two_plus_sin)
-from liesys.group import (A1, A2, A3, IDENTITY, SL2Matrix, Sl2Vector, adjoint,
+from liesys.group import (_PARABOLIC_DET, A1, A2, A3, IDENTITY, SL2Matrix,
+                          Sl2Vector, adjoint,
                           generator_by_finite_difference, linear_action,
                           particular_solution_curve, pinney_action,
                           reduce_oscillator, reduce_pinney_from_oscillator,
@@ -98,6 +101,55 @@ def test_exp_continuous_across_parabolic_threshold():
         v = Sl2Vector(eps, -1.0, 0.0)  # det = eps
         assert_allclose(sl2_exp(v, 1.3).array, sl2_exp(base, 1.3).array,
                         atol=1e-6)
+
+
+# Property tests: derandomized, so every run draws the same examples.
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
+
+
+def _finite(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+@PROPERTY
+@given(c2=_finite(0.5, 2.0), c3=_finite(-2.0, 2.0), s=_finite(-3.0, 3.0),
+       sign=st.sampled_from([-1.0, 1.0]), flip=st.booleans(),
+       side=_finite(1e-3, 0.5))
+def test_exp_is_continuous_across_the_parabolic_threshold(c2, c3, s, sign, flip, side):
+    # det(c1 A1 + c2 A2 + c3 A3) = -c3^2/4 - c1 c2, so c1 sets the determinant:
+    # one element just inside the parabolic branch, one just outside it
+    c2 = -c2 if flip else c2
+
+    def element(det):
+        return Sl2Vector(-(det + 0.25 * c3 * c3) / c2, c2, c3)
+
+    inside = sl2_exp(element(sign * (1.0 - side) * _PARABOLIC_DET), s).array
+    outside = sl2_exp(element(sign * (1.0 + side) * _PARABOLIC_DET), s).array
+    size = 1.0 + abs(s) * np.abs(element(0.0).matrix).max()
+    assert_allclose(inside, outside, rtol=0, atol=1e-10 * size ** 2)
+
+
+def _group_element(a):
+    return (sl2_exp(Sl2Vector(1.0, 0.0, 0.0), a[0])
+            @ sl2_exp(Sl2Vector(0.0, 1.0, 0.0), a[1])
+            @ sl2_exp(Sl2Vector(0.0, 0.0, 1.0), a[2]))
+
+
+_ANGLES = st.tuples(_finite(-1.5, 1.5), _finite(-1.5, 1.5), _finite(-1.5, 1.5))
+
+
+@PROPERTY
+@given(a=_ANGLES, b=_ANGLES)
+def test_sl2matrix_inverse_and_product_round_trip(a, b):
+    g, h = _group_element(a), _group_element(b)
+    size = (1.0 + np.abs(g.array).max()) * (1.0 + np.abs(h.array).max())
+    tol = dict(rtol=0, atol=1e-13 * size ** 2)
+    assert np.array_equal(g.inverse().inverse().array, g.array)
+    assert_allclose((g @ g.inverse()).array, np.eye(2), **tol)
+    assert_allclose((g.inverse() @ g).array, np.eye(2), **tol)
+    assert_allclose(((g @ h) @ h.inverse()).array, g.array, **tol)
+    assert_allclose((g @ h).inverse().array, (h.inverse() @ g.inverse()).array, **tol)
+    assert abs((g @ h).det - 1.0) < 1e-13 * size ** 2
 
 
 # --- adjoint -----------------------------------------------------------------

@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import DOP853, solve_ivp
 
-from liesys import (IntegrationError, QuadratureError, Trajectory,
-                    constant_frequency, integrate, milne_pinney, oscillator_1d,
-                    pinney_rule_from_solutions, quadrature, quadrature_rule,
-                    reduce_oscillator, reduce_pinney_from_pinney,
-                    step_frequency, tau_grid, tau_reparametrization,
-                    two_plus_sin)
+from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
+                    SingularityError, Trajectory, constant_frequency, ermakov,
+                    generalized_ermakov, integrate, integrate_lanes,
+                    milne_pinney, oscillator_1d, oscillator_2d, pinney_triple,
+                    pinney_rule_from_solutions, quadratic_shapes, quadrature,
+                    quadrature_rule, reduce_oscillator,
+                    reduce_pinney_from_pinney, step_frequency, tau_grid,
+                    tau_reparametrization, two_plus_sin, zero_one_shapes)
+from liesys.integrate import LaneDOP853
 
 TOL = 1e-10
 
@@ -69,6 +73,120 @@ def test_singularity_abort_reports_last_time():
 def test_nondegenerate_span_required():
     with pytest.raises(ValueError):
         integrate(osc_rhs(1.0), [1.0, 0.0], (1.0, 1.0), TOL, TOL)
+
+
+# --- lanes -------------------------------------------------------------------
+
+def test_one_lane_is_scipys_dop853():
+    sysd = milne_pinney(two_plus_sin(), 1.0)
+    sol = solve_ivp(sysd.rhs, (0.0, 5.0), [1.3, 0.2], method="DOP853",
+                    rtol=TOL, atol=TOL, dense_output=True)
+    t = np.linspace(0.05, 4.95, 37)
+    for coords in ((), (0,)):  # the singularity events do not move a step
+        (traj,) = integrate_lanes(sysd.rhs, [[1.3, 0.2]], (0.0, 5.0), TOL, TOL,
+                                  singular_coords=coords)
+        assert np.array_equal(traj.times, sol.t)
+        assert np.array_equal(traj.states, sol.y.T)
+        assert np.array_equal(traj.dense(t), sol.sol(t).T)
+        assert traj.nfev == sol.nfev
+
+
+def test_lane_norm_is_the_max_of_each_lanes_dop853_norm():
+    rng = np.random.default_rng(3)
+    d, n = 4, 5
+    solver = LaneDOP853(lambda t, y: -y, 0.0, rng.uniform(0.5, 2.0, d * n), 1.0,
+                        lanes=n, rtol=TOL, atol=TOL)
+    for trial in range(40):
+        K = rng.normal(size=solver.K.shape) * 10.0 ** rng.uniform(-12.0, 0.0)
+        if trial % 4 == 0:
+            K[:, trial % n::n] = 0.0  # a lane with a zero error estimate
+        scale = TOL * rng.uniform(1.0, 3.0, d * n)
+        h = rng.uniform(1e-3, 1.0)
+        # scipy's own norm on each lane's slice of K and scale
+        want = max(DOP853._estimate_error_norm(solver, K[:, j::n], h, scale[j::n])
+                   for j in range(n))
+        assert solver._estimate_error_norm(K, h, scale) == pytest.approx(want, rel=1e-13)
+    assert solver._estimate_error_norm(np.zeros_like(solver.K), 0.1, scale) == 0.0
+
+
+def test_each_lane_meets_its_own_tolerance():
+    sysd = ermakov(two_plus_sin())
+    rng = np.random.default_rng(4)
+    states = [[rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 2),
+               rng.uniform(-1, 1)] for _ in range(5)]
+    t = np.linspace(0.0, 10.0, 201)
+    lanes = sysd.integrate_lanes(states, (0.0, 10.0))
+    for state, lane in zip(states, lanes):
+        want = sysd.integrate(state, (0.0, 10.0), 1e-13, 1e-13).dense(t)
+        solo = sysd.integrate(state, (0.0, 10.0)).dense(t)
+        err = np.max(np.abs(lane.dense(t) - want) / np.maximum(1.0, np.abs(want)))
+        err_solo = np.max(np.abs(solo - want) / np.maximum(1.0, np.abs(want)))
+        assert err < 20 * TOL
+        assert err <= 1.5 * err_solo
+        assert np.array_equal(lane.initial_state, state)
+
+
+def test_reverse_time_lanes():
+    sysd = milne_pinney(two_plus_sin(), 1.0)
+    states = [[1.3, 0.2], [0.7, -0.5], [1.9, 0.4]]
+    lanes = sysd.integrate_lanes(states, (5.0, 0.0))
+    t = np.linspace(0.0, 5.0, 51)
+    for state, lane in zip(states, lanes):
+        assert np.all(np.diff(lane.times) > 0)
+        assert np.array_equal(lane.final_state, state)
+        solo = sysd.integrate(state, (5.0, 0.0)).dense(t)
+        assert np.max(np.abs(lane.dense(t) - solo)) < 20 * TOL * np.max(np.abs(solo))
+
+
+def test_a_singular_lane_aborts_the_solve():
+    # y' = -1: the first guarded component to reach zero is lane 1's, at t = 1
+    # (one guarded coordinate) or at t = 1.5 (its second of two)
+    for states, coords, t_hit in (([[3.0], [1.0], [2.5]], (0,), 1.0),
+                                  ([[3.0, 3.0], [3.0, 1.5], [2.5, 2.8]], (0, 1), 1.5)):
+        with pytest.raises(IntegrationError) as exc:
+            integrate_lanes(lambda t, y: -np.ones_like(y), states, (0.0, 4.0),
+                            TOL, TOL, singular_coords=coords)
+        assert exc.value.last_time == pytest.approx(t_hit, abs=1e-5)
+        assert "lane 1" in str(exc.value)
+
+
+def test_lanes_reject_ragged_states():
+    with pytest.raises(ValueError):
+        integrate_lanes(lambda t, y: y, [[1.0, 0.0], [1.0]], (0.0, 1.0))
+    with pytest.raises(ValueError):
+        integrate_lanes(lambda t, y: y, [], (0.0, 1.0))
+
+
+def _block_systems():
+    w = two_plus_sin()
+    return [oscillator_1d(w), oscillator_2d(w), milne_pinney(w, 1.3), ermakov(w),
+            generalized_ermakov(w, quadratic_shapes()),
+            generalized_ermakov(w, zero_one_shapes()), pinney_triple(w, 0.7)]
+
+
+def test_rhs_on_a_block_matches_its_columns():
+    rng = np.random.default_rng(5)
+    for sysd in _block_systems():
+        block = np.array(sysd.sample_domain(rng, 7)).T
+        for t in rng.uniform(0.0, 10.0, size=5):
+            got = sysd.rhs(t, block)
+            want = np.column_stack([sysd.rhs(t, column) for column in block.T])
+            assert got.shape == want.shape == block.shape
+            ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
+            assert np.all(np.abs(got - want) <= 4 * ulp), sysd.name
+
+
+def test_rhs_on_a_block_checks_dimension_and_each_lane():
+    for sysd in _block_systems():
+        d = sysd.dimension
+        for shape in ((d + 1, 3), (d, 3, 1), (3, d)):
+            with pytest.raises(DimensionMismatchError):
+                sysd.rhs(0.0, np.ones(shape))
+        for i in sysd.singular_coords:
+            block = np.ones((d, 4))
+            block[i, 2] = 0.0
+            with pytest.raises(SingularityError, match="lane 2"):
+                sysd.rhs(0.0, block)
 
 
 # --- Trajectory --------------------------------------------------------------
