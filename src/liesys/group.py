@@ -159,10 +159,27 @@ class PinneyActionResult(NamedTuple):
 
 
 def pinney_action(g: SL2Matrix, p, k: float) -> PinneyActionResult:
-    """The SL(2,R) action on the Pinney phase plane (k > 0, x != 0)."""
+    """The SL(2,R) action on the Pinney phase plane (k > 0, x != 0).
+
+    Raises DomainError where the closed form leaves its domain: a vanishing
+    denominator, a negative radicand, or terms out of floating-point range,
+    which is how an image on x = 0 or a point very near x = 0 shows.
+    """
     x, v = float(p[0]), float(p[1])
     if x == 0.0:
         raise SingularityError("Pinney action undefined at x = 0")
+    try:
+        with np.errstate(all="ignore"):
+            res = _pinney_action(g, x, v, k)
+    except ArithmeticError:  # a Python float power or quotient out of range
+        res = None
+    if res is None or not all(math.isfinite(value) for value in res):
+        raise DomainError(f"the Pinney action leaves the floating-point range "
+                          f"at x = {x:.6g}", x)
+    return res
+
+
+def _pinney_action(g, x, v, k):
     alpha, beta = g.array[0]
     gamma, delta = g.array[1]
 

@@ -4,13 +4,13 @@ Every closed-form claim in the other modules is cross-validated against the
 trajectories produced here, so the default tolerances are deliberately tight.
 """
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import DOP853, quad, solve_ivp
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
+from . import _dop853 as rk
 from .errors import IntegrationError, QuadratureError
 
 DEFAULT_ABS_TOL = 1e-10
@@ -60,8 +60,9 @@ class Trajectory:
             self._interp = interpolant
         elif derivatives is not None:
             derivatives = np.atleast_2d(np.asarray(derivatives, float))
-            self._interp = CubicHermiteSpline(times, states, derivatives, axis=0)
+            self._interp = CubicHermite(times, states, derivatives)
         elif len(times) >= 4:
+            from scipy.interpolate import CubicSpline  # no caller in liesys
             self._interp = CubicSpline(times, states, axis=0)
         else:
             self._interp = None
@@ -145,6 +146,37 @@ class Trajectory:
         if derivative is not None:
             derivs = np.array([np.atleast_1d(derivative(t)) for t in times], dtype=float)
         return cls(times, states, derivatives=derivs)
+
+
+class CubicHermite:
+    """Piecewise cubic through the rows of ``y`` at the times ``x`` with
+    derivatives ``dydx`` (scipy's CubicHermiteSpline arithmetic).
+
+    On [x_i, x_i+1] the cubic is c3 + c2 s + c1 s^2 + c0 s^3 in s = t - x_i;
+    times outside [x_0, x_n] take the end pieces.  Calling it with n times
+    gives shape (n, dimension).
+    """
+
+    def __init__(self, x, y, dydx):
+        if y.shape != dydx.shape or len(x) != len(y):
+            raise ValueError("times, states and derivatives must have matching shapes")
+        if len(x) < 2:
+            raise ValueError("a Hermite spline needs at least 2 times")
+        if not (np.isfinite(y).all() and np.isfinite(dydx).all()):
+            raise ValueError("states and derivatives must be finite")
+        dx = np.diff(x)[:, None]
+        slope = np.diff(y, axis=0) / dx
+        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
+        s = (t - self.x[i])[:, None]
+        c0, c1, c2, c3 = (c[i] for c in self.c)
+        s2 = s * s
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (the QUADPACK qk15 constants): abscissae
@@ -271,33 +303,254 @@ class TauClock:
         return out.reshape(t_arr.shape)[()]  # a scalar t gives a scalar
 
 
-class LaneDOP853(DOP853):
-    """DOP853 over ``lanes`` states stacked component-major: entry
-    i * lanes + j of the stacked vector is component i of lane j.
+# --- the DOP853 lane driver --------------------------------------------------
+#
+# Dormand-Prince 8(5,3) with the step-size control of Hairer, Norsett and
+# Wanner's DOP853 (Solving ODEs I, II.4-II.5), written operation for operation
+# as scipy 1.17's solve_ivp(..., method="DOP853") does it, so a one-lane solve
+# reproduces scipy's times, states, dense output and nfev bit for bit.
 
-    The step-size control sees the maximum over lanes of scipy's own DOP853
-    error norm on each lane's slice (Hairer-Norsett-Wanner, Solving ODEs I,
-    II.5), so every accepted step passes each lane's own error test at the
-    unchanged tolerances.  Scipy's RMS norm over the whole stack would let
-    one lane's error exceed them by up to sqrt(lanes).
+SAFETY = 0.9  # multiplies the step size the error norm asks for
+MIN_FACTOR = 0.2  # a rejected attempt shrinks the step by at most this factor
+MAX_FACTOR = 10  # an accepted step lets the next one grow by at most this
+_ERROR_EXPONENT = -1 / 8  # -1 / (order of the error estimator + 1)
+EPS = np.finfo(float).eps
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+# Accepted steps one solve may take before it stops with IntegrationError;
+# the longest solve of the shipped scenarios and of verify takes under 1000.
+MAX_STEPS = 100_000
+
+_STAGES = [(rk.A[s, :s], rk.C[s]) for s in range(1, rk.N_STAGES)]
+_EXTRA_STAGES = [(a[:s], c) for s, (a, c) in
+                 enumerate(zip(rk.A_EXTRA, rk.C_EXTRA), start=rk.N_STAGES + 1)]
+_E53 = np.vstack([rk.E5, rk.E3])
+
+
+def _rms(x):
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, t1, direction, rtol, atol):
+    """Size of the first step (Hairer-Norsett-Wanner II.4)."""
+    interval_length = abs(t1 - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0 * direction, y0 + h0 * direction * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length)
+
+
+def lane_error_norm(K, h, scale, lanes):
+    """DOP853's step-error norm of each lane, maximised over the lanes.
+
+    ``K`` holds a step's 13 stages over ``lanes`` states stacked
+    component-major (entry i * lanes + j is component i of lane j) and
+    ``scale`` the tolerance atol + rtol |y| of each entry.  A lane's norm is
+    |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) d) on its own slice, so every
+    accepted step passes each lane's own error test at the unchanged
+    tolerances; the RMS norm over the whole stack would let one lane's error
+    exceed them by up to sqrt(lanes).
     """
+    if lanes == 1:  # DOP853's own expression
+        err5 = np.dot(K.T, rk.E5) / scale
+        err3 = np.dot(K.T, rk.E3) / scale
+        err5_norm_2 = np.linalg.norm(err5) ** 2
+        err3_norm_2 = np.linalg.norm(err3) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    # rows: the 5th- and 3rd-order error estimates over the stack
+    err = np.dot(_E53, K) / scale
+    err *= err
+    # per lane: the squared 2-norms |e5|^2 and |e3|^2
+    sq = err.reshape(2, -1, lanes).sum(axis=1)
+    denom = sq[0] + 0.01 * sq[1]
+    denom[denom == 0.0] = 1.0  # both estimates zero: norm 0, as in DOP853
+    dimension = len(scale) // lanes
+    return abs(h) * float((sq[0] / np.sqrt(denom * dimension)).max())
 
-    _E53 = np.vstack([DOP853.E5, DOP853.E3])
 
-    def __init__(self, fun, t0, y0, t_bound, lanes, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self.lanes = lanes
+def _rk_step(fun, t, y, f, h, K):
+    """One step of size h from (t, y), where f = fun(t, y): the 8th-order
+    state at t + h and its derivative.  The 13 stages are left in K."""
+    K[0] = f
+    for s, (a, c) in enumerate(_STAGES, start=1):
+        dy = np.dot(K[:s].T, a) * h
+        K[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(K[:-1].T, rk.B)
+    f_new = fun(t + h, y_new)
+    K[-1] = f_new
+    return y_new, f_new
 
-    def _estimate_error_norm(self, K, h, scale):
-        # rows: the 5th- and 3rd-order error estimates over the stack
-        err = np.dot(self._E53, K) / scale
-        err *= err
-        # per lane: the squared 2-norms |err5|^2 and |err3|^2
-        sq = err.reshape(2, -1, self.lanes).sum(axis=1)
-        denom = sq[0] + 0.01 * sq[1]
-        denom[denom == 0.0] = 1.0  # both estimates zero: norm 0, as in DOP853
-        dimension = len(scale) // self.lanes
-        return abs(h) * float((sq[0] / np.sqrt(denom * dimension)).max())
+
+def _dense_coefficients(fun, K_ext, t_old, y_old, y, f, h):
+    """The 7 coefficient rows of an accepted step's interpolant; the first
+    13 rows of K_ext hold the step's stages, the 3 extra stages go below."""
+    for s, (a, c) in enumerate(_EXTRA_STAGES, start=rk.N_STAGES + 1):
+        dy = np.dot(K_ext[:s].T, a) * h
+        K_ext[s] = fun(t_old + c * h, y_old + dy)
+    F = np.empty((rk.INTERPOLATOR_POWER, len(y)))
+    f_old = K_ext[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    F[3:] = h * np.dot(rk.D, K_ext)
+    return F
+
+
+def _horner(x, F, y_old):
+    """The step interpolants at step fractions x, one point per row: F holds
+    each point's (7, N) coefficient rows and y_old its step's start state."""
+    x = x[:, None]
+    y = np.zeros((len(x), F.shape[2]))
+    for i in range(rk.INTERPOLATOR_POWER):
+        y += F[:, -1 - i]
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += y_old
+    return y
+
+
+class _DenseOutput:
+    """The interpolants of all accepted steps of one solve, evaluated for
+    every requested time in one batched pass.  A time on a step boundary
+    takes the earlier step, and times outside the span take the end steps."""
+
+    def __init__(self, ts, ys, F):
+        self.t_old, self.h, self.y_old, self.F = ts[:-1], ts[1:] - ts[:-1], ys[:-1], F
+        self._ascending = ts[-1] >= ts[0]
+        self._ts_sorted = ts if self._ascending else ts[::-1]
+
+    def __call__(self, t, lanes=1, lane=0):
+        """States of lane ``lane`` of ``lanes`` at the times t, one per row."""
+        t = np.asarray(t, dtype=float)
+        m = len(self.h)
+        side = "left" if self._ascending else "right"
+        seg = np.clip(np.searchsorted(self._ts_sorted, t, side=side) - 1, 0, m - 1)
+        if not self._ascending:
+            seg = m - 1 - seg
+        cols = slice(lane, None, lanes)
+        x = (t - self.t_old[seg]) / self.h[seg]
+        return _horner(x, self.F[seg, :, cols], self.y_old[seg, cols])
+
+
+def _singularity_abort(active, guard, t_old, t, y_old, F, lanes):
+    """IntegrationError at the earliest root, inside the step from t_old to
+    t, of the guard events that changed sign (event e is coordinate
+    ``guard.index[e // 2]`` minus (e even) or plus (e odd) the radius)."""
+    from scipy.optimize import brentq  # only on this abort path
+
+    h = t - t_old
+
+    def event(s, e):
+        y = _horner(np.array([(s - t_old) / h]), F[None], y_old)[0]
+        return y[guard.index[e // 2]] + guard.offsets[e % 2]
+
+    roots = np.asarray([brentq(event, t_old, t, args=(e,), xtol=4 * EPS, rtol=4 * EPS)
+                        for e in active])
+    first = (np.argsort(roots) if t > t_old else np.argsort(-roots))[0]
+    root = roots[first]
+    where = f" in lane {active[first] // 2 % lanes}" if lanes > 1 else ""
+    return IntegrationError(
+        f"integration aborted near a singularity{where} at t = {root:.6g}",
+        last_time=float(root),
+    )
+
+
+@dataclass(frozen=True)
+class _Guard:
+    """Entries of the stacked state kept outside (-radius, radius)."""
+
+    index: np.ndarray
+    offsets: np.ndarray  # (-radius, +radius)
+
+    def values(self, y):
+        # one signed pair per entry: |y| - radius would be positive on both
+        # sides of a fast zero crossing and the crossing would go unseen
+        return (y[self.index][:, None] + self.offsets).ravel()
+
+
+def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
+    """Adaptive DOP853 from (t0, y0) to t1: the accepted times, the states
+    (one row per time), each step's dense-output coefficients, and the
+    number of fun calls.  Raises IntegrationError with the last good time
+    when the step size underflows, when a guard entry comes within its
+    radius of zero, or after MAX_STEPS steps short of t1."""
+    direction = np.sign(t1 - t0)
+    f = fun(t0, y0)
+    h_abs = _initial_step(fun, t0, y0, f, t1, direction, rtol, atol)
+    nfev = 2
+    K_ext = np.empty((rk.N_STAGES_EXTENDED, len(y0)))
+    K = K_ext[:rk.N_STAGES + 1]
+    t, y = t0, y0
+    ts, ys, Fs = [t], [y], []
+    g = guard.values(y) if guard is not None else None
+    while True:
+        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        if h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"integration failed: {_TOO_SMALL_STEP} (last good time {t:.6g})",
+                    last_time=float(t),
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = np.abs(h)
+            y_new, f_new = _rk_step(fun, t, y, f, h, K)
+            nfev += rk.N_STAGES
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = lane_error_norm(K, h, scale, lanes)
+            if error_norm < 1:
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        if error_norm == 0:
+            factor = MAX_FACTOR
+        else:
+            factor = min(MAX_FACTOR, SAFETY * error_norm ** _ERROR_EXPONENT)
+        if rejected:
+            factor = min(1, factor)
+        h_abs *= factor
+
+        F = _dense_coefficients(fun, K_ext, t, y, y_new, f_new, h)
+        nfev += len(_EXTRA_STAGES)
+        if guard is not None:
+            g_new = guard.values(y_new)
+            active = np.nonzero(((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0)))[0]
+            if active.size:
+                raise _singularity_abort(active, guard, t, t_new, y, F, lanes)
+            g = g_new
+        t, y, f = t_new, y_new, f_new
+        ts.append(t)
+        ys.append(y)
+        Fs.append(F)
+        if direction * (t - t1) >= 0:
+            return np.array(ts), np.array(ys), np.array(Fs), nfev
+        if len(Fs) >= MAX_STEPS:
+            raise IntegrationError(
+                f"integration stopped after {len(Fs)} steps (last good time {t:.6g})",
+                last_time=float(t),
+            )
 
 
 def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
@@ -307,69 +560,51 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     returns one Trajectory per state, all on the shared step grid.
 
     With n states of dimension d, ``rhs`` receives (d, n) blocks, one column
-    per lane, and must return a block of the same shape; the error control
-    is ``LaneDOP853``'s per-lane norm.  A single state is solved by scipy's
-    own DOP853 on the (d,) point.  ``singular_coords`` lists state indices
-    whose approach within ``singular_radius`` of zero, in any lane, aborts
-    the solve (Pinney-type 1/x^3 terms).  Raises IntegrationError carrying
-    the last good time on abort (the message names the lane) or failure.
+    per lane, and must return a block of the same shape; a single state is
+    solved on the (d,) point.  The error control is ``lane_error_norm``.
+    ``singular_coords`` lists state indices whose approach within
+    ``singular_radius`` of zero, in any lane, aborts the solve (Pinney-type
+    1/x^3 terms).  Raises IntegrationError carrying the last good time on
+    abort (the message names the lane), on failure, or past MAX_STEPS steps.
+    A rel_tol below 100 machine epsilons is raised to that floor.
     """
     lanes = np.asarray(states, dtype=float)
-    if lanes.ndim != 2 or len(lanes) == 0:
+    if lanes.ndim != 2 or lanes.size == 0:
         raise ValueError("states must be a nonempty list of equal-length vectors")
+    if not np.isfinite(lanes).all():
+        raise ValueError("all components of the initial states must be finite")
+    if abs_tol < 0:
+        raise ValueError("abs_tol must not be negative")
+    if rel_tol < 100 * EPS:
+        warnings.warn(f"rel_tol below 100 machine epsilons; using {100 * EPS}",
+                      stacklevel=2)
+        rel_tol = 100 * EPS
     n, d = lanes.shape
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 == t1:
         raise ValueError("t_span must be nondegenerate")
 
     if n == 1:
-        fun, y0, options = rhs, lanes[0], {"method": "DOP853"}
-    else:
+        y0 = lanes[0]
+
         def fun(t, y):
-            return rhs(t, y.reshape(d, n)).reshape(-1)
-        y0, options = lanes.T.reshape(-1), {"method": LaneDOP853, "lanes": n}
+            return np.asarray(rhs(t, y), dtype=float)
+    else:
+        y0 = lanes.T.reshape(-1)
 
-    # Signed event pair per guarded coordinate and lane: |y| - radius would
-    # be positive on both sides of a fast zero crossing and the root finder
-    # could step straight over it.
-    events = []  # in the order (coordinate, lane, above/below)
-    for i in singular_coords:
-        for j in range(n):
-            def hit_above(t, y, _k=i * n + j):
-                return y[_k] - singular_radius
-            def hit_below(t, y, _k=i * n + j):
-                return y[_k] + singular_radius
-            hit_above.terminal = True
-            hit_below.terminal = True
-            events.extend([hit_above, hit_below])
+        def fun(t, y):
+            return np.asarray(rhs(t, y.reshape(d, n)), dtype=float).reshape(-1)
 
-    sol = solve_ivp(
-        fun, (t0, t1), y0, dense_output=True, rtol=rel_tol, atol=abs_tol,
-        events=events or None, **options,
-    )
-    if sol.status == 1:
-        where = ""
-        if n > 1:
-            hit = next(k for k, te in enumerate(sol.t_events) if len(te))
-            where = f" in lane {hit // 2 % n}"
-        raise IntegrationError(
-            f"integration aborted near a singularity{where} at t = {sol.t[-1]:.6g}",
-            last_time=float(sol.t[-1]),
-        )
-    if not sol.success:
-        last = float(sol.t[-1]) if len(sol.t) else t0
-        raise IntegrationError(
-            f"integration failed: {sol.message} (last good time {last:.6g})",
-            last_time=last,
-        )
-
-    times, stacked = sol.t, sol.y
+    guard = None
+    if len(singular_coords):
+        guard = _Guard(np.array([i * n + j for i in singular_coords for j in range(n)]),
+                       np.array([-singular_radius, singular_radius]))
+    times, stacked, F, nfev = _dop853(fun, y0, t0, t1, rel_tol, abs_tol, n, guard)
+    dense = _DenseOutput(times, stacked, F)
     if t1 < t0:  # keep Trajectory times increasing for reverse-time solves
-        times, stacked = times[::-1], stacked[:, ::-1]
-
-    return [Trajectory(times, stacked[j::n].T,
-                       interpolant=lambda t, j=j: sol.sol(t)[j::n].T,
-                       nfev=int(sol.nfev))
+        times, stacked = times[::-1], stacked[::-1]
+    return [Trajectory(times, stacked[:, j::n],
+                       interpolant=lambda t, j=j: dense(t, n, j), nfev=nfev)
             for j in range(n)]
 
 
@@ -401,6 +636,7 @@ def quadrature(f, t_span, tol=1e-12):
 
     if a == b:
         return 0.0
+    from scipy.integrate import quad  # only for shapes without a closed-form Q
     value, err = quad(checked, a, b, epsabs=tol, epsrel=tol, limit=500)
     if err > max(tol, tol * abs(value)) * 10.0:
         raise QuadratureError(

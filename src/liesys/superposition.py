@@ -55,7 +55,9 @@ def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
 
     The prefactor can be negative, so the returned ``x`` is the magnitude
     mapped into the construction-time half-plane; ``raw`` keeps the signed
-    value.  ``y`` and ``z`` may be scalars or arrays.
+    value.  ``y`` and ``z`` may be scalars or arrays.  A negative
+    discriminant or radicand, or a value out of floating-point range (a
+    Wronskian near 0), raises DomainError.
     """
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
@@ -67,6 +69,8 @@ def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
         worst = float(np.min(radicand))
         raise DomainError(f"negative radicand {worst:.6g} in the Pinney rule", worst)
     raw = math.sqrt(2.0) / w * np.sqrt(radicand)
+    if not np.all(np.isfinite(raw)):
+        raise DomainError("the Pinney rule leaves the floating-point range", w)
     return PinneyValue(half_plane * abs(raw), raw)
 
 

@@ -1,14 +1,21 @@
+import importlib
 import json
 import math
 import os
 import re
 import runpy
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 from liesys import acceptance, cli
 
+integrate_module = importlib.import_module("liesys.integrate")
+
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
@@ -148,6 +155,47 @@ def test_runtime_singularity_reported(tmp_path, capsys):
     summary = json.loads((tmp_path / "sing_summary.json").read_text())
     assert summary["pass"] is False
     assert 0.0 < summary["last_good_time"] < 5.0
+
+
+def test_step_budget_exits_1_with_the_last_good_time(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", 50)
+    path = write_scenario(tmp_path, {
+        "pipeline": "integrate",
+        "system": {"name": "oscillator_1d",
+                   "frequency": {"name": "constant", "omega_squared": 1.0}},
+        "initial_states": [[1.0, 0.0]],
+        "t_span": [0.0, 200.0],
+        "output": {"csv": "long.csv"},
+    })
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 1
+    assert "after 50 steps" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "long_summary.json").read_text())
+    assert summary["pass"] is False
+    assert 0.0 < summary["last_good_time"] < 200.0
+
+
+def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
+    # numpy is the only numerical import of the run path; scipy is reached
+    # only by user shapes without Q, sample-only trajectories and the
+    # singularity abort, none of which a shipped scenario or verify takes
+    code = textwrap.dedent("""
+        import glob, os, sys
+        from liesys import cli
+        out, scenario_dir = sys.argv[1:]
+        paths = sorted(glob.glob(os.path.join(scenario_dir, "*.json")))
+        for path in paths:
+            assert cli.main(["run", path, "--out", out]) == 0, path
+        assert cli.main(["verify", "--seed", "0", "--out", out]) == 0
+        print(len(paths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.abspath(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), SCENARIO_DIR],
+                          capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    count, modules = proc.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert int(count) == len(os.listdir(SCENARIO_DIR)) >= 14
+    assert modules == "[]"
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

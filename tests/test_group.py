@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -150,6 +150,22 @@ def test_sl2matrix_inverse_and_product_round_trip(a, b):
     assert_allclose(((g @ h) @ h.inverse()).array, g.array, **tol)
     assert_allclose((g @ h).inverse().array, (h.inverse() @ g.inverse()).array, **tol)
     assert abs((g @ h).det - 1.0) < 1e-13 * size ** 2
+
+
+_NONZERO = _finite(-1e3, 1e3).filter(lambda x: x != 0.0)  # x = 0: SingularityError
+
+
+@PROPERTY
+@given(a=_ANGLES, x=_NONZERO, v=_finite(-1e3, 1e3), k=_finite(-4.0, 4.0))
+@example(a=(0.0, 0.0, 0.0), x=2.34e-251, v=0.0, k=0.0)  # x**2 underflows: 0 / 0
+def test_pinney_action_is_finite_or_a_domain_error(a, x, v, k):
+    # both half-planes (the sign of x), both signs of k and x near 0
+    try:
+        res = pinney_action(_group_element(a), (x, v), k)
+    except DomainError:
+        return
+    assert all(math.isfinite(value) for value in res)
+    assert math.copysign(1.0, res.x) == math.copysign(1.0, x)
 
 
 # --- adjoint -----------------------------------------------------------------

@@ -1,9 +1,12 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.interpolate import CubicHermiteSpline
 
 from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
                     SingularityError, Trajectory, constant_frequency, ermakov,
@@ -13,7 +16,11 @@ from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
                     quadrature_rule, reduce_oscillator,
                     reduce_pinney_from_pinney, step_frequency, tau_grid,
                     tau_reparametrization, two_plus_sin, zero_one_shapes)
-from liesys.integrate import LaneDOP853
+from liesys import _dop853
+from liesys.integrate import CubicHermite, lane_error_norm
+
+# the module, not the function the package re-exports under the same name
+integrate_module = importlib.import_module("liesys.integrate")
 
 TOL = 1e-10
 
@@ -94,8 +101,8 @@ def test_one_lane_is_scipys_dop853():
 def test_lane_norm_is_the_max_of_each_lanes_dop853_norm():
     rng = np.random.default_rng(3)
     d, n = 4, 5
-    solver = LaneDOP853(lambda t, y: -y, 0.0, rng.uniform(0.5, 2.0, d * n), 1.0,
-                        lanes=n, rtol=TOL, atol=TOL)
+    solver = DOP853(lambda t, y: -y, 0.0, rng.uniform(0.5, 2.0, d * n), 1.0,
+                    rtol=TOL, atol=TOL)
     for trial in range(40):
         K = rng.normal(size=solver.K.shape) * 10.0 ** rng.uniform(-12.0, 0.0)
         if trial % 4 == 0:
@@ -105,8 +112,126 @@ def test_lane_norm_is_the_max_of_each_lanes_dop853_norm():
         # scipy's own norm on each lane's slice of K and scale
         want = max(DOP853._estimate_error_norm(solver, K[:, j::n], h, scale[j::n])
                    for j in range(n))
-        assert solver._estimate_error_norm(K, h, scale) == pytest.approx(want, rel=1e-13)
-    assert solver._estimate_error_norm(np.zeros_like(solver.K), 0.1, scale) == 0.0
+        assert lane_error_norm(K, h, scale, n) == pytest.approx(want, rel=1e-13)
+    assert lane_error_norm(np.zeros_like(solver.K), 0.1, scale, n) == 0.0
+
+
+class ReferenceLaneDOP853(DOP853):
+    """scipy's DOP853 with the max-over-lanes norm, written against scipy's
+    own solver class: the reference the numpy driver must reproduce."""
+
+    _E53 = np.vstack([DOP853.E5, DOP853.E3])
+
+    def __init__(self, fun, t0, y0, t_bound, lanes, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self.lanes = lanes
+
+    def _estimate_error_norm(self, K, h, scale):
+        err = np.dot(self._E53, K) / scale
+        err *= err
+        sq = err.reshape(2, -1, self.lanes).sum(axis=1)
+        denom = sq[0] + 0.01 * sq[1]
+        denom[denom == 0.0] = 1.0
+        dimension = len(scale) // self.lanes
+        return abs(h) * float((sq[0] / np.sqrt(denom * dimension)).max())
+
+
+def reference_lanes(rhs, states, t_span, singular_coords=(),
+                    radius=integrate_module.SINGULARITY_RADIUS):
+    """The lane solve by scipy's solve_ivp: ReferenceLaneDOP853 (plain DOP853
+    for one lane) with one terminal event pair per guarded entry.  Returns
+    the solve, or raises IntegrationError as integrate_lanes must."""
+    states = np.asarray(states, dtype=float)
+    n, d = states.shape
+    if n == 1:
+        fun, y0, options = rhs, states[0], {"method": "DOP853"}
+    else:
+        def fun(t, y):
+            return rhs(t, y.reshape(d, n)).reshape(-1)
+        y0, options = states.T.reshape(-1), {"method": ReferenceLaneDOP853, "lanes": n}
+    events = []
+    for i in singular_coords:
+        for j in range(n):
+            for sign in (-1.0, 1.0):
+                def event(t, y, _k=i * n + j, _sign=sign):
+                    return y[_k] + _sign * radius
+                event.terminal = True
+                events.append(event)
+    sol = solve_ivp(fun, t_span, y0, dense_output=True, rtol=TOL, atol=TOL,
+                    events=events or None, **options)
+    if sol.status == 1:
+        hit = next(k for k, te in enumerate(sol.t_events) if len(te))
+        where = f" in lane {hit // 2 % n}" if n > 1 else ""
+        raise IntegrationError(
+            f"integration aborted near a singularity{where} at t = {sol.t[-1]:.6g}",
+            last_time=float(sol.t[-1]))
+    return sol
+
+
+def assert_lanes_equal_reference(rhs, states, t_span, probe_times):
+    sol = reference_lanes(rhs, states, t_span)
+    lanes = integrate_lanes(rhs, states, t_span, TOL, TOL)
+    n = len(states)
+    times, stacked = sol.t, sol.y
+    if t_span[1] < t_span[0]:
+        times, stacked = times[::-1], stacked[:, ::-1]
+    dense = sol.sol(probe_times)
+    for j, lane in enumerate(lanes):
+        assert np.array_equal(lane.times, times)
+        assert np.array_equal(lane.states, stacked[j::n].T)
+        assert np.array_equal(lane.dense(probe_times), dense[j::n].T)
+        assert lane.nfev == sol.nfev
+
+
+def test_five_ermakov_lanes_are_scipys_lane_solve():
+    sysd = ermakov(two_plus_sin())
+    rng = np.random.default_rng(11)
+    states = [[rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 2),
+               rng.uniform(-1, 1)] for _ in range(5)]
+    probes = np.concatenate([rng.uniform(0.0, 20.0, 500), [-0.5, 20.5]])
+    assert_lanes_equal_reference(sysd.rhs, states, (0.0, 20.0), probes)
+
+
+def test_reverse_time_pinney_lanes_are_scipys_lane_solve():
+    sysd = milne_pinney(two_plus_sin(), 1.0)
+    states = [[1.3, 0.2], [0.7, -0.5], [1.9, 0.4]]
+    probes = np.random.default_rng(12).uniform(0.0, 5.0, 300)
+    assert_lanes_equal_reference(sysd.rhs, states, (5.0, 0.0), probes)
+
+
+def test_singular_abort_matches_scipys_events():
+    def falling(t, y):
+        return -np.ones_like(y) * (1.0 + 0.3 * np.sin(3.0 * t))
+    for states, coords, span in (([[1.0]], (0,), (0.0, 2.0)),
+                                 ([[1.0, 0.4]], (0, 1), (0.0, 2.0)),
+                                 ([[3.0], [1.0], [2.5]], (0,), (0.0, 4.0)),
+                                 ([[3.0, 3.0], [3.0, 1.5], [2.5, 2.8]], (0, 1),
+                                  (0.0, 4.0)),
+                                 ([[-1.0, 2.0], [-2.0, 0.5]], (0, 1), (0.0, -4.0))):
+        with pytest.raises(IntegrationError) as want:
+            reference_lanes(falling, states, span, coords)
+        with pytest.raises(IntegrationError) as got:
+            integrate_lanes(falling, states, span, TOL, TOL, singular_coords=coords)
+        assert got.value.last_time == want.value.last_time
+        assert str(got.value) == str(want.value)
+
+
+def test_coefficients_are_scipys():
+    for name in ("A", "B", "C", "E3", "E5", "D"):
+        assert np.array_equal(getattr(_dop853, name),
+                              getattr(dop853_coefficients, name)), name
+    assert np.array_equal(_dop853.A_EXTRA, DOP853.A_EXTRA)
+    assert np.array_equal(_dop853.C_EXTRA, DOP853.C_EXTRA)
+
+
+def test_step_budget_stops_a_long_solve(monkeypatch):
+    full = integrate(osc_rhs(1.0), [1.0, 0.0], (0.0, 200.0), TOL, TOL)
+    assert len(full.times) > 51
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", 50)
+    with pytest.raises(IntegrationError, match="after 50 steps") as exc:
+        integrate(osc_rhs(1.0), [1.0, 0.0], (0.0, 200.0), TOL, TOL)
+    # the last good time is that of the unbounded solve's 50th step
+    assert exc.value.last_time == full.times[50]
 
 
 def test_each_lane_meets_its_own_tolerance():
@@ -209,6 +334,32 @@ def test_from_function_with_derivative():
         lambda t: np.array([math.cos(t), -math.sin(t)]))
     assert_allclose(traj.position(1.234), math.sin(1.234), atol=1e-8)
     assert_allclose(traj.velocity(1.234), math.cos(1.234), atol=1e-8)
+
+
+# the closed-form Hermite trajectories of criteria 4, 5 and 7: (grid, f, f')
+HERMITE_CASES = [
+    (np.linspace(0.0, 10.0, 301), lambda t: [math.sin(t), math.cos(t)],
+     lambda t: [math.cos(t), -math.sin(t)]),
+    (np.linspace(0.0, 10.0, 301), lambda t: [math.cos(t), -math.sin(t)],
+     lambda t: [-math.sin(t), -math.cos(t)]),
+    (np.linspace(0.0, 1.2, 121), lambda t: [math.cos(t), -math.sin(t)],
+     lambda t: [-math.sin(t), -math.cos(t)]),
+    (np.linspace(0.0, 5.0, 101), lambda t: [1.0, 0.0], lambda t: [0.0, 0.0]),
+]
+
+
+def test_hermite_is_scipys_cubic_hermite_spline():
+    rng = np.random.default_rng(13)
+    for grid, f, df in HERMITE_CASES:
+        traj = Trajectory.from_function(f, grid, df)
+        slopes = np.array([df(t) for t in grid])
+        scipy_spline = CubicHermiteSpline(grid, traj.states, slopes, axis=0)
+        t = np.concatenate([rng.uniform(grid[0], grid[-1], 5000), grid,
+                            [grid[0] - 0.3, grid[-1] + 0.3]])
+        assert np.array_equal(CubicHermite(grid, traj.states, slopes)(t),
+                              scipy_spline(t))
+        off = t[~np.isin(t, grid)]
+        assert np.array_equal(traj.dense(off), scipy_spline(off))
 
 
 # --- quadrature --------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from liesys import (DependentSolutionsError, DomainError, Trajectory,
@@ -190,3 +192,27 @@ def test_pinney_invariants_from_initial_data_are_constant():
                  float(z.position(t)), float(x.velocity(t)),
                  float(y.velocity(t)), float(z.velocity(t)))
         assert_allclose(ermakov_pair_invariants(state, 1.0), ref, atol=1e-7)
+
+
+# --- property tests ----------------------------------------------------------
+
+_REAL = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(y=_REAL, z=_REAL, i1=_REAL, i2=_REAL,
+       w=_REAL.filter(lambda w: w != 0.0),  # W = 0: DependentSolutionsError
+       k=st.floats(-4.0, 4.0), branch=st.sampled_from([1, -1]),
+       half_plane=st.sampled_from([1, -1]), array=st.booleans())
+@example(y=1.0, z=1.0, i1=1.0, i2=1.0, w=5e-324, k=1.0, branch=1, half_plane=1,
+         array=False)  # sqrt(2) / W overflows
+def test_pinney_rule_is_finite_or_a_domain_error(y, z, i1, i2, w, k, branch,
+                                                 half_plane, array):
+    if array:
+        y, z = np.array([y, 0.5 * y, z]), np.array([z, -z, y])
+    try:
+        val = pinney_rule(y, z, i1, i2, w, k, branch=branch, half_plane=half_plane)
+    except DomainError:
+        return
+    assert np.all(np.isfinite(val.x)) and np.all(np.isfinite(val.raw))
+    assert np.all(half_plane * val.x >= 0.0)
