@@ -52,6 +52,12 @@ PIPELINES = {
 
 OUT_ENV_VAR = "LIESYS_OUT"
 
+# The most work a scenario may ask for, far above the shipped values (201, 100
+# and 4): sample times per CSV, probe points, and copies in the rank search.
+MAX_SAMPLES = 10**6
+MAX_PROBES = 10**5
+MAX_COPIES = 16
+
 
 def _atomic_write(path, text):
     d = os.path.dirname(os.path.abspath(path))
@@ -116,6 +122,16 @@ def _number(value, field, integer=False):
         kind = "a whole number" if integer else "a finite number"
         raise ScenarioError(f"field '{field}' must be {kind}", field=field)
     return int(value) if integer else x
+
+
+def _count(scn, field, default, low, high):
+    """``scn[field]`` (``default`` when absent) as a whole number in
+    [low, high], or a ScenarioError naming ``field``."""
+    n = _number(scn.get(field, default), field, integer=True)
+    if not low <= n <= high:
+        raise ScenarioError(f"{field} must be between {low} and {high}",
+                            field=field)
+    return n
 
 
 def _seed(value):
@@ -221,10 +237,7 @@ def _tolerances(scn, tol_override=None, default_threshold=1e-6):
 
 
 def _sample_times(scn, t0, t1):
-    n = _number(scn.get("samples", 201), "samples", integer=True)
-    if n < 2:
-        raise ScenarioError("samples must be >= 2", field="samples")
-    return np.linspace(t0, t1, n)
+    return np.linspace(t0, t1, _count(scn, "samples", 201, 2, MAX_SAMPLES))
 
 
 def _keys(scn):
@@ -389,9 +402,7 @@ def pipeline_reduce(scn, tol_override, seed):
 def pipeline_verify_algebra(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
     _, _, threshold = _tolerances(scn, tol_override, 1e-9)
-    n_probes = _number(scn.get("probes", 100), "probes", integer=True)
-    if n_probes < 1:
-        raise ScenarioError("probes must be >= 1", field="probes")
+    n_probes = _count(scn, "probes", 100, 1, MAX_PROBES)
     probes = sysd.sample_domain(np.random.default_rng(seed), n_probes)
     report = verify_algebra(sysd.generators, sysd.constants, probes, threshold)
     names = [X.name for X in sysd.generators]
@@ -406,7 +417,7 @@ def pipeline_verify_algebra(scn, tol_override, seed):
 
 def pipeline_minimal_m(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
-    max_copies = _number(scn.get("max_copies", 4), "max_copies", integer=True)
+    max_copies = _count(scn, "max_copies", 4, 1, MAX_COPIES)
     expected = scn.get("expected_m")
     if expected is not None:
         expected = _number(expected, "expected_m", integer=True)

@@ -5,11 +5,13 @@ captured output of failures).
 """
 
 import filecmp
+import multiprocessing
 import os
+import pickle
 
 import pytest
 
-from liesys import acceptance, cli
+from liesys import acceptance, cli, errors
 
 
 def _run(fn):
@@ -66,3 +68,50 @@ def test_criterion_10_cli_verify_deterministic(tmp_path, capsys):
     assert not mismatch and not errors
     assert any(n.startswith("criterion_") for n in names)
     print("criterion 10 [PASS] verify exits 0 and reruns are byte-identical")
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_run_all_matches_the_criteria_run_in_process(seed):
+    # run_all's workers, its longest-first order and criterion 3's parts
+    # against each criterion called here, criterion 3 as one function
+    pooled = [result for result, _ in acceptance.run_all(seed)]
+    assert [r.index for r in pooled] == list(range(1, 10))
+    assert pooled == [fn(seed) for fn in acceptance.ALL_CRITERIA]
+
+
+def _integration_failure(seed=0):
+    raise errors.IntegrationError("step size underflow", last_time=1.25)
+
+
+def test_a_failing_criterion_raises_in_the_caller(monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA",
+                        [acceptance.criterion_2, _integration_failure,
+                         acceptance.criterion_9])
+    with pytest.raises(errors.IntegrationError, match="underflow") as info:
+        list(acceptance.run_all(0))
+    assert info.value.last_time == 1.25
+    assert multiprocessing.active_children() == []
+
+
+# The field each error class carries, with a value for it.
+ERROR_FIELDS = {
+    errors.DomainError: ("value", -0.5),
+    errors.IntegrationError: ("last_time", 2.5),
+    errors.QuadratureError: ("abscissa", 0.75),
+    errors.UndeterminedRankError: ("ranks", {1: 1, 2: 3}),
+    errors.ScenarioError: ("field", "samples"),
+}
+
+
+@pytest.mark.parametrize("cls", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.LiesysError)
+], ids=lambda cls: cls.__name__)
+def test_every_error_survives_pickling(cls):
+    # a worker's exception reaches run_all's caller pickled
+    field, value = ERROR_FIELDS.get(cls, (None, None))
+    err = cls("boom", value) if field else cls("boom")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls and str(back) == "boom"
+    if field:
+        assert getattr(back, field) == value

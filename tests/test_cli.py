@@ -177,9 +177,18 @@ def test_step_budget_exits_1_with_the_last_good_time(tmp_path, capsys, monkeypat
 def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
     # numpy is the only numerical import of the run path; scipy is reached
     # only by user shapes without Q, sample-only trajectories and the
-    # singularity abort, none of which a shipped scenario or verify takes
+    # singularity abort, none of which a shipped scenario or verify takes.
+    # verify's criteria run in forked workers, whose sys.modules the last
+    # line cannot see: the finder makes a scipy import fail there too.
     code = textwrap.dedent("""
         import glob, os, sys
+
+        class NoScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError(f"{name} imported on the run path")
+
+        sys.meta_path.insert(0, NoScipy())
         from liesys import cli
         out, scenario_dir = sys.argv[1:]
         paths = sorted(glob.glob(os.path.join(scenario_dir, "*.json")))
@@ -231,6 +240,7 @@ BAD_FIELDS = {
     "string_span": ({**INTEGRATE, "t_span": ["0", 1.0]}, "t_span"),
     "string_samples": ({**INTEGRATE, "samples": "201"}, "samples"),
     "fractional_samples": ({**INTEGRATE, "samples": 2.9}, "samples"),
+    "too_many_samples": ({**INTEGRATE, "samples": cli.MAX_SAMPLES + 1}, "samples"),
     "nan_seed": ({**INTEGRATE, "seed": math.nan}, "seed"),
     "negative_seed": ({"pipeline": "verify-algebra", "system": {"name": "ermakov"},
                        "seed": -1}, "seed"),
@@ -244,12 +254,19 @@ BAD_FIELDS = {
                      "keys": ["0.4", 0.7]}, "keys"),
     "zero_probes": ({"pipeline": "verify-algebra", "system": {"name": "ermakov"},
                      "probes": 0}, "probes"),
+    "too_many_probes": ({"pipeline": "verify-algebra", "system": {"name": "ermakov"},
+                         "probes": cli.MAX_PROBES + 1}, "probes"),
     "zero_half_plane": ({"pipeline": "verify-algebra",
                          "system": {"name": "milne_pinney", "half_plane": 0}},
                         "system.half_plane"),
     "fractional_max_copies": ({"pipeline": "minimal-m",
                                "system": {"name": "oscillator_1d"},
                                "max_copies": 2.5}, "max_copies"),
+    "zero_max_copies": ({"pipeline": "minimal-m", "system": {"name": "oscillator_1d"},
+                         "max_copies": 0}, "max_copies"),
+    "too_many_max_copies": ({"pipeline": "minimal-m",
+                             "system": {"name": "oscillator_1d"},
+                             "max_copies": cli.MAX_COPIES + 1}, "max_copies"),
     "string_expected_m": ({"pipeline": "minimal-m",
                            "system": {"name": "oscillator_1d"},
                            "expected_m": "2"}, "expected_m"),
