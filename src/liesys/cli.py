@@ -34,6 +34,7 @@ from .systems import SHAPE_FUNCTIONS, SYSTEM_FACTORIES
 from .vectorfield import bracket  # noqa: F401  bound for perfbench/tracer.py
 from .vectorfield import minimal_m, prolonged_rank, verify_algebra
 
+SUPERPOSE_RULES = ("linear", "quadrature", "pinney")
 REDUCE_METHODS = ("dalembert", "pinney-osc", "pinney-self")
 
 # Pipeline name -> the scenario fields `liesys list` prints for it.  Each
@@ -41,7 +42,7 @@ REDUCE_METHODS = ("dalembert", "pinney-osc", "pinney-self")
 PIPELINES = {
     "integrate": "system, initial_states, t_span",
     "drift": "system, invariant, initial_states, t_span, tolerances.threshold",
-    "superpose": "rule (linear|quadrature|pinney), system, initial_states, "
+    "superpose": f"rule ({'|'.join(SUPERPOSE_RULES)}), system, initial_states, "
                  "t_span [, keys]",
     "reduce": f"method ({'|'.join(REDUCE_METHODS)}), system, initial_states, "
               "t_span [, keys]",
@@ -124,6 +125,15 @@ def _number(value, field, integer=False):
     return int(value) if integer else x
 
 
+def _choice(value, options, field, what):
+    """``value`` when it is one of the names ``options``; anything else (an
+    unknown name, a list, a number) is a ScenarioError naming ``field``."""
+    if not (isinstance(value, str) and value in options):
+        raise ScenarioError(f"unknown {what} {json.dumps(value)} "
+                            f"(available: {', '.join(sorted(options))})", field=field)
+    return value
+
+
 def _count(scn, field, default, low, high):
     """``scn[field]`` (``default`` when absent) as a whole number in
     [low, high], or a ScenarioError naming ``field``."""
@@ -150,12 +160,8 @@ def build_frequency(cfg):
     if not isinstance(cfg, dict):
         raise ScenarioError("frequency must be a profile name or an object",
                             field="system.frequency")
-    name = cfg.get("name")
-    if name not in FREQUENCY_PROFILES:
-        raise ScenarioError(
-            f"unknown frequency profile '{name}' "
-            f"(available: {', '.join(sorted(FREQUENCY_PROFILES))})",
-            field="system.frequency")
+    name = _choice(cfg.get("name"), FREQUENCY_PROFILES, "system.frequency",
+                   "frequency profile")
     kwargs = {k: _number(v, "system.frequency") for k, v in cfg.items()
               if k != "name"}
     try:
@@ -173,23 +179,14 @@ def build_system(cfg, name=None):
         cfg = {"name": cfg}
     if not isinstance(cfg, dict):
         raise ScenarioError("system must be a name or an object", field="system")
-    name = name or cfg.get("name")
-    if name not in SYSTEM_FACTORIES:
-        raise ScenarioError(
-            f"unknown system '{name}' "
-            f"(available: {', '.join(sorted(SYSTEM_FACTORIES))})",
-            field="system.name")
+    name = _choice(name or cfg.get("name"), SYSTEM_FACTORIES, "system.name", "system")
     omega = build_frequency(cfg.get("frequency"))
     kwargs = {}
     if name in ("milne_pinney", "pinney_triple"):
         kwargs["k"] = _number(cfg.get("k", 1.0), "system.k")
     if name == "generalized_ermakov":
-        shape_name = cfg.get("shapes", "quadratic")
-        if shape_name not in SHAPE_FUNCTIONS:
-            raise ScenarioError(
-                f"unknown shape functions '{shape_name}' "
-                f"(available: {', '.join(sorted(SHAPE_FUNCTIONS))})",
-                field="system.shapes")
+        shape_name = _choice(cfg.get("shapes", "quadratic"), SHAPE_FUNCTIONS,
+                             "system.shapes", "shape functions")
         kwargs["shapes"] = SHAPE_FUNCTIONS[shape_name]()
     if "half_plane" in cfg and name != "oscillator_1d" and name != "oscillator_2d":
         half_plane = _number(cfg["half_plane"], "system.half_plane", integer=True)
@@ -273,11 +270,8 @@ def pipeline_integrate(scn, tol_override, seed):
 def pipeline_drift(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
     reg = invariants_for(sysd)
-    name = scn.get("invariant")
-    if name not in reg:
-        raise ScenarioError(
-            f"invariant '{name}' not available for system '{sysd.name}' "
-            f"(available: {', '.join(sorted(reg))})", field="invariant")
+    name = _choice(scn.get("invariant"), reg, "invariant",
+                   f"invariant of system {sysd.name}")
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override)
     states = _initial_states(scn, sysd.dimension)
@@ -299,10 +293,7 @@ def pipeline_drift(scn, tol_override, seed):
 
 
 def pipeline_superpose(scn, tol_override, seed):
-    rule = scn.get("rule")
-    if rule not in ("linear", "quadrature", "pinney"):
-        raise ScenarioError("rule must be linear, quadrature or pinney",
-                            field="rule")
+    rule = _choice(scn.get("rule"), SUPERPOSE_RULES, "rule", "rule")
     syscfg = _require(scn, "system")
     sysd = build_system(syscfg)
     t0, t1 = _t_span(scn)
@@ -359,11 +350,7 @@ def pipeline_superpose(scn, tol_override, seed):
 
 
 def pipeline_reduce(scn, tol_override, seed):
-    method = scn.get("method")
-    if method not in REDUCE_METHODS:
-        raise ScenarioError(
-            f"method must be one of {', '.join(REDUCE_METHODS)}",
-            field="method")
+    method = _choice(scn.get("method"), REDUCE_METHODS, "method", "method")
     syscfg = _require(scn, "system")
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override, 1e-5)
@@ -484,11 +471,8 @@ def cmd_run(args):
     out_dir = _resolve_out(args.out)
     try:
         seed = _seed(args.seed if args.seed is not None else scn.get("seed", 0))
-        pipeline = _require(scn, "pipeline", str)
-        if pipeline not in PIPELINES:
-            raise ScenarioError(
-                f"unknown pipeline '{pipeline}' "
-                f"(available: {', '.join(PIPELINES)})", field="pipeline")
+        pipeline = _choice(_require(scn, "pipeline"), PIPELINES, "pipeline", "pipeline")
+        stem = _stem(scn, args)
         # Looked up by name on every run, so that a rebinding of a module
         # attribute pipeline_* (perfbench/tracer.py wraps them) takes effect.
         run = globals()["pipeline_" + pipeline.replace("-", "_")]
@@ -497,17 +481,15 @@ def cmd_run(args):
         print(f"usage error in field '{exc.field}': {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:
-        summary = {"pipeline": scn.get("pipeline"), "pass": False,
+        summary = {"pipeline": pipeline, "pass": False,
                    "error": str(exc), "last_good_time": exc.last_time}
-        write_summary(os.path.join(out_dir, _stem(scn, args) + "_summary.json"),
-                      summary)
+        write_summary(os.path.join(out_dir, stem + "_summary.json"), summary)
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
     except LiesysError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 
-    stem = _stem(scn, args)
     summary = {"pipeline": pipeline, "seed": seed, "pass": bool(ok), **summary}
     written = []
     for suffix, header, rows in files:
@@ -525,9 +507,9 @@ def cmd_run(args):
 def _stem(scn, args):
     out = scn.get("output", {})
     name = out.get("csv") if isinstance(out, dict) else None
-    if name:
-        return os.path.splitext(os.path.basename(name))[0]
-    return os.path.splitext(os.path.basename(args.scenario))[0]
+    if name is not None and not isinstance(name, str):
+        raise ScenarioError("output.csv must be a file name", field="output.csv")
+    return os.path.splitext(os.path.basename(name or args.scenario))[0]
 
 
 def cmd_list(_args):

@@ -41,8 +41,9 @@ class Trajectory:
     ``states`` has one row per sample time.  Dense evaluation snaps to the
     stored states at sample times and otherwise uses the attached interpolant
     (the solver's own dense output, or a cubic Hermite spline built from
-    supplied derivatives).  An ``interpolant`` maps a 1-D array of times to
-    an array of shape (len(times), dimension).
+    supplied derivatives); a trajectory with neither is evaluated only at its
+    sample times.  An ``interpolant`` maps a 1-D array of times to an array
+    of shape (len(times), dimension).
     """
 
     def __init__(self, times, states, derivatives=None, interpolant=None, nfev=None):
@@ -61,9 +62,6 @@ class Trajectory:
         elif derivatives is not None:
             derivatives = np.atleast_2d(np.asarray(derivatives, float))
             self._interp = CubicHermite(times, states, derivatives)
-        elif len(times) >= 4:
-            from scipy.interpolate import CubicSpline  # no caller in liesys
-            self._interp = CubicSpline(times, states, axis=0)
         else:
             self._interp = None
 
@@ -203,10 +201,10 @@ _WG_HALF = [0.0, 0.129484966168869693270611432679082,
             0.0, 0.381830050505118944950369775488975, 0.0]
 _GK_WG = np.array(_WG_HALF + [0.417959183673469387755102040816327] + _WG_HALF[::-1])
 
-# Bisections of one panel, and failed panels at once, before the clock gives
-# up on its error bound (QUADPACK's quad stops at 500 subintervals).
-_TAU_MAX_DEPTH = 10
-_TAU_MAX_FAILED = 1 << 14
+# Bisections of one panel, and failed panels at once, before a quadrature
+# gives up on its error bound (QUADPACK's quad stops at 500 subintervals).
+_GK_MAX_DEPTH = 10
+_GK_MAX_FAILED = 1 << 14
 
 
 def _first_vanishing_node(x1):
@@ -218,21 +216,21 @@ def _first_vanishing_node(x1):
     return int(np.argmax(vanished)) if vanished[-1] else len(xs)
 
 
-def _panel_integrals(x1, a, b, tol):
-    """integral_a^b dz / x1(z)^2 for arrays of panels, each by GK 7/15.
+def _panel_integrals(f, a, b, tol):
+    """integral_a^b f(z) dz for arrays of panels, each by GK 7/15; ``f``
+    maps an array of abscissae to the integrand at each.
 
-    Every panel of a pass is sampled in one dense call.  A panel whose
+    Every panel of a pass is sampled in one call of f.  A panel whose
     |K15 - G7| exceeds max(tol, tol |K15|) is bisected and retried.
     """
     total = np.zeros(len(a))
     owner = np.arange(len(a))
-    for depth in range(_TAU_MAX_DEPTH + 1):
+    for depth in range(_GK_MAX_DEPTH + 1):
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
         z = centre[:, None] + half[:, None] * _GK_X
-        x = x1.position(z)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            f = 1.0 / x ** 2
-        bad = ~np.isfinite(f)
+            fz = f(z)
+        bad = ~np.isfinite(fz)
         if bad.any():
             at = float(z[bad][0])
             raise QuadratureError(
@@ -240,20 +238,20 @@ def _panel_integrals(x1, a, b, tol):
             )
         # row sums, not a matrix product, so a panel's value does not depend
         # on how many panels share the call
-        kronrod = half * (f * _GK_WK).sum(axis=1)
-        gauss = half * (f * _GK_WG).sum(axis=1)
+        kronrod = half * (fz * _GK_WK).sum(axis=1)
+        gauss = half * (fz * _GK_WG).sum(axis=1)
         fail = np.abs(kronrod - gauss) > np.maximum(tol, tol * np.abs(kronrod))
         np.add.at(total, owner[~fail], kronrod[~fail])
         if not fail.any():
             return total
         a, b, owner = a[fail], b[fail], owner[fail]
-        if depth == _TAU_MAX_DEPTH or len(a) > _TAU_MAX_FAILED:
+        if depth == _GK_MAX_DEPTH or len(a) > _GK_MAX_FAILED:
             break
         mid = 0.5 * (a + b)
         a, b, owner = (np.concatenate([a, mid]), np.concatenate([mid, b]),
                        np.concatenate([owner, owner]))
     raise QuadratureError(
-        f"tau quadrature error above {tol:.1e} after repeated bisection "
+        f"quadrature error above {tol:.1e} after repeated bisection "
         f"near t = {float(a[0]):.12g}", abscissa=float(a[0])
     )
 
@@ -270,6 +268,7 @@ class TauClock:
 
     def __init__(self, x1, tol=TAU_TOL):
         self._x1, self._tol = x1, tol
+        self._f = lambda z: 1.0 / x1.position(z) ** 2
         times = x1.times
         m = _first_vanishing_node(x1)
         if m == 0:
@@ -281,7 +280,7 @@ class TauClock:
         times = times[:max(m, 1)]
         # tau at every sample the clock covers
         self.nodes = np.concatenate(
-            [[0.0], np.cumsum(_panel_integrals(x1, times[:-1], times[1:], tol))])
+            [[0.0], np.cumsum(_panel_integrals(self._f, times[:-1], times[1:], tol))])
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -299,7 +298,7 @@ class TauClock:
         if off.any():
             lo = np.maximum(j[off], 1) - 1
             out[off] = self.nodes[lo] + _panel_integrals(
-                self._x1, times[lo], flat[off], self._tol)
+                self._f, times[lo], flat[off], self._tol)
         return out.reshape(t_arr.shape)[()]  # a scalar t gives a scalar
 
 
@@ -449,19 +448,61 @@ class _DenseOutput:
         return _horner(x, self.F[seg, :, cols], self.y_old[seg, cols])
 
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """A root of f between xa and xb, where f changes sign, by Brent's method
+    (Algorithms for Minimization without Derivatives, ch. 4) as scipy's
+    brentq runs it, step for step.  After maxiter steps it returns the
+    current iterate, where scipy raises."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return xcur
+
+
 def _singularity_abort(active, guard, t_old, t, y_old, F, lanes):
     """IntegrationError at the earliest root, inside the step from t_old to
     t, of the guard events that changed sign (event e is coordinate
     ``guard.index[e // 2]`` minus (e even) or plus (e odd) the radius)."""
-    from scipy.optimize import brentq  # only on this abort path
-
     h = t - t_old
 
     def event(s, e):
         y = _horner(np.array([(s - t_old) / h]), F[None], y_old)[0]
         return y[guard.index[e // 2]] + guard.offsets[e % 2]
 
-    roots = np.asarray([brentq(event, t_old, t, args=(e,), xtol=4 * EPS, rtol=4 * EPS)
+    roots = np.asarray([_brentq(lambda s: event(s, e), t_old, t, 4 * EPS, 4 * EPS)
                         for e in active])
     first = (np.argsort(roots) if t > t_old else np.argsort(-roots))[0]
     root = roots[first]
@@ -618,31 +659,26 @@ def integrate(rhs, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
 
 
 def quadrature(f, t_span, tol=1e-12):
-    """Error-controlled integral of f over t_span (estimated error <= tol)."""
+    """integral of the scalar function f over t_span by the tau clock's
+    adaptive GK 7/15 rule (QUADPACK's qk15), from one panel: a panel whose
+    |K15 - G7| exceeds max(tol, tol |K15|) is bisected, at most 10 times
+    over.  QuadratureError past that, or where f is not finite or cannot be
+    evaluated."""
     a, b = float(t_span[0]), float(t_span[1])
-
-    def checked(t):
-        try:
-            v = float(f(t))
-        except ArithmeticError:
-            raise QuadratureError(
-                f"integrand not evaluable at t = {t:.12g}", abscissa=t
-            ) from None
-        if not np.isfinite(v):
-            raise QuadratureError(
-                f"non-finite integrand sample at t = {t:.12g}", abscissa=t
-            )
-        return v
-
     if a == b:
         return 0.0
-    from scipy.integrate import quad  # only for shapes without a closed-form Q
-    value, err = quad(checked, a, b, epsabs=tol, epsrel=tol, limit=500)
-    if err > max(tol, tol * abs(value)) * 10.0:
-        raise QuadratureError(
-            f"quadrature error estimate {err:.3e} exceeds tolerance {tol:.1e}"
-        )
-    return value
+
+    def samples(z):
+        values = []
+        for t in z.ravel().tolist():
+            try:
+                values.append(f(t))
+            except ArithmeticError:
+                raise QuadratureError(
+                    f"integrand not evaluable at t = {t:.12g}", abscissa=t) from None
+        return np.reshape(values, z.shape)
+
+    return float(_panel_integrals(samples, np.array([a]), np.array([b]), tol)[0])
 
 
 # --- frequency-profile library ------------------------------------------------

@@ -175,13 +175,13 @@ def test_step_budget_exits_1_with_the_last_good_time(tmp_path, capsys, monkeypat
 
 
 def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
-    # numpy is the only numerical import of the run path; scipy is reached
-    # only by user shapes without Q, sample-only trajectories and the
-    # singularity abort, none of which a shipped scenario or verify takes.
-    # verify's criteria run in forked workers, whose sys.modules the last
-    # line cannot see: the finder makes a scipy import fail there too.
+    # numpy is the only numerical import of liesys, on every path: the
+    # shipped scenarios, verify, a singularity abort (root finding) and a
+    # generalized invariant of shapes without Q (quadrature).  verify's
+    # criteria run in forked workers, whose sys.modules the last line cannot
+    # see: the finder makes a scipy import fail there too.
     code = textwrap.dedent("""
-        import glob, os, sys
+        import glob, json, os, sys
 
         class NoScipy:
             def find_spec(self, name, path=None, target=None):
@@ -195,6 +195,17 @@ def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
         for path in paths:
             assert cli.main(["run", path, "--out", out]) == 0, path
         assert cli.main(["verify", "--seed", "0", "--out", out]) == 0
+        aborting = os.path.join(out, "aborting.json")
+        with open(aborting, "w") as fh:
+            json.dump({"pipeline": "integrate", "t_span": [0.0, 5.0],
+                       "system": {"name": "milne_pinney", "k": -1.0},
+                       "initial_states": [[0.5, -1.0]]}, fh)
+        assert cli.main(["run", aborting, "--out", out]) == 1
+        with open(os.path.join(out, "aborting_summary.json")) as fh:
+            assert 0.0 < json.load(fh)["last_good_time"] < 5.0
+        from liesys import ShapeFunctions, generalized_invariant
+        no_q = ShapeFunctions(lambda u: u ** 3, lambda u: 1.0)
+        assert generalized_invariant(1.1, 0.9, 0.2, -0.1, no_q) > 0.0
         print(len(paths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -275,6 +286,18 @@ BAD_FIELDS = {
                                                      "frequency": 2.0}},
                             "system.frequency"),
     "number_as_tolerances": ({**INTEGRATE, "tolerances": 1e-6}, "tolerances"),
+    "list_as_system_name": ({**INTEGRATE, "system": {"name": ["oscillator_1d"]}},
+                            "system.name"),
+    "list_as_frequency_name": ({**INTEGRATE, "system": {
+        "name": "oscillator_1d", "frequency": {"name": ["constant"]}}},
+        "system.frequency"),
+    "list_as_shapes": ({**INTEGRATE, "system": {"name": "generalized_ermakov",
+                                                "shapes": ["quadratic"]}},
+                       "system.shapes"),
+    "list_as_invariant": ({**INTEGRATE, "pipeline": "drift",
+                           "system": {"name": "ermakov"},
+                           "invariant": ["lewis_ermakov"]}, "invariant"),
+    "number_as_output_csv": ({**INTEGRATE, "output": {"csv": 3}}, "output.csv"),
 }
 
 

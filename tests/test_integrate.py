@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
 from scipy.interpolate import CubicHermiteSpline
+from scipy.optimize import brentq
 
 from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
                     SingularityError, Trajectory, constant_frequency, ermakov,
@@ -17,7 +18,7 @@ from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
                     reduce_pinney_from_pinney, step_frequency, tau_grid,
                     tau_reparametrization, two_plus_sin, zero_one_shapes)
 from liesys import _dop853
-from liesys.integrate import CubicHermite, lane_error_norm
+from liesys.integrate import EPS, CubicHermite, _brentq, lane_error_norm
 
 # the module, not the function the package re-exports under the same name
 integrate_module = importlib.import_module("liesys.integrate")
@@ -214,6 +215,23 @@ def test_singular_abort_matches_scipys_events():
             integrate_lanes(falling, states, span, TOL, TOL, singular_coords=coords)
         assert got.value.last_time == want.value.last_time
         assert str(got.value) == str(want.value)
+
+
+def test_brentq_is_scipys():
+    # the abort path's root finder, on seeded polynomial brackets taken
+    # in both orientations
+    rng = np.random.default_rng(5)
+    compared = 0
+    for _ in range(600):
+        p = np.polynomial.Polynomial(rng.normal(size=rng.integers(2, 7)))
+        a, b = np.sort(rng.uniform(-3.0, 3.0, 2))
+        if p(a) * p(b) >= 0:
+            continue
+        for lo, hi in ((a, b), (b, a)):
+            want = brentq(p, lo, hi, xtol=4 * EPS, rtol=4 * EPS)
+            assert _brentq(p, lo, hi, 4 * EPS, 4 * EPS) == want, (p, lo, hi)
+            compared += 1
+    assert compared > 300
 
 
 def test_coefficients_are_scipys():
@@ -502,7 +520,8 @@ def test_tau_clock_on_integrated_pinney_matches_quad():
 
 def test_tau_clock_raises_when_x1_vanishes():
     grid = np.linspace(0.0, 3.0, 100)  # cos vanishes at pi/2
-    x1 = Trajectory(grid, np.column_stack([np.cos(grid), -np.sin(grid)]))
+    x1 = Trajectory(grid, np.column_stack([np.cos(grid), -np.sin(grid)]),
+                    derivatives=np.column_stack([-np.sin(grid), -np.cos(grid)]))
     # before the zero, tau and the rules on it are defined
     assert abs(tau_reparametrization(x1, 1.0) - math.tan(1.0)) < 1e-6
     assert abs(quadrature_rule(x1, 0.0, 1.0, 1.0) - math.sin(1.0)) < 1e-6
