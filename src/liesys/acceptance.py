@@ -388,7 +388,7 @@ SPLIT = {criterion_3: (len(_DRIFT_SYSTEMS), criterion_3_part, criterion_3_combin
 
 # The units run_all hands out first, longest first: criterion 3's generalized
 # Ermakov, Ermakov and Pinney-triple solves, then criteria 8, 4 and 7 (about
-# 0.30, 0.19, 0.18, 0.15, 0.12 and 0.06 s on one core of a 2-core Xeon
+# 0.32, 0.17, 0.17, 0.12, 0.12 and 0.06 s on one core of a 2-core Xeon
 # VM).  The rest follow in index order.
 _LONGEST_FIRST = [(criterion_3, 3), (criterion_3, 0), (criterion_3, 2),
                   (criterion_8, None), (criterion_4, None), (criterion_7, None)]

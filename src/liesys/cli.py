@@ -506,8 +506,10 @@ def cmd_run(args):
 
 def _stem(scn, args):
     out = scn.get("output", {})
-    name = out.get("csv") if isinstance(out, dict) else None
-    if name is not None and not isinstance(name, str):
+    if not isinstance(out, dict):
+        raise ScenarioError("output must be an object", field="output")
+    name = out.get("csv")
+    if name is not None and not (isinstance(name, str) and os.path.basename(name)):
         raise ScenarioError("output.csv must be a file name", field="output.csv")
     return os.path.splitext(os.path.basename(name or args.scenario))[0]
 

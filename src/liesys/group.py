@@ -57,7 +57,8 @@ class SL2Matrix:
         a = np.asarray(array, dtype=float)
         if a.shape != (2, 2):
             raise ValueError("expected a 2x2 matrix")
-        d = float(np.linalg.det(a))
+        (a00, a01), (a10, a11) = a.tolist()
+        d = a00 * a11 - a01 * a10  # closed form: this value feeds only the check
         if abs(d - 1.0) > 1e-6:
             raise ValueError(f"determinant {d:.9g} too far from 1")
         self.array = a

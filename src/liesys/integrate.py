@@ -46,7 +46,7 @@ class Trajectory:
     of shape (len(times), dimension).
     """
 
-    def __init__(self, times, states, derivatives=None, interpolant=None, nfev=None):
+    def __init__(self, times, states, derivatives=None, interpolant=None, solve=None):
         times = np.asarray(times, dtype=float)
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if times.ndim != 1 or len(times) != len(states):
@@ -55,7 +55,7 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
         self.times = times
         self.states = states
-        self.nfev = nfev  # right-hand-side evaluations of the producing solve
+        self._solve = solve  # the producing solve's _DenseOutput, shared by its lanes
         self._tau_clocks = {}
         if interpolant is not None:
             self._interp = interpolant
@@ -64,6 +64,13 @@ class Trajectory:
             self._interp = CubicHermite(times, states, derivatives)
         else:
             self._interp = None
+
+    @property
+    def nfev(self):
+        """Right-hand-side evaluations of the producing solve so far (None
+        without one): 2 + 12 per step attempt, plus 3 per accepted step once
+        the dense output is built by the first off-sample evaluation."""
+        return None if self._solve is None else self._solve.nfev
 
     @property
     def dimension(self):
@@ -428,15 +435,33 @@ def _horner(x, F, y_old):
 class _DenseOutput:
     """The interpolants of all accepted steps of one solve, evaluated for
     every requested time in one batched pass.  A time on a step boundary
-    takes the earlier step, and times outside the span take the end steps."""
+    takes the earlier step, and times outside the span take the end steps.
 
-    def __init__(self, ts, ys, F):
-        self.t_old, self.h, self.y_old, self.F = ts[:-1], ts[1:] - ts[:-1], ys[:-1], F
+    ``K`` holds each step's 13 stages.  The first evaluation builds every
+    step's coefficients from them and drops them; ``nfev``, the solve's fun
+    calls, then grows by the 3 extra stages of each step."""
+
+    def __init__(self, fun, ts, ys, K, nfev):
+        self.t_old, self.h, self.y_old = ts[:-1], ts[1:] - ts[:-1], ys[:-1]
+        self._fun, self._y, self._K, self.F = fun, ys[1:], K, None
+        self.nfev = nfev
         self._ascending = ts[-1] >= ts[0]
         self._ts_sorted = ts if self._ascending else ts[::-1]
 
+    def _build(self):
+        K_ext = np.empty((rk.N_STAGES_EXTENDED, self._K.shape[2]))
+        F = np.empty((len(self.h), rk.INTERPOLATOR_POWER, K_ext.shape[1]))
+        for i, K in enumerate(self._K):
+            K_ext[:rk.N_STAGES + 1] = K
+            F[i] = _dense_coefficients(self._fun, K_ext, self.t_old[i], self.y_old[i],
+                                       self._y[i], K[-1], self.h[i])
+        self.nfev += len(_EXTRA_STAGES) * len(self.h)
+        self.F, self._fun, self._K = F, None, None
+
     def __call__(self, t, lanes=1, lane=0):
         """States of lane ``lane`` of ``lanes`` at the times t, one per row."""
+        if self.F is None:
+            self._build()
         t = np.asarray(t, dtype=float)
         m = len(self.h)
         side = "left" if self._ascending else "right"
@@ -528,8 +553,8 @@ class _Guard:
 
 def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
     """Adaptive DOP853 from (t0, y0) to t1: the accepted times, the states
-    (one row per time), each step's dense-output coefficients, and the
-    number of fun calls.  Raises IntegrationError with the last good time
+    (one row per time), each accepted step's 13 stages, and the number of
+    fun calls.  Raises IntegrationError with the last good time
     when the step size underflows, when a guard entry comes within its
     radius of zero, or after MAX_STEPS steps short of t1."""
     direction = np.sign(t1 - t0)
@@ -539,7 +564,7 @@ def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
     K_ext = np.empty((rk.N_STAGES_EXTENDED, len(y0)))
     K = K_ext[:rk.N_STAGES + 1]
     t, y = t0, y0
-    ts, ys, Fs = [t], [y], []
+    ts, ys, Ks = [t], [y], []
     g = guard.values(y) if guard is not None else None
     while True:
         min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
@@ -573,23 +598,22 @@ def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
             factor = min(1, factor)
         h_abs *= factor
 
-        F = _dense_coefficients(fun, K_ext, t, y, y_new, f_new, h)
-        nfev += len(_EXTRA_STAGES)
         if guard is not None:
             g_new = guard.values(y_new)
             active = np.nonzero(((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0)))[0]
             if active.size:
+                F = _dense_coefficients(fun, K_ext, t, y, y_new, f_new, h)
                 raise _singularity_abort(active, guard, t, t_new, y, F, lanes)
             g = g_new
         t, y, f = t_new, y_new, f_new
         ts.append(t)
         ys.append(y)
-        Fs.append(F)
+        Ks.append(K.copy())
         if direction * (t - t1) >= 0:
-            return np.array(ts), np.array(ys), np.array(Fs), nfev
-        if len(Fs) >= MAX_STEPS:
+            return np.array(ts), np.array(ys), np.array(Ks), nfev
+        if len(Ks) >= MAX_STEPS:
             raise IntegrationError(
-                f"integration stopped after {len(Fs)} steps (last good time {t:.6g})",
+                f"integration stopped after {len(Ks)} steps (last good time {t:.6g})",
                 last_time=float(t),
             )
 
@@ -640,12 +664,12 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     if len(singular_coords):
         guard = _Guard(np.array([i * n + j for i in singular_coords for j in range(n)]),
                        np.array([-singular_radius, singular_radius]))
-    times, stacked, F, nfev = _dop853(fun, y0, t0, t1, rel_tol, abs_tol, n, guard)
-    dense = _DenseOutput(times, stacked, F)
+    times, stacked, K, nfev = _dop853(fun, y0, t0, t1, rel_tol, abs_tol, n, guard)
+    dense = _DenseOutput(fun, times, stacked, K, nfev)
     if t1 < t0:  # keep Trajectory times increasing for reverse-time solves
         times, stacked = times[::-1], stacked[::-1]
     return [Trajectory(times, stacked[:, j::n],
-                       interpolant=lambda t, j=j: dense(t, n, j), nfev=nfev)
+                       interpolant=lambda t, j=j: dense(t, n, j), solve=dense)
             for j in range(n)]
 
 

@@ -5,6 +5,7 @@ captured output of failures).
 """
 
 import filecmp
+import importlib
 import multiprocessing
 import os
 import pickle
@@ -12,6 +13,9 @@ import pickle
 import pytest
 
 from liesys import acceptance, cli, errors
+
+# the module, not the function the package re-exports under the same name
+integrate_module = importlib.import_module("liesys.integrate")
 
 
 def _run(fn):
@@ -31,6 +35,15 @@ def test_criterion_02_minimal_m():
 
 def test_criterion_03_invariant_drift():
     _run(acceptance.criterion_3)
+
+
+def test_criterion_03_reads_its_solves_only_at_their_nodes(monkeypatch):
+    # an off-node read would build the dense output: 3 more rhs calls a step
+    def build(self):
+        raise AssertionError("criterion 3 built a dense output")
+    monkeypatch.setattr(integrate_module._DenseOutput, "_build", build)
+    rows, passed = acceptance.criterion_3_part(0, 1)
+    assert passed and rows
 
 
 def test_criterion_04_pinney_superposition():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from liesys import acceptance, cli
@@ -71,6 +72,7 @@ def test_integrate_summary_reports_solver_statistics(tmp_path):
     sysd = cli.build_system({"name": "milne_pinney", "k": 1.0,
                              "frequency": {"name": "constant", "omega_squared": 1.0}})
     traj = sysd.integrate([1.0, 0.0], (0.0, 10.0))
+    traj.dense(np.linspace(0.0, 10.0, 201))  # as the pipeline reads it
     assert run["accepted_steps"] == len(traj.times) - 1
     assert run["nfev"] == traj.nfev
     # DOP853 spends 12 stages on every accepted step
@@ -179,7 +181,8 @@ def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
     # shipped scenarios, verify, a singularity abort (root finding) and a
     # generalized invariant of shapes without Q (quadrature).  verify's
     # criteria run in forked workers, whose sys.modules the last line cannot
-    # see: the finder makes a scipy import fail there too.
+    # see: the finder makes a scipy import fail there too.  `liesys run`
+    # never loads verify's worker pool.
     code = textwrap.dedent("""
         import glob, json, os, sys
 
@@ -194,6 +197,9 @@ def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
         paths = sorted(glob.glob(os.path.join(scenario_dir, "*.json")))
         for path in paths:
             assert cli.main(["run", path, "--out", out]) == 0, path
+        pool = [m for m in sys.modules
+                if m.split(".")[0] in ("multiprocessing", "concurrent")]
+        assert not pool, pool
         assert cli.main(["verify", "--seed", "0", "--out", out]) == 0
         aborting = os.path.join(out, "aborting.json")
         with open(aborting, "w") as fh:
@@ -298,6 +304,9 @@ BAD_FIELDS = {
                            "system": {"name": "ermakov"},
                            "invariant": ["lewis_ermakov"]}, "invariant"),
     "number_as_output_csv": ({**INTEGRATE, "output": {"csv": 3}}, "output.csv"),
+    "directory_as_output_csv": ({**INTEGRATE, "output": {"csv": "sub/"}},
+                                "output.csv"),
+    "string_as_output": ({**INTEGRATE, "output": "x.csv"}, "output"),
 }
 
 

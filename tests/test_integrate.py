@@ -10,11 +10,11 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
-                    SingularityError, Trajectory, constant_frequency, ermakov,
-                    generalized_ermakov, integrate, integrate_lanes,
-                    milne_pinney, oscillator_1d, oscillator_2d, pinney_triple,
-                    pinney_rule_from_solutions, quadratic_shapes, quadrature,
-                    quadrature_rule, reduce_oscillator,
+                    SingularityError, Trajectory, constant_frequency, drift,
+                    ermakov, generalized_ermakov, integrate, integrate_lanes,
+                    invariants_for, milne_pinney, oscillator_1d, oscillator_2d,
+                    pinney_triple, pinney_rule_from_solutions, quadratic_shapes,
+                    quadrature, quadrature_rule, reduce_oscillator,
                     reduce_pinney_from_pinney, step_frequency, tau_grid,
                     tau_reparametrization, two_plus_sin, zero_one_shapes)
 from liesys import _dop853
@@ -87,14 +87,16 @@ def test_nondegenerate_span_required():
 
 def test_one_lane_is_scipys_dop853():
     sysd = milne_pinney(two_plus_sin(), 1.0)
-    sol = solve_ivp(sysd.rhs, (0.0, 5.0), [1.3, 0.2], method="DOP853",
-                    rtol=TOL, atol=TOL, dense_output=True)
+    sol, nodes_only = (solve_ivp(sysd.rhs, (0.0, 5.0), [1.3, 0.2], method="DOP853",
+                                 rtol=TOL, atol=TOL, dense_output=dense)
+                       for dense in (True, False))
     t = np.linspace(0.05, 4.95, 37)
     for coords in ((), (0,)):  # the singularity events do not move a step
         (traj,) = integrate_lanes(sysd.rhs, [[1.3, 0.2]], (0.0, 5.0), TOL, TOL,
                                   singular_coords=coords)
         assert np.array_equal(traj.times, sol.t)
         assert np.array_equal(traj.states, sol.y.T)
+        assert traj.nfev == nodes_only.nfev  # no dense output built yet
         assert np.array_equal(traj.dense(t), sol.sol(t).T)
         assert traj.nfev == sol.nfev
 
@@ -138,7 +140,7 @@ class ReferenceLaneDOP853(DOP853):
 
 
 def reference_lanes(rhs, states, t_span, singular_coords=(),
-                    radius=integrate_module.SINGULARITY_RADIUS):
+                    radius=integrate_module.SINGULARITY_RADIUS, dense_output=True):
     """The lane solve by scipy's solve_ivp: ReferenceLaneDOP853 (plain DOP853
     for one lane) with one terminal event pair per guarded entry.  Returns
     the solve, or raises IntegrationError as integrate_lanes must."""
@@ -158,7 +160,7 @@ def reference_lanes(rhs, states, t_span, singular_coords=(),
                     return y[_k] + _sign * radius
                 event.terminal = True
                 events.append(event)
-    sol = solve_ivp(fun, t_span, y0, dense_output=True, rtol=TOL, atol=TOL,
+    sol = solve_ivp(fun, t_span, y0, dense_output=dense_output, rtol=TOL, atol=TOL,
                     events=events or None, **options)
     if sol.status == 1:
         hit = next(k for k, te in enumerate(sol.t_events) if len(te))
@@ -173,6 +175,9 @@ def assert_lanes_equal_reference(rhs, states, t_span, probe_times):
     sol = reference_lanes(rhs, states, t_span)
     lanes = integrate_lanes(rhs, states, t_span, TOL, TOL)
     n = len(states)
+    # no dense output is built before the first off-node evaluation
+    nodes_only = reference_lanes(rhs, states, t_span, dense_output=False)
+    assert [lane.nfev for lane in lanes] == [nodes_only.nfev] * n
     times, stacked = sol.t, sol.y
     if t_span[1] < t_span[0]:
         times, stacked = times[::-1], stacked[:, ::-1]
@@ -191,6 +196,36 @@ def test_five_ermakov_lanes_are_scipys_lane_solve():
                rng.uniform(-1, 1)] for _ in range(5)]
     probes = np.concatenate([rng.uniform(0.0, 20.0, 500), [-0.5, 20.5]])
     assert_lanes_equal_reference(sysd.rhs, states, (0.0, 20.0), probes)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_nfev_counts_the_rhs_calls_and_dense_output_waits_for_off_node_use(n):
+    sysd = ermakov(two_plus_sin())
+    rng = np.random.default_rng(13)
+    states = [[rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 2),
+               rng.uniform(-1, 1)] for _ in range(n)]
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        return sysd.rhs(t, y)
+    lanes = integrate_lanes(rhs, states, (0.0, 10.0), TOL, TOL)
+    solved = calls[0]
+    assert [lane.nfev for lane in lanes] == [solved] * n
+    # reads at the solver nodes, such as drift along a solver trajectory,
+    # build no dense output
+    for lane in lanes:
+        for name, invariant in invariants_for(sysd).items():
+            drift(lane, invariant, name)
+        lane.dense(lane.times[::3])
+    assert calls[0] == solved
+    assert [lane.nfev for lane in lanes] == [solved] * n
+    # the first off-node read builds it for every lane, and only once
+    steps = len(lanes[0].times) - 1
+    lanes[-1].dense([0.5, 9.5])
+    lanes[0].dense([1.5])
+    assert calls[0] == solved + 3 * steps
+    assert [lane.nfev for lane in lanes] == [calls[0]] * n
 
 
 def test_reverse_time_pinney_lanes_are_scipys_lane_solve():
