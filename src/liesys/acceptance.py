@@ -11,30 +11,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cli
 from . import group as G
 from .errors import DomainError
 from .integrate import Trajectory, constant_frequency, two_plus_sin
 from .invariants import (drift, generalized_invariant, invariants_for,
                          lewis_ermakov)
-from .superposition import (keys_from, linear_rule, pinney_rule_from_solutions,
-                            quadrature_rule)
+from .superposition import pinney_rule_from_solutions, quadrature_rule
 from .systems import (ermakov, generalized_ermakov, milne_pinney,
                       oscillator_1d, oscillator_2d, pinney_triple,
                       quadratic_shapes, zero_one_shapes)
 from .vectorfield import minimal_m, verify_algebra
-
-
-def relative_errors(got, want):
-    """Per-sample error |got - want| / max(1, |want|) against a reference,
-    in the max norm over each sample's components (the rows of 2-D input)."""
-    got = np.reshape(got, (len(got), -1))
-    want = np.reshape(want, (len(want), -1))
-    return (np.max(np.abs(got - want), axis=1)
-            / np.maximum(1.0, np.max(np.abs(want), axis=1)))
-
-
-def _max_rel_error(got, want):
-    return float(np.max(relative_errors(got, want)))
 
 
 @dataclass
@@ -88,10 +75,7 @@ def criterion_2(seed=0):
 
 def _seeded_states(rng, count, ranges):
     """ranges: list of (low, high) per coordinate."""
-    out = []
-    for _ in range(count):
-        out.append([rng.uniform(lo, hi) for lo, hi in ranges])
-    return out
+    return [[rng.uniform(lo, hi) for lo, hi in ranges] for _ in range(count)]
 
 
 # Criterion 3's systems, each with the ranges of its five seeded states.  The
@@ -140,21 +124,13 @@ def criterion_3(seed=0):
 
 def criterion_4(seed=0):
     """Pinney superposition vs direct integration, plus the analytic case."""
-    w = two_plus_sin()
     rng = np.random.default_rng(seed)
-    osc = oscillator_1d(w)
-    mp = milne_pinney(w, 1.0)
-    y = osc.integrate([1.0, 0.0], (0.0, 10.0))
-    z = osc.integrate([0.0, 1.0], (0.0, 10.0))
-    sample = np.linspace(0.0, 10.0, 201)
-    rows, ok, worst = [], True, 0.0
     states = _seeded_states(rng, 5, [(0.5, 2), (-1, 1)])
-    for (x0, v0), ref in zip(states, mp.integrate_lanes(states, (0.0, 10.0))):
-        rec = pinney_rule_from_solutions(y, z, x0, v0, 1.0)
-        err = _max_rel_error(rec.position(sample), ref.position(sample))
-        rows.append([x0, v0, err])
-        worst = max(worst, err)
-        ok = ok and err < 1e-5
+    ok, summary, _ = cli.pipeline_superpose({
+        "rule": "pinney", "t_span": [0.0, 10.0], "tolerances": {"threshold": 1e-5},
+        "system": {"name": "milne_pinney", "frequency": "two_plus_sin"},
+        "initial_states": [[1.0, 0.0], [0.0, 1.0], *states]}, None, seed)
+    rows = [[x0, v0, run["max_error"]] for (x0, v0), run in zip(states, summary["runs"])]
 
     grid = np.linspace(0.0, 10.0, 301)
     ya = Trajectory.from_function(lambda t: np.array([math.sin(t), math.cos(t)]),
@@ -162,39 +138,32 @@ def criterion_4(seed=0):
     za = Trajectory.from_function(lambda t: np.array([math.cos(t), -math.sin(t)]),
                                   grid, lambda t: np.array([-math.sin(t), -math.cos(t)]))
     rec = pinney_rule_from_solutions(ya, za, 1.0, 0.0, 1.0)
-    err_exact = float(np.max(np.abs(rec.states[:, 0] - 1.0)))
+    err_exact = float(cli.compare(rec.states[:, 0], 1.0, "abs").max())
     rows.append(["analytic", "", err_exact])
-    ok = ok and err_exact < 1e-8
-    return CriterionResult(4, "Pinney superposition oracle equivalence", ok,
-                           f"worst relative error {worst:.3e}, analytic {err_exact:.3e}",
+    return CriterionResult(4, "Pinney superposition oracle equivalence",
+                           ok and err_exact < 1e-8,
+                           f"worst relative error {summary['max_error']:.3e}, "
+                           f"analytic {err_exact:.3e}",
                            ["x0", "v0", "max_rel_error"], rows)
 
 
 def criterion_5(seed=0):
     """Linear and quadrature superposition rules."""
-    w = two_plus_sin()
-    osc = oscillator_1d(w)
-    # Three separate solves, never lanes of one: on shared steps the
-    # Runge-Kutta map of this linear system is itself linear in the initial
-    # state, so the linear rule would hold by construction.
-    s1 = osc.integrate([1.0, 0.0], (0.0, 10.0))
-    s2 = osc.integrate([0.0, 1.0], (0.0, 10.0))
-    s3 = osc.integrate([0.7, -0.4], (0.0, 10.0))
-    k1, k2 = keys_from(*s3.states[0], *s1.states[0], *s2.states[0])
-    sample = np.linspace(0.0, 10.0, 101)
-    x, v = linear_rule(*s1.dense(sample).T, *s2.dense(sample).T, k1, k2)
-    ref = s3.dense(sample)
-    err_lin = float(max(np.max(np.abs(x - ref[:, 0])), np.max(np.abs(v - ref[:, 1]))))
+    ok, linear, _ = cli.pipeline_superpose({
+        "rule": "linear", "samples": 101, "tolerances": {"threshold": 1e-8},
+        "system": {"name": "oscillator_1d", "frequency": "two_plus_sin"},
+        "initial_states": [[1.0, 0.0], [0.0, 1.0], [0.7, -0.4]], "t_span": [0.0, 10.0]},
+        None, seed)
+    err_lin = linear["max_error"]
 
     grid = np.linspace(0.0, 1.2, 121)
     x1 = Trajectory.from_function(lambda t: np.array([math.cos(t), -math.sin(t)]),
                                   grid, lambda t: np.array([-math.sin(t), -math.cos(t)]))
     sample = np.linspace(0.0, 1.2, 25)
-    err_quad = float(np.max(np.abs(quadrature_rule(x1, 0.0, 1.0, sample)
-                                   - np.sin(sample))))
-    ok = err_lin < 1e-8 and err_quad < 1e-8
+    err_quad = float(cli.compare(quadrature_rule(x1, 0.0, 1.0, sample),
+                                 np.sin(sample), "abs").max())
     return CriterionResult(
-        5, "linear and quadrature superposition to 1e-8", ok,
+        5, "linear and quadrature superposition to 1e-8", ok and err_quad < 1e-8,
         f"linear {err_lin:.3e}, quadrature {err_quad:.3e}",
         ["rule", "max_abs_error"],
         [["linear", err_lin], ["quadrature", err_quad]],
@@ -205,25 +174,20 @@ def criterion_6(seed=0):
     """Lie equation on the group vs direct oscillator integration."""
     rng = np.random.default_rng(seed)
     rows, ok = [], True
-    worst_err, worst_det = 0.0, 0.0
-    for w in (constant_frequency(1.0), two_plus_sin()):
-        sol = G.solve_group_equation(lambda t: G.Sl2Vector(w(t), -1.0, 0.0), (0.0, 10.0))
-        osc = oscillator_1d(w)
-        sample = np.linspace(0.0, 10.0, 51)
-        g = sol.normalized(sample)
-        det_drift = max(float(np.max(np.abs(np.linalg.det(g) - 1.0))),
-                        sol.max_det_drift)
+    for frequency in ({"name": "constant", "omega_squared": 1.0}, "two_plus_sin"):
         states = _seeded_states(rng, 5, [(-1.5, 1.5)] * 2)
-        for p0, ref in zip(states, osc.integrate_lanes(states, (0.0, 10.0))):
-            err = _max_rel_error(g @ p0, ref.dense(sample))
-            rows.append([w.description, p0[0], p0[1], err, det_drift])
-            worst_err = max(worst_err, err)
-        worst_det = max(worst_det, det_drift)
-        ok = ok and det_drift < 1e-9
-    ok = ok and worst_err < 1e-6
+        passed, summary, _ = cli.pipeline_group_solve({
+            "system": {"frequency": frequency}, "initial_states": states,
+            "t_span": [0.0, 10.0], "samples": 51, "tolerances": {"threshold": 1e-6}},
+            None, seed)
+        rows += [[summary["frequency"], x0, v0, run["max_action_error"],
+                  summary["max_det_drift"]]
+                 for (x0, v0), run in zip(states, summary["runs"])]
+        ok = ok and passed
     return CriterionResult(
         6, "group equation: action error < 1e-6, |det-1| < 1e-9", ok,
-        f"worst action error {worst_err:.3e}, det drift {worst_det:.3e}",
+        f"worst action error {max(row[3] for row in rows):.3e}, "
+        f"det drift {max(row[4] for row in rows):.3e}",
         ["profile", "x0", "v0", "max_rel_error", "det_drift"], rows,
     )
 
@@ -231,70 +195,49 @@ def criterion_6(seed=0):
 def criterion_7(seed=0):
     """The three reduction procedures against direct integration."""
     rng = np.random.default_rng(seed)
-    rows, ok = [], True
-
     grid = np.linspace(0.0, 1.2, 121)
-    cos_traj = Trajectory.from_function(
+    cos_t = Trajectory.from_function(
         lambda t: np.array([math.cos(t), -math.sin(t)]),
         grid, lambda t: np.array([-math.sin(t), -math.cos(t)]))
     sample = np.linspace(0.0, 1.2, 25)
-    red = G.reduce_oscillator(cos_traj, 0.0, 1.0)
-    err = float(np.max(np.abs(red.position(sample) - np.sin(sample))))
-    rows.append(["dalembert_analytic", err])
-    ok = ok and err < 1e-8
+    red = G.reduce_oscillator(cos_t, 0.0, 1.0)
+    checks = [("dalembert_analytic",
+               cli.compare(red.position(sample), np.sin(sample), "abs").max(), 1e-8)]
 
-    w = two_plus_sin()
-    osc = oscillator_1d(w)
+    # d'Alembert against its oracle in (x, v), where the reduce pipeline
+    # compares x alone
+    osc = oscillator_1d(two_plus_sin())
     x1 = osc.integrate([1.0, 0.3], (0.0, 0.9))
-    k_prime, k = 0.4, 0.7
-    red = G.reduce_oscillator(x1, k_prime, k)
+    red = G.reduce_oscillator(x1, 0.4, 0.7)
     ref = osc.integrate(red.states[0], (0.0, 0.9))
     sample = np.linspace(0.0, 0.9, 25)
-    err = _max_rel_error(red.dense(sample), ref.dense(sample))
-    rows.append(["dalembert_vs_oracle", err])
-    ok = ok and err < 1e-6
+    checks.append(("dalembert_vs_oracle",
+                   cli.compare(red.dense(sample), ref.dense(sample), "rel").max(), 1e-6))
 
-    # Milne-Pinney from a particular Milne-Pinney solution
-    mp = milne_pinney(constant_frequency(1.0), 1.0)
+    # Milne-Pinney from a particular Milne-Pinney solution, then from an
+    # oscillator solution: x = 1 from x1 = 1 and from x1 = cos t exactly
     ones = Trajectory.from_function(lambda t: np.array([1.0, 0.0]),
                                     np.linspace(0.0, 5.0, 101),
                                     lambda t: np.array([0.0, 0.0]))
-    err = float(np.max(np.abs(
-        G.reduce_pinney_from_pinney(ones, 1.0, 0.0, 1.0).states[:, 0] - 1.0)))
-    rows.append(["pinney_self_analytic", err])
-    ok = ok and err < 1e-8
+    for method, reduce, analytic, x1, t1, samples in (
+            ("pinney-self", G.reduce_pinney_from_pinney, ones, [1.3, 0.2], 5.0, 101),
+            ("pinney-osc", G.reduce_pinney_from_oscillator, cos_t, [1.0, 0.3], 1.2, 49)):
+        name = method.replace("-", "_")
+        exact = reduce(analytic, 1.0, 0.0, 1.0).states[:, 0]
+        checks.append((f"{name}_analytic", cli.compare(exact, 1.0, "abs").max(), 1e-8))
+        states = _seeded_states(rng, 3, [(0.5, 2), (-1, 1)])
+        _, summary, _ = cli.pipeline_reduce({
+            "method": method, "system": {"frequency": "constant"},
+            "initial_states": [x1, *states], "t_span": [0.0, t1], "samples": samples},
+            None, seed)
+        checks += [(f"{name}_vs_oracle", run["max_rel_error"], 1e-5)
+                   for run in summary["runs"]]
 
-    # the particular solution feeds the reduction, so it is not one of the
-    # oracle's lanes
-    x1p = mp.integrate([1.3, 0.2], (0.0, 5.0))
-    states = _seeded_states(rng, 3, [(0.5, 2), (-1, 1)])
-    for (x0, v0), ref in zip(states, mp.integrate_lanes(states, (0.0, 5.0))):
-        red = G.reduce_pinney_from_pinney(x1p, x0, v0, 1.0)
-        sample = np.linspace(0.0, 5.0, 101)
-        err = _max_rel_error(red.position(sample), ref.position(sample))
-        rows.append(["pinney_self_vs_oracle", err])
-        ok = ok and err < 1e-5
-
-    # Milne-Pinney from an oscillator solution (x1 = cos t analytic case)
-    err = float(np.max(np.abs(
-        G.reduce_pinney_from_oscillator(cos_traj, 1.0, 0.0, 1.0).states[:, 0] - 1.0)))
-    rows.append(["pinney_osc_analytic", err])
-    ok = ok and err < 1e-8
-
-    osc_c = oscillator_1d(constant_frequency(1.0))
-    x1o = osc_c.integrate([1.0, 0.3], (0.0, 1.2))
-    states = _seeded_states(rng, 3, [(0.5, 2), (-1, 1)])
-    for (x0, v0), ref in zip(states, mp.integrate_lanes(states, (0.0, 1.2))):
-        red = G.reduce_pinney_from_oscillator(x1o, x0, v0, 1.0)
-        sample = np.linspace(0.0, 1.2, 49)
-        err = _max_rel_error(red.position(sample), ref.position(sample))
-        rows.append(["pinney_osc_vs_oracle", err])
-        ok = ok and err < 1e-5
-
-    worst = max(r[1] for r in rows)
-    return CriterionResult(7, "reductions match direct integration", ok,
-                           f"worst error {worst:.3e}",
-                           ["check", "max_error"], rows)
+    worst = max(err for _, err, _ in checks)
+    return CriterionResult(7, "reductions match direct integration",
+                           all(err < bound for _, err, bound in checks),
+                           f"worst error {worst:.3e}", ["check", "max_error"],
+                           [[check, err] for check, err, _ in checks])
 
 
 def _random_sl2(rng):

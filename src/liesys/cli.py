@@ -14,6 +14,7 @@ overrides the default output directory.
 """
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -23,7 +24,6 @@ import tempfile
 import numpy as np
 
 from . import group as G
-from .acceptance import relative_errors, run_all
 from .errors import IntegrationError, LiesysError, ScenarioError
 from .integrate import FREQUENCY_PROFILES
 from .invariants import drift, invariants_for
@@ -42,13 +42,13 @@ REDUCE_METHODS = ("dalembert", "pinney-osc", "pinney-self")
 PIPELINES = {
     "integrate": "system, initial_states, t_span",
     "drift": "system, invariant, initial_states, t_span, tolerances.threshold",
-    "superpose": f"rule ({'|'.join(SUPERPOSE_RULES)}), system, initial_states, "
-                 "t_span [, keys]",
-    "reduce": f"method ({'|'.join(REDUCE_METHODS)}), system, initial_states, "
-              "t_span [, keys]",
+    "superpose": f"rule ({'|'.join(SUPERPOSE_RULES)}), system, initial_states "
+                 "(pinney: y, z, targets...), t_span (forward unless linear) [, keys]",
+    "reduce": f"method ({'|'.join(REDUCE_METHODS)}), system, initial_states "
+              "(x1, targets...), forward t_span [, keys]",
     "verify-algebra": "system, probes, tolerances.threshold",
     "minimal-m": "system, max_copies [, expected_m]",
-    "group-solve": "system.frequency, initial_states, t_span",
+    "group-solve": "system.frequency, initial_states (targets...), t_span",
 }
 
 OUT_ENV_VAR = "LIESYS_OUT"
@@ -211,10 +211,14 @@ def _initial_states(scn, dimension, count_min=1):
     return [np.array([_number(c, "initial_states") for c in s]) for s in states]
 
 
-def _t_span(scn):
+def _t_span(scn, forward=False):
+    """(t0, t1); ``forward`` asks t0 < t1 for closed forms anchored at t0."""
     span = [_number(t, "t_span") for t in _require(scn, "t_span", list)]
     if len(span) != 2 or span[0] == span[1]:
         raise ScenarioError("t_span must be two distinct numbers", field="t_span")
+    if forward and span[0] > span[1]:
+        raise ScenarioError("this pipeline's closed forms need t_span[0] < t_span[1]",
+                            field="t_span")
     return span[0], span[1]
 
 
@@ -247,6 +251,18 @@ def _keys(scn):
 # --- pipelines ---------------------------------------------------------------
 # Each takes (scn, tol_override, seed) and returns (ok, summary, files), where
 # files is [(suffix, header, rows)].
+
+def compare(got, want, kind):
+    """Per-sample error of ``got`` against the reference ``want`` (broadcast
+    to it) in the max norm over each sample's components, the rows of 2-D
+    input: |got - want| for ``kind`` "abs", over max(1, |want|) for "rel"."""
+    got = np.asarray(got, dtype=float)
+    want = np.broadcast_to(want, got.shape)
+    err = np.max(np.abs(got - want).reshape(len(got), -1), axis=1)
+    if kind == "rel":
+        err = err / np.maximum(1.0, np.max(np.abs(want).reshape(len(got), -1), axis=1))
+    return err
+
 
 def pipeline_integrate(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
@@ -292,67 +308,76 @@ def pipeline_drift(scn, tol_override, seed):
                 "threshold": threshold, "runs": runs}, files
 
 
+def _oracle_runs(targets, got, refs, times, kind, key):
+    """The closed-form rows ``got`` of each target (x, or the linear rule's
+    (x, v)) against its oracle in ``refs``: the worst ``kind`` error, the runs
+    (theirs under ``key``) and each target's CSV x, reference x and |error|."""
+    runs, columns = [], []
+    for y0, rows, ref in zip(targets, got, refs):
+        want = ref.dense(times)[:, :rows.shape[1]]
+        runs.append({"initial_state": [float(c) for c in y0],
+                     key: float(np.max(compare(rows, want, kind)))})
+        columns.append((rows[:, 0], want[:, 0], compare(rows, want, "abs")))
+    return max(run[key] for run in runs), runs, columns
+
+
 def pipeline_superpose(scn, tol_override, seed):
     rule = _choice(scn.get("rule"), SUPERPOSE_RULES, "rule", "rule")
+    t0, t1 = _t_span(scn, forward=rule != "linear")
     syscfg = _require(scn, "system")
     sysd = build_system(syscfg)
-    t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override, 1e-5)
     times = _sample_times(scn, t0, t1)
     needs = "milne_pinney" if rule == "pinney" else "oscillator_1d"
     if sysd.name != needs:
         raise ScenarioError(f"the {rule} rule needs system {needs}",
                             field="system.name")
+    states = _initial_states(scn, 2, 1 if rule == "quadrature" else 3)
 
     if rule == "linear":
-        s1, s2, target = [sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
-                          for y0 in _initial_states(scn, 2, 3)[:3]]
-        k1, k2 = keys_from(*target.initial_state, *s1.initial_state,
+        # Three solo solves, never lanes of one: on shared steps the Runge-Kutta
+        # map of a linear system is linear in y0, so the rule would hold anyway.
+        s1, s2, ref = [sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
+                       for y0 in states[:3]]
+        k1, k2 = keys_from(*ref.initial_state, *s1.initial_state,
                            *s2.initial_state)
-        x, v = linear_rule(*s1.dense(times).T, *s2.dense(times).T, k1, k2)
-        rx, rv = target.dense(times).T
-        err = np.maximum(np.abs(x - rx), np.abs(v - rv))
-        max_err = float(np.max(err))
-        extra = {"keys": [k1, k2]}
+        targets, refs = states[2:3], [ref]
+        got = [np.column_stack(linear_rule(*s1.dense(times).T, *s2.dense(times).T,
+                                           k1, k2))]
+        kind, extra = "abs", {"keys": [k1, k2]}
 
     elif rule == "quadrature":
         k_prime, k = _keys(scn)
-        x1 = sysd.integrate(_initial_states(scn, 2)[0], (t0, t1),
-                            abs_tol, rel_tol)
-        y0 = [k_prime * x1.initial_state[0],
-              k_prime * x1.initial_state[1] + k / x1.initial_state[0]]
-        ref = sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
-        x = quadrature_rule(x1, k_prime, k, times)
-        rx = ref.position(times)
-        err = np.abs(x - rx)
-        max_err = float(np.max(err))
-        extra = {"keys": [k_prime, k]}
+        x1 = sysd.integrate(states[0], (t0, t1), abs_tol, rel_tol)
+        targets = [[k_prime * x1.initial_state[0],
+                    k_prime * x1.initial_state[1] + k / x1.initial_state[0]]]
+        refs = [sysd.integrate(targets[0], (t0, t1), abs_tol, rel_tol)]
+        got = [quadrature_rule(x1, k_prime, k, times)[:, None]]
+        kind, extra = "abs", {"keys": [k_prime, k]}
 
-    else:  # pinney
-        states = _initial_states(scn, 2, 3)
+    else:  # pinney: every state after y and z is a target
         osc = build_system(syscfg, "oscillator_1d")
-        y = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
-        z = osc.integrate(states[1], (t0, t1), abs_tol, rel_tol)
-        x0, v0 = states[2]
+        y, z = [osc.integrate(s, (t0, t1), abs_tol, rel_tol) for s in states[:2]]
         k = sysd.params["k"]
-        rec = pinney_rule_from_solutions(y, z, x0, v0, k)
-        ref = sysd.integrate([x0, v0], (t0, t1), abs_tol, rel_tol)
-        x, rx = rec.position(times), ref.position(times)
-        err = np.abs(x - rx)
-        max_err = float(np.max(relative_errors(x, rx)))
-        extra = {"k": k}
+        targets = states[2:]
+        got = [pinney_rule_from_solutions(y, z, x0, v0, k).dense(times)[:, :1]
+               for x0, v0 in targets]
+        refs = sysd.integrate_lanes(targets, (t0, t1), abs_tol, rel_tol)
+        kind, extra = "rel", {"k": k}
 
+    max_err, runs, columns = _oracle_runs(targets, got, refs, times, kind, "max_error")
     ok = max_err < threshold
-    summary = {"rule": rule, "max_error": max_err,
-               "threshold": threshold, "pass": ok, **extra}
-    return ok, summary, [("errors", ["time", "reconstructed_x", "reference_x",
-                                     "abs_error"], zip(times, x, rx, err))]
+    summary = {"rule": rule, "max_error": max_err, "threshold": threshold,
+               "pass": ok, "runs": runs, **extra}
+    header = ["time", "reconstructed_x", "reference_x", "abs_error"]
+    return ok, summary, [(f"target{i}", header, zip(times, *cols))
+                         for i, cols in enumerate(columns)]
 
 
 def pipeline_reduce(scn, tol_override, seed):
     method = _choice(scn.get("method"), REDUCE_METHODS, "method", "method")
     syscfg = _require(scn, "system")
-    t0, t1 = _t_span(scn)
+    t0, t1 = _t_span(scn, forward=True)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override, 1e-5)
     times = _sample_times(scn, t0, t1)
     states = _initial_states(scn, 2, 1 if method == "dalembert" else 2)
@@ -362,28 +387,29 @@ def pipeline_reduce(scn, tol_override, seed):
 
     if method == "dalembert":
         x1 = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
-        red = G.reduce_oscillator(x1, *_keys(scn))
-        ref = osc.integrate(red.initial_state, (t0, t1), abs_tol, rel_tol)
-    elif method == "pinney-osc":
-        x1 = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
-        red = G.reduce_pinney_from_oscillator(x1, states[1][0], states[1][1], k)
-        ref = mp.integrate(states[1], (t0, t1), abs_tol, rel_tol)
-    else:
-        x1 = mp.integrate(states[0], (t0, t1), abs_tol, rel_tol)
-        red = G.reduce_pinney_from_pinney(x1, states[1][0], states[1][1], k)
-        ref = mp.integrate(states[1], (t0, t1), abs_tol, rel_tol)
+        reds = [G.reduce_oscillator(x1, *_keys(scn))]
+        targets = [reds[0].initial_state]
+        refs = [osc.integrate(targets[0], (t0, t1), abs_tol, rel_tol)]
+    else:  # every state after the particular solution x1 is a target
+        x1 = (osc if method == "pinney-osc" else mp).integrate(
+            states[0], (t0, t1), abs_tol, rel_tol)
+        targets = states[1:]
+        reduce = (G.reduce_pinney_from_oscillator if method == "pinney-osc"
+                  else G.reduce_pinney_from_pinney)
+        reds = [reduce(x1, x0, v0, k) for x0, v0 in targets]
+        refs = mp.integrate_lanes(targets, (t0, t1), abs_tol, rel_tol)
 
+    max_err, runs, columns = _oracle_runs(
+        targets, [red.dense(times)[:, :1] for red in reds], refs, times, "rel",
+        "max_rel_error")
     tau = x1.tau_clock()(times)  # the clock the reduction itself ran on
-    x, rx = red.position(times), ref.position(times)
-    err = np.abs(x - rx)
-    max_err = float(np.max(relative_errors(x, rx)))
     det_drift = np.abs(np.linalg.det(G.particular_solution_matrices(x1, times)) - 1.0)
     ok = max_err < threshold
     summary = {"method": method, "max_rel_error": max_err,
-               "threshold": threshold, "pass": ok}
-    return ok, summary, [("errors", ["time", "tau", "reduced_x", "reference_x",
-                                     "abs_error", "det_drift"],
-                          zip(times, tau, x, rx, err, det_drift))]
+               "threshold": threshold, "pass": ok, "runs": runs}
+    header = ["time", "tau", "reduced_x", "reference_x", "abs_error", "det_drift"]
+    return ok, summary, [(f"target{i}", header, zip(times, tau, x, rx, err, det_drift))
+                         for i, (x, rx, err) in enumerate(columns)]
 
 
 def pipeline_verify_algebra(scn, tol_override, seed):
@@ -427,24 +453,32 @@ def pipeline_group_solve(scn, tol_override, seed):
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override, 1e-6)
     times = _sample_times(scn, t0, t1)
-    p0 = _initial_states(scn, osc.dimension)[0]
+    states = _initial_states(scn, osc.dimension)
     # The group curve of the oscillator: a(t) = -sum_a b_a(t) e_a.
     sol = G.solve_group_equation(
         lambda t: G.Sl2Vector(*(-b(t) for b in osc.coefficients)),
         (t0, t1), abs_tol, rel_tol)
-    ref = osc.integrate(p0, (t0, t1), abs_tol, rel_tol)
+    refs = osc.integrate_lanes(states, (t0, t1), abs_tol, rel_tol)
     g = sol.normalized(times)
     det_minus_1 = np.linalg.det(sol.raw(times)) - 1.0
-    err = relative_errors(g @ p0, ref.dense(times))
-    max_err = float(np.max(err))
-    max_det = float(np.max(np.abs(det_minus_1)))
+    # |det - 1| at the samples, at the solver's nodes and on the curve acting
+    max_det = max(float(np.max(np.abs(det_minus_1))), sol.max_det_drift,
+                  float(np.max(compare(np.linalg.det(g), 1.0, "abs"))))
+    runs, files = [], []
+    for i, (p0, ref) in enumerate(zip(states, refs)):
+        err = compare(g @ p0, ref.dense(times), "rel")
+        runs.append({"initial_state": [float(c) for c in p0],
+                     "max_action_error": float(np.max(err))})
+        files.append((f"target{i}", ["time", "g11", "g12", "g21", "g22",
+                                     "det_minus_1", "action_error"],
+                      zip(times, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1],
+                          det_minus_1, err)))
+    max_err = max(run["max_action_error"] for run in runs)
     ok = max_err < threshold and max_det < 1e-9
     summary = {"frequency": osc.params["frequency"], "max_action_error": max_err,
-               "max_det_drift": max_det, "threshold": threshold, "pass": ok}
-    return ok, summary, [("group", ["time", "g11", "g12", "g21", "g22",
-                                    "det_minus_1", "action_error"],
-                          zip(times, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0],
-                              g[:, 1, 1], det_minus_1, err))]
+               "max_det_drift": max_det, "threshold": threshold, "pass": ok,
+               "runs": runs}
+    return ok, summary, files
 
 
 # --- verbs -------------------------------------------------------------------
@@ -519,12 +553,13 @@ def cmd_list(_args):
     for name in sorted(SYSTEM_FACTORIES):
         print(f"  {name}")
     print("frequency profiles:")
-    print("  constant      parameters: omega_squared (default 1.0)")
-    print("  two_plus_sin  parameters: none")
-    print("  step          parameters: t_switch, before, after")
+    for name, factory in FREQUENCY_PROFILES.items():
+        params = inspect.signature(factory).parameters.values()
+        print(f"  {name:<13} parameters: "
+              f"{', '.join(f'{p.name}={p.default}' for p in params) or 'none'}")
     print("shape functions (generalized_ermakov):")
-    print("  zero_one      f(u) = 0,   g(u) = 1")
-    print("  quadratic     f(u) = u^2, g(u) = 1")
+    for name, shapes in SHAPE_FUNCTIONS.items():
+        print(f"  {name:<13} {shapes().description}")
     print("pipelines:")
     for name, fields in PIPELINES.items():
         print(f"  {name:<14} {fields}")
@@ -538,6 +573,8 @@ def cmd_verify(args):
     except ScenarioError as exc:
         print(f"usage error in field '{exc.field}': {exc}", file=sys.stderr)
         return 2
+    from .acceptance import run_all  # imported here: acceptance imports cli
+
     results = []
     summary = {"seed": seed, "criteria": []}
     for r, seconds in run_all(seed):

@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import math
@@ -11,7 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from liesys import acceptance, cli
+from liesys import acceptance, cli, group
 
 integrate_module = importlib.import_module("liesys.integrate")
 
@@ -42,6 +43,12 @@ def test_list_catalog(capsys):
                        if line.split()[:1] == ["reduce"])
     for method in cli.REDUCE_METHODS:
         assert method in reduce_line
+    # the profiles and shapes come from their registries
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+    assert set(cli.FREQUENCY_PROFILES) | set(cli.SHAPE_FUNCTIONS) <= listed
+    assert "t_switch=5.0, before=1.0, after=4.0" in out
+    for shapes in cli.SHAPE_FUNCTIONS.values():
+        assert shapes().description in out
 
 
 def test_reduce_rejects_an_unlisted_method(tmp_path, capsys):
@@ -115,6 +122,95 @@ def test_group_solve_scenario(tmp_path):
     assert summary["max_action_error"] < 1e-6
 
 
+# Two targets each: every target gets a run and a CSV of its own.
+MULTI_TARGET = {
+    "superpose_pinney": {
+        "pipeline": "superpose", "rule": "pinney", "t_span": [0.0, 10.0],
+        "system": {"name": "milne_pinney", "frequency": "two_plus_sin"},
+        "initial_states": [[1.0, 0.0], [0.0, 1.0], [0.7, 0.4], [1.2, -0.3]]},
+    "reduce_pinney_self": {
+        "pipeline": "reduce", "method": "pinney-self", "t_span": [0.0, 5.0],
+        "system": {"frequency": "constant"},
+        "initial_states": [[1.3, 0.2], [0.8, 0.5], [1.1, -0.4]]},
+    "reduce_pinney_osc": {
+        "pipeline": "reduce", "method": "pinney-osc", "t_span": [0.0, 1.2],
+        "system": {"frequency": "constant"},
+        "initial_states": [[1.0, 0.3], [0.8, 0.5], [1.1, -0.4]]},
+    "group_solve": {  # 3 samples: the solver's nodes hold the worst |det - 1|
+        "pipeline": "group-solve", "t_span": [0.0, 10.0], "samples": 3,
+        "system": {"frequency": "two_plus_sin"},
+        "initial_states": [[1.0, 0.5], [-0.3, 1.1]]},
+}
+WORST_ERROR = {"superpose": "max_error", "reduce": "max_rel_error",
+               "group-solve": "max_action_error"}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_TARGET))
+def test_every_target_gets_a_run_and_a_csv(case, tmp_path):
+    body = {**MULTI_TARGET[case], "output": {"csv": "multi.csv"}}
+    assert cli.main(["run", write_scenario(tmp_path, body),
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "multi_summary.json").read_text())
+    runs, key = summary["runs"], WORST_ERROR[body["pipeline"]]
+    assert [run["initial_state"] for run in runs] == body["initial_states"][-2:]
+    assert summary[key] == max(run[key] for run in runs) > 0.0
+    assert summary["csv_files"] == ["multi_target0.csv", "multi_target1.csv"]
+    tables = [(tmp_path / name).read_text().splitlines()
+              for name in summary["csv_files"]]
+    assert tables[0][0] == tables[1][0] and tables[0] != tables[1]
+    if case == "group_solve":
+        osc = cli.build_system(body["system"], "oscillator_1d")
+        sol = group.solve_group_equation(
+            lambda t: group.Sl2Vector(*(-b(t) for b in osc.coefficients)),
+            (0.0, 10.0))
+        assert summary["max_det_drift"] >= sol.max_det_drift
+
+
+def test_the_oracles_of_all_targets_are_one_lane_solve(tmp_path):
+    # one target: the plain solo solve; two: the lanes of one solve
+    body = MULTI_TARGET["superpose_pinney"]
+    mp = cli.build_system(body["system"])
+    times = np.linspace(0.0, 10.0, 201)
+    for count, names in ((1, ["s.csv"]), (2, ["s_target0.csv", "s_target1.csv"])):
+        targets = body["initial_states"][2:2 + count]
+        scn = {**body, "initial_states": body["initial_states"][:2] + targets,
+               "output": {"csv": "s.csv"}}
+        out = tmp_path / str(count)
+        assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(out)]) == 0
+        for name, ref in zip(names, mp.integrate_lanes(targets, (0.0, 10.0))):
+            with open(out / name, newline="") as fh:
+                column = [float(row["reference_x"]) for row in csv.DictReader(fh)]
+            assert column == ref.position(times).tolist()
+
+
+# Shipped scenarios with t_span reversed: the closed forms are anchored at the
+# first sample, so superpose's quadrature and pinney rules and every reduction
+# refuse a reversed span before any work; the pipelines without a closed form
+# anchored there run backwards.
+@pytest.mark.parametrize("name, change, status", [
+    ("superpose_pinney.json", {}, 2),
+    ("superpose_quadrature.json", {}, 2),
+    ("reduce_oscillator.json", {}, 2),
+    ("reduce_pinney_self.json", {}, 2),
+    ("reduce_pinney_self.json", {"method": "pinney-osc"}, 2),
+    ("integrate_ermakov.json", {}, 0),
+    ("drift_lewis_ermakov.json", {}, 0),
+    ("superpose_linear.json", {}, 0),
+    ("group_solve_two_plus_sin.json", {}, 0),
+], ids=["superpose_pinney", "superpose_quadrature", "reduce_dalembert",
+        "reduce_pinney_self", "reduce_pinney_osc", "integrate", "drift",
+        "superpose_linear", "group_solve"])
+def test_reversed_t_span(name, change, status, tmp_path, capsys):
+    with open(os.path.join(SCENARIO_DIR, name)) as fh:
+        scn = {**json.load(fh), **change}
+    scn["t_span"] = scn["t_span"][::-1]
+    out = tmp_path / "out"
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(out)]) == status
+    if status == 2:
+        assert "usage error in field 't_span'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_tol_override_can_force_failure(tmp_path):
     assert run_scenario("reduce_oscillator.json", tmp_path,
                         extra=["--tol-override", "1e-20"]) == 1
@@ -182,7 +278,7 @@ def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
     # generalized invariant of shapes without Q (quadrature).  verify's
     # criteria run in forked workers, whose sys.modules the last line cannot
     # see: the finder makes a scipy import fail there too.  `liesys run`
-    # never loads verify's worker pool.
+    # never loads verify's worker pool, nor the criteria.
     code = textwrap.dedent("""
         import glob, json, os, sys
 
@@ -200,6 +296,7 @@ def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
         pool = [m for m in sys.modules
                 if m.split(".")[0] in ("multiprocessing", "concurrent")]
         assert not pool, pool
+        assert "liesys.acceptance" not in sys.modules
         assert cli.main(["verify", "--seed", "0", "--out", out]) == 0
         aborting = os.path.join(out, "aborting.json")
         with open(aborting, "w") as fh:
