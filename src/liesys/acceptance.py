@@ -6,6 +6,8 @@ Both the ``verify`` CLI verb and the test suite run these.
 
 import math
 import os
+import signal
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -15,13 +17,12 @@ from . import cli
 from . import group as G
 from .errors import DomainError
 from .integrate import Trajectory, constant_frequency, two_plus_sin
-from .invariants import (drift, generalized_invariant, invariants_for,
-                         lewis_ermakov)
+from .invariants import drift  # noqa: F401  bound for perfbench/tracer.py
+from .invariants import generalized_invariant, lewis_ermakov
 from .superposition import pinney_rule_from_solutions, quadrature_rule
 from .systems import (ermakov, generalized_ermakov, milne_pinney,
-                      oscillator_1d, oscillator_2d, pinney_triple,
-                      quadratic_shapes, zero_one_shapes)
-from .vectorfield import minimal_m, verify_algebra
+                      oscillator_1d, zero_one_shapes)
+from .vectorfield import minimal_m, verify_algebra  # noqa: F401  bound for perfbench/tracer.py
 
 
 @dataclass
@@ -38,37 +39,26 @@ class CriterionResult:
         return f"criterion {self.index:2d} [{verdict}] {self.name}: {self.detail}"
 
 
-def _four_realizations():
-    w = constant_frequency(1.0)
-    return [
-        oscillator_1d(w),
-        milne_pinney(w, 1.0),
-        generalized_ermakov(w, quadratic_shapes()),
-        pinney_triple(w, 1.0),
-    ]
-
-
 def criterion_1(seed=0):
-    """sl(2,R) closure of the four generator realizations."""
-    rng = np.random.default_rng(seed)
-    rows, worst, ok = [], 0.0, True
-    for sysd in _four_realizations():
-        probes = sysd.sample_domain(rng, 100)
-        rep = verify_algebra(sysd.generators, sysd.constants, probes, 1e-9)
-        rows.append([sysd.name, rep.worst_residual])
-        worst = max(worst, rep.worst_residual)
-        ok = ok and rep.ok
+    """sl(2,R) closure of the four generator realizations (at the default
+    constant frequency omega^2 = 1, k = 1 and quadratic shapes)."""
+    rows, ok = [], True
+    for name in ("oscillator_1d", "milne_pinney", "generalized_ermakov", "pinney_triple"):
+        passed, summary, _ = cli.pipeline_verify_algebra(
+            {"system": name, "probes": 100, "tolerances": {"threshold": 1e-9}}, None, seed)
+        rows.append([name, summary["worst_residual"]])
+        ok = ok and passed
     return CriterionResult(1, "sl(2,R) closure residual < 1e-9", ok,
-                           f"worst residual {worst:.3e}",
+                           f"worst residual {max(row[1] for row in rows):.3e}",
                            ["system", "worst_residual"], rows)
 
 
 def criterion_2(seed=0):
     """Minimal number of solutions in the oscillator superposition rule."""
-    rng = np.random.default_rng(seed)
-    sysd = oscillator_1d(constant_frequency(1.0))
-    m = minimal_m(sysd.generators, max_copies=4, rng=rng)
-    return CriterionResult(2, "minimal m for the 1-dim oscillator", m == 2,
+    ok, summary, _ = cli.pipeline_minimal_m({
+        "system": "oscillator_1d", "max_copies": 4, "expected_m": 2}, None, seed)
+    m = summary["m"]
+    return CriterionResult(2, "minimal m for the 1-dim oscillator", ok,
                            f"m = {m} (expected 2)",
                            ["m"], [[m]])
 
@@ -81,11 +71,10 @@ def _seeded_states(rng, count, ranges):
 # Criterion 3's systems, each with the ranges of its five seeded states.  The
 # states of all four come from one stream, drawn in this order.
 _DRIFT_SYSTEMS = (
-    (ermakov, [(-1, 1), (-1, 1), (0.5, 2), (-1, 1)]),
-    (oscillator_2d, [(-1, 1)] * 4),
-    (lambda w: pinney_triple(w, 1.0), [(0.5, 2)] + [(-1, 1)] * 5),
-    (lambda w: generalized_ermakov(w, quadratic_shapes()),
-     [(0.5, 2), (-1, 1), (0.5, 2), (-1, 1)]),
+    ("ermakov", [(-1, 1), (-1, 1), (0.5, 2), (-1, 1)]),
+    ("oscillator_2d", [(-1, 1)] * 4),
+    ("pinney_triple", [(0.5, 2)] + [(-1, 1)] * 5),
+    ("generalized_ermakov", [(0.5, 2), (-1, 1), (0.5, 2), (-1, 1)]),
 )
 
 
@@ -94,16 +83,12 @@ def criterion_3_part(seed, part):
     rng = np.random.default_rng(seed)
     for _, ranges in _DRIFT_SYSTEMS[:part]:
         _seeded_states(rng, 5, ranges)  # the earlier systems' share of the stream
-    make, ranges = _DRIFT_SYSTEMS[part]
-    sysd = make(two_plus_sin())
-    invariants = invariants_for(sysd)
-    rows, ok = [], True
-    for traj in sysd.integrate_lanes(_seeded_states(rng, 5, ranges), (0.0, 20.0)):
-        for name, fn in invariants.items():
-            series = drift(traj, fn, name)
-            rows.append([name, series.drift_rel])
-            ok = ok and series.drift_rel < 1e-6 and not series.partial
-    return rows, ok
+    name, ranges = _DRIFT_SYSTEMS[part]
+    ok, summary, _ = cli.pipeline_drift({
+        "system": {"name": name, "frequency": "two_plus_sin"},
+        "initial_states": _seeded_states(rng, 5, ranges), "t_span": [0.0, 20.0],
+        "tolerances": {"threshold": 1e-6}}, None, seed)
+    return [[run["invariant"], run["drift_rel"]] for run in summary["runs"]], ok
 
 
 def criterion_3_combine(parts):
@@ -361,6 +346,8 @@ def run_all(seed=0):
     parts, and its time is the sum of theirs.  A worker receives only indices
     into ALL_CRITERIA and inherits the list at the fork, so a patched or
     wrapped list runs as it stands.  An exception in a worker is raised here.
+    SIGTERM raises SystemExit while the pool is up, so the pool shuts its
+    workers down before this process ends; the workers keep SIGTERM's default.
     """
     # Imported here: `liesys run` never gets this far and would pay for it.
     from concurrent.futures import ProcessPoolExecutor
@@ -372,7 +359,10 @@ def run_all(seed=0):
     first = {unit: rank for rank, unit in enumerate(_LONGEST_FIRST)}
     units.sort(key=lambda u: first.get((criteria[u[0]], u[1]), len(first)))
     workers = min(len(os.sched_getaffinity(0)), len(units))
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=signal.signal,
+                               initargs=(signal.SIGTERM, signal.SIG_DFL))
     try:
         pending = {unit: pool.submit(_run_unit, seed, *unit) for unit in units}
         for i, fn in enumerate(criteria):
@@ -385,3 +375,4 @@ def run_all(seed=0):
                    sum(seconds for _, seconds in done))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        signal.signal(signal.SIGTERM, previous)

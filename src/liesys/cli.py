@@ -41,7 +41,7 @@ REDUCE_METHODS = ("dalembert", "pinney-osc", "pinney-self")
 # name runs the function pipeline_<name with - as _> below.
 PIPELINES = {
     "integrate": "system, initial_states, t_span",
-    "drift": "system, invariant, initial_states, t_span, tolerances.threshold",
+    "drift": "system, initial_states, t_span, tolerances.threshold [, invariant]",
     "superpose": f"rule ({'|'.join(SUPERPOSE_RULES)}), system, initial_states "
                  "(pinney: y, z, targets...), t_span (forward unless linear) [, keys]",
     "reduce": f"method ({'|'.join(REDUCE_METHODS)}), system, initial_states "
@@ -286,26 +286,28 @@ def pipeline_integrate(scn, tol_override, seed):
 def pipeline_drift(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
     reg = invariants_for(sysd)
-    name = _choice(scn.get("invariant"), reg, "invariant",
-                   f"invariant of system {sysd.name}")
+    # an omitted invariant means every invariant of the system
+    names = [scn["invariant"]] if "invariant" in scn else list(reg) or [None]
+    for name in names:
+        _choice(name, reg, "invariant", f"invariant of system {sysd.name}")
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, tol_override)
     states = _initial_states(scn, sysd.dimension)
-    files, runs, ok = [], [], True
-    for i, y0 in enumerate(states):
-        traj = sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
-        series = drift(traj, reg[name], name)
-        rows = zip(series.times, series.values,
-                   np.maximum.accumulate(np.abs(series.values - series.values[0])))
-        files.append((f"run{i}", ["time", "value", "running_drift"], rows))
-        passed = series.drift_rel < threshold and not series.partial
-        ok = ok and passed
-        runs.append({"initial_state": [float(c) for c in y0],
-                     "drift_abs": series.drift_abs,
-                     "drift_rel": series.drift_rel,
-                     "partial": series.partial, "pass": passed})
-    return ok, {"system": sysd.name, "invariant": name,
-                "threshold": threshold, "runs": runs}, files
+    files, runs = [], []
+    for y0, traj in zip(states, sysd.integrate_lanes(states, (t0, t1), abs_tol, rel_tol)):
+        for name in names:
+            series = drift(traj, reg[name], name)
+            rows = zip(series.times, series.values,
+                       np.maximum.accumulate(np.abs(series.values - series.values[0])))
+            files.append((f"run{len(files)}", ["time", "value", "running_drift"], rows))
+            runs.append({"initial_state": [float(c) for c in y0], "invariant": name,
+                         "drift_abs": series.drift_abs,
+                         "drift_rel": series.drift_rel, "partial": series.partial,
+                         "pass": series.drift_rel < threshold and not series.partial})
+    summary = {"system": sysd.name, "threshold": threshold, "runs": runs}
+    if "invariant" in scn:
+        summary["invariant"] = names[0]
+    return all(run["pass"] for run in runs), summary, files
 
 
 def _oracle_runs(targets, got, refs, times, kind, key):
@@ -434,8 +436,7 @@ def pipeline_minimal_m(scn, tol_override, seed):
     expected = scn.get("expected_m")
     if expected is not None:
         expected = _number(expected, "expected_m", integer=True)
-    rng = np.random.default_rng(seed)
-    m = minimal_m(sysd.generators, max_copies, rng=rng)
+    m = minimal_m(sysd.generators, max_copies, rng=np.random.default_rng(seed))
     probe_rng = np.random.default_rng(seed)
     rows = []
     for copies in range(1, m + 1):
@@ -575,22 +576,19 @@ def cmd_verify(args):
         return 2
     from .acceptance import run_all  # imported here: acceptance imports cli
 
-    results = []
-    summary = {"seed": seed, "criteria": []}
+    criteria = []
     for r, seconds in run_all(seed):
         # the wall time goes to stdout only, so the files stay byte-identical
         print(f"{r.line()} [{seconds:.2f} s]")
-        results.append(r)
         name = f"criterion_{r.index}.csv"
         write_csv(os.path.join(out_dir, name), r.csv_header, r.csv_rows)
-        summary["criteria"].append({"index": r.index, "name": r.name,
-                                    "pass": r.passed, "detail": r.detail,
-                                    "csv": name})
-    ok = all(r.passed for r in results)
-    summary["pass"] = ok
-    write_summary(os.path.join(out_dir, "verify_summary.json"), summary)
-    print(f"overall: {'PASS' if ok else 'FAIL'} "
-          f"({sum(r.passed for r in results)}/{len(results)} criteria)")
+        criteria.append({"index": r.index, "name": r.name, "pass": r.passed,
+                         "detail": r.detail, "csv": name})
+    passed = sum(c["pass"] for c in criteria)
+    ok = passed == len(criteria)
+    write_summary(os.path.join(out_dir, "verify_summary.json"),
+                  {"seed": seed, "criteria": criteria, "pass": ok})
+    print(f"overall: {'PASS' if ok else 'FAIL'} ({passed}/{len(criteria)} criteria)")
     return 0 if ok else 1
 
 

@@ -51,7 +51,7 @@ class Sl2Vector:
 
 class SL2Matrix:
     """A group element; the determinant must be 1 within 1e-6 on construction
-    (tight 1e-9 conformance is re-established by ``renormalized``)."""
+    (``GroupSolution.normalized`` rescales a solved curve to determinant 1)."""
 
     def __init__(self, array):
         a = np.asarray(array, dtype=float)
@@ -66,9 +66,6 @@ class SL2Matrix:
     @property
     def det(self):
         return float(np.linalg.det(self.array))
-
-    def renormalized(self):
-        return SL2Matrix(self.array / math.sqrt(self.det))
 
     def inverse(self):
         a = self.array

@@ -437,9 +437,10 @@ class _DenseOutput:
     every requested time in one batched pass.  A time on a step boundary
     takes the earlier step, and times outside the span take the end steps.
 
-    ``K`` holds each step's 13 stages.  The first evaluation builds every
-    step's coefficients from them and drops them; ``nfev``, the solve's fun
-    calls, then grows by the 3 extra stages of each step."""
+    ``K`` lists each step's 13 stages, one array a step.  The first
+    evaluation builds every step's coefficients from them and drops them;
+    ``nfev``, the solve's fun calls, then grows by the 3 extra stages of
+    each step."""
 
     def __init__(self, fun, ts, ys, K, nfev):
         self.t_old, self.h, self.y_old = ts[:-1], ts[1:] - ts[:-1], ys[:-1]
@@ -449,7 +450,7 @@ class _DenseOutput:
         self._ts_sorted = ts if self._ascending else ts[::-1]
 
     def _build(self):
-        K_ext = np.empty((rk.N_STAGES_EXTENDED, self._K.shape[2]))
+        K_ext = np.empty((rk.N_STAGES_EXTENDED, self._y.shape[1]))
         F = np.empty((len(self.h), rk.INTERPOLATOR_POWER, K_ext.shape[1]))
         for i, K in enumerate(self._K):
             K_ext[:rk.N_STAGES + 1] = K
@@ -553,8 +554,8 @@ class _Guard:
 
 def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
     """Adaptive DOP853 from (t0, y0) to t1: the accepted times, the states
-    (one row per time), each accepted step's 13 stages, and the number of
-    fun calls.  Raises IntegrationError with the last good time
+    (one row per time), the list of each accepted step's 13 stages, and the
+    number of fun calls.  Raises IntegrationError with the last good time
     when the step size underflows, when a guard entry comes within its
     radius of zero, or after MAX_STEPS steps short of t1."""
     direction = np.sign(t1 - t0)
@@ -610,7 +611,7 @@ def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
         ys.append(y)
         Ks.append(K.copy())
         if direction * (t - t1) >= 0:
-            return np.array(ts), np.array(ys), np.array(Ks), nfev
+            return np.array(ts), np.array(ys), Ks, nfev
         if len(Ks) >= MAX_STEPS:
             raise IntegrationError(
                 f"integration stopped after {len(Ks)} steps (last good time {t:.6g})",

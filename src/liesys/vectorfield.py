@@ -190,18 +190,6 @@ def diagonal_prolongation(X, copies):
     return VectorField(n * copies, func, jac, name=f"{X.name}^({copies})" if X.name else "")
 
 
-def default_probe_sampler(rng, dimension):
-    """Uniform sample in [-2, 2]^n with every coordinate kept away from 0.
-
-    The guard band |x_i| >= 0.1 avoids the singular hyperplanes of the
-    Pinney-type fields while remaining generic for the others.
-    """
-    while True:
-        p = rng.uniform(-2.0, 2.0, size=dimension)
-        if np.all(np.abs(p) >= 0.1):
-            return p
-
-
 def _numerical_rank(rows, rank_tol):
     sv = np.linalg.svd(rows, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
@@ -216,12 +204,13 @@ def prolonged_rank(fields, copies, probe, rank_tol=1e-8):
     return _numerical_rank(rows, rank_tol)
 
 
-def minimal_m(fields, max_copies, probes_per_level=11, rank_tol=1e-8,
-              rng=None, sampler=default_probe_sampler):
+def minimal_m(fields, max_copies, probes_per_level=11, rank_tol=1e-8, rng=None):
     """Smallest number of copies at which the prolonged fields reach full rank.
 
     The rank at each level is decided by majority vote over random probes,
-    guarding against accidentally non-generic points.
+    guarding against accidentally non-generic points.  A probe is uniform in
+    [-2, 2]^n with every coordinate at least 0.1 away from 0, off the
+    singular hyperplanes of the Pinney-type fields.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -229,10 +218,11 @@ def minimal_m(fields, max_copies, probes_per_level=11, rank_tol=1e-8,
     n = fields[0].dimension
     ranks_found = {}
     for copies in range(1, max_copies + 1):
-        votes = [
-            prolonged_rank(fields, copies, sampler(rng, n * copies), rank_tol)
-            for _ in range(probes_per_level)
-        ]
+        votes = []
+        while len(votes) < probes_per_level:
+            probe = rng.uniform(-2.0, 2.0, size=n * copies)
+            if np.all(np.abs(probe) >= 0.1):
+                votes.append(prolonged_rank(fields, copies, probe, rank_tol))
         majority = int(np.bincount(votes).argmax())
         ranks_found[copies] = majority
         if majority == r:

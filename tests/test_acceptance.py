@@ -9,6 +9,10 @@ import importlib
 import multiprocessing
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -16,6 +20,7 @@ from liesys import acceptance, cli, errors
 
 # the module, not the function the package re-exports under the same name
 integrate_module = importlib.import_module("liesys.integrate")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def _run(fn):
@@ -100,10 +105,52 @@ def test_a_failing_criterion_raises_in_the_caller(monkeypatch):
     monkeypatch.setattr(acceptance, "ALL_CRITERIA",
                         [acceptance.criterion_2, _integration_failure,
                          acceptance.criterion_9])
+    sigterm = signal.getsignal(signal.SIGTERM)
     with pytest.raises(errors.IntegrationError, match="underflow") as info:
         list(acceptance.run_all(0))
     assert info.value.last_time == 1.25
     assert multiprocessing.active_children() == []
+    assert signal.getsignal(signal.SIGTERM) is sigterm  # restored
+
+
+def _children(pid):
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            return [int(child) for child in fh.read().split()]
+    except FileNotFoundError:
+        return None
+
+
+def test_sigterm_ends_verify_and_its_workers(tmp_path):
+    if _children(os.getpid()) is None:
+        pytest.skip("this kernel does not list a task's children in /proc")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.abspath(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    with subprocess.Popen([sys.executable, "-m", "liesys.cli", "verify",
+                           "--out", str(tmp_path)], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+        workers = []
+        try:
+            deadline = time.monotonic() + 30.0
+            while not workers and proc.poll() is None and time.monotonic() < deadline:
+                workers = _children(proc.pid) or []
+                time.sleep(0.01)
+            assert workers, "verify started no worker"
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+            deadline, alive = time.monotonic() + 5.0, workers
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.05)
+                alive = [w for w in workers if os.path.exists(f"/proc/{w}")]
+            assert not alive, f"workers {alive} outlived verify"
+            assert b"Traceback" not in proc.stderr.read()
+        finally:
+            proc.kill()
+            for pid in workers:  # a failed run's orphans are not left running
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 # The field each error class carries, with a value for it.

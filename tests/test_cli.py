@@ -12,7 +12,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from liesys import acceptance, cli, group
+from liesys import acceptance, cli, group, invariants
 
 integrate_module = importlib.import_module("liesys.integrate")
 
@@ -181,6 +181,58 @@ def test_the_oracles_of_all_targets_are_one_lane_solve(tmp_path):
             with open(out / name, newline="") as fh:
                 column = [float(row["reference_x"]) for row in csv.DictReader(fh)]
             assert column == ref.position(times).tolist()
+
+
+DRIFT = {"pipeline": "drift", "t_span": [0.0, 5.0],
+         "system": {"name": "ermakov", "frequency": "two_plus_sin"},
+         "invariant": "lewis_ermakov", "output": {"csv": "d.csv"},
+         "initial_states": [[0.3, 1.0, 1.2, -0.2], [-0.5, 0.4, 0.8, 0.1]]}
+
+
+def _drift_columns(path):
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return [float(row["time"]) for row in rows], [float(row["value"]) for row in rows]
+
+
+def test_drift_solves_its_states_as_lanes_of_one_solve(tmp_path):
+    assert cli.main(["run", write_scenario(tmp_path, DRIFT), "--out", str(tmp_path)]) == 0
+    sysd = cli.build_system(DRIFT["system"])
+    lewis = invariants.invariants_for(sysd)["lewis_ermakov"]
+    lanes = sysd.integrate_lanes(DRIFT["initial_states"], (0.0, 5.0))
+    for i, lane in enumerate(lanes):
+        times, values = _drift_columns(tmp_path / f"d_run{i}.csv")
+        assert times == lane.times.tolist()
+        assert values == invariants.drift(lane, lewis).values.tolist()
+
+
+def test_one_state_drift_is_the_solo_solve(tmp_path):
+    scn = {**DRIFT, "initial_states": DRIFT["initial_states"][:1]}
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 0
+    sysd = cli.build_system(DRIFT["system"])
+    series = invariants.drift(sysd.integrate(scn["initial_states"][0], (0.0, 5.0)),
+                              invariants.invariants_for(sysd)["lewis_ermakov"])
+    running = np.maximum.accumulate(np.abs(series.values - series.values[0]))
+    cli.write_csv(tmp_path / "solo.csv", ["time", "value", "running_drift"],
+                  zip(series.times, series.values, running))
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+
+
+def test_drift_without_an_invariant_runs_all_of_the_system(tmp_path):
+    scn = {**DRIFT, "system": {"name": "pinney_triple", "frequency": "two_plus_sin"},
+           "initial_states": [[1.0, 0.3, -0.2, 0.1, 0.5, 0.4],
+                              [1.5, -0.6, 0.7, -0.3, 0.2, -0.1]]}
+    del scn["invariant"]
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "d_summary.json").read_text())
+    names = ["pair_i1", "pair_i2", "wronskian"]
+    assert "invariant" not in summary
+    assert [(run["initial_state"], run["invariant"]) for run in summary["runs"]] == [
+        (state, name) for state in scn["initial_states"] for name in names]
+    assert summary["csv_files"] == [f"d_run{j}.csv" for j in range(6)]
+    # every run reads its state's lane on the grid all lanes share
+    times = [_drift_columns(tmp_path / name)[0] for name in summary["csv_files"]]
+    assert all(column == times[0] for column in times)
 
 
 # Shipped scenarios with t_span reversed: the closed forms are anchored at the
@@ -397,6 +449,7 @@ BAD_FIELDS = {
     "list_as_shapes": ({**INTEGRATE, "system": {"name": "generalized_ermakov",
                                                 "shapes": ["quadratic"]}},
                        "system.shapes"),
+    "no_invariant_of_the_system": ({**INTEGRATE, "pipeline": "drift"}, "invariant"),
     "list_as_invariant": ({**INTEGRATE, "pipeline": "drift",
                            "system": {"name": "ermakov"},
                            "invariant": ["lewis_ermakov"]}, "invariant"),
