@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ integrate_module = importlib.import_module("liesys.integrate")
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+MANIFEST = SimpleNamespace(**runpy.run_path(
+    os.path.join(os.path.dirname(__file__), "update_manifest.py")))
 
 
 def run_scenario(name, tmp_path, extra=()):
@@ -324,7 +327,11 @@ def test_step_budget_exits_1_with_the_last_good_time(tmp_path, capsys, monkeypat
     assert 0.0 < summary["last_good_time"] < 200.0
 
 
-def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
+@pytest.fixture(scope="module")
+def shipped_outputs(tmp_path_factory):
+    """One subprocess that runs every shipped scenario and verify --seed 0
+    into one directory, with scipy's import made to fail: its completed
+    process and that directory."""
     # numpy is the only numerical import of liesys, on every path: the
     # shipped scenarios, verify, a singularity abort (root finding) and a
     # generalized invariant of shapes without Q (quadrature).  verify's
@@ -350,27 +357,54 @@ def test_shipped_runs_and_verify_import_no_scipy(tmp_path):
         assert not pool, pool
         assert "liesys.acceptance" not in sys.modules
         assert cli.main(["verify", "--seed", "0", "--out", out]) == 0
-        aborting = os.path.join(out, "aborting.json")
+        abort_dir = os.path.join(out, "abort")
+        os.mkdir(abort_dir)
+        aborting = os.path.join(abort_dir, "aborting.json")
         with open(aborting, "w") as fh:
             json.dump({"pipeline": "integrate", "t_span": [0.0, 5.0],
                        "system": {"name": "milne_pinney", "k": -1.0},
                        "initial_states": [[0.5, -1.0]]}, fh)
-        assert cli.main(["run", aborting, "--out", out]) == 1
-        with open(os.path.join(out, "aborting_summary.json")) as fh:
+        assert cli.main(["run", aborting, "--out", abort_dir]) == 1
+        with open(os.path.join(abort_dir, "aborting_summary.json")) as fh:
             assert 0.0 < json.load(fh)["last_good_time"] < 5.0
         from liesys import ShapeFunctions, generalized_invariant
         no_q = ShapeFunctions(lambda u: u ** 3, lambda u: 1.0)
         assert generalized_invariant(1.1, 0.9, 0.2, -0.1, no_q) > 0.0
         print(len(paths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
+    out = tmp_path_factory.mktemp("shipped")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.abspath(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), SCENARIO_DIR],
+    proc = subprocess.run([sys.executable, "-c", code, str(out), SCENARIO_DIR],
                           capture_output=True, text=True, env=env, timeout=600)
+    return proc, out
+
+
+def test_shipped_runs_and_verify_import_no_scipy(shipped_outputs):
+    proc, _ = shipped_outputs
     assert proc.returncode == 0, proc.stderr
     count, modules = proc.stdout.strip().splitlines()[-1].split(" ", 1)
     assert int(count) == len(os.listdir(SCENARIO_DIR)) >= 14
     assert modules == "[]"
+
+
+def test_outputs_match_the_manifest(shipped_outputs):
+    # every file the shipped scenarios and verify --seed 0 write, byte for
+    # byte; the hashes hold only under the versions that produced them
+    proc, out = shipped_outputs
+    assert proc.returncode == 0, proc.stderr
+    with open(MANIFEST.MANIFEST) as fh:
+        manifest = json.load(fh)
+    here = MANIFEST.versions()
+    if {key: manifest[key] for key in here} != here:
+        pytest.skip(f"manifest written under Python {manifest['python']}, numpy "
+                    f"{manifest['numpy']}; this is Python {here['python']}, "
+                    f"numpy {here['numpy']}")
+    got, want = MANIFEST.digests(out), manifest["files"]
+    moved = sorted(name for name in got.keys() | want.keys()
+                   if got.get(name) != want.get(name))
+    assert not moved, (f"outputs that differ from tests/output_manifest.json "
+                       f"(run tests/update_manifest.py if the move is meant): {moved}")
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -1,0 +1,61 @@
+"""Rewrite tests/output_manifest.json: the sha256 of every file that the
+shipped scenarios and ``liesys verify --seed 0`` write, with the Python and
+numpy versions that produced them.
+
+    python3 tests/update_manifest.py
+
+A change that moves an output reruns this script, so that its diff names the
+moved files.  tests/test_cli.py holds the outputs of every tier-1 run to the
+manifest.
+"""
+
+import glob
+import hashlib
+import json
+import os
+import platform
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+MANIFEST = os.path.join(HERE, "output_manifest.json")
+SCENARIO_DIR = os.path.join(ROOT, "scenarios")
+
+
+def versions():
+    """The Python and numpy versions of this process."""
+    import numpy
+    return {"python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def digests(directory):
+    """sha256 of each file directly inside ``directory``, by file name."""
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                out[name] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def main():
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from liesys import cli
+
+    with tempfile.TemporaryDirectory() as out:
+        for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json"))):
+            if cli.main(["run", path, "--out", out]) != 0:
+                sys.exit(f"{path} did not pass")
+        if cli.main(["verify", "--seed", "0", "--out", out]) != 0:
+            sys.exit("verify --seed 0 did not pass")
+        manifest = {**versions(), "files": digests(out)}
+    with open(MANIFEST, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"{MANIFEST}: {len(manifest['files'])} files")
+
+
+if __name__ == "__main__":
+    main()
