@@ -107,6 +107,16 @@ def criterion_3(seed=0):
                                 for part in range(len(_DRIFT_SYSTEMS))])
 
 
+# The unit oscillator's solutions sin t and cos t, (x, v) at each of an array
+# of times: closed forms for Trajectory.from_function.
+def _sin_t(t):
+    return np.column_stack([np.sin(t), np.cos(t)])
+
+
+def _cos_t(t):
+    return np.column_stack([np.cos(t), -np.sin(t)])
+
+
 def criterion_4(seed=0):
     """Pinney superposition vs direct integration, plus the analytic case."""
     rng = np.random.default_rng(seed)
@@ -118,10 +128,7 @@ def criterion_4(seed=0):
     rows = [[x0, v0, run["max_error"]] for (x0, v0), run in zip(states, summary["runs"])]
 
     grid = np.linspace(0.0, 10.0, 301)
-    ya = Trajectory.from_function(lambda t: np.array([math.sin(t), math.cos(t)]),
-                                  grid, lambda t: np.array([math.cos(t), -math.sin(t)]))
-    za = Trajectory.from_function(lambda t: np.array([math.cos(t), -math.sin(t)]),
-                                  grid, lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    ya, za = (Trajectory.from_function(f, grid) for f in (_sin_t, _cos_t))
     rec = pinney_rule_from_solutions(ya, za, 1.0, 0.0, 1.0)
     err_exact = float(cli.compare(rec.states[:, 0], 1.0, "abs").max())
     rows.append(["analytic", "", err_exact])
@@ -141,9 +148,7 @@ def criterion_5(seed=0):
         None, seed)
     err_lin = linear["max_error"]
 
-    grid = np.linspace(0.0, 1.2, 121)
-    x1 = Trajectory.from_function(lambda t: np.array([math.cos(t), -math.sin(t)]),
-                                  grid, lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    x1 = Trajectory.from_function(_cos_t, np.linspace(0.0, 1.2, 121))
     sample = np.linspace(0.0, 1.2, 25)
     err_quad = float(cli.compare(quadrature_rule(x1, 0.0, 1.0, sample),
                                  np.sin(sample), "abs").max())
@@ -180,10 +185,7 @@ def criterion_6(seed=0):
 def criterion_7(seed=0):
     """The three reduction procedures against direct integration."""
     rng = np.random.default_rng(seed)
-    grid = np.linspace(0.0, 1.2, 121)
-    cos_t = Trajectory.from_function(
-        lambda t: np.array([math.cos(t), -math.sin(t)]),
-        grid, lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    cos_t = Trajectory.from_function(_cos_t, np.linspace(0.0, 1.2, 121))
     sample = np.linspace(0.0, 1.2, 25)
     red = G.reduce_oscillator(cos_t, 0.0, 1.0)
     checks = [("dalembert_analytic",
@@ -201,9 +203,9 @@ def criterion_7(seed=0):
 
     # Milne-Pinney from a particular Milne-Pinney solution, then from an
     # oscillator solution: x = 1 from x1 = 1 and from x1 = cos t exactly
-    ones = Trajectory.from_function(lambda t: np.array([1.0, 0.0]),
-                                    np.linspace(0.0, 5.0, 101),
-                                    lambda t: np.array([0.0, 0.0]))
+    ones = Trajectory.from_function(
+        lambda t: np.column_stack([np.ones_like(t), np.zeros_like(t)]),
+        np.linspace(0.0, 5.0, 101))
     for method, reduce, analytic, x1, t1, samples in (
             ("pinney-self", G.reduce_pinney_from_pinney, ones, [1.3, 0.2], 5.0, 101),
             ("pinney-osc", G.reduce_pinney_from_oscillator, cos_t, [1.0, 0.3], 1.2, 49)):

@@ -24,7 +24,7 @@ import tempfile
 import numpy as np
 
 from . import group as G
-from .errors import IntegrationError, LiesysError, ScenarioError
+from .errors import IntegrationError, LiesysError, ScenarioError, SingularityError
 from .integrate import FREQUENCY_PROFILES
 from .invariants import drift, invariants_for
 from .invariants import generalized_invariant  # noqa: F401  bound for perfbench/tracer.py
@@ -350,9 +350,12 @@ def pipeline_superpose(scn, tol_override, seed):
 
     elif rule == "quadrature":
         k_prime, k = _keys(scn)
+        x0, v0 = states[0]
+        if k != 0.0 and x0 == 0.0:
+            raise SingularityError("the quadrature rule with k != 0 needs x1(t0) != 0")
+        # x2 = k' x1 + k x1 tau, where tau(t0) = 0 and tau'(t0) = 1 / x1(t0)^2
+        targets = [[k_prime * x0, k_prime * v0 + (k / x0 if k != 0.0 else 0.0)]]
         x1 = sysd.integrate(states[0], (t0, t1), abs_tol, rel_tol)
-        targets = [[k_prime * x1.initial_state[0],
-                    k_prime * x1.initial_state[1] + k / x1.initial_state[0]]]
         refs = [sysd.integrate(targets[0], (t0, t1), abs_tol, rel_tol)]
         got = [quadrature_rule(x1, k_prime, k, times)[:, None]]
         kind, extra = "abs", {"keys": [k_prime, k]}

@@ -9,8 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .integrate import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, TAU_TOL, Trajectory,
-                        integrate)
+from .integrate import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Trajectory, integrate
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 
 # Basis of the traceless 2x2 real matrices used throughout.
@@ -212,21 +211,14 @@ def generator_by_finite_difference(apply_fn, v: Sl2Vector, p, step=1e-5):
     return (plus - minus) / (2.0 * step)
 
 
-def tau_reparametrization(x1: Trajectory, t, quad_tol=TAU_TOL):
+def tau_reparametrization(x1: Trajectory, t):
     """tau(t) = integral_{t0}^{t} dz / x1(z)^2, read off x1's tau clock."""
-    return x1.tau_clock(quad_tol)(t)
+    return x1.tau_clock()(t)
 
 
-def tau_grid(x1: Trajectory, quad_tol=TAU_TOL):
+def tau_grid(x1: Trajectory):
     """Cumulative tau at every sample time of the trajectory."""
-    return x1.tau_clock(quad_tol)(x1.times)
-
-
-def _closed_form_trajectory(x1: Trajectory, evaluate):
-    """Trajectory sampled on x1's grid whose dense output re-evaluates the
-    closed form (interpolation would waste its accuracy).  ``evaluate`` maps
-    an array of times to rows of states."""
-    return Trajectory(x1.times, evaluate(x1.times), interpolant=evaluate)
+    return x1.tau_clock()(x1.times)
 
 
 def particular_solution_matrices(x1: Trajectory, t):
@@ -252,10 +244,10 @@ def _position_and_velocity(x1: Trajectory, t):
     return rows[:, 0], rows[:, 1]
 
 
-def reduce_oscillator(x1: Trajectory, k_prime, k, quad_tol=TAU_TOL) -> Trajectory:
+def reduce_oscillator(x1: Trajectory, k_prime, k) -> Trajectory:
     """General oscillator solution from one nonvanishing solution by the
     order-reduction quadrature: x = k' x1 + k x1 tau."""
-    clock = x1.tau_clock(quad_tol)
+    clock = x1.tau_clock()
 
     def evaluate(t):
         pos, vel = _position_and_velocity(x1, t)
@@ -265,7 +257,7 @@ def reduce_oscillator(x1: Trajectory, k_prime, k, quad_tol=TAU_TOL) -> Trajector
             k_prime * vel + k * (vel * tau + 1.0 / pos),
         ])
 
-    return _closed_form_trajectory(x1, evaluate)
+    return Trajectory.from_function(evaluate, x1.times)
 
 
 @dataclass(frozen=True)
@@ -304,15 +296,14 @@ def _check_radicand(s):
         raise DomainError("nonpositive radicand in the reduced solution", worst)
 
 
-def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k,
-                                  quad_tol=TAU_TOL) -> Trajectory:
+def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k) -> Trajectory:
     """Milne-Pinney solution from a nonvanishing oscillator solution x1:
 
         x(t) = (x1(t) / A) sqrt(A^4 + 2 A^3 B tau + (A^2 B^2 + k) tau^2)
     """
     params = reduction_parameters(x1, x0, v0, k)
     a, b = params.A, params.B
-    clock = x1.tau_clock(quad_tol)
+    clock = x1.tau_clock()
 
     def evaluate(t):
         pos, vel = _position_and_velocity(x1, t)
@@ -325,11 +316,10 @@ def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k,
         v = vel * root / a + ds_dtau / (2.0 * root * a * pos)
         return np.column_stack([pos * root / a, v])
 
-    return _closed_form_trajectory(x1, evaluate)
+    return Trajectory.from_function(evaluate, x1.times)
 
 
-def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k,
-                              quad_tol=TAU_TOL) -> Trajectory:
+def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k) -> Trajectory:
     """Milne-Pinney solution from a particular Milne-Pinney solution x1.
 
     In the reduced time tau the ratio z = x/x1 obeys the autonomous equation
@@ -346,7 +336,7 @@ def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k,
         raise DomainError("this reduction needs k > 0", k)
     params = reduction_parameters(x1, x0, v0, k)
     a, b = params.A, params.B
-    clock = x1.tau_clock(quad_tol)
+    clock = x1.tau_clock()
     rk = math.sqrt(k)
     alpha = (b * b + k / a**2 + k * a * a) / (2.0 * k)
     beta = (k * a * a - b * b - k / a**2) / (2.0 * k)
@@ -363,4 +353,4 @@ def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k,
         v = vel * root + ds_dtau / (2.0 * root * pos)
         return np.column_stack([pos * root, v])
 
-    return _closed_form_trajectory(x1, evaluate)
+    return Trajectory.from_function(evaluate, x1.times)

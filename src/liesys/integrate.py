@@ -20,7 +20,7 @@ DEFAULT_REL_TOL = 1e-10
 # (rather than clamps) once a guarded coordinate comes this close to it.
 SINGULARITY_RADIUS = 1e-6
 
-# Default error bound of every tau quadrature, per panel.
+# Error bound of every panel of a tau clock.
 TAU_TOL = 1e-12
 
 
@@ -39,14 +39,13 @@ class Trajectory:
     """A sampled solution curve with dense-output interpolation.
 
     ``states`` has one row per sample time.  Dense evaluation snaps to the
-    stored states at sample times and otherwise uses the attached interpolant
-    (the solver's own dense output, or a cubic Hermite spline built from
-    supplied derivatives); a trajectory with neither is evaluated only at its
-    sample times.  An ``interpolant`` maps a 1-D array of times to an array
-    of shape (len(times), dimension).
+    stored states at sample times and otherwise calls the ``interpolant``:
+    the solver's own dense output, or a closed form (``from_function``).  An
+    interpolant maps a 1-D array of times to an array of shape
+    (len(times), dimension).
     """
 
-    def __init__(self, times, states, derivatives=None, interpolant=None, solve=None):
+    def __init__(self, times, states, interpolant, solve=None):
         times = np.asarray(times, dtype=float)
         states = np.atleast_2d(np.asarray(states, dtype=float))
         if times.ndim != 1 or len(times) != len(states):
@@ -56,14 +55,8 @@ class Trajectory:
         self.times = times
         self.states = states
         self._solve = solve  # the producing solve's _DenseOutput, shared by its lanes
-        self._tau_clocks = {}
-        if interpolant is not None:
-            self._interp = interpolant
-        elif derivatives is not None:
-            derivatives = np.atleast_2d(np.asarray(derivatives, float))
-            self._interp = CubicHermite(times, states, derivatives)
-        else:
-            self._interp = None
+        self._interp = interpolant
+        self._tau_clock = None
 
     @property
     def nfev(self):
@@ -93,8 +86,6 @@ class Trajectory:
         on_node = self.times[j] == flat
         if on_node.all():
             out = self.states[j]
-        elif self._interp is None:
-            raise ValueError("trajectory has no interpolant and t is off-sample")
         else:
             off = ~on_node
             t_off = flat[off]
@@ -134,54 +125,19 @@ class Trajectory:
     def final_state(self):
         return self.states[-1].copy()
 
-    def tau_clock(self, tol=TAU_TOL):
+    def tau_clock(self):
         """The clock tau(t) = integral_{t0}^{t} dz / x(z)^2 of the position
         component, built on first use and shared by every later caller."""
-        clock = self._tau_clocks.get(tol)
-        if clock is None:
-            clock = self._tau_clocks[tol] = TauClock(self, tol)
-        return clock
+        if self._tau_clock is None:
+            self._tau_clock = TauClock(self)
+        return self._tau_clock
 
     @classmethod
-    def from_function(cls, f, times, derivative=None):
-        """Sample a closed-form state map t -> R^n onto a grid."""
+    def from_function(cls, f, times):
+        """A closed form sampled on a grid, with the closed form itself as
+        interpolant: ``f`` maps a 1-D array of times to rows of states."""
         times = np.asarray(times, dtype=float)
-        states = np.array([np.atleast_1d(f(t)) for t in times], dtype=float)
-        derivs = None
-        if derivative is not None:
-            derivs = np.array([np.atleast_1d(derivative(t)) for t in times], dtype=float)
-        return cls(times, states, derivatives=derivs)
-
-
-class CubicHermite:
-    """Piecewise cubic through the rows of ``y`` at the times ``x`` with
-    derivatives ``dydx`` (scipy's CubicHermiteSpline arithmetic).
-
-    On [x_i, x_i+1] the cubic is c3 + c2 s + c1 s^2 + c0 s^3 in s = t - x_i;
-    times outside [x_0, x_n] take the end pieces.  Calling it with n times
-    gives shape (n, dimension).
-    """
-
-    def __init__(self, x, y, dydx):
-        if y.shape != dydx.shape or len(x) != len(y):
-            raise ValueError("times, states and derivatives must have matching shapes")
-        if len(x) < 2:
-            raise ValueError("a Hermite spline needs at least 2 times")
-        if not (np.isfinite(y).all() and np.isfinite(dydx).all()):
-            raise ValueError("states and derivatives must be finite")
-        dx = np.diff(x)[:, None]
-        slope = np.diff(y, axis=0) / dx
-        t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-        self.x = x
-        self.c = (t / dx, (slope - dydx[:-1]) / dx - t, dydx[:-1], y[:-1])
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
-        s = (t - self.x[i])[:, None]
-        c0, c1, c2, c3 = (c[i] for c in self.c)
-        s2 = s * s
-        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+        return cls(times, f(times), interpolant=f)
 
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (the QUADPACK qk15 constants): abscissae
@@ -267,14 +223,14 @@ class TauClock:
     """tau(t) = integral_{t0}^{t} dz / x1(z)^2 of one particular solution x1.
 
     Node values are the running sum of one GK 7/15 panel per node interval
-    (solver steps or spline knots, so the integrand is smooth inside each);
-    an off-node t adds one partial panel from the node below it.  The clock
+    (solver steps, or the sample grid of a closed form), each to TAU_TOL; an
+    off-node t adds one partial panel from the node below it.  The clock
     covers the samples before the first one at which x1 vanishes; asking for
     tau at or beyond that sample raises QuadratureError.
     """
 
-    def __init__(self, x1, tol=TAU_TOL):
-        self._x1, self._tol = x1, tol
+    def __init__(self, x1):
+        self._x1 = x1
         self._f = lambda z: 1.0 / x1.position(z) ** 2
         times = x1.times
         m = _first_vanishing_node(x1)
@@ -287,7 +243,7 @@ class TauClock:
         times = times[:max(m, 1)]
         # tau at every sample the clock covers
         self.nodes = np.concatenate(
-            [[0.0], np.cumsum(_panel_integrals(self._f, times[:-1], times[1:], tol))])
+            [[0.0], np.cumsum(_panel_integrals(self._f, times[:-1], times[1:], TAU_TOL))])
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -305,7 +261,7 @@ class TauClock:
         if off.any():
             lo = np.maximum(j[off], 1) - 1
             out[off] = self.nodes[lo] + _panel_integrals(
-                self._f, times[lo], flat[off], self._tol)
+                self._f, times[lo], flat[off], TAU_TOL)
         return out.reshape(t_arr.shape)[()]  # a scalar t gives a scalar
 
 
@@ -324,8 +280,8 @@ EPS = np.finfo(float).eps
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Accepted steps one solve may take before it stops with IntegrationError;
-# the longest solve of the shipped scenarios and of verify takes under 1000.
-MAX_STEPS = 100_000
+# the longest solve of the shipped scenarios and of verify takes 732.
+MAX_STEPS = 10_000
 
 _STAGES = [(rk.A[s, :s], rk.C[s]) for s in range(1, rk.N_STAGES)]
 _EXTRA_STAGES = [(a[:s], c) for s, (a, c) in

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularityError
-from .integrate import Trajectory, quadrature
+from .integrate import Trajectory
+from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 from .systems import ShapeFunctions
 
 
@@ -57,7 +58,7 @@ def ermakov_pair_invariants(state, k):
     return i1, i2, w
 
 
-def generalized_invariant(x, y, vx, vy, shapes: ShapeFunctions, quad_tol=1e-12):
+def generalized_invariant(x, y, vx, vy, shapes: ShapeFunctions):
     """First integral of the generalized Ermakov system.
 
     Returns (1/2) (x vy - y vx)^2 + Q(x/y) where Q integrates
@@ -65,21 +66,12 @@ def generalized_invariant(x, y, vx, vy, shapes: ShapeFunctions, quad_tol=1e-12):
     integration variable is x/y: the characteristic system pairs d(x/y)
     with this integrand, and the f = 0, g = 1 case then reproduces the
     Lewis-Ermakov invariant (up to the affine normalization fixed by the
-    reference point).  Q is the shapes' closed form ``shapes.Q`` when they
-    have one, and a quadrature to ``quad_tol`` otherwise.
+    reference point).  Q is the shapes' closed form ``shapes.Q``.
     """
     if x == 0.0 or y == 0.0:
         raise SingularityError("generalized invariant undefined at x = 0 or y = 0")
     xi = x * vy - y * vx
-    u = x / y
-    if shapes.Q is not None:
-        return 0.5 * xi * xi + shapes.Q(u)
-
-    def integrand(z):
-        return -shapes.f(1.0 / z) / z**3 + z * shapes.g(1.0 / z)
-
-    q = quadrature(integrand, (1.0, u), tol=quad_tol)
-    return 0.5 * xi * xi + q
+    return 0.5 * xi * xi + shapes.Q(x / y)
 
 
 def invariants_for(sysd):

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DependentSolutionsError, DomainError
-from .integrate import TAU_TOL, Trajectory
+from .integrate import Trajectory
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 from .invariants import ermakov_pair_invariants
 
@@ -28,7 +28,7 @@ def linear_rule(x1, v1, x2, v2, k1, k2):
     return (k1 * x1 + k2 * x2) / k, (k1 * v1 + k2 * v2) / k
 
 
-def quadrature_rule(x1: Trajectory, k_prime, k, t, quad_tol=TAU_TOL):
+def quadrature_rule(x1: Trajectory, k_prime, k, t):
     """Second oscillator solution from a nonvanishing one by quadrature:
 
         x2(t) = k' x1(t) + k x1(t) * integral_{t0}^{t} dz / x1(z)^2
@@ -38,7 +38,7 @@ def quadrature_rule(x1: Trajectory, k_prime, k, t, quad_tol=TAU_TOL):
     pos = x1.position(t)
     if k == 0.0:
         return k_prime * pos
-    return k_prime * pos + k * pos * x1.tau_clock(quad_tol)(t)
+    return k_prime * pos + k * pos * x1.tau_clock()(t)
 
 
 class PinneyValue(NamedTuple):
@@ -129,5 +129,4 @@ def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory,
         )
         return np.column_stack([x, dx2 / (2.0 * x)])
 
-    times = y_traj.times
-    return Trajectory(times, evaluate(times), interpolant=evaluate)
+    return Trajectory.from_function(evaluate, y_traj.times)

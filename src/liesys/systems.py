@@ -23,40 +23,24 @@ from .integrate import (FrequencyProfile, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
 from .vectorfield import StructureConstants, VectorField, diagonal_prolongation, sl2_constants
 
 
-_SHAPE_FD_STEP = float(np.cbrt(np.finfo(float).eps))
-
-
 @dataclass(frozen=True)
 class ShapeFunctions:
-    """The two coupling shapes of the generalized Ermakov system.
+    """The two coupling shapes of the generalized Ermakov system, with the
+    closed forms built on them.
 
-    ``df`` and ``dg`` are the derivatives; they feed the analytic Jacobian of
-    the coupled generator, so supply them when available (a central-difference
-    fallback covers user-provided shapes).  ``Q`` is the closed-form
-    antiderivative integral_1^u (-z^-3 f(1/z) + z g(1/z)) dz of the
-    generalized invariant; without it the invariant runs a quadrature.
+    ``df`` and ``dg`` are the derivatives of ``f`` and ``g``; they feed the
+    analytic Jacobian of the coupled generator.  ``Q`` is the antiderivative
+    integral_1^u (-z^-3 f(1/z) + z g(1/z)) dz of the generalized invariant.
     Lane solves (``SystemDef.integrate_lanes``) call ``f`` and ``g`` on
     arrays of u.
     """
 
     f: Callable[[float], float]
     g: Callable[[float], float]
-    df: Callable[[float], float] = None
-    dg: Callable[[float], float] = None
-    description: str = "custom"
-    Q: Callable[[float], float] = None
-
-    def f_prime(self, u):
-        if self.df is not None:
-            return self.df(u)
-        h = _SHAPE_FD_STEP * max(1.0, abs(u))
-        return (self.f(u + h) - self.f(u - h)) / (2.0 * h)
-
-    def g_prime(self, u):
-        if self.dg is not None:
-            return self.dg(u)
-        h = _SHAPE_FD_STEP * max(1.0, abs(u))
-        return (self.g(u + h) - self.g(u - h)) / (2.0 * h)
+    df: Callable[[float], float]
+    dg: Callable[[float], float]
+    description: str
+    Q: Callable[[float], float]
 
 
 def zero_one_shapes():
@@ -264,7 +248,7 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
         x = _guard(p[0], "generalized Ermakov field")
         y = _guard(p[2], "generalized Ermakov field")
         u = y / x
-        fp, gp = shapes.f_prime(u), shapes.g_prime(u)
+        fp, gp = shapes.df(u), shapes.dg(u)
         J = np.zeros((4, 4))
         J[0, 1] = 1.0
         J[2, 3] = 1.0

@@ -8,20 +8,18 @@ import runpy
 import subprocess
 import sys
 import textwrap
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from liesys import acceptance, cli, group, invariants
+from liesys import acceptance, cli, group, invariants, systems
 
 integrate_module = importlib.import_module("liesys.integrate")
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
-MANIFEST = SimpleNamespace(**runpy.run_path(
-    os.path.join(os.path.dirname(__file__), "update_manifest.py")))
+MANIFEST = runpy.run_path(os.path.join(os.path.dirname(__file__), "update_manifest.py"))
 
 
 def run_scenario(name, tmp_path, extra=()):
@@ -266,6 +264,31 @@ def test_reversed_t_span(name, change, status, tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["superpose_quadrature.json", "reduce_oscillator.json"])
+def test_vanishing_x1_with_k_nonzero_is_a_runtime_error(name, tmp_path, capsys,
+                                                        monkeypatch):
+    # x1(t0) = 0: tau, and the target velocity k / x1(t0), are undefined
+    with open(os.path.join(SCENARIO_DIR, name)) as fh:
+        scn = {**json.load(fh), "initial_states": [[0.0, 1.0]]}
+    if name.startswith("superpose"):  # it stops before any solve
+        monkeypatch.setattr(systems, "integrate", None)
+    out = tmp_path / "out"
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(out)]) == 1
+    assert "runtime error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_quadrature_rule_with_k_zero_needs_no_tau(tmp_path):
+    # x2 = k' x1 when k = 0, so x1(t0) = 0 is no obstacle
+    with open(os.path.join(SCENARIO_DIR, "superpose_quadrature.json")) as fh:
+        scn = {**json.load(fh), "initial_states": [[0.0, 1.0]], "keys": [0.2, 0.0]}
+    assert cli.main(["run", write_scenario(tmp_path, scn),
+                     "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "quadrature_superpose_summary.json").read_text())
+    assert summary["runs"][0]["initial_state"] == [0.0, 0.2]
+    assert summary["max_error"] < 1e-8
+
+
 def test_tol_override_can_force_failure(tmp_path):
     assert run_scenario("reduce_oscillator.json", tmp_path,
                         extra=["--tol-override", "1e-20"]) == 1
@@ -333,11 +356,10 @@ def shipped_outputs(tmp_path_factory):
     into one directory, with scipy's import made to fail: its completed
     process and that directory."""
     # numpy is the only numerical import of liesys, on every path: the
-    # shipped scenarios, verify, a singularity abort (root finding) and a
-    # generalized invariant of shapes without Q (quadrature).  verify's
-    # criteria run in forked workers, whose sys.modules the last line cannot
-    # see: the finder makes a scipy import fail there too.  `liesys run`
-    # never loads verify's worker pool, nor the criteria.
+    # shipped scenarios, verify and a singularity abort (root finding).
+    # verify's criteria run in forked workers, whose sys.modules the last
+    # line cannot see: the finder makes a scipy import fail there too.
+    # `liesys run` never loads verify's worker pool, nor the criteria.
     code = textwrap.dedent("""
         import glob, json, os, sys
 
@@ -367,9 +389,6 @@ def shipped_outputs(tmp_path_factory):
         assert cli.main(["run", aborting, "--out", abort_dir]) == 1
         with open(os.path.join(abort_dir, "aborting_summary.json")) as fh:
             assert 0.0 < json.load(fh)["last_good_time"] < 5.0
-        from liesys import ShapeFunctions, generalized_invariant
-        no_q = ShapeFunctions(lambda u: u ** 3, lambda u: 1.0)
-        assert generalized_invariant(1.1, 0.9, 0.2, -0.1, no_q) > 0.0
         print(len(paths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     out = tmp_path_factory.mktemp("shipped")
@@ -393,14 +412,14 @@ def test_outputs_match_the_manifest(shipped_outputs):
     # byte; the hashes hold only under the versions that produced them
     proc, out = shipped_outputs
     assert proc.returncode == 0, proc.stderr
-    with open(MANIFEST.MANIFEST) as fh:
+    with open(MANIFEST["MANIFEST"]) as fh:
         manifest = json.load(fh)
-    here = MANIFEST.versions()
+    here = MANIFEST["versions"]()
     if {key: manifest[key] for key in here} != here:
         pytest.skip(f"manifest written under Python {manifest['python']}, numpy "
                     f"{manifest['numpy']}; this is Python {here['python']}, "
                     f"numpy {here['numpy']}")
-    got, want = MANIFEST.digests(out), manifest["files"]
+    got, want = MANIFEST["digests"](out), manifest["files"]
     moved = sorted(name for name in got.keys() | want.keys()
                    if got.get(name) != want.get(name))
     assert not moved, (f"outputs that differ from tests/output_manifest.json "

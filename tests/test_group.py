@@ -20,16 +20,14 @@ from liesys.group import (_PARABOLIC_DET, A1, A2, A3, IDENTITY, SL2Matrix,
 
 
 def cos_trajectory(t_end=1.2, n=121):
-    grid = np.linspace(0.0, t_end, n)
     return Trajectory.from_function(
-        lambda t: np.array([math.cos(t), -math.sin(t)]), grid,
-        lambda t: np.array([-math.sin(t), -math.cos(t)]))
+        lambda t: np.column_stack([np.cos(t), -np.sin(t)]), np.linspace(0.0, t_end, n))
 
 
 def ones_trajectory(t_end=5.0, n=101):
-    grid = np.linspace(0.0, t_end, n)
-    return Trajectory.from_function(lambda t: np.array([1.0, 0.0]), grid,
-                                    lambda t: np.array([0.0, 0.0]))
+    return Trajectory.from_function(
+        lambda t: np.column_stack([np.ones_like(t), np.zeros_like(t)]),
+        np.linspace(0.0, t_end, n))
 
 
 # --- algebra / group types ---------------------------------------------------
@@ -279,10 +277,7 @@ def test_tau_strictly_increasing():
 
 
 def test_tau_rejects_vanishing_solution():
-    grid = np.linspace(0.0, 3.0, 100)
-    x1 = Trajectory.from_function(
-        lambda t: np.array([math.cos(t), -math.sin(t)]), grid,
-        lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    x1 = cos_trajectory(3.0, 100)
     with pytest.raises(QuadratureError):
         tau_reparametrization(x1, 3.0)  # cos vanishes at pi/2
 

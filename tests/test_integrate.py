@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import DOP853, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients
-from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
@@ -18,7 +17,7 @@ from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
                     reduce_pinney_from_pinney, step_frequency, tau_grid,
                     tau_reparametrization, two_plus_sin, zero_one_shapes)
 from liesys import _dop853
-from liesys.integrate import EPS, CubicHermite, _brentq, lane_error_norm
+from liesys.integrate import EPS, _brentq, lane_error_norm
 
 # the module, not the function the package re-exports under the same name
 integrate_module = importlib.import_module("liesys.integrate")
@@ -369,9 +368,14 @@ def test_rhs_on_a_block_checks_dimension_and_each_lane():
 
 # --- Trajectory --------------------------------------------------------------
 
+def cos_t(t):
+    """x1 = cos t of the unit oscillator, (x, v) at each of an array of times."""
+    return np.column_stack([np.cos(t), -np.sin(t)])
+
+
 def test_trajectory_requires_increasing_times():
     with pytest.raises(ValueError):
-        Trajectory([0.0, 0.0, 1.0], np.zeros((3, 1)))
+        Trajectory.from_function(cos_t, [0.0, 0.0, 1.0])
 
 
 def test_dense_exact_at_sample_times():
@@ -380,39 +384,14 @@ def test_dense_exact_at_sample_times():
         assert_allclose(traj.dense(traj.times[i]), traj.states[i], rtol=0)
 
 
-def test_from_function_with_derivative():
-    times = np.linspace(0.0, 2.0, 41)
-    traj = Trajectory.from_function(
-        lambda t: np.array([math.sin(t), math.cos(t)]), times,
-        lambda t: np.array([math.cos(t), -math.sin(t)]))
-    assert_allclose(traj.position(1.234), math.sin(1.234), atol=1e-8)
-    assert_allclose(traj.velocity(1.234), math.cos(1.234), atol=1e-8)
-
-
-# the closed-form Hermite trajectories of criteria 4, 5 and 7: (grid, f, f')
-HERMITE_CASES = [
-    (np.linspace(0.0, 10.0, 301), lambda t: [math.sin(t), math.cos(t)],
-     lambda t: [math.cos(t), -math.sin(t)]),
-    (np.linspace(0.0, 10.0, 301), lambda t: [math.cos(t), -math.sin(t)],
-     lambda t: [-math.sin(t), -math.cos(t)]),
-    (np.linspace(0.0, 1.2, 121), lambda t: [math.cos(t), -math.sin(t)],
-     lambda t: [-math.sin(t), -math.cos(t)]),
-    (np.linspace(0.0, 5.0, 101), lambda t: [1.0, 0.0], lambda t: [0.0, 0.0]),
-]
-
-
-def test_hermite_is_scipys_cubic_hermite_spline():
-    rng = np.random.default_rng(13)
-    for grid, f, df in HERMITE_CASES:
-        traj = Trajectory.from_function(f, grid, df)
-        slopes = np.array([df(t) for t in grid])
-        scipy_spline = CubicHermiteSpline(grid, traj.states, slopes, axis=0)
-        t = np.concatenate([rng.uniform(grid[0], grid[-1], 5000), grid,
-                            [grid[0] - 0.3, grid[-1] + 0.3]])
-        assert np.array_equal(CubicHermite(grid, traj.states, slopes)(t),
-                              scipy_spline(t))
-        off = t[~np.isin(t, grid)]
-        assert np.array_equal(traj.dense(off), scipy_spline(off))
+def test_from_function_dense_is_the_closed_form():
+    # off the grid, and outside it, dense output is the closed form itself
+    grid = np.linspace(0.0, 2.0, 41)
+    traj = Trajectory.from_function(cos_t, grid)
+    assert np.array_equal(traj.states, cos_t(grid))
+    off = np.random.default_rng(3).uniform(-0.5, 2.5, 500)
+    assert np.array_equal(traj.dense(off), cos_t(off))
+    assert np.array_equal(traj.dense(1.234), cos_t(np.array([1.234]))[0])
 
 
 # --- quadrature --------------------------------------------------------------
@@ -428,10 +407,7 @@ def test_quadrature_linear():
 
 def test_quadrature_over_trajectory_interpolant():
     # tau(t) = integral dz / x1(z)^2 with x1 = cos z has antiderivative tan
-    times = np.linspace(0.0, 1.3, 80)
-    x1 = Trajectory.from_function(
-        lambda t: np.array([math.cos(t), -math.sin(t)]), times,
-        lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    x1 = Trajectory.from_function(cos_t, np.linspace(0.0, 1.3, 80))
     val = quadrature(lambda z: 1.0 / float(x1.position(z)) ** 2, (0.0, 1.2))
     assert_allclose(val, math.tan(1.2), atol=1e-8)
 
@@ -453,17 +429,15 @@ def test_frequency_profiles():
 # --- array dense output ------------------------------------------------------
 
 def _dense_trajectories():
-    """Solver output, a Hermite spline and two closed-form trajectories."""
+    """Solver output and three closed-form trajectories."""
     solved = milne_pinney(two_plus_sin(), 1.0).integrate([1.3, 0.2], (0.0, 5.0))
-    spline = Trajectory.from_function(
-        lambda t: np.array([math.cos(t), -math.sin(t)]), np.linspace(0.0, 1.2, 41),
-        lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    cosine = Trajectory.from_function(cos_t, np.linspace(0.0, 1.2, 41))
     reduced = reduce_pinney_from_pinney(solved, 0.8, 0.5, 1.0)
     osc = oscillator_1d(two_plus_sin())
     superposed = pinney_rule_from_solutions(osc.integrate([1.0, 0.0], (0.0, 5.0)),
                                             osc.integrate([0.0, 1.0], (0.0, 5.0)),
                                             0.7, 0.4, 1.0)
-    return solved, spline, reduced, superposed
+    return solved, cosine, reduced, superposed
 
 
 def test_dense_array_equals_scalar_loop():
@@ -521,10 +495,7 @@ def quad_tau_reference(x1, ts):
 
 def exact_cosine(t_end=1.2, n=121):
     """x1 = cos t whose dense output is the closed form itself."""
-    def evaluate(t):
-        return np.column_stack([np.cos(t), -np.sin(t)])
-    grid = np.linspace(0.0, t_end, n)
-    return Trajectory(grid, evaluate(grid), interpolant=evaluate)
+    return Trajectory.from_function(cos_t, np.linspace(0.0, t_end, n))
 
 
 TAU_CLOCK_TOL = 1e-12
@@ -554,9 +525,7 @@ def test_tau_clock_on_integrated_pinney_matches_quad():
 
 
 def test_tau_clock_raises_when_x1_vanishes():
-    grid = np.linspace(0.0, 3.0, 100)  # cos vanishes at pi/2
-    x1 = Trajectory(grid, np.column_stack([np.cos(grid), -np.sin(grid)]),
-                    derivatives=np.column_stack([-np.sin(grid), -np.cos(grid)]))
+    x1 = exact_cosine(3.0, 100)  # cos vanishes at pi/2
     # before the zero, tau and the rules on it are defined
     assert abs(tau_reparametrization(x1, 1.0) - math.tan(1.0)) < 1e-6
     assert abs(quadrature_rule(x1, 0.0, 1.0, 1.0) - math.sin(1.0)) < 1e-6
@@ -598,7 +567,6 @@ def test_tau_clock_gives_up_on_a_jump():
     def evaluate(t):
         return np.column_stack([np.where(t < 0.3 * math.pi, 1.0, 2.0),
                                 np.zeros_like(t)])
-    grid = np.linspace(0.0, 1.0, 5)
-    x1 = Trajectory(grid, evaluate(grid), interpolant=evaluate)
+    x1 = Trajectory.from_function(evaluate, np.linspace(0.0, 1.0, 5))
     with pytest.raises(QuadratureError):
         x1.tau_clock()

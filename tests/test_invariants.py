@@ -1,11 +1,8 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from liesys import (ShapeFunctions, SingularityError, Trajectory, angular_momentum,
+from liesys import (SingularityError, Trajectory, angular_momentum,
                     constant_frequency, drift, ermakov,
                     ermakov_pair_invariants, generalized_ermakov,
                     generalized_invariant, invariants_for, lewis_ermakov,
@@ -70,28 +67,18 @@ def test_generalized_reduces_to_lewis():
 @pytest.mark.parametrize("shapes", [zero_one_shapes(), quadratic_shapes()],
                          ids=["zero_one", "quadratic"])
 def test_closed_form_q_matches_the_quadrature(shapes):
-    quadrature_only = dataclasses.replace(shapes, Q=None)
+    # Q(u) = integral_1^u (-z^-3 f(1/z) + z g(1/z)) dz, by scipy's quad
+    from scipy.integrate import quad
+
+    def integrand(z):
+        return -shapes.f(1.0 / z) / z**3 + z * shapes.g(1.0 / z)
+
     for u in np.linspace(0.2, 5.0, 97):
         closed = shapes.Q(u)
-        # at x vy - y vx = 0 the invariant is Q(x/y) alone
-        by_quadrature = generalized_invariant(u, 1.0, 0.0, 0.0, quadrature_only)
+        by_quadrature = quad(integrand, 1.0, u, epsabs=1e-13, epsrel=1e-13)[0]
         assert abs(closed - by_quadrature) <= 1e-12 * max(1.0, abs(by_quadrature))
+        # at x vy - y vx = 0 the invariant is Q(x/y) alone
         assert generalized_invariant(u, 1.0, 0.0, 0.0, shapes) == closed
-
-
-def test_shapes_without_q_use_the_quadrature():
-    # f(u) = u^3, g = 1: Q(u) = (u^-5 - 1) / 5 + (u^2 - 1) / 2
-    shapes = ShapeFunctions(lambda u: u ** 3, lambda u: 1.0)
-    assert shapes.Q is None
-    x, vx, y, vy = 1.1, 0.2, 0.9, -0.1
-    u = x / y
-    exact = 0.5 * (x * vy - y * vx) ** 2 + (u**-5 - 1.0) / 5 + (u * u - 1.0) / 2
-    assert generalized_invariant(x, y, vx, vy, shapes) == pytest.approx(exact, abs=1e-12)
-    sysd = generalized_ermakov(two_plus_sin(), shapes)
-    for traj in sysd.integrate_lanes([[x, vx, y, vy], [0.8, -0.3, 1.2, 0.4]],
-                                     (0.0, 5.0)):
-        series = drift(traj, invariants_for(sysd)["generalized"], "generalized")
-        assert series.drift_rel < 1e-6 and not series.partial
 
 
 # --- constancy along flows ---------------------------------------------------
@@ -144,7 +131,8 @@ def test_drift_partial_on_singularity():
     # y = 1 - t hits zero exactly at the t = 1 sample: the series truncates
     times = np.linspace(0.0, 2.0, 81)
     traj = Trajectory.from_function(
-        lambda t: np.array([math.sin(t), math.cos(t), 1.0 - t, -1.0]), times)
+        lambda t: np.column_stack([np.sin(t), np.cos(t), 1.0 - t, np.full_like(t, -1.0)]),
+        times)
     series = drift(traj, lambda s: lewis_ermakov(s[0], s[2], s[1], s[3]), "psi")
     assert series.partial
     assert series.times[-1] < 2.0

@@ -15,12 +15,8 @@ from liesys import (DependentSolutionsError, DomainError, Trajectory,
 def analytic_pair(t_end=10.0, n=301):
     """y = sin t, z = cos t as oscillator trajectories (omega^2 = 1)."""
     grid = np.linspace(0.0, t_end, n)
-    y = Trajectory.from_function(lambda t: np.array([math.sin(t), math.cos(t)]),
-                                 grid,
-                                 lambda t: np.array([math.cos(t), -math.sin(t)]))
-    z = Trajectory.from_function(lambda t: np.array([math.cos(t), -math.sin(t)]),
-                                 grid,
-                                 lambda t: np.array([-math.sin(t), -math.cos(t)]))
+    y = Trajectory.from_function(lambda t: np.column_stack([np.sin(t), np.cos(t)]), grid)
+    z = Trajectory.from_function(lambda t: np.column_stack([np.cos(t), -np.sin(t)]), grid)
     return y, z
 
 

@@ -8,6 +8,7 @@ from liesys import (DimensionMismatchError, SingularityError,
                     oscillator_2d, pinney_triple, prolonged_rank,
                     quadratic_shapes, sl2_constants, step_frequency,
                     two_plus_sin, verify_algebra, zero_one_shapes)
+from liesys.systems import SHAPE_FUNCTIONS
 
 W1 = constant_frequency(1.0)
 
@@ -176,8 +177,11 @@ def test_half_plane_sampling():
         assert p[0] > 0
 
 
-def test_shape_function_derivative_fallback():
-    from liesys import ShapeFunctions
-    shapes = ShapeFunctions(lambda u: u ** 3, lambda u: np.cos(u))
-    assert shapes.f_prime(1.2) == pytest.approx(3 * 1.2 ** 2, abs=1e-7)
-    assert shapes.g_prime(0.7) == pytest.approx(-np.sin(0.7), abs=1e-7)
+@pytest.mark.parametrize("name", sorted(SHAPE_FUNCTIONS))
+def test_shape_derivatives_match_central_differences(name):
+    shapes = SHAPE_FUNCTIONS[name]()
+    h = 1e-5
+    for u in np.linspace(-3.0, 3.0, 61):
+        for fn, dfn in ((shapes.f, shapes.df), (shapes.g, shapes.dg)):
+            central = (fn(u + h) - fn(u - h)) / (2.0 * h)
+            assert dfn(u) == pytest.approx(central, rel=1e-8, abs=1e-8)
