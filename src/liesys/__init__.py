@@ -9,7 +9,7 @@ from .integrate import (FrequencyProfile, Trajectory, constant_frequency,
                         two_plus_sin)
 from .invariants import (InvariantSeries, angular_momentum, drift,
                          ermakov_pair_invariants, generalized_invariant,
-                         invariants_for, lewis_ermakov)
+                         lewis_ermakov)
 from .superposition import (PinneyValue, keys_from, linear_rule, pinney_rule,
                             pinney_rule_from_solutions, quadrature_rule)
 from .systems import (ShapeFunctions, SystemDef, ermakov, generalized_ermakov,

@@ -2,7 +2,10 @@
 
 
 class LiesysError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``last_time`` is
+    the last good time of the failed computation, where it has one."""
+
+    last_time = None
 
 
 class DimensionMismatchError(LiesysError):
@@ -39,12 +42,14 @@ class IntegrationError(LiesysError):
 class QuadratureError(LiesysError):
     """Quadrature failed, e.g. a non-finite integrand sample.
 
-    ``abscissa`` names the offending evaluation point when known.
+    ``abscissa`` names the offending evaluation point when known, and
+    ``last_time`` the last time up to which a tau clock is defined.
     """
 
-    def __init__(self, message, abscissa=None):
+    def __init__(self, message, abscissa=None, last_time=None):
         super().__init__(message)
         self.abscissa = abscissa
+        self.last_time = last_time
 
 
 class UndeterminedRankError(LiesysError):

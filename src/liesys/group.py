@@ -199,13 +199,14 @@ def _pinney_action(g, x, v, k):
     return PinneyActionResult(x_bar, math.sqrt(v_rad), v_rad)
 
 
-def generator_by_finite_difference(apply_fn, v: Sl2Vector, p, step=1e-5):
+def generator_by_finite_difference(apply_fn, v: Sl2Vector, p):
     """Fundamental vector field of an action at p, by central differences.
 
     Uses the left-action convention X_v(p) = d/ds Phi(exp(-s v), p) at s = 0,
     which is the one under which the built-in systems' generators and the
     group curve a(t) are mutually consistent.
     """
+    step = 1e-5
     plus = np.asarray(apply_fn(sl2_exp(v, -step), p), dtype=float)
     minus = np.asarray(apply_fn(sl2_exp(v, step), p), dtype=float)
     return (plus - minus) / (2.0 * step)

@@ -226,7 +226,8 @@ class TauClock:
     (solver steps, or the sample grid of a closed form), each to TAU_TOL; an
     off-node t adds one partial panel from the node below it.  The clock
     covers the samples before the first one at which x1 vanishes; asking for
-    tau at or beyond that sample raises QuadratureError.
+    tau at or beyond that sample raises QuadratureError, whose ``last_time``
+    is the last sample covered (None when x1 vanishes at t0).
     """
 
     def __init__(self, x1):
@@ -234,6 +235,7 @@ class TauClock:
         self._f = lambda z: 1.0 / x1.position(z) ** 2
         times = x1.times
         m = _first_vanishing_node(x1)
+        self._last_time = float(times[m - 1]) if m > 0 else None
         if m == 0:
             self._limit = -np.inf  # every window [t0, t] holds the sample t0
         elif m < len(times):
@@ -250,8 +252,8 @@ class TauClock:
         flat = t_arr.reshape(-1)
         if np.any(flat >= self._limit):
             raise QuadratureError(
-                "the position component vanishes inside the quadrature window"
-            )
+                "the position component vanishes inside the quadrature window",
+                last_time=self._last_time)
         times = self._x1.times
         j = np.minimum(np.searchsorted(times, flat), len(times) - 1)
         on_node = times[j] == flat
@@ -576,8 +578,7 @@ def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
 
 
 def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
-                    rel_tol=DEFAULT_REL_TOL, singular_coords=(),
-                    singular_radius=SINGULARITY_RADIUS):
+                    rel_tol=DEFAULT_REL_TOL, singular_coords=()):
     """One adaptive DOP853 solve of y' = rhs(t, y) from every state at once;
     returns one Trajectory per state, all on the shared step grid.
 
@@ -585,7 +586,7 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     per lane, and must return a block of the same shape; a single state is
     solved on the (d,) point.  The error control is ``lane_error_norm``.
     ``singular_coords`` lists state indices whose approach within
-    ``singular_radius`` of zero, in any lane, aborts the solve (Pinney-type
+    SINGULARITY_RADIUS of zero, in any lane, aborts the solve (Pinney-type
     1/x^3 terms).  Raises IntegrationError carrying the last good time on
     abort (the message names the lane), on failure, or past MAX_STEPS steps.
     A rel_tol below 100 machine epsilons is raised to that floor.
@@ -620,7 +621,7 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     guard = None
     if len(singular_coords):
         guard = _Guard(np.array([i * n + j for i in singular_coords for j in range(n)]),
-                       np.array([-singular_radius, singular_radius]))
+                       np.array([-SINGULARITY_RADIUS, SINGULARITY_RADIUS]))
     times, stacked, K, nfev = _dop853(fun, y0, t0, t1, rel_tol, abs_tol, n, guard)
     dense = _DenseOutput(fun, times, stacked, K, nfev)
     if t1 < t0:  # keep Trajectory times increasing for reverse-time solves
@@ -631,12 +632,11 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
 
 
 def integrate(rhs, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
-              singular_coords=(), singular_radius=SINGULARITY_RADIUS):
+              singular_coords=()):
     """Adaptive embedded Runge-Kutta (DOP853) solve of y' = rhs(t, y) from
     one state: ``integrate_lanes`` with a single lane."""
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    return integrate_lanes(rhs, [y0], t_span, abs_tol, rel_tol,
-                           singular_coords, singular_radius)[0]
+    return integrate_lanes(rhs, [y0], t_span, abs_tol, rel_tol, singular_coords)[0]
 
 
 def quadrature(f, t_span, tol=1e-12):

@@ -7,7 +7,6 @@ import numpy as np
 from .errors import SingularityError
 from .integrate import Trajectory
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
-from .systems import ShapeFunctions
 
 
 @dataclass
@@ -58,7 +57,7 @@ def ermakov_pair_invariants(state, k):
     return i1, i2, w
 
 
-def generalized_invariant(x, y, vx, vy, shapes: ShapeFunctions):
+def generalized_invariant(x, y, vx, vy, shapes):
     """First integral of the generalized Ermakov system.
 
     Returns (1/2) (x vy - y vx)^2 + Q(x/y) where Q integrates
@@ -66,30 +65,13 @@ def generalized_invariant(x, y, vx, vy, shapes: ShapeFunctions):
     integration variable is x/y: the characteristic system pairs d(x/y)
     with this integrand, and the f = 0, g = 1 case then reproduces the
     Lewis-Ermakov invariant (up to the affine normalization fixed by the
-    reference point).  Q is the shapes' closed form ``shapes.Q``.
+    reference point).  Q is the closed form ``shapes.Q`` of the system's
+    ShapeFunctions.
     """
     if x == 0.0 or y == 0.0:
         raise SingularityError("generalized invariant undefined at x = 0 or y = 0")
     xi = x * vy - y * vx
     return 0.5 * xi * xi + shapes.Q(x / y)
-
-
-def invariants_for(sysd):
-    """The first integrals of ``sysd`` by name, each a function of its state
-    vector; empty for a system without one here."""
-    if sysd.name == "oscillator_2d":
-        return {"angular_momentum": lambda s: angular_momentum(s[0], s[1], s[2], s[3])}
-    if sysd.name == "ermakov":
-        return {"lewis_ermakov": lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])}
-    if sysd.name == "pinney_triple":
-        k = sysd.params["k"]
-        return {name: lambda s, i=i: ermakov_pair_invariants(s, k)[i]
-                for i, name in enumerate(("pair_i1", "pair_i2", "wronskian"))}
-    if sysd.name == "generalized_ermakov":
-        shapes = sysd.params["shapes"]
-        return {"generalized": lambda s: generalized_invariant(s[0], s[2], s[1], s[3],
-                                                               shapes)}
-    return {}
 
 
 def drift(trajectories, invariant, label="invariant"):

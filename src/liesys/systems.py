@@ -1,8 +1,8 @@
 """Factories for the concrete sl(2,R) Lie systems studied here.
 
-Each factory packages a phase space, the generator realization, the
-time-dependent coefficients and the structure constants into a SystemDef.
-State layouts:
+Each system is x_i'' = -omega^2(t) x_i + F_i(x): a factory gives its state
+layout, F, dF/dx, fused rhs and first integrals, and ``_second_order``
+builds the rest.  State layouts:
 
     oscillator_1d        (x, v)
     oscillator_2d        (x1, v1, x2, v2)
@@ -20,7 +20,9 @@ import numpy as np
 from .errors import DimensionMismatchError, SingularityError
 from .integrate import (FrequencyProfile, DEFAULT_ABS_TOL, DEFAULT_REL_TOL,
                         integrate, integrate_lanes)
-from .vectorfield import StructureConstants, VectorField, diagonal_prolongation, sl2_constants
+from .invariants import (angular_momentum, ermakov_pair_invariants,
+                         generalized_invariant, lewis_ermakov)
+from .vectorfield import StructureConstants, VectorField, sl2_constants
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,9 @@ class SystemDef:
     column.  The generators remain the source of truth for the algebra and
     rank checks.
     ``singular_coords`` are state indices whose vanishing is a genuine
-    singularity; ``positive_coords`` are those confined to the chosen
-    half-plane (x > 0 by default, x < 0 with half_plane = -1).
+    singularity; each is confined to the chosen half-plane (x > 0 by
+    default, x < 0 with half_plane = -1).  ``invariants`` maps the name of
+    each first integral of the system to a function of its state vector.
     """
 
     name: str
@@ -85,8 +88,8 @@ class SystemDef:
     constants: StructureConstants
     fused: Callable[[float, np.ndarray], np.ndarray]
     singular_coords: Tuple[int, ...] = ()
-    positive_coords: Tuple[int, ...] = ()
     half_plane: int = 1
+    invariants: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
 
     def rhs(self, t, p):
@@ -117,7 +120,7 @@ class SystemDef:
             p = rng.uniform(low, high, size=self.dimension)
             if np.any(np.abs(p) < guard):
                 continue
-            for i in self.positive_coords:
+            for i in self.singular_coords:
                 p[i] = self.half_plane * abs(p[i])
             probes.append(p)
         return probes
@@ -136,88 +139,108 @@ def _guard(x, what):
     return x
 
 
-def _coefficients(omega):
-    """b = (-omega^2(t), 1, 0).  Every factory's fused field expands
-    b_1 X_1 + b_2 X_2 in that order; b_3 = 0 drops X_3."""
-    return (lambda t: -omega(t), lambda t: 1.0, lambda t: 0.0)
+def _second_order(name, omega, letter, positions, velocities, fused, force,
+                  force_jac, singular_coords=(), half_plane=1, invariants=None,
+                  **params):
+    """The SystemDef of x_i'' = -omega^2(t) x_i + F_i(x), whose positions x_i
+    and velocities v_i sit at the state indices ``positions`` and
+    ``velocities``.  Its generators, named ``letter`` 1 to 3, are
+
+        X1 = sum_i x_i d/dv_i,    X2 = sum_i (v_i d/dx_i + F_i(x) d/dv_i),
+        X3 = 1/2 sum_i (x_i d/dx_i - v_i d/dv_i),
+
+    with b = (-omega^2(t), 1, 0): every factory's fused field expands
+    b_1 X_1 + b_2 X_2 in that order, and b_3 = 0 drops X_3.  ``force`` maps
+    the positions x to F(x) and ``force_jac`` to the partials dF_i/dx_j.
+    ``params`` go to SystemDef.params beside the frequency's description.
+    """
+    pos, vel = np.array(positions), np.array(velocities)
+    n = 2 * len(pos)
+    swap = np.empty(n, dtype=int)  # x_i <-> v_i
+    swap[pos], swap[vel] = vel, pos
+    half = np.empty(n)  # X3's diagonal
+    half[pos], half[vel] = 0.5, -0.5
+    # the flat indices of the block dF_i/dx_j in X2's Jacobian
+    force_block = (vel[:, None] * n + pos).ravel()
+    # X1's and X3's Jacobians, read-only and shared by every call, and X2's
+    # apart from its force block
+    j1, j2, j3 = np.zeros((n, n)), np.zeros((n, n)), np.diag(half)
+    j1[vel, pos] = 1.0
+    j2[pos, vel] = 1.0
+    j1.flags.writeable = j3.flags.writeable = False
+
+    def x1(p):
+        out = np.zeros(n)
+        out[vel] = p[pos]
+        return out
+
+    def x2(p):
+        out = p[swap]
+        out[vel] = force(p[pos])
+        return out
+
+    def x2_jac(p):
+        J = j2.copy()
+        J.put(force_block, force_jac(p[pos]))
+        return J
+
+    generators = (VectorField(n, x1, lambda p: j1, name=f"{letter}1"),
+                  VectorField(n, x2, x2_jac, name=f"{letter}2"),
+                  VectorField(n, lambda p: p * half, lambda p: j3, name=f"{letter}3"))
+    return SystemDef(
+        name=name, dimension=n, generators=generators,
+        coefficients=(lambda t: -omega(t), lambda t: 1.0, lambda t: 0.0),
+        constants=sl2_constants(), fused=fused,
+        singular_coords=tuple(singular_coords), half_plane=int(half_plane),
+        invariants=invariants or {},
+        params={**params, "frequency": omega.description},
+    )
+
+
+def _no_force_jac(q):
+    return np.zeros((len(q), len(q)))
 
 
 def oscillator_1d(omega: FrequencyProfile) -> SystemDef:
     """1-dim harmonic oscillator with time-dependent frequency, state (x, v)."""
-    X1 = VectorField(
-        2, lambda p: np.array([0.0, p[0]]),
-        lambda p: np.array([[0.0, 0.0], [1.0, 0.0]]), name="X1",
-    )
-    X2 = VectorField(
-        2, lambda p: np.array([p[1], 0.0]),
-        lambda p: np.array([[0.0, 1.0], [0.0, 0.0]]), name="X2",
-    )
-    X3 = VectorField(
-        2, lambda p: np.array([0.5 * p[0], -0.5 * p[1]]),
-        lambda p: np.array([[0.5, 0.0], [0.0, -0.5]]), name="X3",
-    )
 
     def fused(t, p):
         return np.array([p[1], -omega(t) * p[0]])
 
-    return SystemDef(
-        name="oscillator_1d", dimension=2, generators=(X1, X2, X3),
-        coefficients=_coefficients(omega), constants=sl2_constants(),
-        fused=fused, params={"frequency": omega.description},
-    )
+    return _second_order("oscillator_1d", omega, "X", (0,), (1,), fused,
+                         np.zeros_like, _no_force_jac)
 
 
 def oscillator_2d(omega: FrequencyProfile) -> SystemDef:
-    """Isotropic 2-dim oscillator, state (x1, v1, x2, v2); generators are the
-    diagonal prolongations of the 1-dim ones."""
-    base = oscillator_1d(omega)
-    gens = tuple(diagonal_prolongation(X, 2) for X in base.generators)
+    """Isotropic 2-dim oscillator, state (x1, v1, x2, v2): the diagonal
+    prolongation of the 1-dim one, with the angular momentum as invariant."""
 
     def fused(t, p):
         w = -omega(t)
         return np.array([p[1], w * p[0], p[3], w * p[2]])
 
-    return SystemDef(
-        name="oscillator_2d", dimension=4, generators=gens,
-        coefficients=_coefficients(omega), constants=sl2_constants(),
-        fused=fused, params={"frequency": omega.description},
-    )
+    return _second_order(
+        "oscillator_2d", omega, "X", (0, 2), (1, 3), fused, np.zeros_like,
+        _no_force_jac,
+        invariants={"angular_momentum": lambda s: angular_momentum(*s[:4])})
 
 
 def milne_pinney(omega: FrequencyProfile, k: float, half_plane: int = 1) -> SystemDef:
     """Isotonic oscillator x'' = -omega^2(t) x + k / x^3, state (x, v)."""
     k = float(k)
-    L1 = VectorField(
-        2, lambda p: np.array([0.0, p[0]]),
-        lambda p: np.array([[0.0, 0.0], [1.0, 0.0]]), name="L1",
-    )
 
-    def l2(p):
-        x = _guard(p[0], "Milne-Pinney field")
-        return np.array([p[1], k / x**3])
+    def force(q):
+        return [k / _guard(q[0], "Milne-Pinney field")**3]
 
-    def l2_jac(p):
-        x = _guard(p[0], "Milne-Pinney field")
-        return np.array([[0.0, 1.0], [-3.0 * k / x**4, 0.0]])
-
-    L2 = VectorField(2, l2, l2_jac, name="L2")
-    L3 = VectorField(
-        2, lambda p: np.array([0.5 * p[0], -0.5 * p[1]]),
-        lambda p: np.array([[0.5, 0.0], [0.0, -0.5]]), name="L3",
-    )
+    def force_jac(q):
+        return [[-3.0 * k / _guard(q[0], "Milne-Pinney field")**4]]
 
     def fused(t, p):
         x = _guard(p[0], "Milne-Pinney field")
         return np.array([p[1], -omega(t) * x + k / x**3])
 
-    singular = (0,) if k != 0.0 else ()
-    return SystemDef(
-        name="milne_pinney", dimension=2, generators=(L1, L2, L3),
-        coefficients=_coefficients(omega), constants=sl2_constants(),
-        fused=fused, singular_coords=singular, positive_coords=singular,
-        half_plane=int(half_plane),
-        params={"k": k, "frequency": omega.description},
-    )
+    return _second_order("milne_pinney", omega, "L", (0,), (1,), fused, force,
+                         force_jac, (0,) if k != 0.0 else (), half_plane, k=k)
 
 
 def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
@@ -227,42 +250,19 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
     State (x, vx, y, vy); the domain excludes x = 0 and y = 0.
     """
     f, g = shapes.f, shapes.g
+    what = "generalized Ermakov field"
 
-    N1 = VectorField(
-        4, lambda p: np.array([0.0, p[0], 0.0, p[2]]),
-        lambda p: np.array([
-            [0.0, 0.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]), name="N1",
-    )
-
-    def n2(p):
-        x = _guard(p[0], "generalized Ermakov field")
-        y = _guard(p[2], "generalized Ermakov field")
+    def force(q):
+        x, y = _guard(q[0], what), _guard(q[1], what)
         u = y / x
-        return np.array([p[1], f(u) / x**3, p[3], g(u) / y**3])
+        return [f(u) / x**3, g(u) / y**3]
 
-    def n2_jac(p):
-        x = _guard(p[0], "generalized Ermakov field")
-        y = _guard(p[2], "generalized Ermakov field")
+    def force_jac(q):
+        x, y = _guard(q[0], what), _guard(q[1], what)
         u = y / x
         fp, gp = shapes.df(u), shapes.dg(u)
-        J = np.zeros((4, 4))
-        J[0, 1] = 1.0
-        J[2, 3] = 1.0
-        J[1, 0] = -y * fp / x**5 - 3.0 * f(u) / x**4
-        J[1, 2] = fp / x**4
-        J[3, 0] = -gp / (x**2 * y**2)
-        J[3, 2] = gp / (x * y**3) - 3.0 * g(u) / y**4
-        return J
-
-    N2 = VectorField(4, n2, n2_jac, name="N2")
-    N3 = VectorField(
-        4, lambda p: 0.5 * np.array([p[0], -p[1], p[2], -p[3]]),
-        lambda p: 0.5 * np.diag([1.0, -1.0, 1.0, -1.0]), name="N3",
-    )
+        return [[-y * fp / x**5 - 3.0 * f(u) / x**4, fp / x**4],
+                [-gp / (x**2 * y**2), gp / (x * y**3) - 3.0 * g(u) / y**4]]
 
     def fused(t, p):
         x = _guard(p[0], "generalized Ermakov field")
@@ -271,57 +271,31 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
         w = -omega(t)
         return np.array([p[1], w * x + f(u) / x**3, p[3], w * y + g(u) / y**3])
 
-    return SystemDef(
-        name="generalized_ermakov", dimension=4, generators=(N1, N2, N3),
-        coefficients=_coefficients(omega), constants=sl2_constants(),
-        fused=fused, singular_coords=(0, 2), positive_coords=(0, 2),
-        half_plane=int(half_plane),
-        params={"shapes": shapes, "frequency": omega.description},
-    )
+    return _second_order(
+        "generalized_ermakov", omega, "N", (0, 2), (1, 3), fused, force, force_jac,
+        (0, 2), half_plane, shapes=shapes,
+        invariants={"generalized": lambda s: generalized_invariant(
+            s[0], s[2], s[1], s[3], shapes)})
 
 
 def ermakov(omega: FrequencyProfile, half_plane: int = 1) -> SystemDef:
     """Oscillator in x coupled to a k = 1 Pinney block in y, state (x, vx, y, vy)."""
-    X1 = VectorField(
-        4, lambda p: np.array([0.0, p[0], 0.0, p[2]]),
-        lambda p: np.array([
-            [0.0, 0.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]), name="X1",
-    )
 
-    def x2(p):
-        y = _guard(p[2], "Ermakov field")
-        return np.array([p[1], 0.0, p[3], 1.0 / y**3])
+    def force(q):
+        return [0.0, 1.0 / _guard(q[1], "Ermakov field")**3]
 
-    def x2_jac(p):
-        y = _guard(p[2], "Ermakov field")
-        J = np.zeros((4, 4))
-        J[0, 1] = 1.0
-        J[2, 3] = 1.0
-        J[3, 2] = -3.0 / y**4
-        return J
-
-    X2 = VectorField(4, x2, x2_jac, name="X2")
-    X3 = VectorField(
-        4, lambda p: 0.5 * np.array([p[0], -p[1], p[2], -p[3]]),
-        lambda p: 0.5 * np.diag([1.0, -1.0, 1.0, -1.0]), name="X3",
-    )
+    def force_jac(q):
+        return [[0.0, 0.0], [0.0, -3.0 / _guard(q[1], "Ermakov field")**4]]
 
     def fused(t, p):
         y = _guard(p[2], "Ermakov field")
         w = -omega(t)
         return np.array([p[1], w * p[0], p[3], w * y + 1.0 / y**3])
 
-    return SystemDef(
-        name="ermakov", dimension=4, generators=(X1, X2, X3),
-        coefficients=_coefficients(omega), constants=sl2_constants(),
-        fused=fused, singular_coords=(2,), positive_coords=(2,),
-        half_plane=int(half_plane),
-        params={"frequency": omega.description},
-    )
+    return _second_order(
+        "ermakov", omega, "X", (0, 2), (1, 3), fused, force, force_jac, (2,),
+        half_plane,
+        invariants={"lewis_ermakov": lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])})
 
 
 def pinney_triple(omega: FrequencyProfile, k: float, half_plane: int = 1) -> SystemDef:
@@ -331,44 +305,24 @@ def pinney_triple(omega: FrequencyProfile, k: float, half_plane: int = 1) -> Sys
     """
     k = float(k)
 
-    N1 = VectorField(
-        6, lambda p: np.array([0.0, 0.0, 0.0, p[0], p[1], p[2]]),
-        lambda p: np.block([
-            [np.zeros((3, 3)), np.zeros((3, 3))],
-            [np.eye(3), np.zeros((3, 3))],
-        ]), name="N1",
-    )
+    def force(q):
+        return [k / _guard(q[0], "Pinney-triple field")**3, 0.0, 0.0]
 
-    def n2(p):
-        x = _guard(p[0], "Pinney-triple field")
-        return np.array([p[3], p[4], p[5], k / x**3, 0.0, 0.0])
-
-    def n2_jac(p):
-        x = _guard(p[0], "Pinney-triple field")
-        J = np.zeros((6, 6))
-        J[0, 3] = J[1, 4] = J[2, 5] = 1.0
-        J[3, 0] = -3.0 * k / x**4
+    def force_jac(q):
+        J = np.zeros((3, 3))
+        J[0, 0] = -3.0 * k / _guard(q[0], "Pinney-triple field")**4
         return J
-
-    N2 = VectorField(6, n2, n2_jac, name="N2")
-    N3 = VectorField(
-        6, lambda p: 0.5 * np.array([p[0], p[1], p[2], -p[3], -p[4], -p[5]]),
-        lambda p: 0.5 * np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0]), name="N3",
-    )
 
     def fused(t, p):
         x = _guard(p[0], "Pinney-triple field")
         w = -omega(t)
         return np.array([p[3], p[4], p[5], w * x + k / x**3, w * p[1], w * p[2]])
 
-    singular = (0,) if k != 0.0 else ()
-    return SystemDef(
-        name="pinney_triple", dimension=6, generators=(N1, N2, N3),
-        coefficients=_coefficients(omega), constants=sl2_constants(),
-        fused=fused, singular_coords=singular, positive_coords=singular,
-        half_plane=int(half_plane),
-        params={"k": k, "frequency": omega.description},
-    )
+    return _second_order(
+        "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5), fused, force, force_jac,
+        (0,) if k != 0.0 else (), half_plane, k=k,
+        invariants={name: lambda s, i=i: ermakov_pair_invariants(s, k)[i]
+                    for i, name in enumerate(("pair_i1", "pair_i2", "wronskian"))})
 
 
 SYSTEM_FACTORIES = {

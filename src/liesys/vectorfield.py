@@ -190,27 +190,26 @@ def diagonal_prolongation(X, copies):
     return VectorField(n * copies, func, jac, name=f"{X.name}^({copies})" if X.name else "")
 
 
-def _numerical_rank(rows, rank_tol):
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rank_tol * sv[0]))
+RANK_TOL = 1e-8  # singular values above RANK_TOL times the largest count
+PROBES_PER_LEVEL = 11  # random probes whose majority rank decides each level
 
 
-def prolonged_rank(fields, copies, probe, rank_tol=1e-8):
+def prolonged_rank(fields, copies, probe):
     """Rank of the diagonally prolonged fields stacked as rows at one probe."""
     prolonged = [diagonal_prolongation(X, copies) for X in fields]
-    rows = np.array([Xp(probe) for Xp in prolonged])
-    return _numerical_rank(rows, rank_tol)
+    sv = np.linalg.svd(np.array([Xp(probe) for Xp in prolonged]), compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def minimal_m(fields, max_copies, probes_per_level=11, rank_tol=1e-8, rng=None):
+def minimal_m(fields, max_copies, rng=None):
     """Smallest number of copies at which the prolonged fields reach full rank.
 
-    The rank at each level is decided by majority vote over random probes,
-    guarding against accidentally non-generic points.  A probe is uniform in
-    [-2, 2]^n with every coordinate at least 0.1 away from 0, off the
-    singular hyperplanes of the Pinney-type fields.
+    The rank at each level is decided by majority vote over PROBES_PER_LEVEL
+    random probes, guarding against accidentally non-generic points.  A
+    probe is uniform in [-2, 2]^n with every coordinate at least 0.1 away
+    from 0, off the singular hyperplanes of the Pinney-type fields.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -219,10 +218,10 @@ def minimal_m(fields, max_copies, probes_per_level=11, rank_tol=1e-8, rng=None):
     ranks_found = {}
     for copies in range(1, max_copies + 1):
         votes = []
-        while len(votes) < probes_per_level:
+        while len(votes) < PROBES_PER_LEVEL:
             probe = rng.uniform(-2.0, 2.0, size=n * copies)
             if np.all(np.abs(probe) >= 0.1):
-                votes.append(prolonged_rank(fields, copies, probe, rank_tol))
+                votes.append(prolonged_rank(fields, copies, probe))
         majority = int(np.bincount(votes).argmax())
         ranks_found[copies] = majority
         if majority == r:

@@ -5,9 +5,6 @@ import math
 import os
 import re
 import runpy
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -17,7 +14,6 @@ from liesys import acceptance, cli, group, invariants, systems
 integrate_module = importlib.import_module("liesys.integrate")
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
-SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 MANIFEST = runpy.run_path(os.path.join(os.path.dirname(__file__), "update_manifest.py"))
 
@@ -199,7 +195,7 @@ def _drift_columns(path):
 def test_drift_solves_its_states_as_lanes_of_one_solve(tmp_path):
     assert cli.main(["run", write_scenario(tmp_path, DRIFT), "--out", str(tmp_path)]) == 0
     sysd = cli.build_system(DRIFT["system"])
-    lewis = invariants.invariants_for(sysd)["lewis_ermakov"]
+    lewis = sysd.invariants["lewis_ermakov"]
     lanes = sysd.integrate_lanes(DRIFT["initial_states"], (0.0, 5.0))
     for i, lane in enumerate(lanes):
         times, values = _drift_columns(tmp_path / f"d_run{i}.csv")
@@ -212,7 +208,7 @@ def test_one_state_drift_is_the_solo_solve(tmp_path):
     assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 0
     sysd = cli.build_system(DRIFT["system"])
     series = invariants.drift(sysd.integrate(scn["initial_states"][0], (0.0, 5.0)),
-                              invariants.invariants_for(sysd)["lewis_ermakov"])
+                              sysd.invariants["lewis_ermakov"])
     running = np.maximum.accumulate(np.abs(series.values - series.values[0]))
     cli.write_csv(tmp_path / "solo.csv", ["time", "value", "running_drift"],
                   zip(series.times, series.values, running))
@@ -275,7 +271,25 @@ def test_vanishing_x1_with_k_nonzero_is_a_runtime_error(name, tmp_path, capsys,
     out = tmp_path / "out"
     assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(out)]) == 1
     assert "runtime error" in capsys.readouterr().err
-    assert not out.exists()
+    # the summary alone, with no good time to report
+    stem = scn["output"]["csv"][:-len(".csv")]
+    assert os.listdir(out) == [f"{stem}_summary.json"]
+    summary = json.loads((out / f"{stem}_summary.json").read_text())
+    assert summary["pass"] is False and summary["last_good_time"] is None
+
+
+@pytest.mark.parametrize("name", ["superpose_quadrature.json", "reduce_oscillator.json"])
+def test_x1_vanishing_inside_the_span_exits_1_with_the_last_good_time(name, tmp_path,
+                                                                      capsys):
+    # tau is defined up to the last sample before x1 vanishes
+    with open(os.path.join(SCENARIO_DIR, name)) as fh:
+        scn = {**json.load(fh), "t_span": [0.0, 2.0]}
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 1
+    assert "vanishes inside the quadrature window" in capsys.readouterr().err
+    stem = scn["output"]["csv"][:-len(".csv")]
+    summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    assert summary["pass"] is False and summary["pipeline"] == scn["pipeline"]
+    assert 0.0 < summary["last_good_time"] < 2.0
 
 
 def test_quadrature_rule_with_k_zero_needs_no_tau(tmp_path):
@@ -348,55 +362,6 @@ def test_step_budget_exits_1_with_the_last_good_time(tmp_path, capsys, monkeypat
     summary = json.loads((tmp_path / "long_summary.json").read_text())
     assert summary["pass"] is False
     assert 0.0 < summary["last_good_time"] < 200.0
-
-
-@pytest.fixture(scope="module")
-def shipped_outputs(tmp_path_factory):
-    """One subprocess that runs every shipped scenario and verify --seed 0
-    into one directory, with scipy's import made to fail: its completed
-    process and that directory."""
-    # numpy is the only numerical import of liesys, on every path: the
-    # shipped scenarios, verify and a singularity abort (root finding).
-    # verify's criteria run in forked workers, whose sys.modules the last
-    # line cannot see: the finder makes a scipy import fail there too.
-    # `liesys run` never loads verify's worker pool, nor the criteria.
-    code = textwrap.dedent("""
-        import glob, json, os, sys
-
-        class NoScipy:
-            def find_spec(self, name, path=None, target=None):
-                if name.split(".")[0] == "scipy":
-                    raise ImportError(f"{name} imported on the run path")
-
-        sys.meta_path.insert(0, NoScipy())
-        from liesys import cli
-        out, scenario_dir = sys.argv[1:]
-        paths = sorted(glob.glob(os.path.join(scenario_dir, "*.json")))
-        for path in paths:
-            assert cli.main(["run", path, "--out", out]) == 0, path
-        pool = [m for m in sys.modules
-                if m.split(".")[0] in ("multiprocessing", "concurrent")]
-        assert not pool, pool
-        assert "liesys.acceptance" not in sys.modules
-        assert cli.main(["verify", "--seed", "0", "--out", out]) == 0
-        abort_dir = os.path.join(out, "abort")
-        os.mkdir(abort_dir)
-        aborting = os.path.join(abort_dir, "aborting.json")
-        with open(aborting, "w") as fh:
-            json.dump({"pipeline": "integrate", "t_span": [0.0, 5.0],
-                       "system": {"name": "milne_pinney", "k": -1.0},
-                       "initial_states": [[0.5, -1.0]]}, fh)
-        assert cli.main(["run", aborting, "--out", abort_dir]) == 1
-        with open(os.path.join(abort_dir, "aborting_summary.json")) as fh:
-            assert 0.0 < json.load(fh)["last_good_time"] < 5.0
-        print(len(paths), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-    """)
-    out = tmp_path_factory.mktemp("shipped")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [os.path.abspath(SRC_DIR)] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-    proc = subprocess.run([sys.executable, "-c", code, str(out), SCENARIO_DIR],
-                          capture_output=True, text=True, env=env, timeout=600)
-    return proc, out
 
 
 def test_shipped_runs_and_verify_import_no_scipy(shipped_outputs):

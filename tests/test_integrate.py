@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
                     SingularityError, Trajectory, constant_frequency, drift,
                     ermakov, generalized_ermakov, integrate, integrate_lanes,
-                    invariants_for, milne_pinney, oscillator_1d, oscillator_2d,
+                    milne_pinney, oscillator_1d, oscillator_2d,
                     pinney_triple, pinney_rule_from_solutions, quadratic_shapes,
                     quadrature, quadrature_rule, reduce_oscillator,
                     reduce_pinney_from_pinney, step_frequency, tau_grid,
@@ -214,7 +214,7 @@ def test_nfev_counts_the_rhs_calls_and_dense_output_waits_for_off_node_use(n):
     # reads at the solver nodes, such as drift along a solver trajectory,
     # build no dense output
     for lane in lanes:
-        for name, invariant in invariants_for(sysd).items():
+        for name, invariant in sysd.invariants.items():
             drift(lane, invariant, name)
         lane.dense(lane.times[::3])
     assert calls[0] == solved

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from liesys import (SingularityError, Trajectory, angular_momentum,
                     constant_frequency, drift, ermakov,
                     ermakov_pair_invariants, generalized_ermakov,
-                    generalized_invariant, invariants_for, lewis_ermakov,
+                    generalized_invariant, lewis_ermakov,
                     milne_pinney, oscillator_1d, oscillator_2d, pinney_triple,
                     quadratic_shapes, two_plus_sin, zero_one_shapes)
 
@@ -170,10 +170,10 @@ def test_directional_derivative_vanishes():
 
 # --- registry ----------------------------------------------------------------
 
-def test_invariants_for_each_system():
+def test_each_system_carries_its_invariants():
     w = constant_frequency(1.0)
     names = {
-        sysd.name: list(invariants_for(sysd))
+        sysd.name: list(sysd.invariants)
         for sysd in (oscillator_1d(w), oscillator_2d(w), milne_pinney(w, 1.0),
                      ermakov(w), pinney_triple(w, 1.0),
                      generalized_ermakov(w, quadratic_shapes()))
@@ -187,15 +187,15 @@ def test_invariants_for_each_system():
     }
     state = np.array([1.3, 0.2, 0.7, -0.4, 0.5, 0.9])
     i1, i2, wr = ermakov_pair_invariants(state, 2.5)
-    triple = invariants_for(pinney_triple(w, 2.5))
+    triple = pinney_triple(w, 2.5).invariants
     assert [fn(state) for fn in triple.values()] == [i1, i2, wr]
 
 
-def test_invariants_for_uses_the_systems_own_shapes():
+def test_the_generalized_invariant_uses_the_systems_own_shapes():
     x, vx, y, vy = p = np.array([1.3, 0.2, 0.7, -0.4])
     for shapes, other in ((zero_one_shapes(), quadratic_shapes()),
                           (quadratic_shapes(), zero_one_shapes())):
-        fn = invariants_for(generalized_ermakov(constant_frequency(1.0), shapes))
+        fn = generalized_ermakov(constant_frequency(1.0), shapes).invariants
         value = fn["generalized"](p)
         assert value == generalized_invariant(x, y, vx, vy, shapes)
         assert value != generalized_invariant(x, y, vx, vy, other)

@@ -6,9 +6,9 @@ from liesys import (DimensionMismatchError, SingularityError,
                     constant_frequency, diagonal_prolongation, ermakov,
                     generalized_ermakov, milne_pinney, oscillator_1d,
                     oscillator_2d, pinney_triple, prolonged_rank,
-                    quadratic_shapes, sl2_constants, step_frequency,
+                    quadratic_shapes, step_frequency,
                     two_plus_sin, verify_algebra, zero_one_shapes)
-from liesys.systems import SHAPE_FUNCTIONS
+from liesys.systems import SHAPE_FUNCTIONS, SYSTEM_FACTORIES
 
 W1 = constant_frequency(1.0)
 
@@ -185,3 +185,28 @@ def test_shape_derivatives_match_central_differences(name):
         for fn, dfn in ((shapes.f, shapes.df), (shapes.g, shapes.dg)):
             central = (fn(u + h) - fn(u - h)) / (2.0 * h)
             assert dfn(u) == pytest.approx(central, rel=1e-8, abs=1e-8)
+
+
+
+
+# Every factory's system, generalized_ermakov with each registered shape pair.
+JACOBIAN_CASES = {
+    **{sysd.name: sysd for sysd in all_systems() if "shapes" not in sysd.params},
+    **{f"generalized_ermakov-{name}": generalized_ermakov(W1, shapes())
+       for name, shapes in SHAPE_FUNCTIONS.items()},
+}
+
+
+@pytest.mark.parametrize("case", JACOBIAN_CASES)
+def test_generator_jacobians_match_central_differences(case):
+    # every bracket of the algebra checks reads these Jacobians
+    assert {s.name for s in JACOBIAN_CASES.values()} == set(SYSTEM_FACTORIES)
+    sysd = JACOBIAN_CASES[case]
+    rng = np.random.default_rng(6)
+    h = 1e-6
+    for p in sysd.sample_domain(rng, 20):
+        for X in sysd.generators:
+            central = np.column_stack([(X(p + e) - X(p - e)) / (2.0 * h)
+                                       for e in h * np.eye(sysd.dimension)])
+            assert_allclose(X.jacobian(p), central, rtol=1e-6, atol=1e-6,
+                            err_msg=f"{case} {X.name} at {p}")
