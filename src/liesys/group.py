@@ -291,10 +291,22 @@ def reduction_parameters(x1: Trajectory, x0, v0, k) -> ReductionParameters:
     return ReductionParameters(A=res.x, B=b)
 
 
-def _check_radicand(s):
-    if np.any(s <= 0.0):
-        worst = float(np.min(s))
-        raise DomainError("nonpositive radicand in the reduced solution", worst)
+def _pinney_reduction(x1: Trajectory, a, s_of_tau) -> Trajectory:
+    """x(t) = x1(t) sqrt(s(tau)) / a, where ``s_of_tau`` maps tau to s and
+    ds/dtau; x' follows by the chain rule with dtau/dt = 1/x1^2."""
+    clock = x1.tau_clock()
+
+    def evaluate(t):
+        pos, vel = _position_and_velocity(x1, t)
+        s, ds_dtau = s_of_tau(clock(t))
+        if np.any(s <= 0.0):
+            worst = float(np.min(s))
+            raise DomainError("nonpositive radicand in the reduced solution", worst)
+        root = np.sqrt(s)
+        v = vel * root / a + ds_dtau / (2.0 * root * a * pos)
+        return np.column_stack([pos * root / a, v])
+
+    return Trajectory.from_function(evaluate, x1.times)
 
 
 def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k) -> Trajectory:
@@ -304,20 +316,12 @@ def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k) -> Trajectory:
     """
     params = reduction_parameters(x1, x0, v0, k)
     a, b = params.A, params.B
-    clock = x1.tau_clock()
 
-    def evaluate(t):
-        pos, vel = _position_and_velocity(x1, t)
-        tau = clock(t)
-        s = a**4 + 2.0 * a**3 * b * tau + (a * a * b * b + k) * tau * tau
-        _check_radicand(s)
-        root = np.sqrt(s)
-        ds_dtau = 2.0 * a**3 * b + 2.0 * (a * a * b * b + k) * tau
-        # chain rule with dtau/dt = 1/x1^2
-        v = vel * root / a + ds_dtau / (2.0 * root * a * pos)
-        return np.column_stack([pos * root / a, v])
+    def s_of_tau(tau):
+        return (a**4 + 2.0 * a**3 * b * tau + (a * a * b * b + k) * tau * tau,
+                2.0 * a**3 * b + 2.0 * (a * a * b * b + k) * tau)
 
-    return Trajectory.from_function(evaluate, x1.times)
+    return _pinney_reduction(x1, a, s_of_tau)
 
 
 def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k) -> Trajectory:
@@ -337,21 +341,13 @@ def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k) -> Trajectory:
         raise DomainError("this reduction needs k > 0", k)
     params = reduction_parameters(x1, x0, v0, k)
     a, b = params.A, params.B
-    clock = x1.tau_clock()
     rk = math.sqrt(k)
     alpha = (b * b + k / a**2 + k * a * a) / (2.0 * k)
     beta = (k * a * a - b * b - k / a**2) / (2.0 * k)
     gamma = a * b / rk
 
-    def evaluate(t):
-        pos, vel = _position_and_velocity(x1, t)
-        tau = clock(t)
-        s = alpha + beta * np.cos(2.0 * rk * tau) + gamma * np.sin(2.0 * rk * tau)
-        _check_radicand(s)
-        root = np.sqrt(s)
-        ds_dtau = 2.0 * rk * (gamma * np.cos(2.0 * rk * tau)
-                              - beta * np.sin(2.0 * rk * tau))
-        v = vel * root + ds_dtau / (2.0 * root * pos)
-        return np.column_stack([pos * root, v])
+    def s_of_tau(tau):
+        cos, sin = np.cos(2.0 * rk * tau), np.sin(2.0 * rk * tau)
+        return alpha + beta * cos + gamma * sin, 2.0 * rk * (gamma * cos - beta * sin)
 
-    return Trajectory.from_function(evaluate, x1.times)
+    return _pinney_reduction(x1, 1.0, s_of_tau)

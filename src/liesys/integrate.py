@@ -432,11 +432,11 @@ class _DenseOutput:
         return _horner(x, self.F[seg, :, cols], self.y_old[seg, cols])
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+def _brentq(f, xa, xb):
     """A root of f between xa and xb, where f changes sign, by Brent's method
     (Algorithms for Minimization without Derivatives, ch. 4) as scipy's
-    brentq runs it, step for step.  After maxiter steps it returns the
-    current iterate, where scipy raises."""
+    brentq runs it with xtol = rtol = 4 EPS, step for step.  After 100 steps
+    it returns the current iterate, where scipy raises."""
     xpre, xcur = xa, xb
     fpre, fcur = f(xpre), f(xcur)
     if fpre == 0:
@@ -446,14 +446,14 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):  # keep the best iterate in xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (4 * EPS + 4 * EPS * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -486,7 +486,7 @@ def _singularity_abort(active, guard, t_old, t, y_old, F, lanes):
         y = _horner(np.array([(s - t_old) / h]), F[None], y_old)[0]
         return y[guard.index[e // 2]] + guard.offsets[e % 2]
 
-    roots = np.asarray([_brentq(lambda s: event(s, e), t_old, t, 4 * EPS, 4 * EPS)
+    roots = np.asarray([_brentq(lambda s: event(s, e), t_old, t)
                         for e in active])
     first = (np.argsort(roots) if t > t_old else np.argsort(-roots))[0]
     root = roots[first]

@@ -48,6 +48,19 @@ class PinneyValue(NamedTuple):
     raw: float
 
 
+def _discriminant_root(i1, i2, w, k):
+    """sqrt(4 I1 I2 - k W^2).  On invariants of initial data the discriminant
+    is a square, (A C - B D)^2 by Lagrange's identity, so a negative value
+    within 1e-12 (4 |I1 I2| + |k| W^2) of 0 is cancellation roundoff and
+    reads 0; a lower one raises DomainError."""
+    disc = 4.0 * i1 * i2 - k * w * w
+    if disc < 0.0:
+        if disc > -1e-12 * (4.0 * abs(i1 * i2) + abs(k) * w * w):
+            return 0.0
+        raise DomainError(f"negative discriminant 4 I1 I2 - k W^2 = {disc:.6g}", disc)
+    return math.sqrt(disc)
+
+
 def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
     """Pinney's nonlinear superposition:
 
@@ -56,15 +69,12 @@ def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
     The prefactor can be negative, so the returned ``x`` is the magnitude
     mapped into the construction-time half-plane; ``raw`` keeps the signed
     value.  ``y`` and ``z`` may be scalars or arrays.  A negative
-    discriminant or radicand, or a value out of floating-point range (a
-    Wronskian near 0), raises DomainError.
+    discriminant beyond roundoff or a negative radicand, or a value out of
+    floating-point range (a Wronskian near 0), raises DomainError.
     """
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
-    disc = 4.0 * i1 * i2 - k * w * w
-    if disc < 0.0:
-        raise DomainError(f"negative discriminant 4 I1 I2 - k W^2 = {disc:.6g}", disc)
-    radicand = i2 * y * y + i1 * z * z + branch * math.sqrt(disc) * y * z
+    radicand = i2 * y * y + i1 * z * z + branch * _discriminant_root(i1, i2, w, k) * y * z
     if np.any(radicand < 0.0):
         worst = float(np.min(radicand))
         raise DomainError(f"negative radicand {worst:.6g} in the Pinney rule", worst)
@@ -74,59 +84,44 @@ def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
     return PinneyValue(half_plane * abs(raw), raw)
 
 
-def _select_branch(y0, vy0, z0, vz0, i1, i2, w, k, x0, v0, half_plane):
-    """Pick the +- branch at the initial time and keep it for the window.
-
-    The branch is scored by how well it reproduces both x0 and the slope
-    d(x^2)/dt at t0; the slope resolves the degenerate case y0 z0 = 0 where
-    both branches give the same value.
-    """
-    disc = 4.0 * i1 * i2 - k * w * w
-    if disc < 0.0:
-        raise DomainError(f"negative discriminant {disc:.6g}", disc)
-    root = math.sqrt(disc)
-    target_slope = 2.0 * x0 * v0
-    best, best_score = 1, None
-    for s in (1, -1):
-        val = pinney_rule(y0, z0, i1, i2, w, k, branch=s, half_plane=half_plane).x
-        slope = (2.0 / (w * w)) * (
-            2.0 * i2 * y0 * vy0 + 2.0 * i1 * z0 * vz0
-            + s * root * (vy0 * z0 + y0 * vz0)
-        )
-        score = abs(val - x0) + abs(slope - target_slope)
-        if best_score is None or score < best_score:
-            best, best_score = s, score
-    return best
-
-
-def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory,
-                               x0, v0, k, half_plane=None):
+def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k):
     """Map two oscillator solutions to the Milne-Pinney solution through
     (x0, v0), using the invariants computed from the initial data.
 
+    The +- branch of the rule is the one that best reproduces both x0 and
+    the slope d(x^2)/dt = 2 x0 v0 at the initial time, and it is kept for
+    the window; the slope resolves the degenerate case y0 z0 = 0, where
+    both branches give the same x.  x stays in the half-plane of x0.
     Returns a trajectory on y_traj's sample grid with states (x, v).
     """
-    if half_plane is None:
-        half_plane = 1 if x0 >= 0 else -1
+    half_plane = 1 if x0 >= 0 else -1
     t0 = y_traj.t0
     y0, vy0 = np.asarray(y_traj.dense(t0), dtype=float)[:2]
     z0, vz0 = np.asarray(z_traj.dense(t0), dtype=float)[:2]
     i1, i2, w = ermakov_pair_invariants((x0, y0, z0, v0, vy0, vz0), k)
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
-    branch = _select_branch(y0, vy0, z0, vz0, i1, i2, w, k, x0, v0, half_plane)
+    disc_root = _discriminant_root(i1, i2, w, k)
 
-    disc_root = math.sqrt(max(0.0, 4.0 * i1 * i2 - k * w * w))
-
-    def evaluate(t):
-        y, vy = y_traj.dense(t)[:, :2].T
-        z, vz = z_traj.dense(t)[:, :2].T
+    def x_and_dx2(y, vy, z, vz, branch):
         x = pinney_rule(y, z, i1, i2, w, k, branch=branch, half_plane=half_plane).x
-        # v from the exact derivative of x^2 = (2/W^2)(I2 y^2 + I1 z^2 +- r y z)
+        # the exact derivative of x^2 = (2/W^2)(I2 y^2 + I1 z^2 +- r y z)
         dx2 = (2.0 / (w * w)) * (
             2.0 * i2 * y * vy + 2.0 * i1 * z * vz
             + branch * disc_root * (vy * z + y * vz)
         )
+        return x, dx2
+
+    def score(branch):
+        x, dx2 = x_and_dx2(y0, vy0, z0, vz0, branch)
+        return abs(x - x0) + abs(dx2 - 2.0 * x0 * v0)
+
+    branch = min((1, -1), key=score)
+
+    def evaluate(t):
+        y, vy = y_traj.dense(t)[:, :2].T
+        z, vz = z_traj.dense(t)[:, :2].T
+        x, dx2 = x_and_dx2(y, vy, z, vz, branch)
         return np.column_stack([x, dx2 / (2.0 * x)])
 
     return Trajectory.from_function(evaluate, y_traj.times)

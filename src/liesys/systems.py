@@ -1,8 +1,8 @@
 """Factories for the concrete sl(2,R) Lie systems studied here.
 
 Each system is x_i'' = -omega^2(t) x_i + F_i(x): a factory gives its state
-layout, F, dF/dx, fused rhs and first integrals, and ``_second_order``
-builds the rest.  State layouts:
+layout, its field w X1 + X2, dF/dx and first integrals, and
+``_second_order`` builds the rest.  State layouts:
 
     oscillator_1d        (x, v)
     oscillator_2d        (x1, v1, x2, v2)
@@ -12,7 +12,7 @@ builds the rest.  State layouts:
     pinney_triple        (x, y, z, vx, vy, vz) x: Pinney, y, z: oscillators
 """
 
-from dataclasses import dataclass, field
+import dataclasses
 from typing import Callable, Tuple
 
 import numpy as np
@@ -25,7 +25,7 @@ from .invariants import (angular_momentum, ermakov_pair_invariants,
 from .vectorfield import StructureConstants, VectorField, sl2_constants
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ShapeFunctions:
     """The two coupling shapes of the generalized Ermakov system, with the
     closed forms built on them.
@@ -65,16 +65,17 @@ SHAPE_FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SystemDef:
     """A Lie system: generators X_a, coefficients b_a(t), structure constants.
 
-    ``fused`` is the closed form of sum_a b_a(t) X_a(p): the same
-    expressions, singularity guards and order of summation as the generator
-    sum, so the two agree bit for bit (the tests hold them equal).  It takes
-    a (dimension,) point or a (dimension, n) block of n points, one per
-    column.  The generators remain the source of truth for the algebra and
-    rank checks.
+    ``field(w, p)`` is w X1(p) + X2(p), the one closed form of the system's
+    vector fields: X2 is ``field(0.0, p)``, and the rhs sum_a b_a(t) X_a(p)
+    is ``field(b_1(t), p)`` (b_2 = 1, b_3 = 0), with the same guards and
+    order of summation as the generator sum, so the two agree bit for bit
+    (the tests hold them equal).  It takes a (dimension,) point or a
+    (dimension, n) block of n points, one per column.  The generators remain
+    the source of truth for the algebra and rank checks.
     ``singular_coords`` are state indices whose vanishing is a genuine
     singularity; each is confined to the chosen half-plane (x > 0 by
     default, x < 0 with half_plane = -1).  ``invariants`` maps the name of
@@ -86,21 +87,21 @@ class SystemDef:
     generators: Tuple[VectorField, ...]
     coefficients: Tuple[Callable[[float], float], ...]
     constants: StructureConstants
-    fused: Callable[[float, np.ndarray], np.ndarray]
+    field: Callable[[float, np.ndarray], np.ndarray]
     singular_coords: Tuple[int, ...] = ()
     half_plane: int = 1
-    invariants: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    invariants: dict = dataclasses.field(default_factory=dict)
+    params: dict = dataclasses.field(default_factory=dict)
 
     def rhs(self, t, p):
-        """sum_a b_a(t) X_a(p), evaluated through the ``fused`` closed form,
-        at a (dimension,) point or on each column of a (dimension, n) block."""
+        """sum_a b_a(t) X_a(p), evaluated as ``field(b_1(t), p)``, at a
+        (dimension,) point or on each column of a (dimension, n) block."""
         p = np.asarray(p, dtype=float)
         if p.shape != (self.dimension,) and (p.ndim != 2 or len(p) != self.dimension):
             raise DimensionMismatchError(
                 f"point of shape {p.shape} on a system of dimension {self.dimension}"
             )
-        return self.fused(t, p)
+        return self.field(self.coefficients[0](t), p)
 
     def integrate(self, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
         return integrate(self.rhs, y0, t_span, abs_tol, rel_tol,
@@ -139,9 +140,8 @@ def _guard(x, what):
     return x
 
 
-def _second_order(name, omega, letter, positions, velocities, fused, force,
-                  force_jac, singular_coords=(), half_plane=1, invariants=None,
-                  **params):
+def _second_order(name, omega, letter, positions, velocities, field, force_jac=None,
+                  singular_coords=(), half_plane=1, invariants=None, **params):
     """The SystemDef of x_i'' = -omega^2(t) x_i + F_i(x), whose positions x_i
     and velocities v_i sit at the state indices ``positions`` and
     ``velocities``.  Its generators, named ``letter`` 1 to 3, are
@@ -149,15 +149,13 @@ def _second_order(name, omega, letter, positions, velocities, fused, force,
         X1 = sum_i x_i d/dv_i,    X2 = sum_i (v_i d/dx_i + F_i(x) d/dv_i),
         X3 = 1/2 sum_i (x_i d/dx_i - v_i d/dv_i),
 
-    with b = (-omega^2(t), 1, 0): every factory's fused field expands
-    b_1 X_1 + b_2 X_2 in that order, and b_3 = 0 drops X_3.  ``force`` maps
-    the positions x to F(x) and ``force_jac`` to the partials dF_i/dx_j.
-    ``params`` go to SystemDef.params beside the frequency's description.
+    with b = (-omega^2(t), 1, 0).  ``field`` is the factory's w X1 + X2
+    (SystemDef.field), ``force_jac`` maps the positions x to the partials
+    dF_i/dx_j (None means F = 0), and ``params`` go to SystemDef.params
+    beside the frequency's description.
     """
     pos, vel = np.array(positions), np.array(velocities)
     n = 2 * len(pos)
-    swap = np.empty(n, dtype=int)  # x_i <-> v_i
-    swap[pos], swap[vel] = vel, pos
     half = np.empty(n)  # X3's diagonal
     half[pos], half[vel] = 0.5, -0.5
     # the flat indices of the block dF_i/dx_j in X2's Jacobian
@@ -174,54 +172,43 @@ def _second_order(name, omega, letter, positions, velocities, fused, force,
         out[vel] = p[pos]
         return out
 
-    def x2(p):
-        out = p[swap]
-        out[vel] = force(p[pos])
-        return out
-
     def x2_jac(p):
         J = j2.copy()
-        J.put(force_block, force_jac(p[pos]))
+        if force_jac is not None:
+            J.put(force_block, force_jac(p[pos]))
         return J
 
     generators = (VectorField(n, x1, lambda p: j1, name=f"{letter}1"),
-                  VectorField(n, x2, x2_jac, name=f"{letter}2"),
+                  VectorField(n, lambda p: field(0.0, p), x2_jac, name=f"{letter}2"),
                   VectorField(n, lambda p: p * half, lambda p: j3, name=f"{letter}3"))
     return SystemDef(
         name=name, dimension=n, generators=generators,
         coefficients=(lambda t: -omega(t), lambda t: 1.0, lambda t: 0.0),
-        constants=sl2_constants(), fused=fused,
+        constants=sl2_constants(), field=field,
         singular_coords=tuple(singular_coords), half_plane=int(half_plane),
         invariants=invariants or {},
         params={**params, "frequency": omega.description},
     )
 
 
-def _no_force_jac(q):
-    return np.zeros((len(q), len(q)))
-
-
 def oscillator_1d(omega: FrequencyProfile) -> SystemDef:
     """1-dim harmonic oscillator with time-dependent frequency, state (x, v)."""
 
-    def fused(t, p):
-        return np.array([p[1], -omega(t) * p[0]])
+    def field(w, p):
+        return np.array([p[1], w * p[0]])
 
-    return _second_order("oscillator_1d", omega, "X", (0,), (1,), fused,
-                         np.zeros_like, _no_force_jac)
+    return _second_order("oscillator_1d", omega, "X", (0,), (1,), field)
 
 
 def oscillator_2d(omega: FrequencyProfile) -> SystemDef:
     """Isotropic 2-dim oscillator, state (x1, v1, x2, v2): the diagonal
     prolongation of the 1-dim one, with the angular momentum as invariant."""
 
-    def fused(t, p):
-        w = -omega(t)
+    def field(w, p):
         return np.array([p[1], w * p[0], p[3], w * p[2]])
 
     return _second_order(
-        "oscillator_2d", omega, "X", (0, 2), (1, 3), fused, np.zeros_like,
-        _no_force_jac,
+        "oscillator_2d", omega, "X", (0, 2), (1, 3), field,
         invariants={"angular_momentum": lambda s: angular_momentum(*s[:4])})
 
 
@@ -229,18 +216,15 @@ def milne_pinney(omega: FrequencyProfile, k: float, half_plane: int = 1) -> Syst
     """Isotonic oscillator x'' = -omega^2(t) x + k / x^3, state (x, v)."""
     k = float(k)
 
-    def force(q):
-        return [k / _guard(q[0], "Milne-Pinney field")**3]
-
     def force_jac(q):
         return [[-3.0 * k / _guard(q[0], "Milne-Pinney field")**4]]
 
-    def fused(t, p):
+    def field(w, p):
         x = _guard(p[0], "Milne-Pinney field")
-        return np.array([p[1], -omega(t) * x + k / x**3])
+        return np.array([p[1], w * x + k / x**3])
 
-    return _second_order("milne_pinney", omega, "L", (0,), (1,), fused, force,
-                         force_jac, (0,) if k != 0.0 else (), half_plane, k=k)
+    return _second_order("milne_pinney", omega, "L", (0,), (1,), field, force_jac,
+                         (0,) if k != 0.0 else (), half_plane, k=k)
 
 
 def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
@@ -252,11 +236,6 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
     f, g = shapes.f, shapes.g
     what = "generalized Ermakov field"
 
-    def force(q):
-        x, y = _guard(q[0], what), _guard(q[1], what)
-        u = y / x
-        return [f(u) / x**3, g(u) / y**3]
-
     def force_jac(q):
         x, y = _guard(q[0], what), _guard(q[1], what)
         u = y / x
@@ -264,15 +243,13 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
         return [[-y * fp / x**5 - 3.0 * f(u) / x**4, fp / x**4],
                 [-gp / (x**2 * y**2), gp / (x * y**3) - 3.0 * g(u) / y**4]]
 
-    def fused(t, p):
-        x = _guard(p[0], "generalized Ermakov field")
-        y = _guard(p[2], "generalized Ermakov field")
+    def field(w, p):
+        x, y = _guard(p[0], what), _guard(p[2], what)
         u = y / x
-        w = -omega(t)
         return np.array([p[1], w * x + f(u) / x**3, p[3], w * y + g(u) / y**3])
 
     return _second_order(
-        "generalized_ermakov", omega, "N", (0, 2), (1, 3), fused, force, force_jac,
+        "generalized_ermakov", omega, "N", (0, 2), (1, 3), field, force_jac,
         (0, 2), half_plane, shapes=shapes,
         invariants={"generalized": lambda s: generalized_invariant(
             s[0], s[2], s[1], s[3], shapes)})
@@ -281,20 +258,15 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
 def ermakov(omega: FrequencyProfile, half_plane: int = 1) -> SystemDef:
     """Oscillator in x coupled to a k = 1 Pinney block in y, state (x, vx, y, vy)."""
 
-    def force(q):
-        return [0.0, 1.0 / _guard(q[1], "Ermakov field")**3]
-
     def force_jac(q):
         return [[0.0, 0.0], [0.0, -3.0 / _guard(q[1], "Ermakov field")**4]]
 
-    def fused(t, p):
+    def field(w, p):
         y = _guard(p[2], "Ermakov field")
-        w = -omega(t)
         return np.array([p[1], w * p[0], p[3], w * y + 1.0 / y**3])
 
     return _second_order(
-        "ermakov", omega, "X", (0, 2), (1, 3), fused, force, force_jac, (2,),
-        half_plane,
+        "ermakov", omega, "X", (0, 2), (1, 3), field, force_jac, (2,), half_plane,
         invariants={"lewis_ermakov": lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])})
 
 
@@ -305,21 +277,17 @@ def pinney_triple(omega: FrequencyProfile, k: float, half_plane: int = 1) -> Sys
     """
     k = float(k)
 
-    def force(q):
-        return [k / _guard(q[0], "Pinney-triple field")**3, 0.0, 0.0]
-
     def force_jac(q):
         J = np.zeros((3, 3))
         J[0, 0] = -3.0 * k / _guard(q[0], "Pinney-triple field")**4
         return J
 
-    def fused(t, p):
+    def field(w, p):
         x = _guard(p[0], "Pinney-triple field")
-        w = -omega(t)
         return np.array([p[3], p[4], p[5], w * x + k / x**3, w * p[1], w * p[2]])
 
     return _second_order(
-        "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5), fused, force, force_jac,
+        "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5), field, force_jac,
         (0,) if k != 0.0 else (), half_plane, k=k,
         invariants={name: lambda s, i=i: ermakov_pair_invariants(s, k)[i]
                     for i, name in enumerate(("pair_i1", "pair_i2", "wronskian"))})

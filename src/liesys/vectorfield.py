@@ -203,16 +203,15 @@ def prolonged_rank(fields, copies, probe):
     return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def minimal_m(fields, max_copies, rng=None):
+def minimal_m(fields, max_copies, rng):
     """Smallest number of copies at which the prolonged fields reach full rank.
 
     The rank at each level is decided by majority vote over PROBES_PER_LEVEL
-    random probes, guarding against accidentally non-generic points.  A
-    probe is uniform in [-2, 2]^n with every coordinate at least 0.1 away
-    from 0, off the singular hyperplanes of the Pinney-type fields.
+    random probes drawn from ``rng``, guarding against accidentally
+    non-generic points.  A probe is uniform in [-2, 2]^n with every
+    coordinate at least 0.1 away from 0, off the singular hyperplanes of the
+    Pinney-type fields.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     r = len(fields)
     n = fields[0].dimension
     ranks_found = {}

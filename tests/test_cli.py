@@ -100,6 +100,18 @@ def test_superpose_pinney_scenario_deterministic(tmp_path):
     assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("x0", [0.7, 0.35, 1.4])
+def test_a_pinney_target_at_rest_runs(x0, tmp_path):
+    # against y = (1, 0), z = (0, 1), the target (x0, 0) has 4 I1 I2 - k W^2 = 0,
+    # whose roundoff may read below 0
+    with open(os.path.join(SCENARIO_DIR, "superpose_pinney.json")) as fh:
+        scn = json.load(fh)
+    scn["initial_states"][2] = [x0, 0.0]
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "pinney_superpose_summary.json").read_text())
+    assert summary["pass"] is True
+
+
 def test_reduce_scenario(tmp_path):
     assert run_scenario("reduce_oscillator.json", tmp_path) == 0
     header = (tmp_path / "oscillator_reduction.csv").read_text().splitlines()[0]

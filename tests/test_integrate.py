@@ -263,7 +263,7 @@ def test_brentq_is_scipys():
             continue
         for lo, hi in ((a, b), (b, a)):
             want = brentq(p, lo, hi, xtol=4 * EPS, rtol=4 * EPS)
-            assert _brentq(p, lo, hi, 4 * EPS, 4 * EPS) == want, (p, lo, hi)
+            assert _brentq(p, lo, hi) == want, (p, lo, hi)
             compared += 1
     assert compared > 300
 

@@ -8,6 +8,7 @@ from liesys import (SingularityError, Trajectory, angular_momentum,
                     generalized_invariant, lewis_ermakov,
                     milne_pinney, oscillator_1d, oscillator_2d, pinney_triple,
                     quadratic_shapes, two_plus_sin, zero_one_shapes)
+from test_systems import linear_g_shapes
 
 
 # --- pointwise formulas ------------------------------------------------------
@@ -64,8 +65,9 @@ def test_generalized_reduces_to_lewis():
                                    abs=1e-10)
 
 
-@pytest.mark.parametrize("shapes", [zero_one_shapes(), quadratic_shapes()],
-                         ids=["zero_one", "quadratic"])
+@pytest.mark.parametrize("shapes", [zero_one_shapes(), quadratic_shapes(),
+                                    linear_g_shapes()],
+                         ids=["zero_one", "quadratic", "linear_g"])
 def test_closed_form_q_matches_the_quadrature(shapes):
     # Q(u) = integral_1^u (-z^-3 f(1/z) + z g(1/z)) dz, by scipy's quad
     from scipy.integrate import quad

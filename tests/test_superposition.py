@@ -12,12 +12,19 @@ from liesys import (DependentSolutionsError, DomainError, Trajectory,
                     pinney_rule_from_solutions, quadrature_rule, two_plus_sin)
 
 
+def oscillator_pair(y0, vy0, z0, vz0, t_end=10.0, n=301):
+    """The omega = 1 oscillator solutions through (y0, vy0) and (z0, vz0) at
+    t = 0, in closed form on n samples of [0, t_end]."""
+    grid = np.linspace(0.0, t_end, n)
+    return [Trajectory.from_function(
+        lambda t, a=a, b=b: np.column_stack([a * np.cos(t) + b * np.sin(t),
+                                             b * np.cos(t) - a * np.sin(t)]), grid)
+        for a, b in ((y0, vy0), (z0, vz0))]
+
+
 def analytic_pair(t_end=10.0, n=301):
     """y = sin t, z = cos t as oscillator trajectories (omega^2 = 1)."""
-    grid = np.linspace(0.0, t_end, n)
-    y = Trajectory.from_function(lambda t: np.column_stack([np.sin(t), np.cos(t)]), grid)
-    z = Trajectory.from_function(lambda t: np.column_stack([np.cos(t), -np.sin(t)]), grid)
-    return y, z
+    return oscillator_pair(0.0, 1.0, 1.0, 0.0, t_end, n)
 
 
 # --- linear rule -------------------------------------------------------------
@@ -212,3 +219,26 @@ def test_pinney_rule_is_finite_or_a_domain_error(y, z, i1, i2, w, k, branch,
         return
     assert np.all(np.isfinite(val.x)) and np.all(np.isfinite(val.raw))
     assert np.all(half_plane * val.x >= 0.0)
+
+
+_INITIAL = st.floats(-2.0, 2.0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair=st.tuples(_INITIAL, _INITIAL, _INITIAL, _INITIAL).filter(
+           lambda p: abs(p[0] * p[3] - p[2] * p[1]) >= 0.25),
+       x0=st.floats(0.25, 3.0), sign=st.sampled_from([1, -1]), v0=_INITIAL,
+       k=st.floats(0.05, 4.0), at_rest=st.booleans())
+@example(pair=(1.0, 0.0, 0.0, 1.0), x0=0.7, sign=1, v0=0.0, k=1.0, at_rest=True)
+def test_pinney_rule_from_solutions_rebuilds_the_initial_state(pair, x0, sign, v0, k,
+                                                              at_rest):
+    # at_rest: the pair (1, 0), (0, 1) and v0 = 0, where 4 I1 I2 - k W^2 = 0.
+    # |x0| and |W| stay off 0, where the rule itself loses digits to
+    # cancellation; v carries sqrt(eps) from the root of a zero discriminant.
+    if at_rest:
+        pair, v0 = (1.0, 0.0, 0.0, 1.0), 0.0
+    x0 *= sign
+    y, z = oscillator_pair(*pair, t_end=1.0, n=3)
+    x, v = pinney_rule_from_solutions(y, z, x0, v0, k).states[0]
+    assert abs(x - x0) <= 1e-9 * abs(x0)
+    assert abs(v - v0) <= 1e-7 * max(1.0, abs(v0), math.sqrt(k) / abs(x0))

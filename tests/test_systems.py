@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from liesys import (DimensionMismatchError, SingularityError,
+from liesys import (DimensionMismatchError, ShapeFunctions, SingularityError,
                     constant_frequency, diagonal_prolongation, ermakov,
                     generalized_ermakov, milne_pinney, oscillator_1d,
                     oscillator_2d, pinney_triple, prolonged_rank,
@@ -11,6 +11,15 @@ from liesys import (DimensionMismatchError, SingularityError,
 from liesys.systems import SHAPE_FUNCTIONS, SYSTEM_FACTORIES
 
 W1 = constant_frequency(1.0)
+
+
+def linear_g_shapes():
+    """f(u) = u^2, g(u) = 1 + u: a pair, for the tests only, whose g' is not
+    0, so the g' terms of X2's Jacobian count in the algebra."""
+    return ShapeFunctions(
+        lambda u: u * u, lambda u: 1.0 + u, lambda u: 2.0 * u, lambda u: 1.0,
+        "f(u) = u^2, g(u) = 1 + u",
+        Q=lambda u: 0.25 * (u**-4 - 1.0) + 0.5 * (u * u - 1.0) + (u - 1.0))
 
 
 def all_systems(omega=W1):
@@ -101,15 +110,15 @@ def test_pinney_triple_generator_rank_three():
 
 def test_every_factory_closes_the_algebra():
     rng = np.random.default_rng(0)
-    for sysd in all_systems():
+    for sysd in all_systems() + [generalized_ermakov(W1, linear_g_shapes())]:
         probes = sysd.sample_domain(rng, 100)
         report = verify_algebra(sysd.generators, sysd.constants, probes, 1e-9)
         assert report.ok, f"{sysd.name}: {report}"
 
 
 def assembled_rhs(sysd, t, p):
-    """sum_a b_a(t) X_a(p) summed from the generators: the reference every
-    fused field must reproduce bit for bit."""
+    """sum_a b_a(t) X_a(p) summed from the generators: the reference that
+    every factory's field at w = b_1(t) must reproduce bit for bit."""
     p = np.asarray(p, dtype=float)
     out = np.zeros(sysd.dimension)
     for b, X in zip(sysd.coefficients, sysd.generators):
@@ -136,7 +145,7 @@ def test_rhs_rejects_a_point_of_the_wrong_dimension():
             sysd.rhs(0.0, np.ones(sysd.dimension + 1))
 
 
-def test_fused_field_guards_like_the_generators():
+def test_the_field_guards_like_the_generators():
     for sysd in all_systems():
         for i in sysd.singular_coords:
             p = np.ones(sysd.dimension)
@@ -189,11 +198,12 @@ def test_shape_derivatives_match_central_differences(name):
 
 
 
-# Every factory's system, generalized_ermakov with each registered shape pair.
+# Every factory's system, generalized_ermakov with each registered shape pair
+# and with the test pair whose g' is not 0.
 JACOBIAN_CASES = {
     **{sysd.name: sysd for sysd in all_systems() if "shapes" not in sysd.params},
     **{f"generalized_ermakov-{name}": generalized_ermakov(W1, shapes())
-       for name, shapes in SHAPE_FUNCTIONS.items()},
+       for name, shapes in {**SHAPE_FUNCTIONS, "linear_g": linear_g_shapes}.items()},
 }
 
 
