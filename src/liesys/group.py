@@ -240,25 +240,25 @@ def particular_solution_curve(x1: Trajectory):
     return g1
 
 
-def _position_and_velocity(x1: Trajectory, t):
-    rows = x1.dense(t)
-    return rows[:, 0], rows[:, 1]
+def _on_tau_clock(x1: Trajectory, formula) -> Trajectory:
+    """The closed form whose rows (x, x') at an array of times are
+    ``formula(x1, x1', tau)`` there, on x1's grid and x1's tau clock."""
+    clock = x1.tau_clock()
+
+    def evaluate(t):
+        rows = x1.dense(t)
+        return formula(rows[:, 0], rows[:, 1], clock(t))
+
+    return Trajectory.from_function(evaluate, x1.times)
 
 
 def reduce_oscillator(x1: Trajectory, k_prime, k) -> Trajectory:
     """General oscillator solution from one nonvanishing solution by the
     order-reduction quadrature: x = k' x1 + k x1 tau."""
-    clock = x1.tau_clock()
-
-    def evaluate(t):
-        pos, vel = _position_and_velocity(x1, t)
-        tau = clock(t)
-        return np.column_stack([
-            k_prime * pos + k * pos * tau,
-            k_prime * vel + k * (vel * tau + 1.0 / pos),
-        ])
-
-    return Trajectory.from_function(evaluate, x1.times)
+    return _on_tau_clock(x1, lambda pos, vel, tau: np.column_stack([
+        k_prime * pos + k * pos * tau,
+        k_prime * vel + k * (vel * tau + 1.0 / pos),
+    ]))
 
 
 @dataclass(frozen=True)
@@ -294,11 +294,9 @@ def reduction_parameters(x1: Trajectory, x0, v0, k) -> ReductionParameters:
 def _pinney_reduction(x1: Trajectory, a, s_of_tau) -> Trajectory:
     """x(t) = x1(t) sqrt(s(tau)) / a, where ``s_of_tau`` maps tau to s and
     ds/dtau; x' follows by the chain rule with dtau/dt = 1/x1^2."""
-    clock = x1.tau_clock()
 
-    def evaluate(t):
-        pos, vel = _position_and_velocity(x1, t)
-        s, ds_dtau = s_of_tau(clock(t))
+    def formula(pos, vel, tau):
+        s, ds_dtau = s_of_tau(tau)
         if np.any(s <= 0.0):
             worst = float(np.min(s))
             raise DomainError("nonpositive radicand in the reduced solution", worst)
@@ -306,7 +304,7 @@ def _pinney_reduction(x1: Trajectory, a, s_of_tau) -> Trajectory:
         v = vel * root / a + ds_dtau / (2.0 * root * a * pos)
         return np.column_stack([pos * root / a, v])
 
-    return Trajectory.from_function(evaluate, x1.times)
+    return _on_tau_clock(x1, formula)
 
 
 def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k) -> Trajectory:

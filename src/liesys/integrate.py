@@ -404,8 +404,9 @@ class _DenseOutput:
         self.t_old, self.h, self.y_old = ts[:-1], ts[1:] - ts[:-1], ys[:-1]
         self._fun, self._y, self._K, self.F = fun, ys[1:], K, None
         self.nfev = nfev
-        self._ascending = ts[-1] >= ts[0]
-        self._ts_sorted = ts if self._ascending else ts[::-1]
+        # times as an ascending key in either direction; negation is exact
+        self._sign = np.copysign(1.0, ts[-1] - ts[0])
+        self._key = ts * self._sign
 
     def _build(self):
         K_ext = np.empty((rk.N_STAGES_EXTENDED, self._y.shape[1]))
@@ -422,11 +423,7 @@ class _DenseOutput:
         if self.F is None:
             self._build()
         t = np.asarray(t, dtype=float)
-        m = len(self.h)
-        side = "left" if self._ascending else "right"
-        seg = np.clip(np.searchsorted(self._ts_sorted, t, side=side) - 1, 0, m - 1)
-        if not self._ascending:
-            seg = m - 1 - seg
+        seg = np.clip(np.searchsorted(self._key, t * self._sign) - 1, 0, len(self.h) - 1)
         cols = slice(lane, None, lanes)
         x = (t - self.t_old[seg]) / self.h[seg]
         return _horner(x, self.F[seg, :, cols], self.y_old[seg, cols])

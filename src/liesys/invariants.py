@@ -1,6 +1,6 @@
 """Closed-form first integrals and drift measurement along trajectories."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,12 +13,12 @@ from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 class InvariantSeries:
     """An invariant sampled along a trajectory, with drift statistics."""
 
-    label: str
     times: np.ndarray
     values: np.ndarray
-    drift_abs: float = 0.0
-    drift_rel: float = 0.0
     partial: bool = False  # set when a singularity truncated the series
+    running: np.ndarray = field(init=False)  # running max of |v - v0|
+    drift_abs: float = field(init=False)  # the last entry of running
+    drift_rel: float = field(init=False)  # drift_abs / max(1, |v0|)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -26,7 +26,8 @@ class InvariantSeries:
         if len(self.times) != len(self.values):
             raise ValueError("times and values must have matching lengths")
         v0 = self.values[0]
-        self.drift_abs = float(np.max(np.abs(self.values - v0)))
+        self.running = np.maximum.accumulate(np.abs(self.values - v0))
+        self.drift_abs = float(self.running[-1])
         self.drift_rel = self.drift_abs / max(1.0, abs(float(v0)))
 
 
@@ -86,13 +87,12 @@ def drift(trajectories, invariant, label="invariant"):
     times = trajectories[0].times
     states = np.concatenate([tr.dense(times) for tr in trajectories], axis=1)
     values = []
-    partial = False
     for state in states:
         try:
             values.append(invariant(state))
         except SingularityError:
-            partial = True
             break
     if not values:
         raise SingularityError(f"{label} singular already at the first sample")
-    return InvariantSeries(label, times[: len(values)], np.array(values), partial=partial)
+    return InvariantSeries(times[: len(values)], np.array(values),
+                           partial=len(values) < len(times))

@@ -77,9 +77,8 @@ class SystemDef:
     (dimension, n) block of n points, one per column.  The generators remain
     the source of truth for the algebra and rank checks.
     ``singular_coords`` are state indices whose vanishing is a genuine
-    singularity; each is confined to the chosen half-plane (x > 0 by
-    default, x < 0 with half_plane = -1).  ``invariants`` maps the name of
-    each first integral of the system to a function of its state vector.
+    singularity.  ``invariants`` maps the name of each first integral of
+    the system to a function of its state vector.
     """
 
     name: str
@@ -89,7 +88,6 @@ class SystemDef:
     constants: StructureConstants
     field: Callable[[float, np.ndarray], np.ndarray]
     singular_coords: Tuple[int, ...] = ()
-    half_plane: int = 1
     invariants: dict = dataclasses.field(default_factory=dict)
     params: dict = dataclasses.field(default_factory=dict)
 
@@ -114,15 +112,17 @@ class SystemDef:
         return integrate_lanes(self.rhs, states, t_span, abs_tol, rel_tol,
                                singular_coords=self.singular_coords)
 
-    def sample_domain(self, rng, count=1, low=-2.0, high=2.0, guard=0.1):
-        """Seeded random probes in the guarded domain of this system."""
+    def sample_domain(self, rng, count=1, low=-2.0, high=2.0, guard=0.1,
+                      half_plane=1):
+        """Seeded random probes in the guarded domain of this system, each
+        of ``singular_coords`` in the half-plane of the sign ``half_plane``."""
         probes = []
         while len(probes) < count:
             p = rng.uniform(low, high, size=self.dimension)
             if np.any(np.abs(p) < guard):
                 continue
             for i in self.singular_coords:
-                p[i] = self.half_plane * abs(p[i])
+                p[i] = half_plane * abs(p[i])
             probes.append(p)
         return probes
 
@@ -141,7 +141,7 @@ def _guard(x, what):
 
 
 def _second_order(name, omega, letter, positions, velocities, field, force_jac=None,
-                  singular_coords=(), half_plane=1, invariants=None, **params):
+                  singular_coords=(), invariants=None, **params):
     """The SystemDef of x_i'' = -omega^2(t) x_i + F_i(x), whose positions x_i
     and velocities v_i sit at the state indices ``positions`` and
     ``velocities``.  Its generators, named ``letter`` 1 to 3, are
@@ -185,8 +185,7 @@ def _second_order(name, omega, letter, positions, velocities, field, force_jac=N
         name=name, dimension=n, generators=generators,
         coefficients=(lambda t: -omega(t), lambda t: 1.0, lambda t: 0.0),
         constants=sl2_constants(), field=field,
-        singular_coords=tuple(singular_coords), half_plane=int(half_plane),
-        invariants=invariants or {},
+        singular_coords=tuple(singular_coords), invariants=invariants or {},
         params={**params, "frequency": omega.description},
     )
 
@@ -212,7 +211,7 @@ def oscillator_2d(omega: FrequencyProfile) -> SystemDef:
         invariants={"angular_momentum": lambda s: angular_momentum(*s[:4])})
 
 
-def milne_pinney(omega: FrequencyProfile, k: float, half_plane: int = 1) -> SystemDef:
+def milne_pinney(omega: FrequencyProfile, k: float) -> SystemDef:
     """Isotonic oscillator x'' = -omega^2(t) x + k / x^3, state (x, v)."""
     k = float(k)
 
@@ -224,11 +223,10 @@ def milne_pinney(omega: FrequencyProfile, k: float, half_plane: int = 1) -> Syst
         return np.array([p[1], w * x + k / x**3])
 
     return _second_order("milne_pinney", omega, "L", (0,), (1,), field, force_jac,
-                         (0,) if k != 0.0 else (), half_plane, k=k)
+                         (0,) if k != 0.0 else (), k=k)
 
 
-def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
-                        half_plane: int = 1) -> SystemDef:
+def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions) -> SystemDef:
     """Coupled pair x'' = f(y/x)/x^3 - omega^2 x, y'' = g(y/x)/y^3 - omega^2 y.
 
     State (x, vx, y, vy); the domain excludes x = 0 and y = 0.
@@ -250,12 +248,12 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions,
 
     return _second_order(
         "generalized_ermakov", omega, "N", (0, 2), (1, 3), field, force_jac,
-        (0, 2), half_plane, shapes=shapes,
+        (0, 2), shapes=shapes,
         invariants={"generalized": lambda s: generalized_invariant(
             s[0], s[2], s[1], s[3], shapes)})
 
 
-def ermakov(omega: FrequencyProfile, half_plane: int = 1) -> SystemDef:
+def ermakov(omega: FrequencyProfile) -> SystemDef:
     """Oscillator in x coupled to a k = 1 Pinney block in y, state (x, vx, y, vy)."""
 
     def force_jac(q):
@@ -266,11 +264,11 @@ def ermakov(omega: FrequencyProfile, half_plane: int = 1) -> SystemDef:
         return np.array([p[1], w * p[0], p[3], w * y + 1.0 / y**3])
 
     return _second_order(
-        "ermakov", omega, "X", (0, 2), (1, 3), field, force_jac, (2,), half_plane,
+        "ermakov", omega, "X", (0, 2), (1, 3), field, force_jac, (2,),
         invariants={"lewis_ermakov": lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])})
 
 
-def pinney_triple(omega: FrequencyProfile, k: float, half_plane: int = 1) -> SystemDef:
+def pinney_triple(omega: FrequencyProfile, k: float) -> SystemDef:
     """Pinney block in x alongside two oscillator copies y, z.
 
     State (x, y, z, vx, vy, vz); six-dimensional with three joint integrals.
@@ -288,7 +286,7 @@ def pinney_triple(omega: FrequencyProfile, k: float, half_plane: int = 1) -> Sys
 
     return _second_order(
         "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5), field, force_jac,
-        (0,) if k != 0.0 else (), half_plane, k=k,
+        (0,) if k != 0.0 else (), k=k,
         invariants={name: lambda s, i=i: ermakov_pair_invariants(s, k)[i]
                     for i, name in enumerate(("pair_i1", "pair_i2", "wronskian"))})
 

@@ -31,20 +31,19 @@ class VectorField:
     def analytic_jacobian(self):
         return self._jac is not None
 
-    def __call__(self, p):
+    def _point(self, p):
         p = np.asarray(p, dtype=float)
         if p.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"point of shape {p.shape} on a field of dimension {self.dimension}"
             )
-        return np.asarray(self._func(p), dtype=float)
+        return p
+
+    def __call__(self, p):
+        return np.asarray(self._func(self._point(p)), dtype=float)
 
     def jacobian(self, p):
-        p = np.asarray(p, dtype=float)
-        if p.shape != (self.dimension,):
-            raise DimensionMismatchError(
-                f"point of shape {p.shape} on a field of dimension {self.dimension}"
-            )
+        p = self._point(p)
         if self._jac is not None:
             return np.asarray(self._jac(p), dtype=float)
         return self._fd_jacobian(p)
@@ -116,7 +115,7 @@ class AlgebraReport:
     (a, b), a < b, to its worst residual over the probes.
     """
 
-    ok: bool
+    ok: bool  # worst_residual < tol
     tol: float
     worst_residual: float
     worst_pair: tuple
@@ -159,7 +158,7 @@ def verify_algebra(fields, constants, probes, tol):
             if res > worst:
                 worst, worst_pair, worst_point = res, (a, b), p
     return AlgebraReport(
-        ok=worst <= tol,
+        ok=worst < tol,
         tol=tol,
         worst_residual=worst,
         worst_pair=worst_pair,
@@ -203,28 +202,22 @@ def prolonged_rank(fields, copies, probe):
     return int(np.sum(sv > RANK_TOL * sv[0]))
 
 
-def minimal_m(fields, max_copies, rng):
-    """Smallest number of copies at which the prolonged fields reach full rank.
+def minimal_m(fields, max_copies, draw):
+    """The majority rank of the prolonged fields at 1, 2, ... copies, up to
+    the first count m at which it is full: a list of m ranks.
 
-    The rank at each level is decided by majority vote over PROBES_PER_LEVEL
-    random probes drawn from ``rng``, guarding against accidentally
-    non-generic points.  A probe is uniform in [-2, 2]^n with every
-    coordinate at least 0.1 away from 0, off the singular hyperplanes of the
-    Pinney-type fields.
+    ``draw(copies)`` returns one probe of the prolonged space; each level's
+    rank is the majority over PROBES_PER_LEVEL probes, which guards against
+    accidentally non-generic points.
     """
     r = len(fields)
-    n = fields[0].dimension
-    ranks_found = {}
+    ranks = []
     for copies in range(1, max_copies + 1):
-        votes = []
-        while len(votes) < PROBES_PER_LEVEL:
-            probe = rng.uniform(-2.0, 2.0, size=n * copies)
-            if np.all(np.abs(probe) >= 0.1):
-                votes.append(prolonged_rank(fields, copies, probe))
-        majority = int(np.bincount(votes).argmax())
-        ranks_found[copies] = majority
-        if majority == r:
-            return copies
+        votes = [prolonged_rank(fields, copies, draw(copies))
+                 for _ in range(PROBES_PER_LEVEL)]
+        ranks.append(int(np.bincount(votes).argmax()))
+        if ranks[-1] == r:
+            return ranks
     raise UndeterminedRankError(
-        f"no copy count up to {max_copies} reaches rank {r}", ranks=ranks_found
-    )
+        f"no copy count up to {max_copies} reaches rank {r}",
+        ranks=dict(enumerate(ranks, 1)))

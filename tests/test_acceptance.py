@@ -23,23 +23,31 @@ integrate_module = importlib.import_module("liesys.integrate")
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def _run(fn):
-    result = fn(seed=0)
+@pytest.fixture(scope="module")
+def at_seed_0():
+    """Each criterion's result at seed 0, computed in process once for the
+    criterion tests and the pooled run that they check."""
+    return [fn(seed=0) for fn in acceptance.ALL_CRITERIA]
+
+
+def _run(results, index):
+    result = results[index - 1]
+    assert result.index == index
     print(result.line())
     assert result.passed, result.detail
     return result
 
 
-def test_criterion_01_algebra_closure():
-    _run(acceptance.criterion_1)
+def test_criterion_01_algebra_closure(at_seed_0):
+    _run(at_seed_0, 1)
 
 
-def test_criterion_02_minimal_m():
-    _run(acceptance.criterion_2)
+def test_criterion_02_minimal_m(at_seed_0):
+    _run(at_seed_0, 2)
 
 
-def test_criterion_03_invariant_drift():
-    _run(acceptance.criterion_3)
+def test_criterion_03_invariant_drift(at_seed_0):
+    _run(at_seed_0, 3)
 
 
 def test_criterion_03_reads_its_solves_only_at_their_nodes(monkeypatch):
@@ -51,28 +59,28 @@ def test_criterion_03_reads_its_solves_only_at_their_nodes(monkeypatch):
     assert passed and rows
 
 
-def test_criterion_04_pinney_superposition():
-    _run(acceptance.criterion_4)
+def test_criterion_04_pinney_superposition(at_seed_0):
+    _run(at_seed_0, 4)
 
 
-def test_criterion_05_linear_and_quadrature_rules():
-    _run(acceptance.criterion_5)
+def test_criterion_05_linear_and_quadrature_rules(at_seed_0):
+    _run(at_seed_0, 5)
 
 
-def test_criterion_06_group_equation():
-    _run(acceptance.criterion_6)
+def test_criterion_06_group_equation(at_seed_0):
+    _run(at_seed_0, 6)
 
 
-def test_criterion_07_reductions():
-    _run(acceptance.criterion_7)
+def test_criterion_07_reductions(at_seed_0):
+    _run(at_seed_0, 7)
 
 
-def test_criterion_08_action_sanity():
-    _run(acceptance.criterion_8)
+def test_criterion_08_action_sanity(at_seed_0):
+    _run(at_seed_0, 8)
 
 
-def test_criterion_09_cross_consistency():
-    _run(acceptance.criterion_9)
+def test_criterion_09_cross_consistency(at_seed_0):
+    _run(at_seed_0, 9)
 
 
 def test_criterion_10_cli_verify_deterministic(shipped_outputs, tmp_path, capsys):
@@ -89,12 +97,14 @@ def test_criterion_10_cli_verify_deterministic(shipped_outputs, tmp_path, capsys
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-def test_run_all_matches_the_criteria_run_in_process(seed):
+def test_run_all_matches_the_criteria_run_in_process(seed, request):
     # run_all's workers, its longest-first order and criterion 3's parts
     # against each criterion called here, criterion 3 as one function
     pooled = [result for result, _ in acceptance.run_all(seed)]
     assert [r.index for r in pooled] == list(range(1, 10))
-    assert pooled == [fn(seed) for fn in acceptance.ALL_CRITERIA]
+    in_process = (request.getfixturevalue("at_seed_0") if seed == 0
+                  else [fn(seed) for fn in acceptance.ALL_CRITERIA])
+    assert pooled == in_process
 
 
 def _integration_failure(seed=0):

@@ -112,6 +112,32 @@ def test_a_pinney_target_at_rest_runs(x0, tmp_path):
     assert summary["pass"] is True
 
 
+def test_pinney_rule_on_a_target_that_crosses_zero_fails_its_oracle(tmp_path):
+    # with k = 0 the Pinney target is an oscillator solution, which crosses 0,
+    # while the rule returns |x| in x0's half-plane: the oracle check fails
+    with open(os.path.join(SCENARIO_DIR, "superpose_pinney.json")) as fh:
+        scn = json.load(fh)
+    scn["system"]["k"] = 0.0
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "pinney_superpose_summary.json").read_text())
+    assert summary["pass"] is False
+    assert summary["max_error"] > summary["threshold"]
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0])
+def test_pinney_self_with_k_not_positive_is_a_usage_error(k, tmp_path, capsys,
+                                                          monkeypatch):
+    # the field alone decides it, so nothing is solved
+    monkeypatch.setattr(systems, "integrate", None)
+    with open(os.path.join(SCENARIO_DIR, "reduce_pinney_self.json")) as fh:
+        scn = json.load(fh)
+    scn["system"]["k"] = k
+    out = tmp_path / "out"
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(out)]) == 2
+    assert "usage error in field 'system.k'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_reduce_scenario(tmp_path):
     assert run_scenario("reduce_oscillator.json", tmp_path) == 0
     header = (tmp_path / "oscillator_reduction.csv").read_text().splitlines()[0]
@@ -122,6 +148,38 @@ def test_minimal_m_scenario(tmp_path):
     assert run_scenario("minimal_m_oscillator.json", tmp_path) == 0
     summary = json.loads((tmp_path / "oscillator_m_summary.json").read_text())
     assert summary["m"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(systems.SYSTEM_FACTORIES))
+def test_minimal_m_rows_agree_with_m(name, tmp_path):
+    # one row per copy count up to m: full rank at m, below it before
+    path = write_scenario(tmp_path, {"pipeline": "minimal-m", "system": name,
+                                     "output": {"csv": "m.csv"}})
+    rank = len(cli.build_system(name).generators)
+    for seed in range(10):
+        assert cli.main(["run", path, "--seed", str(seed), "--out", str(tmp_path)]) == 0
+        m = json.loads((tmp_path / "m_summary.json").read_text())["m"]
+        with open(tmp_path / "m.csv") as fh:
+            rows = [(int(c), int(r)) for c, r in list(csv.reader(fh))[1:]]
+        assert [c for c, _ in rows] == list(range(1, m + 1))
+        assert rows[-1][1] == rank
+        assert all(r < rank for _, r in rows[:-1])
+
+
+def test_the_probing_pipelines_sample_the_half_plane_of_the_scenario(tmp_path,
+                                                                       monkeypatch):
+    sample_domain, signs = systems.SystemDef.sample_domain, []
+
+    def spy(self, rng, count=1, **kwargs):
+        probes = sample_domain(self, rng, count, **kwargs)
+        signs.extend(np.sign(p[0]) for p in probes)
+        return probes
+    monkeypatch.setattr(systems.SystemDef, "sample_domain", spy)
+    for pipeline in ("verify-algebra", "minimal-m"):
+        path = write_scenario(tmp_path, {"pipeline": pipeline, "system": {
+            "name": "milne_pinney", "half_plane": -1}})
+        assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
+    assert len(signs) > 100 and set(signs) == {-1.0}
 
 
 def test_group_solve_scenario(tmp_path):
@@ -455,6 +513,9 @@ BAD_FIELDS = {
     "zero_half_plane": ({"pipeline": "verify-algebra",
                          "system": {"name": "milne_pinney", "half_plane": 0}},
                         "system.half_plane"),
+    "zero_half_plane_minimal_m": ({"pipeline": "minimal-m",
+                                   "system": {"name": "ermakov", "half_plane": 0}},
+                                  "system.half_plane"),
     "fractional_max_copies": ({"pipeline": "minimal-m",
                                "system": {"name": "oscillator_1d"},
                                "max_copies": 2.5}, "max_copies"),

@@ -178,11 +178,10 @@ def test_singularity_errors_at_zero():
 
 def test_half_plane_sampling():
     rng = np.random.default_rng(5)
-    neg = milne_pinney(W1, 1.0, half_plane=-1)
-    for p in neg.sample_domain(rng, 10):
+    sysd = milne_pinney(W1, 1.0)
+    for p in sysd.sample_domain(rng, 10, half_plane=-1):
         assert p[0] < 0
-    pos = milne_pinney(W1, 1.0)
-    for p in pos.sample_domain(rng, 10):
+    for p in sysd.sample_domain(rng, 10):
         assert p[0] > 0
 
 
