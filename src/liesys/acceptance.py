@@ -188,8 +188,10 @@ def criterion_7(seed=0):
     cos_t = Trajectory.from_function(_cos_t, np.linspace(0.0, 1.2, 121))
     sample = np.linspace(0.0, 1.2, 25)
     red = G.reduce_oscillator(cos_t, 0.0, 1.0)
-    checks = [("dalembert_analytic",
-               cli.compare(red.position(sample), np.sin(sample), "abs").max(), 1e-8)]
+    # (check, error, passed): the criterion's own cases against their bounds,
+    # the pipeline's runs under its verdict
+    err = cli.compare(red.position(sample), np.sin(sample), "abs").max()
+    checks = [("dalembert_analytic", err, err < 1e-8)]
 
     # d'Alembert against its oracle in (x, v), where the reduce pipeline
     # compares x alone
@@ -198,8 +200,8 @@ def criterion_7(seed=0):
     red = G.reduce_oscillator(x1, 0.4, 0.7)
     ref = osc.integrate(red.states[0], (0.0, 0.9))
     sample = np.linspace(0.0, 0.9, 25)
-    checks.append(("dalembert_vs_oracle",
-                   cli.compare(red.dense(sample), ref.dense(sample), "rel").max(), 1e-6))
+    err = cli.compare(red.dense(sample), ref.dense(sample), "rel").max()
+    checks.append(("dalembert_vs_oracle", err, err < 1e-6))
 
     # Milne-Pinney from a particular Milne-Pinney solution, then from an
     # oscillator solution: x = 1 from x1 = 1 and from x1 = cos t exactly
@@ -211,18 +213,19 @@ def criterion_7(seed=0):
             ("pinney-osc", G.reduce_pinney_from_oscillator, cos_t, [1.0, 0.3], 1.2, 49)):
         name = method.replace("-", "_")
         exact = reduce(analytic, 1.0, 0.0, 1.0).states[:, 0]
-        checks.append((f"{name}_analytic", cli.compare(exact, 1.0, "abs").max(), 1e-8))
+        err = cli.compare(exact, 1.0, "abs").max()
+        checks.append((f"{name}_analytic", err, err < 1e-8))
         states = _seeded_states(rng, 3, [(0.5, 2), (-1, 1)])
-        _, summary, _ = cli.pipeline_reduce({
+        passed, summary, _ = cli.pipeline_reduce({
             "method": method, "system": {"frequency": "constant"},
             "initial_states": [x1, *states], "t_span": [0.0, t1], "samples": samples},
             None, seed)
-        checks += [(f"{name}_vs_oracle", run["max_rel_error"], 1e-5)
+        checks += [(f"{name}_vs_oracle", run["max_rel_error"], passed)
                    for run in summary["runs"]]
 
     worst = max(err for _, err, _ in checks)
     return CriterionResult(7, "reductions match direct integration",
-                           all(err < bound for _, err, bound in checks),
+                           all(passed for _, _, passed in checks),
                            f"worst error {worst:.3e}", ["check", "max_error"],
                            [[check, err] for check, err, _ in checks])
 
@@ -268,7 +271,7 @@ def criterion_8(seed=0):
             fd_lin = G.generator_by_finite_difference(G.linear_action, v, p)
             err_ff = max(err_ff, float(np.max(np.abs(fd_lin - Xi(p)))))
             fd_pin = G.generator_by_finite_difference(
-                lambda g, q: np.array(G.pinney_action(g, q, k)[:2]), v, p)
+                lambda g, q: np.array(G.pinney_action(g, q, k)), v, p)
             err_ff = max(err_ff, float(np.max(np.abs(fd_pin - Li(p)))))
 
     ok = err_id < 1e-12 and signs_ok and valid > 900 and err_ff < 1e-5

@@ -174,12 +174,15 @@ def build_frequency(cfg):
 def build_system(cfg, name=None):
     """The system a scenario's ``system`` entry describes; ``name``, when
     given, replaces its name (a pipeline building the oscillator or the
-    Milne-Pinney system of the same frequency and k)."""
+    Milne-Pinney system of the same frequency and k); the entry's own name,
+    where it has one, is checked all the same."""
     if isinstance(cfg, str):
         cfg = {"name": cfg}
     if not isinstance(cfg, dict):
         raise ScenarioError("system must be a name or an object", field="system")
-    name = _choice(name or cfg.get("name"), SYSTEM_FACTORIES, "system.name", "system")
+    if name is None or "name" in cfg:
+        own = _choice(cfg.get("name"), SYSTEM_FACTORIES, "system.name", "system")
+        name = name or own
     omega = build_frequency(cfg.get("frequency"))
     # the fields a factory reads are the parameters it takes
     takes = inspect.signature(SYSTEM_FACTORIES[name]).parameters
@@ -400,8 +403,9 @@ def pipeline_reduce(scn, tol_override, seed):
         raise ScenarioError("the pinney-self reduction needs k > 0", field="system.k")
 
     if method == "dalembert":
+        keys = _keys(scn)
         x1 = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
-        reds = [G.reduce_oscillator(x1, *_keys(scn))]
+        reds = [G.reduce_oscillator(x1, *keys)]
         targets = [reds[0].initial_state]
         refs = [osc.integrate(targets[0], (t0, t1), abs_tol, rel_tol)]
     else:  # every state after the particular solution x1 is a target

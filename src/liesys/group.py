@@ -1,6 +1,6 @@
-"""SL(2,R) machinery: algebra/group types, exponential, adjoint, the Lie
-equation on the group, the linear and Pinney actions, tau-reparametrization
-and the reduction-by-particular-solution procedures."""
+"""SL(2,R) machinery: algebra/group types, exponential, the Lie equation on
+the group, the linear and Pinney actions, tau-reparametrization and the
+reduction-by-particular-solution procedures."""
 
 import math
 from dataclasses import dataclass
@@ -34,19 +34,6 @@ class Sl2Vector:
     def matrix(self):
         return self.c1 * A1 + self.c2 * A2 + self.c3 * A3
 
-    @classmethod
-    def from_matrix(cls, m):
-        m = np.asarray(m, dtype=float)
-        if abs(m[0, 0] + m[1, 1]) > 1e-9:
-            raise ValueError("matrix is not traceless")
-        return cls(c1=-m[1, 0], c2=-m[0, 1], c3=m[1, 1] - m[0, 0])
-
-    def __add__(self, other):
-        return Sl2Vector(self.c1 + other.c1, self.c2 + other.c2, self.c3 + other.c3)
-
-    def __rmul__(self, scalar):
-        return Sl2Vector(scalar * self.c1, scalar * self.c2, scalar * self.c3)
-
 
 class SL2Matrix:
     """A group element; the determinant must be 1 within 1e-6 on construction
@@ -61,14 +48,6 @@ class SL2Matrix:
         if abs(d - 1.0) > 1e-6:
             raise ValueError(f"determinant {d:.9g} too far from 1")
         self.array = a
-
-    @property
-    def det(self):
-        return float(np.linalg.det(self.array))
-
-    def inverse(self):
-        a = self.array
-        return SL2Matrix(np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]))
 
     def __matmul__(self, other):
         return SL2Matrix(self.array @ other.array)
@@ -97,15 +76,10 @@ def sl2_exp(v: Sl2Vector, s: float) -> SL2Matrix:
     return SL2Matrix(math.cosh(w * s) * np.eye(2) + (math.sinh(w * s) / w) * m)
 
 
-def adjoint(g: SL2Matrix, v: Sl2Vector) -> Sl2Vector:
-    """Coordinates of g v g^-1; conjugation preserves tracelessness."""
-    return Sl2Vector.from_matrix(g.array @ v.matrix @ g.inverse().array)
-
-
 class GroupSolution:
     """Solution of the right-invariant equation g' = a(t) g, g(0) = I.
 
-    Evaluation renormalizes the determinant; ``raw`` exposes the solver
+    ``normalized`` renormalizes the determinant; ``raw`` exposes the solver
     output and ``max_det_drift`` its worst determinant deviation.
     """
 
@@ -121,9 +95,6 @@ class GroupSolution:
         """raw(t) scaled to determinant 1, on scalars or arrays of t."""
         m = self.raw(t)
         return m / np.sqrt(np.linalg.det(m))[..., None, None]
-
-    def __call__(self, t) -> SL2Matrix:
-        return SL2Matrix(self.normalized(float(t)))
 
     @property
     def max_det_drift(self):
@@ -147,12 +118,10 @@ def linear_action(g: SL2Matrix, p):
 
 
 class PinneyActionResult(NamedTuple):
-    """x is signed (carrying sign(x)); v_abs is the nonnegative root; the raw
-    radicand of v is kept for diagnostics."""
+    """x is signed (carrying sign(x)); v_abs is the nonnegative root."""
 
     x: float
     v_abs: float
-    v_radicand: float
 
 
 def pinney_action(g: SL2Matrix, p, k: float) -> PinneyActionResult:
@@ -196,7 +165,7 @@ def _pinney_action(g, x, v, k):
             v_rad = 0.0  # cancellation roundoff, not a genuine domain exit
         else:
             raise DomainError(f"negative radicand {v_rad:.6g} for v", v_rad)
-    return PinneyActionResult(x_bar, math.sqrt(v_rad), v_rad)
+    return PinneyActionResult(x_bar, math.sqrt(v_rad))
 
 
 def generator_by_finite_difference(apply_fn, v: Sl2Vector, p):
@@ -229,15 +198,6 @@ def particular_solution_matrices(x1: Trajectory, t):
         raise SingularityError("particular solution vanishes at this time")
     zero = np.zeros_like(x)
     return np.stack([np.stack([x, zero], -1), np.stack([v, 1.0 / x], -1)], -2)
-
-
-def particular_solution_curve(x1: Trajectory):
-    """The curve g1(t) = [[x1, 0], [x1', 1/x1]] mapping (1, 0) onto x1."""
-
-    def g1(t):
-        return SL2Matrix(particular_solution_matrices(x1, t)[0])
-
-    return g1
 
 
 def _on_tau_clock(x1: Trajectory, formula) -> Trajectory:

@@ -73,10 +73,6 @@ class Trajectory:
     def t0(self):
         return float(self.times[0])
 
-    @property
-    def t1(self):
-        return float(self.times[-1])
-
     def dense(self, t):
         """State at time t (a scalar, or rows for an array); exact at sample
         times.  All off-sample times go to the interpolant in one call."""
@@ -105,17 +101,11 @@ class Trajectory:
             out[off] = rows[:len(t_off)]
         return out.reshape(t_arr.shape + (self.dimension,))
 
-    def __call__(self, t):
-        return self.dense(t)
-
     def component(self, i, t):
         return self.dense(t)[..., i]
 
     def position(self, t):
         return self.component(0, t)
-
-    def velocity(self, t):
-        return self.component(1, t)
 
     @property
     def initial_state(self):

@@ -5,7 +5,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularityError
-from .integrate import Trajectory
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 
 
@@ -75,19 +74,12 @@ def generalized_invariant(x, y, vx, vy, shapes):
     return 0.5 * xi * xi + shapes.Q(x / y)
 
 
-def drift(trajectories, invariant, label="invariant"):
-    """Evaluate ``invariant`` along one or more trajectories.
-
-    ``invariant`` receives the concatenated state vector.  With several
-    trajectories the sample grid of the first is used and the others are
-    evaluated through their dense output.
-    """
-    if isinstance(trajectories, Trajectory):
-        trajectories = (trajectories,)
-    times = trajectories[0].times
-    states = np.concatenate([tr.dense(times) for tr in trajectories], axis=1)
+def drift(traj, invariant, label="invariant"):
+    """Evaluate ``invariant`` on the state at every sample of ``traj``, up to
+    the first sample where it is singular."""
+    times = traj.times
     values = []
-    for state in states:
+    for state in traj.states:
         try:
             values.append(invariant(state))
         except SingularityError:

@@ -1,7 +1,6 @@
 """Superposition rules: linear, quadrature-based and Pinney's nonlinear rule."""
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,13 +40,6 @@ def quadrature_rule(x1: Trajectory, k_prime, k, t):
     return k_prime * pos + k * pos * x1.tau_clock()(t)
 
 
-class PinneyValue(NamedTuple):
-    """Half-plane-mapped magnitude plus the raw signed evaluation."""
-
-    x: float
-    raw: float
-
-
 def _discriminant_root(i1, i2, w, k):
     """sqrt(4 I1 I2 - k W^2).  On invariants of initial data the discriminant
     is a square, (A C - B D)^2 by Lagrange's identity, so a negative value
@@ -66,11 +58,11 @@ def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
 
         x = (sqrt(2) / W) * sqrt(I2 y^2 + I1 z^2 +- sqrt(4 I1 I2 - k W^2) y z)
 
-    The prefactor can be negative, so the returned ``x`` is the magnitude
-    mapped into the construction-time half-plane; ``raw`` keeps the signed
-    value.  ``y`` and ``z`` may be scalars or arrays.  A negative
-    discriminant beyond roundoff or a negative radicand, or a value out of
-    floating-point range (a Wronskian near 0), raises DomainError.
+    The prefactor can be negative, so the rule returns x's magnitude mapped
+    into the construction-time half-plane.  ``y`` and ``z`` may be scalars or
+    arrays, and x has their shape.  A negative discriminant beyond roundoff
+    or a negative radicand, or a value out of floating-point range (a
+    Wronskian near 0), raises DomainError.
     """
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
@@ -81,7 +73,7 @@ def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
     raw = math.sqrt(2.0) / w * np.sqrt(radicand)
     if not np.all(np.isfinite(raw)):
         raise DomainError("the Pinney rule leaves the floating-point range", w)
-    return PinneyValue(half_plane * abs(raw), raw)
+    return half_plane * abs(raw)
 
 
 def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k):
@@ -104,7 +96,7 @@ def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k
     disc_root = _discriminant_root(i1, i2, w, k)
 
     def x_and_dx2(y, vy, z, vz, branch):
-        x = pinney_rule(y, z, i1, i2, w, k, branch=branch, half_plane=half_plane).x
+        x = pinney_rule(y, z, i1, i2, w, k, branch=branch, half_plane=half_plane)
         # the exact derivative of x^2 = (2/W^2)(I2 y^2 + I1 z^2 +- r y z)
         dx2 = (2.0 / (w * w)) * (
             2.0 * i2 * y * vy + 2.0 * i1 * z * vz

@@ -75,6 +75,17 @@ def test_criterion_07_reductions(at_seed_0):
     _run(at_seed_0, 7)
 
 
+def test_criterion_07_takes_the_reduce_pipelines_verdict(at_seed_0, monkeypatch):
+    # the verdict of each reduce run is the pipeline's, as in criteria 1-6;
+    # the rows stay those of the passing run
+    reduce = cli.pipeline_reduce
+    monkeypatch.setattr(cli, "pipeline_reduce",
+                        lambda *args: (False, *reduce(*args)[1:]))
+    result = acceptance.criterion_7(seed=0)
+    assert not result.passed
+    assert result.csv_rows == at_seed_0[6].csv_rows
+
+
 def test_criterion_08_action_sanity(at_seed_0):
     _run(at_seed_0, 8)
 

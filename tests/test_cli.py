@@ -548,15 +548,38 @@ BAD_FIELDS = {
     "directory_as_output_csv": ({**INTEGRATE, "output": {"csv": "sub/"}},
                                 "output.csv"),
     "string_as_output": ({**INTEGRATE, "output": "x.csv"}, "output"),
+    "string_as_dalembert_keys": ({**INTEGRATE, "pipeline": "reduce",
+                                  "method": "dalembert", "keys": "x"}, "keys"),
+    # reduce and group-solve build from the frequency and k, and still check
+    # the scenario's own system name
+    "unknown_system_reduce": ({**INTEGRATE, "pipeline": "reduce",
+                               "method": "pinney-osc", "system": "bogus",
+                               "initial_states": [[1.0, 0.0], [1.0, 0.0]]},
+                              "system.name"),
+    "list_as_system_name_reduce": ({**INTEGRATE, "pipeline": "reduce",
+                                    "method": "dalembert", "keys": [0.0, 1.0],
+                                    "system": {"name": ["x"]}}, "system.name"),
+    "unknown_system_name_group_solve": ({**INTEGRATE, "pipeline": "group-solve",
+                                         "system": {"name": "bogus"}},
+                                        "system.name"),
+    "list_as_system_name_group_solve": ({**INTEGRATE, "pipeline": "group-solve",
+                                         "system": {"name": ["x"]}},
+                                        "system.name"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
-def test_bad_field_is_usage_error(case, tmp_path, capsys):
+def test_bad_field_is_usage_error(case, tmp_path, capsys, monkeypatch):
+    # every bad field exits 2 before any work: no solve has started
+    solves = []
+    dop853 = integrate_module._dop853
+    monkeypatch.setattr(integrate_module, "_dop853",
+                        lambda *args: solves.append(args) or dop853(*args))
     body, field = BAD_FIELDS[case]
     assert cli.main(["run", write_scenario(tmp_path, body),
                      "--out", str(tmp_path)]) == 2
     assert f"usage error in field '{field}'" in capsys.readouterr().err
+    assert solves == []
 
 
 @pytest.mark.parametrize("argv", [

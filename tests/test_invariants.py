@@ -8,6 +8,8 @@ from liesys import (SingularityError, Trajectory, angular_momentum,
                     generalized_invariant, lewis_ermakov,
                     milne_pinney, oscillator_1d, oscillator_2d, pinney_triple,
                     quadratic_shapes, two_plus_sin, zero_one_shapes)
+from liesys.cli import build_system
+from liesys.systems import SHAPE_FUNCTIONS, SYSTEM_FACTORIES
 from test_systems import linear_g_shapes
 
 
@@ -86,13 +88,11 @@ def test_closed_form_q_matches_the_quadrature(shapes):
 # --- constancy along flows ---------------------------------------------------
 
 def test_lewis_constant_on_analytic_pair():
-    # oscillator x = sin t paired with the Pinney equilibrium y = 1
-    osc = oscillator_1d(constant_frequency(1.0))
-    mp = milne_pinney(constant_frequency(1.0), 1.0)
-    tx = osc.integrate([0.0, 1.0], (0.0, 10.0))
-    ty = mp.integrate([1.0, 0.0], (0.0, 10.0))
-    series = drift([tx, ty], lambda s: lewis_ermakov(s[0], s[2], s[1], s[3]),
-                   "psi")
+    # oscillator x = sin t paired with the Pinney equilibrium y = 1, state
+    # (x, vx, y, vy) of the Ermakov system
+    traj = ermakov(constant_frequency(1.0)).integrate([0.0, 1.0, 1.0, 0.0],
+                                                      (0.0, 10.0))
+    series = drift(traj, lambda s: lewis_ermakov(s[0], s[2], s[1], s[3]), "psi")
     assert_allclose(series.values, 1.0, atol=1e-8)
     assert series.drift_rel < 1e-8
 
@@ -143,23 +143,21 @@ def test_drift_partial_on_singularity():
 def test_directional_derivative_vanishes():
     """The defining property: each invariant is annihilated by every
     generator of its system (checked as a finite-difference directional
-    derivative of the invariant along the field)."""
+    derivative of the invariant along the field).  The cases are every
+    invariant of every system, generalized Ermakov under every shape."""
     h = 1e-5
     rng = np.random.default_rng(7)
-    cases = [
-        (ermakov(constant_frequency(1.0)),
-         lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])),
-        (pinney_triple(constant_frequency(1.0), 1.0),
-         lambda s: ermakov_pair_invariants(s, 1.0)[0]),
-        (pinney_triple(constant_frequency(1.0), 1.0),
-         lambda s: ermakov_pair_invariants(s, 1.0)[2]),
-        (oscillator_2d(constant_frequency(1.0)),
-         lambda s: angular_momentum(s[0], s[1], s[2], s[3])),
-        (generalized_ermakov(constant_frequency(1.0), quadratic_shapes()),
-         lambda s: generalized_invariant(s[0], s[2], s[1], s[3],
-                                         quadratic_shapes())),
-    ]
-    for sysd, inv in cases:
+    configs = [{"name": name} for name in SYSTEM_FACTORIES
+               if name != "generalized_ermakov"]
+    configs += [{"name": "generalized_ermakov", "shapes": shapes}
+                for shapes in SHAPE_FUNCTIONS]
+    systems = [(cfg, build_system(cfg)) for cfg in configs]
+    cases = [(cfg, sysd, name, inv) for cfg, sysd in systems
+             for name, inv in sysd.invariants.items()]
+    assert sorted(name for _, _, name, _ in cases) == [
+        "angular_momentum", "generalized", "generalized", "lewis_ermakov",
+        "pair_i1", "pair_i2", "wronskian"]
+    for cfg, sysd, name, inv in cases:
         for p in sysd.sample_domain(rng, 20, low=-1.5, high=1.5, guard=0.3):
             for X in sysd.generators:
                 v = X(p)
@@ -167,7 +165,7 @@ def test_directional_derivative_vanishes():
                 # the tolerance even near the domain guard
                 deriv = (-inv(p + 2 * h * v) + 8 * inv(p + h * v)
                          - 8 * inv(p - h * v) + inv(p - 2 * h * v)) / (12 * h)
-                assert abs(deriv) < 1e-6, (sysd.name, X.name, p)
+                assert abs(deriv) < 1e-6, (cfg, name, X.name, p)
 
 
 # --- registry ----------------------------------------------------------------

@@ -86,7 +86,6 @@ def test_finite_difference_jacobian_matches_analytic():
 
     with_jac = VectorField(2, f, jac)
     without = VectorField(2, f)
-    assert with_jac.analytic_jacobian and not without.analytic_jacobian
     rng = np.random.default_rng(5)
     for _ in range(10):
         p = rng.uniform(-2, 2, size=2)
@@ -140,7 +139,7 @@ def test_verify_algebra_wrong_constant_fails():
     rng = np.random.default_rng(1)
     report = verify_algebra(osc_fields(), wrong, probes_for(2, rng, 20), 1e-9)
     assert not report.ok
-    assert report.worst_pair == (0, 1)
+    assert max(report.pair_residuals, key=report.pair_residuals.get) == (0, 1)
     assert max(report.pair_residuals.values()) == report.worst_residual
     assert report.pair_residuals[0, 1] > 1e-3
     assert report.pair_residuals[0, 2] < 1e-9 and report.pair_residuals[1, 2] < 1e-9
