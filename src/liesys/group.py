@@ -191,15 +191,6 @@ def tau_grid(x1: Trajectory):
     return x1.tau_clock()(x1.times)
 
 
-def particular_solution_matrices(x1: Trajectory, t):
-    """g1(t) = [[x1, 0], [x1', 1/x1]] for an array of times, shape (n, 2, 2)."""
-    x, v = x1.dense(np.atleast_1d(t))[:, :2].T
-    if np.any(x == 0.0):
-        raise SingularityError("particular solution vanishes at this time")
-    zero = np.zeros_like(x)
-    return np.stack([np.stack([x, zero], -1), np.stack([v, 1.0 / x], -1)], -2)
-
-
 def _on_tau_clock(x1: Trajectory, formula) -> Trajectory:
     """The closed form whose rows (x, x') at an array of times are
     ``formula(x1, x1', tau)`` there, on x1's grid and x1's tau clock."""
@@ -237,9 +228,9 @@ def reduction_parameters(x1: Trajectory, x0, v0, k) -> ReductionParameters:
     """(A, B) from the Pinney action of [[1/x1(0), 0], [-x1'(0), x1(0)]] on
     (x0, v0).
 
-    The action formula only yields |B|; its sign is restored from the flow,
-    where B equals the initial tau-derivative of x/x1, namely
-    v0 x1(0) - x0 x1'(0).
+    A = x0 / x1(0) and B, the initial tau-derivative of x/x1, namely
+    v0 x1(0) - x0 x1'(0), take their signs from the flow: the action
+    formula yields |B| and A in x0's half-plane, not in x0 / x1(0)'s.
     """
     x10, v10 = x1.states[0, 0], x1.states[0, 1]
     if x10 == 0.0:
@@ -248,7 +239,7 @@ def reduction_parameters(x1: Trajectory, x0, v0, k) -> ReductionParameters:
     res = pinney_action(g0_inv, (x0, v0), k)
     b_signed = v0 * x10 - x0 * v10
     b = math.copysign(res.v_abs, b_signed) if b_signed != 0.0 else 0.0
-    return ReductionParameters(A=res.x, B=b)
+    return ReductionParameters(A=math.copysign(res.x, x0 * x10), B=b)
 
 
 def _pinney_reduction(x1: Trajectory, a, s_of_tau) -> Trajectory:
@@ -308,4 +299,4 @@ def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k) -> Trajectory:
         cos, sin = np.cos(2.0 * rk * tau), np.sin(2.0 * rk * tau)
         return alpha + beta * cos + gamma * sin, 2.0 * rk * (gamma * cos - beta * sin)
 
-    return _pinney_reduction(x1, 1.0, s_of_tau)
+    return _pinney_reduction(x1, math.copysign(1.0, a), s_of_tau)

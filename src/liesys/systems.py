@@ -1,8 +1,8 @@
 """Factories for the concrete sl(2,R) Lie systems studied here.
 
 Each system is x_i'' = -omega^2(t) x_i + F_i(x): a factory gives its state
-layout, its field w X1 + X2, dF/dx and first integrals, and
-``_second_order`` builds the rest.  State layouts:
+layout, its field w X1 + X2 and first integrals, and ``_second_order``
+builds the rest, X2's Jacobian included.  State layouts:
 
     oscillator_1d        (x, v)
     oscillator_2d        (x1, v1, x2, v2)
@@ -24,38 +24,37 @@ from .invariants import (angular_momentum, ermakov_pair_invariants,
                          generalized_invariant, lewis_ermakov)
 from .vectorfield import StructureConstants, VectorField, sl2_constants
 
+# h of X2's complex-step Jacobian: far below F's rounding, so F(p + i h e_j)
+# keeps F(p) in its real part and h dF/dx_j in its imaginary part
+_COMPLEX_STEP = 1e-20
+
 
 @dataclasses.dataclass(frozen=True)
 class ShapeFunctions:
     """The two coupling shapes of the generalized Ermakov system, with the
     closed forms built on them.
 
-    ``df`` and ``dg`` are the derivatives of ``f`` and ``g``; they feed the
-    analytic Jacobian of the coupled generator.  ``Q`` is the antiderivative
+    ``f`` and ``g`` must be analytic and take real or complex arrays of u:
+    lane solves (``SystemDef.integrate_lanes``) call them on real arrays,
+    and X2's Jacobian on complex ones.  ``Q`` is the antiderivative
     integral_1^u (-z^-3 f(1/z) + z g(1/z)) dz of the generalized invariant.
-    Lane solves (``SystemDef.integrate_lanes``) call ``f`` and ``g`` on
-    arrays of u.
     """
 
     f: Callable[[float], float]
     g: Callable[[float], float]
-    df: Callable[[float], float]
-    dg: Callable[[float], float]
     description: str
     Q: Callable[[float], float]
 
 
 def zero_one_shapes():
     """f = 0, g = 1: the plain Ermakov coupling."""
-    return ShapeFunctions(lambda u: 0.0, lambda u: 1.0,
-                          lambda u: 0.0, lambda u: 0.0, "f(u) = 0, g(u) = 1",
+    return ShapeFunctions(lambda u: 0.0, lambda u: 1.0, "f(u) = 0, g(u) = 1",
                           Q=lambda u: 0.5 * (u * u - 1.0))
 
 
 def quadratic_shapes():
     """f(u) = u^2, g = 1: the standard nontrivial test coupling."""
-    return ShapeFunctions(lambda u: u * u, lambda u: 1.0,
-                          lambda u: 2.0 * u, lambda u: 0.0, "f(u) = u^2, g(u) = 1",
+    return ShapeFunctions(lambda u: u * u, lambda u: 1.0, "f(u) = u^2, g(u) = 1",
                           Q=lambda u: 0.25 * (u**-4 - 1.0) + 0.5 * (u * u - 1.0))
 
 
@@ -74,8 +73,9 @@ class SystemDef:
     is ``field(b_1(t), p)`` (b_2 = 1, b_3 = 0), with the same guards and
     order of summation as the generator sum, so the two agree bit for bit
     (the tests hold them equal).  It takes a (dimension,) point or a
-    (dimension, n) block of n points, one per column.  The generators remain
-    the source of truth for the algebra and rank checks.
+    (dimension, n) block of n points, one per column, real or complex (X2's
+    Jacobian is read off a complex block, so F must be analytic).  The
+    generators remain the source of truth for the algebra and rank checks.
     ``singular_coords`` are state indices whose vanishing is a genuine
     singularity.  ``invariants`` maps the name of each first integral of
     the system to a function of its state vector.
@@ -140,7 +140,7 @@ def _guard(x, what):
     return x
 
 
-def _second_order(name, omega, letter, positions, velocities, field, force_jac=None,
+def _second_order(name, omega, letter, positions, velocities, field,
                   singular_coords=(), invariants=None, **params):
     """The SystemDef of x_i'' = -omega^2(t) x_i + F_i(x), whose positions x_i
     and velocities v_i sit at the state indices ``positions`` and
@@ -150,22 +150,20 @@ def _second_order(name, omega, letter, positions, velocities, field, force_jac=N
         X3 = 1/2 sum_i (x_i d/dx_i - v_i d/dv_i),
 
     with b = (-omega^2(t), 1, 0).  ``field`` is the factory's w X1 + X2
-    (SystemDef.field), ``force_jac`` maps the positions x to the partials
-    dF_i/dx_j (None means F = 0), and ``params`` go to SystemDef.params
-    beside the frequency's description.
+    (SystemDef.field), and ``params`` go to SystemDef.params beside the
+    frequency's description.  X2's Jacobian is the complex step
+    Im field(0, p + i h e_j) / h in each direction e_j, one block call: exact
+    to rounding, as no difference cancels (Squire & Trapp, SIAM Rev. 40, 1998).
     """
     pos, vel = np.array(positions), np.array(velocities)
     n = 2 * len(pos)
     half = np.empty(n)  # X3's diagonal
     half[pos], half[vel] = 0.5, -0.5
-    # the flat indices of the block dF_i/dx_j in X2's Jacobian
-    force_block = (vel[:, None] * n + pos).ravel()
-    # X1's and X3's Jacobians, read-only and shared by every call, and X2's
-    # apart from its force block
-    j1, j2, j3 = np.zeros((n, n)), np.zeros((n, n)), np.diag(half)
+    # X1's and X3's Jacobians, read-only and shared by every call
+    j1, j3 = np.zeros((n, n)), np.diag(half)
     j1[vel, pos] = 1.0
-    j2[pos, vel] = 1.0
     j1.flags.writeable = j3.flags.writeable = False
+    steps = 1j * _COMPLEX_STEP * np.eye(n)
 
     def x1(p):
         out = np.zeros(n)
@@ -173,10 +171,7 @@ def _second_order(name, omega, letter, positions, velocities, field, force_jac=N
         return out
 
     def x2_jac(p):
-        J = j2.copy()
-        if force_jac is not None:
-            J.put(force_block, force_jac(p[pos]))
-        return J
+        return field(0.0, p[:, None] + steps).imag / _COMPLEX_STEP
 
     generators = (VectorField(n, x1, lambda p: j1, name=f"{letter}1"),
                   VectorField(n, lambda p: field(0.0, p), x2_jac, name=f"{letter}2"),
@@ -215,14 +210,11 @@ def milne_pinney(omega: FrequencyProfile, k: float) -> SystemDef:
     """Isotonic oscillator x'' = -omega^2(t) x + k / x^3, state (x, v)."""
     k = float(k)
 
-    def force_jac(q):
-        return [[-3.0 * k / _guard(q[0], "Milne-Pinney field")**4]]
-
     def field(w, p):
         x = _guard(p[0], "Milne-Pinney field")
         return np.array([p[1], w * x + k / x**3])
 
-    return _second_order("milne_pinney", omega, "L", (0,), (1,), field, force_jac,
+    return _second_order("milne_pinney", omega, "L", (0,), (1,), field,
                          (0,) if k != 0.0 else (), k=k)
 
 
@@ -234,21 +226,13 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions) -> Syst
     f, g = shapes.f, shapes.g
     what = "generalized Ermakov field"
 
-    def force_jac(q):
-        x, y = _guard(q[0], what), _guard(q[1], what)
-        u = y / x
-        fp, gp = shapes.df(u), shapes.dg(u)
-        return [[-y * fp / x**5 - 3.0 * f(u) / x**4, fp / x**4],
-                [-gp / (x**2 * y**2), gp / (x * y**3) - 3.0 * g(u) / y**4]]
-
     def field(w, p):
         x, y = _guard(p[0], what), _guard(p[2], what)
         u = y / x
         return np.array([p[1], w * x + f(u) / x**3, p[3], w * y + g(u) / y**3])
 
     return _second_order(
-        "generalized_ermakov", omega, "N", (0, 2), (1, 3), field, force_jac,
-        (0, 2), shapes=shapes,
+        "generalized_ermakov", omega, "N", (0, 2), (1, 3), field, (0, 2), shapes=shapes,
         invariants={"generalized": lambda s: generalized_invariant(
             s[0], s[2], s[1], s[3], shapes)})
 
@@ -256,15 +240,12 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions) -> Syst
 def ermakov(omega: FrequencyProfile) -> SystemDef:
     """Oscillator in x coupled to a k = 1 Pinney block in y, state (x, vx, y, vy)."""
 
-    def force_jac(q):
-        return [[0.0, 0.0], [0.0, -3.0 / _guard(q[1], "Ermakov field")**4]]
-
     def field(w, p):
         y = _guard(p[2], "Ermakov field")
         return np.array([p[1], w * p[0], p[3], w * y + 1.0 / y**3])
 
     return _second_order(
-        "ermakov", omega, "X", (0, 2), (1, 3), field, force_jac, (2,),
+        "ermakov", omega, "X", (0, 2), (1, 3), field, (2,),
         invariants={"lewis_ermakov": lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])})
 
 
@@ -275,17 +256,12 @@ def pinney_triple(omega: FrequencyProfile, k: float) -> SystemDef:
     """
     k = float(k)
 
-    def force_jac(q):
-        J = np.zeros((3, 3))
-        J[0, 0] = -3.0 * k / _guard(q[0], "Pinney-triple field")**4
-        return J
-
     def field(w, p):
         x = _guard(p[0], "Pinney-triple field")
         return np.array([p[3], p[4], p[5], w * x + k / x**3, w * p[1], w * p[2]])
 
     return _second_order(
-        "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5), field, force_jac,
+        "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5), field,
         (0,) if k != 0.0 else (), k=k,
         invariants={name: lambda s, i=i: ermakov_pair_invariants(s, k)[i]
                     for i, name in enumerate(("pair_i1", "pair_i2", "wronskian"))})

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from liesys import acceptance, cli, group, invariants, systems
+from liesys.invariants import ermakov_pair_invariants
+from liesys.superposition import pinney_rule
 
 integrate_module = importlib.import_module("liesys.integrate")
 
@@ -141,7 +143,7 @@ def test_pinney_self_with_k_not_positive_is_a_usage_error(k, tmp_path, capsys,
 def test_reduce_scenario(tmp_path):
     assert run_scenario("reduce_oscillator.json", tmp_path) == 0
     header = (tmp_path / "oscillator_reduction.csv").read_text().splitlines()[0]
-    assert header == "time,tau,reduced_x,reference_x,abs_error,det_drift"
+    assert header == "time,tau,reduced_x,reference_x,abs_error"
 
 
 def test_minimal_m_scenario(tmp_path):
@@ -248,6 +250,82 @@ def test_the_oracles_of_all_targets_are_one_lane_solve(tmp_path):
             with open(out / name, newline="") as fh:
                 column = [float(row["reference_x"]) for row in csv.DictReader(fh)]
             assert column == ref.position(times).tolist()
+
+
+# --- error floors of the closed forms ------------------------------------------
+# Each closed form meets its DOP853 oracle to the oracle's tolerance, far below
+# the shipped thresholds (1e-8 to 1e-5), which pass a 1e-7 relative defect in
+# a closed form.
+
+CLOSED_FORMS = {
+    "superpose-linear": ("superpose", {"rule": "linear"}),
+    "superpose-quadrature": ("superpose", {"rule": "quadrature"}),
+    "superpose-pinney": ("superpose", {"rule": "pinney"}),
+    "reduce-dalembert": ("reduce", {"method": "dalembert"}),
+    "reduce-pinney-osc": ("reduce", {"method": "pinney-osc"}),
+    "reduce-pinney-self": ("reduce", {"method": "pinney-self"}),
+    "group-solve": ("group-solve", {}),
+}
+
+
+def closed_form_scenario(form, frequency):
+    """The scenario of one closed form on ``frequency``, its states drawn
+    from one seed: |x0| and |v0| in [0.3, 1.5] (so B != 0) and Pinney
+    targets in both half-planes.  x1 lies in the half-plane x > 0 on
+    ``constant`` and x < 0 on ``two_plus_sin``; the oscillator x1 starts at
+    x = +-1 and moves away from 0."""
+    rng = np.random.default_rng(6)
+
+    def draw(count, sides=(1,)):
+        x, v = rng.uniform(0.3, 1.5, (2, count))
+        return [[sides[i % len(sides)] * float(x[i]), float(rng.choice((-1, 1)) * v[i])]
+                for i in range(count)]
+
+    side = 1 if frequency == "constant" else -1
+    x1 = [[side * 1.0, side * float(rng.uniform(0.1, 0.4))]]
+    keys = [float(k) for k in rng.uniform(0.3, 1.0, 2)]
+    pipeline, fields = CLOSED_FORMS[form]
+    states, t_span = {
+        "superpose-linear": (draw(3), 3.0),
+        "superpose-quadrature": (x1, 0.9),
+        "superpose-pinney": (draw(2) + draw(4, (1, -1)), 3.0),
+        "reduce-dalembert": (x1, 0.9),
+        "reduce-pinney-osc": (x1 + draw(2, (1, -1)), 0.9),
+        "reduce-pinney-self": (draw(1, (side,)) + draw(2, (1, -1)), 3.0),
+        "group-solve": (draw(2), 3.0),
+    }[form]
+    name = "milne_pinney" if form == "superpose-pinney" else "oscillator_1d"
+    return {"pipeline": pipeline, **fields, "initial_states": states, "keys": keys,
+            "system": {"name": name, "k": 1.3, "frequency": frequency},
+            "t_span": [0.0, t_span], "samples": 41}
+
+
+@pytest.mark.parametrize("frequency", ["constant", "two_plus_sin"])
+@pytest.mark.parametrize("form", CLOSED_FORMS)
+def test_closed_form_errors_track_the_integrator_tolerance(form, frequency):
+    scn = closed_form_scenario(form, frequency)
+    run = getattr(cli, "pipeline_" + scn["pipeline"].replace("-", "_"))
+    errors = []
+    for tol in (1e-8, 1e-12):
+        _, summary, _ = run({**scn, "tolerances": {"abs": tol, "rel": tol}}, None, 0)
+        errors.append(summary[WORST_ERROR[scn["pipeline"]]])
+    assert errors[1] < 1e-9, errors
+    assert errors[0] >= 100.0 * errors[1], errors
+
+
+def test_the_pinney_targets_of_the_error_floors_take_both_branches():
+    # each half-plane with each branch of the rule's +-, the one that gives
+    # the target's x0 back at t0
+    scn = closed_form_scenario("superpose-pinney", "constant")
+    (y, vy), (z, vz), *targets = scn["initial_states"]
+    k = scn["system"]["k"]
+    cases = set()
+    for x0, v0 in targets:
+        i1, i2, w = ermakov_pair_invariants((x0, y, z, v0, vy, vz), k)
+        side = math.copysign(1.0, x0)
+        cases.add((side, min((1, -1), key=lambda b: abs(
+            pinney_rule(y, z, i1, i2, w, k, b, side) - x0))))
+    assert cases == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
 
 
 DRIFT = {"pipeline": "drift", "t_span": [0.0, 5.0],
@@ -454,9 +532,7 @@ def test_outputs_match_the_manifest(shipped_outputs):
         pytest.skip(f"manifest written under Python {manifest['python']}, numpy "
                     f"{manifest['numpy']}; this is Python {here['python']}, "
                     f"numpy {here['numpy']}")
-    got, want = MANIFEST["digests"](out), manifest["files"]
-    moved = sorted(name for name in got.keys() | want.keys()
-                   if got.get(name) != want.get(name))
+    moved = MANIFEST["moves"](manifest["files"], MANIFEST["digests"](out))
     assert not moved, (f"outputs that differ from tests/output_manifest.json "
                        f"(run tests/update_manifest.py if the move is meant): {moved}")
 
@@ -488,6 +564,9 @@ BAD_FIELDS = {
                   "initial_states"),
     "string_state": ({**INTEGRATE, "initial_states": [["1", 0.0]]},
                      "initial_states"),
+    "too_many_states": ({**INTEGRATE,
+                         "initial_states": [[1.0, 0.0]] * (cli.MAX_STATES + 1)},
+                        "initial_states"),
     "nan_abs_tol": ({**INTEGRATE, "tolerances": {"abs": math.nan}},
                     "tolerances.abs"),
     "infinite_span": ({**INTEGRATE, "t_span": [0.0, math.inf]}, "t_span"),

@@ -11,8 +11,7 @@ from liesys import (DomainError, QuadratureError, Trajectory,
                     oscillator_1d, two_plus_sin)
 from liesys.group import (_PARABOLIC_DET, A1, A2, A3, IDENTITY, SL2Matrix,
                           Sl2Vector, generator_by_finite_difference,
-                          linear_action, particular_solution_matrices,
-                          pinney_action, reduce_oscillator,
+                          linear_action, pinney_action, reduce_oscillator,
                           reduce_pinney_from_oscillator,
                           reduce_pinney_from_pinney, reduction_parameters,
                           sl2_exp, solve_group_equation, tau_grid,
@@ -258,21 +257,6 @@ def test_tau_rejects_vanishing_solution():
     x1 = cos_trajectory(3.0, 100)
     with pytest.raises(QuadratureError):
         tau_reparametrization(x1, 3.0)  # cos vanishes at pi/2
-
-
-# --- particular solution curve -----------------------------------------------
-
-def test_particular_curve_of_unit_solution():
-    g1 = particular_solution_matrices(ones_trajectory(), 2.0)
-    assert_allclose(g1, [np.eye(2)], atol=1e-12)
-
-
-def test_particular_curve_maps_unit_point_onto_solution():
-    x1 = cos_trajectory()
-    times = np.array([0.0, 0.4, 1.0])
-    g1 = particular_solution_matrices(x1, times)
-    assert_allclose(g1 @ [1.0, 0.0], x1.dense(times), atol=1e-12)
-    assert_allclose(np.linalg.det(g1), 1.0, rtol=0, atol=1e-14)
 
 
 # --- reductions --------------------------------------------------------------

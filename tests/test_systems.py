@@ -17,8 +17,7 @@ def linear_g_shapes():
     """f(u) = u^2, g(u) = 1 + u: a pair, for the tests only, whose g' is not
     0, so the g' terms of X2's Jacobian count in the algebra."""
     return ShapeFunctions(
-        lambda u: u * u, lambda u: 1.0 + u, lambda u: 2.0 * u, lambda u: 1.0,
-        "f(u) = u^2, g(u) = 1 + u",
+        lambda u: u * u, lambda u: 1.0 + u, "f(u) = u^2, g(u) = 1 + u",
         Q=lambda u: 0.25 * (u**-4 - 1.0) + 0.5 * (u * u - 1.0) + (u - 1.0))
 
 
@@ -185,16 +184,28 @@ def test_half_plane_sampling():
         assert p[0] > 0
 
 
-@pytest.mark.parametrize("name", sorted(SHAPE_FUNCTIONS))
-def test_shape_derivatives_match_central_differences(name):
-    shapes = SHAPE_FUNCTIONS[name]()
-    h = 1e-5
-    for u in np.linspace(-3.0, 3.0, 61):
-        for fn, dfn in ((shapes.f, shapes.df), (shapes.g, shapes.dg)):
-            central = (fn(u + h) - fn(u - h)) / (2.0 * h)
-            assert dfn(u) == pytest.approx(central, rel=1e-8, abs=1e-8)
+# Each system with one force k / x^3 (k = 1 in ermakov's y), its positions
+# and its velocities.
+PINNEY_FORCE_CASES = {
+    "milne_pinney": (milne_pinney(W1, 1.7), (0,), (1,)),
+    "pinney_triple": (pinney_triple(W1, 1.7), (0, 1, 2), (3, 4, 5)),
+    "ermakov": (ermakov(W1), (0, 2), (1, 3)),
+}
 
 
+@pytest.mark.parametrize("case", PINNEY_FORCE_CASES)
+def test_x2_jacobian_is_the_closed_force_derivative_to_rounding(case):
+    # dF/dx = -3k / x^4, and X2's other partials are exactly 0 and 1
+    sysd, positions, velocities = PINNEY_FORCE_CASES[case]
+    i = sysd.singular_coords[0]
+    k = sysd.params.get("k", 1.0)
+    rng = np.random.default_rng(8)
+    for p in sysd.sample_domain(rng, 50):
+        want = np.zeros((sysd.dimension, sysd.dimension))
+        want[positions, velocities] = 1.0
+        want[velocities[positions.index(i)], i] = -3.0 * k / p[i]**4
+        assert_allclose(sysd.generators[1].jacobian(p), want, rtol=2e-15, atol=0,
+                        err_msg=f"{sysd.name} at {p}")
 
 
 # Every factory's system, generalized_ermakov with each registered shape pair

@@ -4,9 +4,9 @@ numpy versions that produced them.
 
     python3 tests/update_manifest.py
 
-A change that moves an output reruns this script, so that its diff names the
-moved files.  tests/test_cli.py holds the outputs of every tier-1 run to the
-manifest.
+A change that moves an output reruns this script, which prints each file
+whose digest it changed, added or dropped.  tests/test_cli.py holds the
+outputs of every tier-1 run to the manifest.
 """
 
 import glob
@@ -40,6 +40,14 @@ def digests(directory):
     return out
 
 
+def moves(old, new):
+    """(name, "changed" | "added" | "dropped") of each file whose digest
+    differs between the file maps ``old`` and ``new``."""
+    return [(name, "added" if name not in old else
+             "dropped" if name not in new else "changed")
+            for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
+
+
 def main():
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from liesys import cli
@@ -51,9 +59,15 @@ def main():
         if cli.main(["verify", "--seed", "0", "--out", out]) != 0:
             sys.exit("verify --seed 0 did not pass")
         manifest = {**versions(), "files": digests(out)}
+    old = {}
+    if os.path.exists(MANIFEST):
+        with open(MANIFEST) as fh:
+            old = json.load(fh)["files"]
     with open(MANIFEST, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for name, move in moves(old, manifest["files"]):
+        print(f"{move}: {name}")
     print(f"{MANIFEST}: {len(manifest['files'])} files")
 
 
