@@ -56,24 +56,27 @@ class SL2Matrix:
         return f"SL2Matrix({self.array.tolist()})"
 
 
-IDENTITY = SL2Matrix(np.eye(2))
+_EYE = np.eye(2)
+_EYE.flags.writeable = False
+IDENTITY = SL2Matrix(_EYE)
 
 
 def sl2_exp(v: Sl2Vector, s: float) -> SL2Matrix:
     """Exact exponential of s * v via the trace/determinant classification.
 
     For traceless M with d = det M: M^2 = -d I, so the exponential is
-    elliptic (d > 0), hyperbolic (d < 0) or parabolic (d ~ 0).
+    elliptic (d > 0), hyperbolic (d < 0) or parabolic (d ~ 0), and
+    d = -c3^2 / 4 - c1 c2 in closed form.
     """
     m = v.matrix
-    d = float(np.linalg.det(m))
+    d = -0.25 * v.c3 * v.c3 - v.c1 * v.c2
     if abs(d) < _PARABOLIC_DET:
-        return SL2Matrix(np.eye(2) + s * m)
+        return SL2Matrix(_EYE + s * m)
     if d > 0.0:
         w = math.sqrt(d)
-        return SL2Matrix(math.cos(w * s) * np.eye(2) + (math.sin(w * s) / w) * m)
+        return SL2Matrix(math.cos(w * s) * _EYE + (math.sin(w * s) / w) * m)
     w = math.sqrt(-d)
-    return SL2Matrix(math.cosh(w * s) * np.eye(2) + (math.sinh(w * s) / w) * m)
+    return SL2Matrix(math.cosh(w * s) * _EYE + (math.sinh(w * s) / w) * m)
 
 
 class GroupSolution:
@@ -212,34 +215,15 @@ def reduce_oscillator(x1: Trajectory, k_prime, k) -> Trajectory:
     ]))
 
 
-@dataclass(frozen=True)
-class ReductionParameters:
-    """Initial-data constants (A, B) of the closed-form reduced solutions."""
-
-    A: float
-    B: float
-
-    def __post_init__(self):
-        if self.A == 0.0:
-            raise DomainError("reduction parameter A must be nonzero")
-
-
-def reduction_parameters(x1: Trajectory, x0, v0, k) -> ReductionParameters:
-    """(A, B) from the Pinney action of [[1/x1(0), 0], [-x1'(0), x1(0)]] on
-    (x0, v0).
-
-    A = x0 / x1(0) and B, the initial tau-derivative of x/x1, namely
-    v0 x1(0) - x0 x1'(0), take their signs from the flow: the action
-    formula yields |B| and A in x0's half-plane, not in x0 / x1(0)'s.
-    """
+def _reduction_constants(x1: Trajectory, x0, v0):
+    """(A, B) of the reduced solutions: A = x0 / x1(t0), the initial value
+    of x / x1, and B = v0 x1(t0) - x0 x1'(t0), its initial tau-derivative."""
     x10, v10 = x1.states[0, 0], x1.states[0, 1]
     if x10 == 0.0:
         raise SingularityError("particular solution vanishes at the initial time")
-    g0_inv = SL2Matrix(np.array([[1.0 / x10, 0.0], [-v10, x10]]))
-    res = pinney_action(g0_inv, (x0, v0), k)
-    b_signed = v0 * x10 - x0 * v10
-    b = math.copysign(res.v_abs, b_signed) if b_signed != 0.0 else 0.0
-    return ReductionParameters(A=math.copysign(res.x, x0 * x10), B=b)
+    if x0 == 0.0:
+        raise SingularityError("the Milne-Pinney target is singular at x0 = 0")
+    return x0 / x10, v0 * x10 - x0 * v10
 
 
 def _pinney_reduction(x1: Trajectory, a, s_of_tau) -> Trajectory:
@@ -263,8 +247,7 @@ def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k) -> Trajectory:
 
         x(t) = (x1(t) / A) sqrt(A^4 + 2 A^3 B tau + (A^2 B^2 + k) tau^2)
     """
-    params = reduction_parameters(x1, x0, v0, k)
-    a, b = params.A, params.B
+    a, b = _reduction_constants(x1, x0, v0)
 
     def s_of_tau(tau):
         return (a**4 + 2.0 * a**3 * b * tau + (a * a * b * b + k) * tau * tau,
@@ -288,8 +271,7 @@ def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k) -> Trajectory:
     """
     if k <= 0.0:
         raise DomainError("this reduction needs k > 0", k)
-    params = reduction_parameters(x1, x0, v0, k)
-    a, b = params.A, params.B
+    a, b = _reduction_constants(x1, x0, v0)
     rk = math.sqrt(k)
     alpha = (b * b + k / a**2 + k * a * a) / (2.0 * k)
     beta = (k * a * a - b * b - k / a**2) / (2.0 * k)

@@ -40,33 +40,21 @@ def quadrature_rule(x1: Trajectory, k_prime, k, t):
     return k_prime * pos + k * pos * x1.tau_clock()(t)
 
 
-def _discriminant_root(i1, i2, w, k):
-    """sqrt(4 I1 I2 - k W^2).  On invariants of initial data the discriminant
-    is a square, (A C - B D)^2 by Lagrange's identity, so a negative value
-    within 1e-12 (4 |I1 I2| + |k| W^2) of 0 is cancellation roundoff and
-    reads 0; a lower one raises DomainError."""
-    disc = 4.0 * i1 * i2 - k * w * w
-    if disc < 0.0:
-        if disc > -1e-12 * (4.0 * abs(i1 * i2) + abs(k) * w * w):
-            return 0.0
-        raise DomainError(f"negative discriminant 4 I1 I2 - k W^2 = {disc:.6g}", disc)
-    return math.sqrt(disc)
-
-
-def pinney_rule(y, z, i1, i2, w, k, branch=1, half_plane=1):
+def pinney_rule(y, z, i1, i2, w, root, half_plane=1):
     """Pinney's nonlinear superposition:
 
-        x = (sqrt(2) / W) * sqrt(I2 y^2 + I1 z^2 +- sqrt(4 I1 I2 - k W^2) y z)
+        x = (sqrt(2) / W) * sqrt(I2 y^2 + I1 z^2 + r y z),
 
-    The prefactor can be negative, so the rule returns x's magnitude mapped
-    into the construction-time half-plane.  ``y`` and ``z`` may be scalars or
-    arrays, and x has their shape.  A negative discriminant beyond roundoff
-    or a negative radicand, or a value out of floating-point range (a
-    Wronskian near 0), raises DomainError.
+    where the root r is the signed square root of 4 I1 I2 - k W^2, the
+    rule's +-.  The prefactor can be negative, so the rule returns x's
+    magnitude mapped into the construction-time half-plane.  ``y`` and ``z``
+    may be scalars or arrays, and x has their shape.  A negative radicand,
+    or a value out of floating-point range (a Wronskian near 0), raises
+    DomainError.
     """
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
-    radicand = i2 * y * y + i1 * z * z + branch * _discriminant_root(i1, i2, w, k) * y * z
+    radicand = i2 * y * y + i1 * z * z + root * y * z
     if np.any(radicand < 0.0):
         worst = float(np.min(radicand))
         raise DomainError(f"negative radicand {worst:.6g} in the Pinney rule", worst)
@@ -80,10 +68,10 @@ def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k
     """Map two oscillator solutions to the Milne-Pinney solution through
     (x0, v0), using the invariants computed from the initial data.
 
-    The +- branch of the rule is the one that best reproduces both x0 and
-    the slope d(x^2)/dt = 2 x0 v0 at the initial time, and it is kept for
-    the window; the slope resolves the degenerate case y0 z0 = 0, where
-    both branches give the same x.  x stays in the half-plane of x0.
+    The rule's root is r = P Q - k y z / x^2 at the initial time, with
+    P = y vx - x vy and Q = x vz - z vx: by Lagrange's identity
+    r^2 = 4 I1 I2 - k W^2, and with this sign x^2 W^2 / 2 = I2 y^2 + I1 z^2
+    + r y z holds at every time.  x stays in the half-plane of x0.
     Returns a trajectory on y_traj's sample grid with states (x, v).
     """
     half_plane = 1 if x0 >= 0 else -1
@@ -91,29 +79,15 @@ def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k
     y0, vy0 = np.asarray(y_traj.dense(t0), dtype=float)[:2]
     z0, vz0 = np.asarray(z_traj.dense(t0), dtype=float)[:2]
     i1, i2, w = ermakov_pair_invariants((x0, y0, z0, v0, vy0, vz0), k)
-    if w == 0.0:
-        raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
-    disc_root = _discriminant_root(i1, i2, w, k)
-
-    def x_and_dx2(y, vy, z, vz, branch):
-        x = pinney_rule(y, z, i1, i2, w, k, branch=branch, half_plane=half_plane)
-        # the exact derivative of x^2 = (2/W^2)(I2 y^2 + I1 z^2 +- r y z)
-        dx2 = (2.0 / (w * w)) * (
-            2.0 * i2 * y * vy + 2.0 * i1 * z * vz
-            + branch * disc_root * (vy * z + y * vz)
-        )
-        return x, dx2
-
-    def score(branch):
-        x, dx2 = x_and_dx2(y0, vy0, z0, vz0, branch)
-        return abs(x - x0) + abs(dx2 - 2.0 * x0 * v0)
-
-    branch = min((1, -1), key=score)
+    root = (y0 * v0 - x0 * vy0) * (x0 * vz0 - z0 * v0) - k * y0 * z0 / x0**2
 
     def evaluate(t):
         y, vy = y_traj.dense(t)[:, :2].T
         z, vz = z_traj.dense(t)[:, :2].T
-        x, dx2 = x_and_dx2(y, vy, z, vz, branch)
+        x = pinney_rule(y, z, i1, i2, w, root, half_plane)
+        # the exact derivative of x^2 = (2/W^2)(I2 y^2 + I1 z^2 + r y z)
+        dx2 = (2.0 / (w * w)) * (
+            2.0 * i2 * y * vy + 2.0 * i1 * z * vz + root * (vy * z + y * vz))
         return np.column_stack([x, dx2 / (2.0 * x)])
 
     return Trajectory.from_function(evaluate, y_traj.times)

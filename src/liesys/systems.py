@@ -214,7 +214,11 @@ def milne_pinney(omega: FrequencyProfile, k: float) -> SystemDef:
         x = _guard(p[0], "Milne-Pinney field")
         return np.array([p[1], w * x + k / x**3])
 
-    return _second_order("milne_pinney", omega, "L", (0,), (1,), field,
+    def free_field(w, p):  # k = 0: no force, so x = 0 is regular
+        return np.array([p[1], w * p[0]])
+
+    return _second_order("milne_pinney", omega, "L", (0,), (1,),
+                         field if k != 0.0 else free_field,
                          (0,) if k != 0.0 else (), k=k)
 
 
@@ -260,9 +264,12 @@ def pinney_triple(omega: FrequencyProfile, k: float) -> SystemDef:
         x = _guard(p[0], "Pinney-triple field")
         return np.array([p[3], p[4], p[5], w * x + k / x**3, w * p[1], w * p[2]])
 
+    def free_field(w, p):  # k = 0: no force, so x = 0 is regular
+        return np.array([p[3], p[4], p[5], w * p[0], w * p[1], w * p[2]])
+
     return _second_order(
-        "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5), field,
-        (0,) if k != 0.0 else (), k=k,
+        "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5),
+        field if k != 0.0 else free_field, (0,) if k != 0.0 else (), k=k,
         invariants={name: lambda s, i=i: ermakov_pair_invariants(s, k)[i]
                     for i, name in enumerate(("pair_i1", "pair_i2", "wronskian"))})
 

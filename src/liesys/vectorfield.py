@@ -99,7 +99,12 @@ def bracket(X, Y, p):
             f"bracket of fields with dimensions {X.dimension} and {Y.dimension}"
         )
     p = np.asarray(p, dtype=float)
-    return Y.jacobian(p) @ X(p) - X.jacobian(p) @ Y(p)
+    return _bracket(X(p), X.jacobian(p), Y(p), Y.jacobian(p))
+
+
+def _bracket(x, dx, y, dy):
+    """[X, Y] at a point from the values x, y and Jacobians dx, dy there."""
+    return dy @ x - dx @ y
 
 
 @dataclass(frozen=True)
@@ -133,9 +138,11 @@ def verify_algebra(fields, constants, probes, tol):
     for p in probes:
         p = np.asarray(p, dtype=float)
         vals = [X(p) for X in fields]
+        jacs = [X.jacobian(p) for X in fields]
         for a, b in pair_residuals:
             expected = sum(constants.c[a, b, g] * vals[g] for g in range(r))
-            res = float(np.linalg.norm(bracket(fields[a], fields[b], p) - expected))
+            res = float(np.linalg.norm(
+                _bracket(vals[a], jacs[a], vals[b], jacs[b]) - expected))
             pair_residuals[a, b] = max(pair_residuals[a, b], res)
     worst = max(pair_residuals.values(), default=0.0)
     return AlgebraReport(ok=worst < tol, worst_residual=worst,

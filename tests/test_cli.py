@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from liesys import acceptance, cli, group, invariants, systems
-from liesys.invariants import ermakov_pair_invariants
-from liesys.superposition import pinney_rule
 
 integrate_module = importlib.import_module("liesys.integrate")
 
@@ -314,18 +312,38 @@ def test_closed_form_errors_track_the_integrator_tolerance(form, frequency):
 
 
 def test_the_pinney_targets_of_the_error_floors_take_both_branches():
-    # each half-plane with each branch of the rule's +-, the one that gives
-    # the target's x0 back at t0
+    # each half-plane with each sign of the rule's root r = P Q - k y z / x^2
     scn = closed_form_scenario("superpose-pinney", "constant")
     (y, vy), (z, vz), *targets = scn["initial_states"]
     k = scn["system"]["k"]
     cases = set()
     for x0, v0 in targets:
-        i1, i2, w = ermakov_pair_invariants((x0, y, z, v0, vy, vz), k)
-        side = math.copysign(1.0, x0)
-        cases.add((side, min((1, -1), key=lambda b: abs(
-            pinney_rule(y, z, i1, i2, w, k, b, side) - x0))))
+        root = (y * v0 - x0 * vy) * (x0 * vz - z * v0) - k * y * z / x0**2
+        cases.add((math.copysign(1.0, x0), math.copysign(1.0, root)))
     assert cases == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+
+
+@pytest.mark.parametrize("k, target", [(0.0, [2.0, 0.6]), (-0.5, [1.0, 0.3])])
+def test_pinney_osc_runs_for_k_not_positive(k, target, tmp_path):
+    # k = 0 with the target on x1's ray (B = 0), and k = -0.5, where s(tau)
+    # falls toward 0: both closed forms meet their oracle
+    path = write_scenario(tmp_path, {
+        "pipeline": "reduce", "method": "pinney-osc",
+        "system": {"k": k, "frequency": {"name": "constant", "omega_squared": 1.0}},
+        "initial_states": [[1.0, 0.3], target], "t_span": [0.0, 1.0],
+        "output": {"csv": "r.csv"}})
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "r_summary.json").read_text())
+    assert summary["max_rel_error"] < 1e-8
+
+
+@pytest.mark.parametrize("name, y0", [("milne_pinney", [0.0, 1.0]),
+                                      ("pinney_triple", [0.0, 1.0, 0.5, 1.0, 0.0, 0.3])])
+def test_a_k_zero_pinney_system_runs_through_x_zero(name, y0, tmp_path):
+    path = write_scenario(tmp_path, {
+        "pipeline": "integrate", "system": {"name": name, "k": 0},
+        "initial_states": [y0], "t_span": [0, 3], "output": {"csv": "i.csv"}})
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
 
 
 DRIFT = {"pipeline": "drift", "t_span": [0.0, 5.0],

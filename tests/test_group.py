@@ -13,9 +13,8 @@ from liesys.group import (_PARABOLIC_DET, A1, A2, A3, IDENTITY, SL2Matrix,
                           Sl2Vector, generator_by_finite_difference,
                           linear_action, pinney_action, reduce_oscillator,
                           reduce_pinney_from_oscillator,
-                          reduce_pinney_from_pinney, reduction_parameters,
-                          sl2_exp, solve_group_equation, tau_grid,
-                          tau_reparametrization)
+                          reduce_pinney_from_pinney, sl2_exp,
+                          solve_group_equation, tau_grid, tau_reparametrization)
 
 
 def cos_trajectory(t_end=1.2, n=121):
@@ -283,10 +282,11 @@ def test_reduce_oscillator_vs_integration():
         assert_allclose(red.dense(t), ref.dense(t), atol=1e-6)
 
 
-def test_reduction_parameters_equilibrium():
-    params = reduction_parameters(ones_trajectory(), 1.0, 0.0, 1.0)
-    assert params.A == pytest.approx(1.0, abs=1e-12)
-    assert params.B == pytest.approx(0.0, abs=1e-12)
+def test_the_pinney_reductions_start_at_the_equilibrium():
+    # x1 = 1 and (x0, v0) = (1, 0): (A, B) = (1, 0)
+    for reduce in (reduce_pinney_from_oscillator, reduce_pinney_from_pinney):
+        red = reduce(ones_trajectory(), 1.0, 0.0, 1.0)
+        assert_allclose(red.initial_state, (1.0, 0.0), rtol=0.0, atol=1e-12)
 
 
 def test_reduce_pinney_from_pinney_equilibrium():
@@ -330,15 +330,11 @@ def test_reduce_pinney_from_oscillator_equilibrium():
 
 
 def test_reduce_pinney_from_oscillator_initial_point():
-    # at tau = 0 the closed form collapses to x(0) = A * x1(0)
+    # at tau = 0 the closed form collapses to (x0, v0)
     osc = oscillator_1d(constant_frequency(1.0))
     x1 = osc.integrate([1.0, 0.3], (0.0, 1.2))
-    x0, v0 = 0.9, -0.2
-    params = reduction_parameters(x1, x0, v0, 1.0)
-    red = reduce_pinney_from_oscillator(x1, x0, v0, 1.0)
-    assert float(red.position(0.0)) == pytest.approx(
-        params.A * float(x1.position(0.0)), abs=1e-12)
-    assert float(red.position(0.0)) == pytest.approx(x0, abs=1e-10)
+    red = reduce_pinney_from_oscillator(x1, 0.9, -0.2, 1.0)
+    assert_allclose(red.initial_state, (0.9, -0.2), rtol=0.0, atol=1e-12)
 
 
 def test_reduce_pinney_from_oscillator_vs_integration():

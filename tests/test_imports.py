@@ -5,12 +5,15 @@
   attributes their callers look up, and the tracer wraps it in that module;
 - every private module-level name is read somewhere in liesys;
 - every public name is read in liesys outside __init__.py, in README's
-  library example, or wrapped by the tracer."""
+  library example, or wrapped by the tracer;
+- README's library example runs, and prints an error below 1e-8."""
 
 import ast
 import glob
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -185,12 +188,24 @@ def unread_public_names(sources, also_read):
             if name.rpartition(".")[2] not in (attributes if "." in name else names)]
 
 
+def library_example():
+    """The code of README's library example."""
+    readme = read_file(os.path.join(ROOT, "README.md"))
+    return re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S).group(1)
+
+
+def test_the_library_example_runs():
+    run = subprocess.run([sys.executable, "-c", library_example()], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+    assert run.returncode == 0, run.stderr
+    assert float(run.stdout) < 1e-8
+
+
 def test_every_public_name_is_read():
     # read in liesys outside __init__.py, in README's library example, or
     # patched by the tracer; the package's exports alone do not count
-    readme = read_file(os.path.join(ROOT, "README.md"))
-    example = re.search(r"## Library example\s+```python\n(.*?)```", readme, re.S)
-    also_read = read_names([ast.parse(example.group(1))]) | {
+    also_read = read_names([ast.parse(library_example())]) | {
         attr for _, attr in tracer_patches(read_file(TRACER))}
     sources = {os.path.basename(path): read_file(path) for path in MODULES}
     assert unread_public_names(sources, also_read) == []

@@ -105,21 +105,16 @@ def test_quadrature_rule_output_satisfies_ode():
 # --- Pinney rule -------------------------------------------------------------
 
 def test_pinney_rule_equilibrium():
-    # y = sin t, z = cos t, I1 = I2 = 1/2, W = -1, k = 1: zero discriminant
-    # and |x| = 1 at every time
+    # y = sin t, z = cos t, I1 = I2 = 1/2, W = -1, k = 1: root r = 0 and
+    # |x| = 1 at every time
     for t in np.linspace(0.0, 6.0, 25):
-        val = pinney_rule(math.sin(t), math.cos(t), 0.5, 0.5, -1.0, 1.0)
+        val = pinney_rule(math.sin(t), math.cos(t), 0.5, 0.5, -1.0, 0.0)
         assert val == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pinney_rule_wronskian_zero():
     with pytest.raises(DependentSolutionsError):
-        pinney_rule(1.0, 1.0, 0.5, 0.5, 0.0, 1.0)
-
-
-def test_pinney_rule_negative_discriminant():
-    with pytest.raises(DomainError):
-        pinney_rule(1.0, 1.0, 0.1, 0.1, 1.0, 1.0)  # 4*0.01 - 1 < 0
+        pinney_rule(1.0, 1.0, 0.5, 0.5, 0.0, 0.0)
 
 
 def test_pinney_rule_permutation_symmetry():
@@ -131,16 +126,18 @@ def test_pinney_rule_permutation_symmetry():
         k = 1.0
         if 4 * i1 * i2 - k * w * w < 0:
             continue
-        a = pinney_rule(y, z, i1, i2, w, k)
-        b = pinney_rule(z, y, i2, i1, -w, k)
+        root = rng.choice([1.0, -1.0]) * math.sqrt(4 * i1 * i2 - k * w * w)
+        a = pinney_rule(y, z, i1, i2, w, root)
+        b = pinney_rule(z, y, i2, i1, -w, root)
         assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_pinney_rule_k_zero_linear_degeneration():
-    # I1 = a^2/2, I2 = b^2/2, W = ab with a, b > 0 collapses to |b y + a z| / W
+    # I1 = a^2/2, I2 = b^2/2, W = ab with a, b > 0, and the root r = ab of
+    # 4 I1 I2 - 0 W^2, collapses to |b y + a z| / W
     a, b = 0.8, 1.3
     for y, z in [(0.5, 1.1), (1.0, -0.4), (-0.3, 0.9)]:
-        val = pinney_rule(y, z, 0.5 * a * a, 0.5 * b * b, a * b, 0.0)
+        val = pinney_rule(y, z, 0.5 * a * a, 0.5 * b * b, a * b, a * b)
         assert val == pytest.approx(abs(b * y + a * z) / (a * b), abs=1e-12)
 
 
@@ -205,16 +202,15 @@ _REAL = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(y=_REAL, z=_REAL, i1=_REAL, i2=_REAL,
        w=_REAL.filter(lambda w: w != 0.0),  # W = 0: DependentSolutionsError
-       k=st.floats(-4.0, 4.0), branch=st.sampled_from([1, -1]),
-       half_plane=st.sampled_from([1, -1]), array=st.booleans())
-@example(y=1.0, z=1.0, i1=1.0, i2=1.0, w=5e-324, k=1.0, branch=1, half_plane=1,
+       root=_REAL, half_plane=st.sampled_from([1, -1]), array=st.booleans())
+@example(y=1.0, z=1.0, i1=1.0, i2=1.0, w=5e-324, root=0.0, half_plane=1,
          array=False)  # sqrt(2) / W overflows
-def test_pinney_rule_is_finite_or_a_domain_error(y, z, i1, i2, w, k, branch,
-                                                 half_plane, array):
+def test_pinney_rule_is_finite_or_a_domain_error(y, z, i1, i2, w, root, half_plane,
+                                                 array):
     if array:
         y, z = np.array([y, 0.5 * y, z]), np.array([z, -z, y])
     try:
-        val = pinney_rule(y, z, i1, i2, w, k, branch=branch, half_plane=half_plane)
+        val = pinney_rule(y, z, i1, i2, w, root, half_plane)
     except DomainError:
         return
     assert np.all(np.isfinite(val))
@@ -228,17 +224,21 @@ _INITIAL = st.floats(-2.0, 2.0)
 @given(pair=st.tuples(_INITIAL, _INITIAL, _INITIAL, _INITIAL).filter(
            lambda p: abs(p[0] * p[3] - p[2] * p[1]) >= 0.25),
        x0=st.floats(0.25, 3.0), sign=st.sampled_from([1, -1]), v0=_INITIAL,
-       k=st.floats(0.05, 4.0), at_rest=st.booleans())
+       k=st.floats(0.0, 4.0), at_rest=st.booleans())
 @example(pair=(1.0, 0.0, 0.0, 1.0), x0=0.7, sign=1, v0=0.0, k=1.0, at_rest=True)
 def test_pinney_rule_from_solutions_rebuilds_the_initial_state(pair, x0, sign, v0, k,
                                                               at_rest):
-    # at_rest: the pair (1, 0), (0, 1) and v0 = 0, where 4 I1 I2 - k W^2 = 0.
-    # |x0| and |W| stay off 0, where the rule itself loses digits to
-    # cancellation; v carries sqrt(eps) from the root of a zero discriminant.
+    # at_rest: the pair (1, 0), (0, 1) and v0 = 0, where the root r = 0.
+    # |x0| and |W| stay off 0, where the rule itself loses all digits.
     if at_rest:
         pair, v0 = (1.0, 0.0, 0.0, 1.0), 0.0
     x0 *= sign
+    y0, vy0, z0, vz0 = pair
     y, z = oscillator_pair(*pair, t_end=1.0, n=3)
     x, v = pinney_rule_from_solutions(y, z, x0, v0, k).states[0]
-    assert abs(x - x0) <= 1e-9 * abs(x0)
-    assert abs(v - v0) <= 1e-7 * max(1.0, abs(v0), math.sqrt(k) / abs(x0))
+    # x0 comes back to the rounding of the radicand I2 y^2 + I1 z^2 + r y z,
+    # whose value x0^2 W^2 / 2 is up to cond (>= 1) times smaller than its terms
+    i1, i2, w = ermakov_pair_invariants((x0, y0, z0, v0, vy0, vz0), k)
+    cond = (math.sqrt(i2) * abs(y0) + math.sqrt(i1) * abs(z0))**2 / (0.5 * (x0 * w)**2)
+    assert abs(x - x0) <= 1e-15 * cond * abs(x0)
+    assert abs(v - v0) <= 1e-10 * max(1.0, abs(v0), math.sqrt(k) / abs(x0))

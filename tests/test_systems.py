@@ -77,6 +77,9 @@ def test_pinney_k_zero_degenerates_to_oscillator():
         p = rng.uniform(-2, 2, size=2)
         t = rng.uniform(0, 5)
         assert_allclose(mp0.rhs(t, p), osc.rhs(t, p), atol=1e-15)
+    # with no force, x = 0 is regular: a solve through it is the oscillator's
+    a, b = (s.integrate([0.0, 1.0], (0.0, 3.0)) for s in (mp0, osc))
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
 
 
 def test_ermakov_rhs_value():

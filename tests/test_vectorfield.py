@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from liesys import (DimensionMismatchError, UndeterminedRankError, VectorField,
                     StructureConstants, bracket, constant_frequency,
-                    diagonal_prolongation, milne_pinney, minimal_m,
+                    diagonal_prolongation, ermakov, milne_pinney, minimal_m,
                     oscillator_1d, prolonged_rank, sl2_constants,
                     verify_algebra)
 
@@ -143,6 +143,24 @@ def test_verify_algebra_wrong_constant_fails():
     assert max(report.pair_residuals.values()) == report.worst_residual
     assert report.pair_residuals[0, 1] > 1e-3
     assert report.pair_residuals[0, 2] < 1e-9 and report.pair_residuals[1, 2] < 1e-9
+
+
+def test_verify_algebra_reads_each_jacobian_once_per_probe(monkeypatch):
+    sysd = ermakov(constant_frequency(1.0))
+    probes = sysd.sample_domain(np.random.default_rng(0), 100)
+    X = sysd.generators
+    # the residuals of the brackets taken one pair at a time, bit for bit
+    want = {(a, b): max(float(np.linalg.norm(
+        bracket(X[a], X[b], p) - sum(sysd.constants.c[a, b, g] * X[g](p)
+                                     for g in range(3)))) for p in probes)
+        for a, b in ((0, 1), (0, 2), (1, 2))}
+    calls = []
+    jacobian = VectorField.jacobian
+    monkeypatch.setattr(VectorField, "jacobian",
+                        lambda self, p: calls.append(p) or jacobian(self, p))
+    report = verify_algebra(X, sysd.constants, probes, 1e-9)
+    assert len(calls) == 300
+    assert report.pair_residuals == want
 
 
 # --- diagonal prolongation ---------------------------------------------------
