@@ -14,6 +14,7 @@ overrides the default output directory.
 """
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -602,7 +603,10 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves no
+    state in it, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="liesys",
         description="Scenario runner for sl(2,R) Lie systems: oscillators, "

@@ -22,9 +22,10 @@ class DomainError(LiesysError):
     The offending value is kept in ``value`` for diagnostics.
     """
 
-    def __init__(self, message, value=None):
+    def __init__(self, message, value=None, last_time=None):
         super().__init__(message)
         self.value = value
+        self.last_time = last_time
 
 
 class DependentSolutionsError(LiesysError):

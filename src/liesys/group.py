@@ -106,10 +106,20 @@ class GroupSolution:
 
 def solve_group_equation(a, t_span, abs_tol=DEFAULT_ABS_TOL,
                          rel_tol=DEFAULT_REL_TOL) -> GroupSolution:
-    """Integrate g' g^-1 = a(t) as the matrix equation g' = a(t) g from I."""
+    """Integrate g' g^-1 = a(t) as the matrix equation g' = a(t) g from I.
+
+    ``a`` maps a time to an Sl2Vector.  The dense output also calls it on an
+    array of times, one per column of a block of flattened matrices; the
+    coordinates of its result are then floats or arrays of that shape."""
 
     def rhs(t, y):
-        return (a(t).matrix @ y.reshape(2, 2)).ravel()
+        v = a(t)
+        if y.ndim == 1:
+            return (v.matrix @ y.reshape(2, 2)).ravel()
+        # one matrix a(t) per column, and one stacked product for the block
+        m = (np.multiply.outer(v.c1, A1) + np.multiply.outer(v.c2, A2)
+             + np.multiply.outer(v.c3, A3))
+        return np.matmul(m, y.T.reshape(-1, 2, 2)).reshape(-1, 4).T
 
     traj = integrate(rhs, np.eye(2).ravel(), t_span, abs_tol, rel_tol)
     return GroupSolution(traj)
@@ -195,13 +205,13 @@ def tau_grid(x1: Trajectory):
 
 
 def _on_tau_clock(x1: Trajectory, formula) -> Trajectory:
-    """The closed form whose rows (x, x') at an array of times are
-    ``formula(x1, x1', tau)`` there, on x1's grid and x1's tau clock."""
+    """The closed form whose rows (x, x') at an array of times t are
+    ``formula(t, x1, x1', tau)`` there, on x1's grid and x1's tau clock."""
     clock = x1.tau_clock()
 
     def evaluate(t):
         rows = x1.dense(t)
-        return formula(rows[:, 0], rows[:, 1], clock(t))
+        return formula(t, rows[:, 0], rows[:, 1], clock(t))
 
     return Trajectory.from_function(evaluate, x1.times)
 
@@ -209,7 +219,7 @@ def _on_tau_clock(x1: Trajectory, formula) -> Trajectory:
 def reduce_oscillator(x1: Trajectory, k_prime, k) -> Trajectory:
     """General oscillator solution from one nonvanishing solution by the
     order-reduction quadrature: x = k' x1 + k x1 tau."""
-    return _on_tau_clock(x1, lambda pos, vel, tau: np.column_stack([
+    return _on_tau_clock(x1, lambda t, pos, vel, tau: np.column_stack([
         k_prime * pos + k * pos * tau,
         k_prime * vel + k * (vel * tau + 1.0 / pos),
     ]))
@@ -228,13 +238,19 @@ def _reduction_constants(x1: Trajectory, x0, v0):
 
 def _pinney_reduction(x1: Trajectory, a, s_of_tau) -> Trajectory:
     """x(t) = x1(t) sqrt(s(tau)) / a, where ``s_of_tau`` maps tau to s and
-    ds/dtau; x' follows by the chain rule with dtau/dt = 1/x1^2."""
+    ds/dtau; x' follows by the chain rule with dtau/dt = 1/x1^2.  Where
+    s <= 0 it raises DomainError, whose ``last_time`` is the last sample of
+    x1 before the earliest such time (None if there is none), as the tau
+    clock reports where x1 vanishes."""
 
-    def formula(pos, vel, tau):
+    def formula(t, pos, vel, tau):
         s, ds_dtau = s_of_tau(tau)
-        if np.any(s <= 0.0):
-            worst = float(np.min(s))
-            raise DomainError("nonpositive radicand in the reduced solution", worst)
+        bad = s <= 0.0
+        if bad.any():
+            earlier = x1.times[x1.times < np.min(t[bad])]
+            raise DomainError("nonpositive radicand in the reduced solution",
+                              float(np.min(s)),
+                              last_time=float(earlier[-1]) if earlier.size else None)
         root = np.sqrt(s)
         v = vel * root / a + ds_dtau / (2.0 * root * a * pos)
         return np.column_stack([pos * root / a, v])

@@ -4,6 +4,7 @@ Every closed-form claim in the other modules is cross-validated against the
 trajectories produced here, so the default tolerances are deliberately tight.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -26,12 +27,19 @@ TAU_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FrequencyProfile:
-    """A time-dependent squared frequency omega^2(t) with a display label."""
+    """A time-dependent squared frequency omega^2(t) with a display label.
+
+    ``omega_squared`` takes a time or an array of times.  The profile gives
+    a float at a scalar time and an array of the shape of t at an array,
+    one value per time, as a block of lanes at per-column times needs."""
 
     omega_squared: Callable[[float], float]
     description: str = "custom"
 
     def __call__(self, t):
+        if t.__class__ is np.ndarray:
+            return np.broadcast_to(np.asarray(self.omega_squared(t), dtype=float),
+                                   t.shape)
         return float(self.omega_squared(t))
 
 
@@ -62,7 +70,8 @@ class Trajectory:
     def nfev(self):
         """Right-hand-side evaluations of the producing solve so far (None
         without one): 2 + 12 per step attempt, plus 3 per accepted step once
-        the dense output is built by the first off-sample evaluation."""
+        the dense output is built by the first off-sample evaluation (a
+        block of steps counts one evaluation per step)."""
         return None if self._solve is None else self._solve.nfev
 
     @property
@@ -275,7 +284,13 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 # the longest solve of the shipped scenarios and of verify takes 732.
 MAX_STEPS = 10_000
 
-_STAGES = [(rk.A[s, :s], rk.C[s]) for s in range(1, rk.N_STAGES)]
+# Accepted steps whose dense output one block pass builds: each extra stage
+# is one rhs call on all of them, and the transient stage arrays hold this
+# many steps however long the solve.
+DENSE_CHUNK = 256
+
+# stages 1-11 of a step: the row of A over the stages before it, and its node
+_STAGES = [(rk.A[s, :s], float(rk.C[s])) for s in range(1, rk.N_STAGES)]
 _EXTRA_STAGES = [(a[:s], c) for s, (a, c) in
                  enumerate(zip(rk.A_EXTRA, rk.C_EXTRA), start=rk.N_STAGES + 1)]
 _E53 = np.vstack([rk.E5, rk.E3])
@@ -302,7 +317,7 @@ def _initial_step(fun, t0, y0, f0, t1, direction, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
+    return float(min(100 * h0, h1, interval_length))
 
 
 def lane_error_norm(K, h, scale, lanes):
@@ -316,15 +331,15 @@ def lane_error_norm(K, h, scale, lanes):
     tolerances; the RMS norm over the whole stack would let one lane's error
     exceed them by up to sqrt(lanes).
     """
-    if lanes == 1:  # DOP853's own expression
+    if lanes == 1:  # DOP853's own expression; sqrt(e . e) is np.linalg.norm's
         err5 = np.dot(K.T, rk.E5) / scale
         err3 = np.dot(K.T, rk.E3) / scale
-        err5_norm_2 = np.linalg.norm(err5) ** 2
-        err3_norm_2 = np.linalg.norm(err3) ** 2
+        err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
     # rows: the 5th- and 3rd-order error estimates over the stack
     err = np.dot(_E53, K) / scale
     err *= err
@@ -336,32 +351,50 @@ def lane_error_norm(K, h, scale, lanes):
     return abs(h) * float((sq[0] / np.sqrt(denom * dimension)).max())
 
 
-def _rk_step(fun, t, y, f, h, K):
+def _stage_plan(K):
+    """The views of the stage array K that every step of a solve reads: for
+    stages 1-11, the stages before it as columns, its row of A and its
+    node; then stages 0-11 as columns, for the weights B."""
+    return [(K[:s].T, a, c) for s, (a, c) in enumerate(_STAGES, start=1)], K[:-1].T
+
+
+def _rk_step(fun, t, y, f, h, K, plan):
     """One step of size h from (t, y), where f = fun(t, y): the 8th-order
-    state at t + h and its derivative.  The 13 stages are left in K."""
+    state at t + h and its derivative.  The 13 stages are left in K, whose
+    ``_stage_plan`` is ``plan``."""
+    stages, before_b = plan
     K[0] = f
-    for s, (a, c) in enumerate(_STAGES, start=1):
-        dy = np.dot(K[:s].T, a) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, rk.B)
+    for s, (before, a, c) in enumerate(stages, start=1):
+        K[s] = fun(t + c * h, y + np.dot(before, a) * h)
+    y_new = y + h * np.dot(before_b, rk.B)
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
 
 
-def _dense_coefficients(fun, K_ext, t_old, y_old, y, f, h):
-    """The 7 coefficient rows of an accepted step's interpolant; the first
-    13 rows of K_ext hold the step's stages, the 3 extra stages go below."""
+def _dense_coefficients(block, K, t_old, y_old, y, h, lanes):
+    """The 7 coefficient rows of the interpolant of each of a run of
+    accepted steps, shape (steps, 7, N), from their start times, start and
+    end states and sizes.  ``K`` holds each step's stages, shape (steps, 16,
+    N) with the first 13 filled.  Each extra stage below them is one call
+    of ``block`` on a (d, steps * lanes) block whose column step * lanes + j
+    is lane j at that step's node time.  The stacked products round as
+    np.dot does on each step's slice."""
+    steps, _, size = K.shape
+    d = size // lanes
+    h_col = h[:, None]
     for s, (a, c) in enumerate(_EXTRA_STAGES, start=rk.N_STAGES + 1):
-        dy = np.dot(K_ext[:s].T, a) * h
-        K_ext[s] = fun(t_old + c * h, y_old + dy)
-    F = np.empty((rk.INTERPOLATOR_POWER, len(y)))
-    f_old = K_ext[0]
+        dy = np.matmul(K[:, :s].transpose(0, 2, 1), a) * h_col
+        points = (y_old + dy).reshape(steps, d, lanes).transpose(1, 0, 2)
+        f = block(np.repeat(t_old + c * h, lanes), points.reshape(d, -1))
+        K[:, s] = f.reshape(d, steps, lanes).transpose(1, 0, 2).reshape(steps, size)
+    F = np.empty((steps, rk.INTERPOLATOR_POWER, size))
+    f_old = K[:, 0]
     delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(rk.D, K_ext)
+    F[:, 0] = delta_y
+    F[:, 1] = h_col * f_old - delta_y
+    F[:, 2] = 2 * delta_y - h_col * (K[:, rk.N_STAGES] + f_old)
+    F[:, 3:] = h[:, None, None] * np.matmul(rk.D, K)
     return F
 
 
@@ -381,40 +414,46 @@ def _horner(x, F, y_old):
 
 
 class _DenseOutput:
-    """The interpolants of all accepted steps of one solve, evaluated for
-    every requested time in one batched pass.  A time on a step boundary
-    takes the earlier step, and times outside the span take the end steps.
+    """The interpolants of all accepted steps of one solve of ``lanes``
+    lanes, evaluated for every requested time in one batched pass.  A time
+    on a step boundary takes the earlier step, and times outside the span
+    take the end steps.
 
     ``K`` lists each step's 13 stages, one array a step.  The first
-    evaluation builds every step's coefficients from them and drops them;
-    ``nfev``, the solve's fun calls, then grows by the 3 extra stages of
-    each step."""
+    evaluation builds every step's coefficients from them, DENSE_CHUNK
+    steps to a call of ``block``, and drops them; ``nfev``, the solve's fun
+    calls, then grows by the 3 extra stages of each step."""
 
-    def __init__(self, fun, ts, ys, K, nfev):
+    def __init__(self, block, lanes, ts, ys, K, nfev):
         self.t_old, self.h, self.y_old = ts[:-1], ts[1:] - ts[:-1], ys[:-1]
-        self._fun, self._y, self._K, self.F = fun, ys[1:], K, None
+        self._block, self._lanes, self._y, self._K = block, lanes, ys[1:], K
+        self.F = None
         self.nfev = nfev
         # times as an ascending key in either direction; negation is exact
         self._sign = np.copysign(1.0, ts[-1] - ts[0])
         self._key = ts * self._sign
 
     def _build(self):
-        K_ext = np.empty((rk.N_STAGES_EXTENDED, self._y.shape[1]))
-        F = np.empty((len(self.h), rk.INTERPOLATOR_POWER, K_ext.shape[1]))
-        for i, K in enumerate(self._K):
-            K_ext[:rk.N_STAGES + 1] = K
-            F[i] = _dense_coefficients(self._fun, K_ext, self.t_old[i], self.y_old[i],
-                                       self._y[i], K[-1], self.h[i])
-        self.nfev += len(_EXTRA_STAGES) * len(self.h)
-        self.F, self._fun, self._K = F, None, None
+        steps, size = self._y.shape
+        F = np.empty((steps, rk.INTERPOLATOR_POWER, size))
+        for lo in range(0, steps, DENSE_CHUNK):
+            part = slice(lo, lo + DENSE_CHUNK)
+            stages = self._K[part]
+            K = np.empty((len(stages), rk.N_STAGES_EXTENDED, size))
+            K[:, :rk.N_STAGES + 1] = stages
+            F[part] = _dense_coefficients(self._block, K, self.t_old[part],
+                                          self.y_old[part], self._y[part], self.h[part],
+                                          self._lanes)
+        self.nfev += len(_EXTRA_STAGES) * steps
+        self.F, self._block, self._K = F, None, None
 
-    def __call__(self, t, lanes=1, lane=0):
-        """States of lane ``lane`` of ``lanes`` at the times t, one per row."""
+    def __call__(self, t, lane=0):
+        """States of lane ``lane`` at the times t, one per row."""
         if self.F is None:
             self._build()
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self._key, t * self._sign) - 1, 0, len(self.h) - 1)
-        cols = slice(lane, None, lanes)
+        cols = slice(lane, None, self._lanes)
         x = (t - self.t_old[seg]) / self.h[seg]
         return _horner(x, self.F[seg, :, cols], self.y_old[seg, cols])
 
@@ -497,23 +536,27 @@ class _Guard:
         return (y[self.index][:, None] + self.offsets).ravel()
 
 
-def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
+def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
     """Adaptive DOP853 from (t0, y0) to t1: the accepted times, the states
     (one row per time), the list of each accepted step's 13 stages, and the
     number of fun calls.  Raises IntegrationError with the last good time
     when the step size underflows, when a guard entry comes within its
-    radius of zero, or after MAX_STEPS steps short of t1."""
-    direction = np.sign(t1 - t0)
-    f = fun(t0, y0)
+    radius of zero (``block`` then builds the dense output of that step,
+    see _dense_coefficients), or after MAX_STEPS steps short of t1.  Times,
+    step sizes and error norms are Python floats."""
+    direction = 1.0 if t1 > t0 else -1.0
+    f = np.asarray(fun(t0, y0), dtype=float)
     h_abs = _initial_step(fun, t0, y0, f, t1, direction, rtol, atol)
     nfev = 2
-    K_ext = np.empty((rk.N_STAGES_EXTENDED, len(y0)))
-    K = K_ext[:rk.N_STAGES + 1]
+    # one step's 16 stages; a step fills the first 13
+    K_ext = np.empty((1, rk.N_STAGES_EXTENDED, len(y0)))
+    K = K_ext[0, :rk.N_STAGES + 1]
+    plan = _stage_plan(K)
     t, y = t0, y0
     ts, ys, Ks = [t], [y], []
     g = guard.values(y) if guard is not None else None
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
@@ -521,14 +564,14 @@ def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
             if h_abs < min_step:
                 raise IntegrationError(
                     f"integration failed: {_TOO_SMALL_STEP} (last good time {t:.6g})",
-                    last_time=float(t),
+                    last_time=t,
                 )
             t_new = t + h_abs * direction
             if direction * (t_new - t1) > 0:
                 t_new = t1
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, K)
+            h_abs = abs(h)
+            y_new, f_new = _rk_step(fun, t, y, f, h, K, plan)
             nfev += rk.N_STAGES
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = lane_error_norm(K, h, scale, lanes)
@@ -548,7 +591,8 @@ def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
             g_new = guard.values(y_new)
             active = np.nonzero(((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0)))[0]
             if active.size:
-                F = _dense_coefficients(fun, K_ext, t, y, y_new, f_new, h)
+                F = _dense_coefficients(block, K_ext, np.array([t]), y[None],
+                                        y_new[None], np.array([h]), lanes)[0]
                 raise _singularity_abort(active, guard, t, t_new, y, F, lanes)
             g = g_new
         t, y, f = t_new, y_new, f_new
@@ -560,7 +604,7 @@ def _dop853(fun, y0, t0, t1, rtol, atol, lanes, guard):
         if len(Ks) >= MAX_STEPS:
             raise IntegrationError(
                 f"integration stopped after {len(Ks)} steps (last good time {t:.6g})",
-                last_time=float(t),
+                last_time=t,
             )
 
 
@@ -569,9 +613,14 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     """One adaptive DOP853 solve of y' = rhs(t, y) from every state at once;
     returns one Trajectory per state, all on the shared step grid.
 
-    With n states of dimension d, ``rhs`` receives (d, n) blocks, one column
-    per lane, and must return a block of the same shape; a single state is
-    solved on the (d,) point.  The error control is ``lane_error_norm``.
+    With n states of dimension d, the steps call ``rhs`` on (d, n) blocks,
+    one column per lane, at one time t, and it must return a block of the
+    same shape; a single state is solved on the (d,) point.  The dense
+    output, built on first use off the step grid, calls ``rhs`` on (d, m)
+    blocks of several steps' lanes with an array of m times, one per
+    column, for a single state too; each column of the result must be
+    that column's derivative at its own time, bit for bit as on that
+    column alone.  The error control is ``lane_error_norm``.
     ``singular_coords`` lists state indices whose approach within
     SINGULARITY_RADIUS of zero, in any lane, aborts the solve (Pinney-type
     1/x^3 terms).  Raises IntegrationError carrying the last good time on
@@ -594,27 +643,27 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     if t0 == t1:
         raise ValueError("t_span must be nondegenerate")
 
-    if n == 1:
-        y0 = lanes[0]
-
-        def fun(t, y):
-            return np.asarray(rhs(t, y), dtype=float)
+    if n == 1:  # stage values go straight into the float stage array
+        y0, fun = lanes[0], rhs
     else:
         y0 = lanes.T.reshape(-1)
 
         def fun(t, y):
             return np.asarray(rhs(t, y.reshape(d, n)), dtype=float).reshape(-1)
 
+    def block(t, z):
+        return np.asarray(rhs(t, z), dtype=float).reshape(z.shape)
+
     guard = None
     if len(singular_coords):
         guard = _Guard(np.array([i * n + j for i in singular_coords for j in range(n)]),
                        np.array([-SINGULARITY_RADIUS, SINGULARITY_RADIUS]))
-    times, stacked, K, nfev = _dop853(fun, y0, t0, t1, rel_tol, abs_tol, n, guard)
-    dense = _DenseOutput(fun, times, stacked, K, nfev)
+    times, stacked, K, nfev = _dop853(fun, block, y0, t0, t1, rel_tol, abs_tol, n, guard)
+    dense = _DenseOutput(block, n, times, stacked, K, nfev)
     if t1 < t0:  # keep Trajectory times increasing for reverse-time solves
         times, stacked = times[::-1], stacked[::-1]
     return [Trajectory(times, stacked[:, j::n],
-                       interpolant=lambda t, j=j: dense(t, n, j), solve=dense)
+                       interpolant=lambda t, j=j: dense(t, j), solve=dense)
             for j in range(n)]
 
 
@@ -664,7 +713,7 @@ def two_plus_sin():
 def step_frequency(t_switch=5.0, before=1.0, after=4.0):
     b, a, ts = float(before), float(after), float(t_switch)
     return FrequencyProfile(
-        lambda t: b if t < ts else a,
+        lambda t: np.where(t < ts, b, a),
         f"step omega^2: {b:g} -> {a:g} at t = {ts:g}",
     )
 

@@ -46,9 +46,12 @@ def ermakov_pair_invariants(state, k):
     """(I1, I2, W) of the six-dimensional (x, y, z, vx, vy, vz) system.
 
     I1 pairs the Pinney variable x with y, I2 pairs it with z, and W is the
-    Wronskian of the two oscillator copies.
+    Wronskian of the two oscillator copies.  For k = 0 the k (y/x)^2 terms
+    vanish, and x = 0 is a point like any other.
     """
     x, y, z, vx, vy, vz = np.asarray(state, dtype=float)
+    if k == 0.0:
+        return 0.5 * (y * vx - x * vy) ** 2, 0.5 * (x * vz - z * vx) ** 2, y * vz - z * vy
     if x == 0.0:
         raise SingularityError("pair invariants undefined at x = 0")
     i1 = 0.5 * ((y * vx - x * vy) ** 2 + k * (y / x) ** 2)

@@ -74,7 +74,10 @@ class SystemDef:
     order of summation as the generator sum, so the two agree bit for bit
     (the tests hold them equal).  It takes a (dimension,) point or a
     (dimension, n) block of n points, one per column, real or complex (X2's
-    Jacobian is read off a complex block, so F must be analytic).  The
+    Jacobian is read off a complex block, so F must be analytic); on a
+    block, w is a float or one value per column.  A column of a real block
+    gets the bits of the same point alone, so fields write x^3 as
+    x * x * x: numpy's x**3 may round a scalar otherwise than an array.  The
     generators remain the source of truth for the algebra and rank checks.
     ``singular_coords`` are state indices whose vanishing is a genuine
     singularity.  ``invariants`` maps the name of each first integral of
@@ -93,7 +96,8 @@ class SystemDef:
 
     def rhs(self, t, p):
         """sum_a b_a(t) X_a(p), evaluated as ``field(b_1(t), p)``, at a
-        (dimension,) point or on each column of a (dimension, n) block."""
+        (dimension,) point or on each column of a (dimension, n) block, at
+        one time t or at an array of n times, one per column."""
         p = np.asarray(p, dtype=float)
         if p.shape != (self.dimension,) and (p.ndim != 2 or len(p) != self.dimension):
             raise DimensionMismatchError(
@@ -212,7 +216,7 @@ def milne_pinney(omega: FrequencyProfile, k: float) -> SystemDef:
 
     def field(w, p):
         x = _guard(p[0], "Milne-Pinney field")
-        return np.array([p[1], w * x + k / x**3])
+        return np.array([p[1], w * x + k / (x * x * x)])
 
     def free_field(w, p):  # k = 0: no force, so x = 0 is regular
         return np.array([p[1], w * p[0]])
@@ -233,7 +237,8 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions) -> Syst
     def field(w, p):
         x, y = _guard(p[0], what), _guard(p[2], what)
         u = y / x
-        return np.array([p[1], w * x + f(u) / x**3, p[3], w * y + g(u) / y**3])
+        return np.array([p[1], w * x + f(u) / (x * x * x),
+                         p[3], w * y + g(u) / (y * y * y)])
 
     return _second_order(
         "generalized_ermakov", omega, "N", (0, 2), (1, 3), field, (0, 2), shapes=shapes,
@@ -246,7 +251,7 @@ def ermakov(omega: FrequencyProfile) -> SystemDef:
 
     def field(w, p):
         y = _guard(p[2], "Ermakov field")
-        return np.array([p[1], w * p[0], p[3], w * y + 1.0 / y**3])
+        return np.array([p[1], w * p[0], p[3], w * y + 1.0 / (y * y * y)])
 
     return _second_order(
         "ermakov", omega, "X", (0, 2), (1, 3), field, (2,),
@@ -262,7 +267,7 @@ def pinney_triple(omega: FrequencyProfile, k: float) -> SystemDef:
 
     def field(w, p):
         x = _guard(p[0], "Pinney-triple field")
-        return np.array([p[3], p[4], p[5], w * x + k / x**3, w * p[1], w * p[2]])
+        return np.array([p[3], p[4], p[5], w * x + k / (x * x * x), w * p[1], w * p[2]])
 
     def free_field(w, p):  # k = 0: no force, so x = 0 is regular
         return np.array([p[3], p[4], p[5], w * p[0], w * p[1], w * p[2]])

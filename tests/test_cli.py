@@ -29,6 +29,18 @@ def write_scenario(tmp_path, body, name="scn.json"):
     return str(path)
 
 
+def test_the_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "scn.json", "--seed", "x"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "invalid int value: 'x'" in errors[0]
+    assert cli.main(["list"]) == 0
+
+
 def test_list_catalog(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out
@@ -337,6 +349,25 @@ def test_pinney_osc_runs_for_k_not_positive(k, target, tmp_path):
     assert summary["max_rel_error"] < 1e-8
 
 
+def test_pinney_osc_reports_the_last_sample_before_s_vanishes(tmp_path, capsys):
+    # k = -0.5, A = 1, B = 0: s(tau) = 1 - tau^2 / 2 vanishes at tau = sqrt 2.
+    # On x1 = cos t + 0.3 sin t, tau(t) = (tan(t - phi) + 0.3) / 1.09 with
+    # tan phi = 0.3, so s > 0 exactly at the samples before t*.
+    body = {"pipeline": "reduce", "method": "pinney-osc",
+            "system": {"k": -0.5,
+                       "frequency": {"name": "constant", "omega_squared": 1.0}},
+            "initial_states": [[1.0, 0.3], [1.0, 0.3]], "t_span": [0.0, 1.5],
+            "output": {"csv": "r.csv"}}
+    path = write_scenario(tmp_path, body)
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 1
+    assert "nonpositive radicand" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "r_summary.json").read_text())
+    t_star = math.atan(1.09 * math.sqrt(2.0) - 0.3) + math.atan(0.3)
+    osc = cli.build_system(body["system"], "oscillator_1d")
+    x1 = osc.integrate([1.0, 0.3], (0.0, 1.5))
+    assert summary["last_good_time"] == x1.times[x1.times < t_star][-1]
+
+
 @pytest.mark.parametrize("name, y0", [("milne_pinney", [0.0, 1.0]),
                                       ("pinney_triple", [0.0, 1.0, 0.5, 1.0, 0.0, 0.3])])
 def test_a_k_zero_pinney_system_runs_through_x_zero(name, y0, tmp_path):
@@ -344,6 +375,17 @@ def test_a_k_zero_pinney_system_runs_through_x_zero(name, y0, tmp_path):
         "pipeline": "integrate", "system": {"name": name, "k": 0},
         "initial_states": [y0], "t_span": [0, 3], "output": {"csv": "i.csv"}})
     assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
+
+
+def test_a_k_zero_pinney_triple_drifts_through_x_zero(tmp_path):
+    # with k = 0 the pair invariants have no k (y/x)^2 term to be singular
+    path = write_scenario(tmp_path, {
+        "pipeline": "drift", "system": {"name": "pinney_triple", "k": 0},
+        "initial_states": [[0, 1, 0.5, 1, 0, 0.3]], "t_span": [0, 3],
+        "output": {"csv": "d.csv"}})
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "d_summary.json").read_text())
+    assert [run["partial"] for run in summary["runs"]] == [False] * 3
 
 
 DRIFT = {"pipeline": "drift", "t_span": [0.0, 5.0],

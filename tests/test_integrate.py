@@ -12,15 +12,19 @@ from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
                     SingularityError, Trajectory, constant_frequency, drift,
                     ermakov, generalized_ermakov, integrate, integrate_lanes,
                     milne_pinney, oscillator_1d, oscillator_2d,
-                    pinney_triple, pinney_rule_from_solutions, quadratic_shapes,
+                    pinney_triple, pinney_rule_from_solutions,
                     quadrature, quadrature_rule, reduce_oscillator,
                     reduce_pinney_from_pinney, step_frequency, tau_grid,
-                    tau_reparametrization, two_plus_sin, zero_one_shapes)
+                    tau_reparametrization, two_plus_sin)
 from liesys import _dop853
-from liesys.integrate import EPS, _brentq, lane_error_norm
+from liesys.group import Sl2Vector, solve_group_equation
+from liesys.integrate import EPS, FREQUENCY_PROFILES, _brentq, lane_error_norm
+from liesys.systems import SHAPE_FUNCTIONS
+from test_systems import linear_g_shapes
 
 # the module, not the function the package re-exports under the same name
 integrate_module = importlib.import_module("liesys.integrate")
+group_module = importlib.import_module("liesys.group")
 
 TOL = 1e-10
 
@@ -219,12 +223,15 @@ def test_nfev_counts_the_rhs_calls_and_dense_output_waits_for_off_node_use(n):
         lane.dense(lane.times[::3])
     assert calls[0] == solved
     assert [lane.nfev for lane in lanes] == [solved] * n
-    # the first off-node read builds it for every lane, and only once
+    # the first off-node read builds it for every lane, and only once: one
+    # call per extra stage and chunk of steps, where nfev counts one
+    # evaluation per step
     steps = len(lanes[0].times) - 1
     lanes[-1].dense([0.5, 9.5])
     lanes[0].dense([1.5])
-    assert calls[0] == solved + 3 * steps
-    assert [lane.nfev for lane in lanes] == [calls[0]] * n
+    chunks = -(-steps // integrate_module.DENSE_CHUNK)
+    assert calls[0] == solved + 3 * chunks
+    assert [lane.nfev for lane in lanes] == [solved + 3 * steps] * n
 
 
 def test_reverse_time_pinney_lanes_are_scipys_lane_solve():
@@ -334,23 +341,130 @@ def test_lanes_reject_ragged_states():
         integrate_lanes(lambda t, y: y, [], (0.0, 1.0))
 
 
-def _block_systems():
-    w = two_plus_sin()
-    return [oscillator_1d(w), oscillator_2d(w), milne_pinney(w, 1.3), ermakov(w),
-            generalized_ermakov(w, quadratic_shapes()),
-            generalized_ermakov(w, zero_one_shapes()), pinney_triple(w, 0.7)]
+def _block_systems(w=two_plus_sin()):
+    """Every registered field: each factory, the k = 0 (force-free) fields
+    of the Pinney systems, and every pair of shape functions."""
+    shapes = [factory() for factory in SHAPE_FUNCTIONS.values()] + [linear_g_shapes()]
+    return [oscillator_1d(w), oscillator_2d(w), milne_pinney(w, 1.3),
+            milne_pinney(w, 0.0), ermakov(w), pinney_triple(w, 0.7),
+            pinney_triple(w, 0.0)] + [
+            generalized_ermakov(w, shape) for shape in shapes]
+
+
+def _profiles():
+    return [factory() for factory in FREQUENCY_PROFILES.values()]
 
 
 def test_rhs_on_a_block_matches_its_columns():
+    # the dense output evaluates the steps' extra stages as one block with a
+    # time per column: each column must be the point's value, bit for bit
     rng = np.random.default_rng(5)
-    for sysd in _block_systems():
-        block = np.array(sysd.sample_domain(rng, 7)).T
-        for t in rng.uniform(0.0, 10.0, size=5):
+    for profile in _profiles():
+        for sysd in _block_systems(profile):
+            block = np.array(sysd.sample_domain(rng, 9)).T
+            t = rng.uniform(0.0, 10.0, size=9)
             got = sysd.rhs(t, block)
-            want = np.column_stack([sysd.rhs(t, column) for column in block.T])
-            assert got.shape == want.shape == block.shape
-            ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))
-            assert np.all(np.abs(got - want) <= 4 * ulp), sysd.name
+            want = np.column_stack([sysd.rhs(float(tj), column)
+                                    for tj, column in zip(t, block.T)])
+            assert got.shape == block.shape
+            assert np.array_equal(got, want), (sysd.name, profile.description)
+            # one time for all columns, as a lane step passes it
+            assert np.array_equal(sysd.rhs(t[3], block),
+                                  sysd.rhs(np.full(9, t[3]), block))
+
+
+def test_complex_fields_on_a_block_match_their_columns():
+    # X2's Jacobian reads the field off complex blocks; a column's value does
+    # not depend on the other columns.  (A numpy complex scalar product may
+    # round otherwise than the array loop, so the reference is a one-column
+    # block, not a point.)
+    rng = np.random.default_rng(6)
+    for sysd in _block_systems():
+        block = (np.array(sysd.sample_domain(rng, 9)).T
+                 + 1e-20j * rng.normal(size=(sysd.dimension, 9)))
+        w = rng.uniform(-3.0, 3.0, size=9)
+        got = sysd.field(w, block)
+        for j in range(9):
+            alone = sysd.field(w[j:j + 1], block[:, j:j + 1])
+            assert np.array_equal(got[:, j], alone[:, 0])
+
+
+def test_frequency_profiles_take_arrays_of_times():
+    t = np.concatenate([np.linspace(0.0, 10.0, 41), [5.0]])  # step's switch too
+    for profile in _profiles():
+        got = profile(t)
+        assert got.shape == t.shape
+        for tj, value in zip(t, got):
+            scalar = profile(float(tj))
+            assert type(scalar) is float and scalar == value, profile.description
+
+
+def test_the_group_rhs_on_a_block_matches_its_columns(monkeypatch):
+    class Captured(Exception):
+        pass
+
+    def capture(rhs, *args):
+        raise Captured(rhs)
+    monkeypatch.setattr(group_module, "integrate", capture)
+    rng = np.random.default_rng(7)
+    for profile in _profiles():
+        osc = oscillator_1d(profile)
+        for a in (lambda t: Sl2Vector(*(-b(t) for b in osc.coefficients)),
+                  lambda t: Sl2Vector(0.6, -0.8, 0.3)):
+            with pytest.raises(Captured) as exc:
+                solve_group_equation(a, (0.0, 10.0))
+            rhs = exc.value.args[0]
+            block = rng.normal(size=(4, 11))
+            t = rng.uniform(0.0, 10.0, size=11)
+            want = np.column_stack([rhs(float(tj), column)
+                                    for tj, column in zip(t, block.T)])
+            assert np.array_equal(rhs(t, block), want), profile.description
+
+
+def per_step_coefficients(fun, K, t_old, y_old, y, h):
+    """DOP853's dense-output coefficients of one step as scipy builds them,
+    one point call of fun per extra stage: the reference of the block pass."""
+    K_ext = np.empty((_dop853.N_STAGES_EXTENDED, len(y)))
+    K_ext[:_dop853.N_STAGES + 1] = K
+    for s, (a, c) in enumerate(zip(_dop853.A_EXTRA, _dop853.C_EXTRA),
+                               start=_dop853.N_STAGES + 1):
+        dy = np.dot(K_ext[:s].T, a[:s]) * h
+        K_ext[s] = fun(t_old + c * h, y_old + dy)
+    F = np.empty((_dop853.INTERPOLATOR_POWER, len(y)))
+    f_old = K_ext[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (K[-1] + f_old)
+    F[3:] = h * np.dot(_dop853.D, K_ext)
+    return F
+
+
+@pytest.mark.parametrize("n, t_span, chunk", [
+    (1, (0.0, 10.0), None), (5, (0.0, 10.0), None), (1, (10.0, 0.0), None),
+    (5, (10.0, 0.0), None), (1, (0.0, 10.0), 16), (5, (10.0, 0.0), 16),
+    (3, (0.0, 30.0), None)])
+def test_the_block_built_dense_output_is_the_per_step_one(n, t_span, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(integrate_module, "DENSE_CHUNK", chunk)
+    sysd = ermakov(step_frequency())
+    rng = np.random.default_rng(14)
+    states = [[rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 2),
+               rng.uniform(-1, 1)] for _ in range(n)]
+    lanes = sysd.integrate_lanes(states, t_span)
+    solve = lanes[0]._solve
+    steps = len(solve.h)
+    if chunk is not None or t_span[1] == 30.0:  # more than one chunk
+        assert steps > integrate_module.DENSE_CHUNK
+    stages = [K.copy() for K in solve._K]
+    lanes[0].dense([0.5 * (lanes[0].times[0] + lanes[0].times[1])])
+
+    def fun(t, y):
+        return sysd.rhs(t, y if n == 1 else y.reshape(-1, n)).reshape(-1)
+    for i in range(steps):
+        want = per_step_coefficients(fun, stages[i], solve.t_old[i], solve.y_old[i],
+                                     solve._y[i], solve.h[i])
+        assert np.array_equal(solve.F[i], want), i
 
 
 def test_rhs_on_a_block_checks_dimension_and_each_lane():

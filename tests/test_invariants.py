@@ -50,6 +50,19 @@ def test_pair_invariants_singular_at_x_zero():
         ermakov_pair_invariants((0.0, 1.0, 1.0, 0.0, 0.0, 0.0), 1.0)
 
 
+def test_pair_invariants_with_k_zero_are_regular_at_x_zero():
+    y, z, vx, vy, vz = 1.0, 0.5, 1.0, 0.0, 0.3
+    assert ermakov_pair_invariants((0.0, y, z, vx, vy, vz), 0.0) == (
+        0.5 * (y * vx) ** 2, 0.5 * (z * vx) ** 2, y * vz - z * vy)
+    # away from x = 0 the k = 0 values are those of the general expression
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        x, y, z, vx, vy, vz = rng.uniform(-2.0, 2.0, 6)
+        want = (0.5 * ((y * vx - x * vy) ** 2 + 0.0 * (y / x) ** 2),
+                0.5 * ((x * vz - z * vx) ** 2 + 0.0 * (z / x) ** 2), y * vz - z * vy)
+        assert ermakov_pair_invariants((x, y, z, vx, vy, vz), 0.0) == want
+
+
 def test_generalized_invariant_at_reference():
     # u = x/y = 1 and zero angular part: empty integral
     val = generalized_invariant(1.0, 1.0, 0.0, 0.0, quadratic_shapes())
