@@ -36,17 +36,18 @@ class Sl2Vector:
 
 
 class SL2Matrix:
-    """A group element; the determinant must be 1 within 1e-6 on construction
+    """A group element, or a stack of them in an array of shape (..., 2, 2);
+    each determinant must be 1 within 1e-6 on construction
     (``GroupSolution.normalized`` rescales a solved curve to determinant 1)."""
 
     def __init__(self, array):
         a = np.asarray(array, dtype=float)
-        if a.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        (a00, a01), (a10, a11) = a.tolist()
-        d = a00 * a11 - a01 * a10  # closed form: this value feeds only the check
-        if abs(d - 1.0) > 1e-6:
-            raise ValueError(f"determinant {d:.9g} too far from 1")
+        if a.shape[-2:] != (2, 2):
+            raise ValueError("expected a 2x2 matrix or a stack of them")
+        for a00, a01, a10, a11 in a.reshape(-1, 4).tolist():
+            d = a00 * a11 - a01 * a10  # closed form: this value feeds only the check
+            if abs(d - 1.0) > 1e-6:
+                raise ValueError(f"determinant {d:.9g} too far from 1")
         self.array = a
 
     def __matmul__(self, other):
@@ -131,54 +132,78 @@ def linear_action(g: SL2Matrix, p):
 
 
 class PinneyActionResult(NamedTuple):
-    """x is signed (carrying sign(x)); v_abs is the nonnegative root."""
+    """The image (x, v), with x in the half-plane of the point acted on."""
 
     x: float
-    v_abs: float
+    v: float
+
+
+def _pinney_xy(s00, s01, det, p, q, dp, dq):
+    """X and Y, the entries (0, 0) and (0, 1) of Phi S0 Phi^T, for the
+    symmetric S0 with first row (s00, s01) and determinant det and the
+    propagator Phi with rows (p, q) and (dp, dq).  Written as sums of
+    squares over s00, nothing cancels: X > 0 wherever S0 is positive
+    definite."""
+    a = s00 * p + s01 * q
+    return ((a * a + det * q * q) / s00,
+            (a * (s00 * dp + s01 * dq) + det * q * dq) / s00)
+
+
+def _pinney_map(s00, s01, det, p, q, dp, dq, sign):
+    """The Pinney state (x, v) = (sign sqrt(X), Y / x) of S = Phi S0 Phi^T,
+    on scalars or arrays (see _pinney_xy).
+
+    S = [[x^2, x v], [x v, v^2 + k / x^2]] moves as S -> Phi S Phi^T under
+    the oscillator's propagator Phi, and det S = k det(Phi)^2 (E. Pinney,
+    Proc. AMS 1, 681, 1950).  Raises DomainError where X <= 0 or a value
+    leaves the floating-point range; its ``value`` marks those entries.
+    """
+    with np.errstate(all="ignore"):
+        xx, yy = _pinney_xy(np.float64(s00), s01, det, p, q, dp, dq)
+        x = sign * np.sqrt(xx)
+        v = yy / x
+        bad = ~(np.isfinite(x) & np.isfinite(v))  # X <= 0 gives nan or inf
+    if bad.any():
+        worst = np.min(xx)
+        raise DomainError("the Pinney map leaves its domain: " + (
+            f"nonpositive radicand X = {worst:.6g}" if worst <= 0.0
+            else "a value out of floating-point range"), bad)
+    return x, v
+
+
+def _closed_form(times, evaluate) -> Trajectory:
+    """Trajectory.from_function(evaluate, times), where a DomainError of the
+    Pinney map at the array t gets as ``last_time`` the last of ``times``
+    before the earliest t it marks (None if there is none)."""
+
+    def rows(t):
+        try:
+            return evaluate(t)
+        except DomainError as exc:
+            earlier = times[times < np.min(t[exc.value])]
+            exc.last_time = float(earlier[-1]) if earlier.size else None
+            raise
+
+    return Trajectory.from_function(rows, times)
 
 
 def pinney_action(g: SL2Matrix, p, k: float) -> PinneyActionResult:
-    """The SL(2,R) action on the Pinney phase plane (k > 0, x != 0).
+    """The SL(2,R) action on the Pinney phase plane (x != 0): g moves
+    S = [[x^2, x v], [x v, v^2 + k / x^2]] to g S g^T, and x stays in its
+    half-plane.  ``g`` may hold a stack of elements and p = (x, v) arrays,
+    one image per entry.
 
-    Raises DomainError where the closed form leaves its domain: a vanishing
-    denominator, a negative radicand, or terms out of floating-point range,
-    which is how an image on x = 0 or a point very near x = 0 shows.
+    Raises DomainError where the image leaves the domain: X <= 0, which
+    needs k <= 0, or a value out of floating-point range, which is how a
+    point very near x = 0 shows.
     """
-    x, v = float(p[0]), float(p[1])
-    if x == 0.0:
+    x, v = p[0], p[1]
+    if np.any(np.equal(x, 0.0)):
         raise SingularityError("Pinney action undefined at x = 0")
-    try:
-        with np.errstate(all="ignore"):
-            res = _pinney_action(g, x, v, k)
-    except ArithmeticError:  # a Python float power or quotient out of range
-        res = None
-    if res is None or not all(math.isfinite(value) for value in res):
-        raise DomainError(f"the Pinney action leaves the floating-point range "
-                          f"at x = {x:.6g}", x)
-    return res
-
-
-def _pinney_action(g, x, v, k):
-    alpha, beta = g.array[0]
-    gamma, delta = g.array[1]
-
-    inner = (beta * v + alpha * x) * (delta * v + gamma * x) + k * delta * beta / x**2
-    den = (delta * v + gamma * x) ** 2 + k * (delta / x) ** 2
-    if den <= 0.0:
-        raise DomainError(f"vanishing denominator {den:.6g} in the Pinney action", den)
-    x_rad = (k + inner * inner) / den
-    if x_rad < 0.0:
-        raise DomainError(f"negative radicand {x_rad:.6g} for x", x_rad)
-    x_bar = math.copysign(math.sqrt(x_rad), x)
-
-    v_rad = (delta * v + gamma * x) ** 2 + k * delta**2 / x**2 - k / x_bar**2
-    scale = (delta * v + gamma * x) ** 2 + k * delta**2 / x**2 + k / x_bar**2
-    if v_rad < 0.0:
-        if v_rad > -1e-12 * max(1.0, scale):
-            v_rad = 0.0  # cancellation roundoff, not a genuine domain exit
-        else:
-            raise DomainError(f"negative radicand {v_rad:.6g} for v", v_rad)
-    return PinneyActionResult(x_bar, math.sqrt(v_rad))
+    phi = g.array
+    return PinneyActionResult(*_pinney_map(
+        x * x, x * v, k, phi[..., 0, 0], phi[..., 0, 1], phi[..., 1, 0],
+        phi[..., 1, 1], np.copysign(1.0, x)))
 
 
 def generator_by_finite_difference(apply_fn, v: Sl2Vector, p):
@@ -205,96 +230,68 @@ def tau_grid(x1: Trajectory):
 
 
 def _on_tau_clock(x1: Trajectory, formula) -> Trajectory:
-    """The closed form whose rows (x, x') at an array of times t are
-    ``formula(t, x1, x1', tau)`` there, on x1's grid and x1's tau clock."""
+    """The closed form whose rows (x, x') at an array of times are
+    ``formula(x1, x1', tau)`` there, on x1's grid and x1's tau clock."""
     clock = x1.tau_clock()
 
     def evaluate(t):
         rows = x1.dense(t)
-        return formula(t, rows[:, 0], rows[:, 1], clock(t))
+        return formula(rows[:, 0], rows[:, 1], clock(t))
 
-    return Trajectory.from_function(evaluate, x1.times)
+    return _closed_form(x1.times, evaluate)
 
 
 def reduce_oscillator(x1: Trajectory, k_prime, k) -> Trajectory:
     """General oscillator solution from one nonvanishing solution by the
     order-reduction quadrature: x = k' x1 + k x1 tau."""
-    return _on_tau_clock(x1, lambda t, pos, vel, tau: np.column_stack([
+    return _on_tau_clock(x1, lambda pos, vel, tau: np.column_stack([
         k_prime * pos + k * pos * tau,
         k_prime * vel + k * (vel * tau + 1.0 / pos),
     ]))
 
 
-def _reduction_constants(x1: Trajectory, x0, v0):
-    """(A, B) of the reduced solutions: A = x0 / x1(t0), the initial value
-    of x / x1, and B = v0 x1(t0) - x0 x1'(t0), its initial tau-derivative."""
+def _reduce_pinney(x1: Trajectory, x0, v0, k, propagator) -> Trajectory:
+    """The Milne-Pinney solution through (x0, v0) from the nonvanishing
+    particular solution x1.  In the reduced time tau, z = x / x1 is a Pinney
+    state from (A, B) at tau = 0, A = x0 / x1(t0) and B = v0 x1(t0) -
+    x0 x1'(t0), moved by the rows of ``propagator(tau)``; then x = x1 z and
+    x' = x1' z + z_tau / x1."""
     x10, v10 = x1.states[0, 0], x1.states[0, 1]
     if x10 == 0.0:
         raise SingularityError("particular solution vanishes at the initial time")
     if x0 == 0.0:
         raise SingularityError("the Milne-Pinney target is singular at x0 = 0")
-    return x0 / x10, v0 * x10 - x0 * v10
+    a, b = x0 / x10, v0 * x10 - x0 * v10
 
-
-def _pinney_reduction(x1: Trajectory, a, s_of_tau) -> Trajectory:
-    """x(t) = x1(t) sqrt(s(tau)) / a, where ``s_of_tau`` maps tau to s and
-    ds/dtau; x' follows by the chain rule with dtau/dt = 1/x1^2.  Where
-    s <= 0 it raises DomainError, whose ``last_time`` is the last sample of
-    x1 before the earliest such time (None if there is none), as the tau
-    clock reports where x1 vanishes."""
-
-    def formula(t, pos, vel, tau):
-        s, ds_dtau = s_of_tau(tau)
-        bad = s <= 0.0
-        if bad.any():
-            earlier = x1.times[x1.times < np.min(t[bad])]
-            raise DomainError("nonpositive radicand in the reduced solution",
-                              float(np.min(s)),
-                              last_time=float(earlier[-1]) if earlier.size else None)
-        root = np.sqrt(s)
-        v = vel * root / a + ds_dtau / (2.0 * root * a * pos)
-        return np.column_stack([pos * root / a, v])
+    def formula(pos, vel, tau):
+        z, z_tau = _pinney_map(a * a, a * b, k, *propagator(tau), math.copysign(1.0, a))
+        return np.column_stack([pos * z, vel * z + z_tau / pos])
 
     return _on_tau_clock(x1, formula)
 
 
 def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k) -> Trajectory:
-    """Milne-Pinney solution from a nonvanishing oscillator solution x1:
+    """Milne-Pinney solution from a nonvanishing oscillator solution x1.
 
-        x(t) = (x1(t) / A) sqrt(A^4 + 2 A^3 B tau + (A^2 B^2 + k) tau^2)
+    z = x / x1 obeys z_tau_tau = k / z^3, so its propagator is the free
+    one, [[1, tau], [0, 1]]: the d'Alembert pair (x1, x1 tau), of
+    Wronskian 1, divided by x1.
     """
-    a, b = _reduction_constants(x1, x0, v0)
-
-    def s_of_tau(tau):
-        return (a**4 + 2.0 * a**3 * b * tau + (a * a * b * b + k) * tau * tau,
-                2.0 * a**3 * b + 2.0 * (a * a * b * b + k) * tau)
-
-    return _pinney_reduction(x1, a, s_of_tau)
+    return _reduce_pinney(x1, x0, v0, k, lambda tau: (1.0, tau, 0.0, 1.0))
 
 
 def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k) -> Trajectory:
     """Milne-Pinney solution from a particular Milne-Pinney solution x1.
 
-    In the reduced time tau the ratio z = x/x1 obeys the autonomous equation
-    z'' = -k z + k / z^3, whose energy invariant fixes the closed form
-
-        x(t)^2 = x1(t)^2 [B^2 + k/A^2 + k A^2 + (k A^2 - B^2 - k/A^2)
-                 cos(2 sqrt(k) tau) + 2 A B sqrt(k) sin(2 sqrt(k) tau)] / (2k).
-
-    (Both trigonometric coefficients follow from z(0) = A, z'(0) = B and the
-    invariant B^2 + k A^2 + k/A^2; the constant and cosine terms share the
-    k A^2 normalization.)
+    z = x / x1 obeys z_tau_tau = -k z + k / z^3, so its propagator is the
+    rotation by sqrt(k) tau: [[cos, sin / sqrt(k)], [-sqrt(k) sin, cos]].
     """
     if k <= 0.0:
         raise DomainError("this reduction needs k > 0", k)
-    a, b = _reduction_constants(x1, x0, v0)
     rk = math.sqrt(k)
-    alpha = (b * b + k / a**2 + k * a * a) / (2.0 * k)
-    beta = (k * a * a - b * b - k / a**2) / (2.0 * k)
-    gamma = a * b / rk
 
-    def s_of_tau(tau):
-        cos, sin = np.cos(2.0 * rk * tau), np.sin(2.0 * rk * tau)
-        return alpha + beta * cos + gamma * sin, 2.0 * rk * (gamma * cos - beta * sin)
+    def rotation(tau):
+        cos, sin = np.cos(rk * tau), np.sin(rk * tau)
+        return cos, sin / rk, -rk * sin, cos
 
-    return _pinney_reduction(x1, math.copysign(1.0, a), s_of_tau)
+    return _reduce_pinney(x1, x0, v0, k, rotation)

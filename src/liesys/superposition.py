@@ -1,13 +1,11 @@
 """Superposition rules: linear, quadrature-based and Pinney's nonlinear rule."""
 
-import math
-
 import numpy as np
 
-from .errors import DependentSolutionsError, DomainError
+from .errors import DependentSolutionsError, SingularityError
+from .group import _closed_form, _pinney_map
 from .integrate import Trajectory
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
-from .invariants import ermakov_pair_invariants
 
 
 def keys_from(x, v, x1, v1, x2, v2):
@@ -41,53 +39,49 @@ def quadrature_rule(x1: Trajectory, k_prime, k, t):
 
 
 def pinney_rule(y, z, i1, i2, w, root, half_plane=1):
-    """Pinney's nonlinear superposition:
+    """Pinney's nonlinear superposition: the Milne-Pinney state (x, v) from
+    the states y = (y, y') and z = (z, z') of two oscillator solutions,
 
         x = (sqrt(2) / W) * sqrt(I2 y^2 + I1 z^2 + r y z),
 
     where the root r is the signed square root of 4 I1 I2 - k W^2, the
-    rule's +-.  The prefactor can be negative, so the rule returns x's
-    magnitude mapped into the construction-time half-plane.  ``y`` and ``z``
-    may be scalars or arrays, and x has their shape.  A negative radicand,
-    or a value out of floating-point range (a Wronskian near 0), raises
-    DomainError.
+    rule's +-.  It is the Pinney map of S = [[2 I2, r], [r, 2 I1]] / W^2,
+    of determinant k / W^2, under Phi = [[y, z], [y', z']]; x lies in
+    ``half_plane``.  The entries of y and z may be scalars or arrays.  Where
+    x^2 <= 0, or a value is out of floating-point range (a Wronskian near
+    0), it raises DomainError.
     """
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
-    radicand = i2 * y * y + i1 * z * z + root * y * z
-    if np.any(radicand < 0.0):
-        worst = float(np.min(radicand))
-        raise DomainError(f"negative radicand {worst:.6g} in the Pinney rule", worst)
-    raw = math.sqrt(2.0) / w * np.sqrt(radicand)
-    if not np.all(np.isfinite(raw)):
-        raise DomainError("the Pinney rule leaves the floating-point range", w)
-    return half_plane * abs(raw)
+    (p, dp), (q, dq) = y, z
+    with np.errstate(all="ignore"):  # a W near 0 overflows here; the map raises
+        w2 = np.float64(w) * w
+        s0 = 2.0 * i2 / w2, root / w2, (4.0 * i1 * i2 - root * root) / w2 / w2
+    return _pinney_map(*s0, p, q, dp, dq, half_plane)
 
 
 def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k):
     """Map two oscillator solutions to the Milne-Pinney solution through
-    (x0, v0), using the invariants computed from the initial data.
+    (x0, v0), returned on y_traj's sample grid with states (x, v).
 
-    The rule's root is r = P Q - k y z / x^2 at the initial time, with
-    P = y vx - x vy and Q = x vz - z vx: by Lagrange's identity
-    r^2 = 4 I1 I2 - k W^2, and with this sign x^2 W^2 / 2 = I2 y^2 + I1 z^2
-    + r y z holds at every time.  x stays in the half-plane of x0.
-    Returns a trajectory on y_traj's sample grid with states (x, v).
+    The rule runs on the pair normalized at t0, the columns of the
+    propagator Phi(t) Phi(t0)^-1 of Phi = [[y, z], [y', z']].  Against that
+    pair the target has W = 1, I1 = (v0^2 + k / x0^2) / 2, I2 = x0^2 / 2
+    and the root r = x0 v0, so S = [[x0^2, x0 v0], [x0 v0, v0^2 + k / x0^2]]
+    and no branch is chosen.  x stays in the half-plane of x0.
     """
-    half_plane = 1 if x0 >= 0 else -1
-    t0 = y_traj.t0
-    y0, vy0 = np.asarray(y_traj.dense(t0), dtype=float)[:2]
-    z0, vz0 = np.asarray(z_traj.dense(t0), dtype=float)[:2]
-    i1, i2, w = ermakov_pair_invariants((x0, y0, z0, v0, vy0, vz0), k)
-    root = (y0 * v0 - x0 * vy0) * (x0 * vz0 - z0 * v0) - k * y0 * z0 / x0**2
+    (y0, vy0), (z0, vz0) = (traj.dense(traj.t0)[:2] for traj in (y_traj, z_traj))
+    w = y0 * vz0 - z0 * vy0
+    if w == 0.0:
+        raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
+    if x0 == 0.0:
+        raise SingularityError("the Milne-Pinney target is singular at x0 = 0")
+    invariants = 0.5 * (v0 * v0 + k / x0**2), 0.5 * x0 * x0, 1.0, x0 * v0
 
     def evaluate(t):
-        y, vy = y_traj.dense(t)[:, :2].T
-        z, vz = z_traj.dense(t)[:, :2].T
-        x = pinney_rule(y, z, i1, i2, w, root, half_plane)
-        # the exact derivative of x^2 = (2/W^2)(I2 y^2 + I1 z^2 + r y z)
-        dx2 = (2.0 / (w * w)) * (
-            2.0 * i2 * y * vy + 2.0 * i1 * z * vz + root * (vy * z + y * vz))
-        return np.column_stack([x, dx2 / (2.0 * x)])
+        ys, zs = y_traj.dense(t)[:, :2].T, z_traj.dense(t)[:, :2].T
+        return np.column_stack(pinney_rule((vz0 * ys - vy0 * zs) / w,
+                                           (y0 * zs - z0 * ys) / w, *invariants,
+                                           1 if x0 >= 0 else -1))
 
-    return Trajectory.from_function(evaluate, y_traj.times)
+    return _closed_form(y_traj.times, evaluate)

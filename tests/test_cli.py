@@ -136,6 +136,25 @@ def test_pinney_rule_on_a_target_that_crosses_zero_fails_its_oracle(tmp_path):
     assert summary["max_error"] > summary["threshold"]
 
 
+def test_pinney_rule_that_leaves_its_domain_reports_the_last_good_time(tmp_path, capsys):
+    # k = -0.5 against y = (1, 0), z = (0, 1): x^2 = (x0 y + v0 z)^2 + k z^2 / x0^2
+    # falls to 0, and the run ends at the last sample of y before it does
+    with open(os.path.join(SCENARIO_DIR, "superpose_pinney.json")) as fh:
+        scn = json.load(fh)
+    scn["system"]["k"] = -0.5
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 1
+    assert "nonpositive radicand" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "pinney_superpose_summary.json").read_text())
+    osc = cli.build_system(scn["system"], "oscillator_1d")
+    y, z = (osc.integrate(state, tuple(scn["t_span"])).states[:, 0]
+            for state in scn["initial_states"][:2])
+    (x0, v0), k = scn["initial_states"][2], scn["system"]["k"]
+    first_bad = np.argmax((x0 * y + v0 * z) ** 2 + k * z * z / x0**2 <= 0.0)
+    assert first_bad > 0
+    assert summary["last_good_time"] == osc.integrate(
+        [1.0, 0.0], tuple(scn["t_span"])).times[first_bad - 1]
+
+
 @pytest.mark.parametrize("k", [0.0, -1.0])
 def test_pinney_self_with_k_not_positive_is_a_usage_error(k, tmp_path, capsys,
                                                           monkeypatch):
@@ -595,6 +614,16 @@ def test_outputs_match_the_manifest(shipped_outputs):
     moved = MANIFEST["moves"](manifest["files"], MANIFEST["digests"](out))
     assert not moved, (f"outputs that differ from tests/output_manifest.json "
                        f"(run tests/update_manifest.py if the move is meant): {moved}")
+
+
+def test_the_manifest_compare_reports_the_largest_numeric_move():
+    old = "time,x\n0.0,1.0\n0.5,-2.0\n1.0,0.0\n"
+    new = "time,x\n0.0,1.0\n0.5,-2.5\n1.0,1e-16\n"
+    assert MANIFEST["numeric_move"](old, new) == (0.5, float("inf"))  # from 0
+    assert MANIFEST["numeric_move"](old, old.replace("-2.0", "-1.5")) == (0.5, 0.25)
+    assert MANIFEST["numeric_move"](old, old) == (0.0, 0.0)
+    assert MANIFEST["numeric_move"](old, old + "1.5,nan\n") is None
+    assert MANIFEST["numeric_move"](old, old.replace("x", "v")) is None
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

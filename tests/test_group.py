@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from liesys import (DomainError, QuadratureError, Trajectory,
                     constant_frequency, integrate, milne_pinney,
                     oscillator_1d, two_plus_sin)
-from liesys.group import (_PARABOLIC_DET, A1, A2, A3, IDENTITY, SL2Matrix,
-                          Sl2Vector, generator_by_finite_difference,
+from liesys.group import (_PARABOLIC_DET, _pinney_xy, A1, A2, A3, IDENTITY,
+                          SL2Matrix, Sl2Vector, generator_by_finite_difference,
                           linear_action, pinney_action, reduce_oscillator,
                           reduce_pinney_from_oscillator,
                           reduce_pinney_from_pinney, sl2_exp,
@@ -165,6 +165,148 @@ def test_pinney_action_is_finite_or_a_domain_error(a, x, v, k):
     assert math.copysign(1.0, res.x) == math.copysign(1.0, x)
 
 
+# --- the Pinney map -----------------------------------------------------------
+
+def _pinney_s(x, v, k):
+    return np.array([[x * x, x * v], [x * v, v * v + k / (x * x)]])
+
+
+def _reference_pinney_action(g, x, v, k):
+    """The closed form of the action before it went through the Pinney map:
+    (x, |v|) of the image and bounds on their errors, or DomainError
+    outside the formula's domain."""
+    alpha, beta = g.array[0]
+    gamma, delta = g.array[1]
+    inner = (beta * v + alpha * x) * (delta * v + gamma * x) + k * delta * beta / x**2
+    den = (delta * v + gamma * x) ** 2 + k * (delta / x) ** 2
+    if den <= 0.0:
+        raise DomainError("vanishing denominator", den)
+    x_rad = (k + inner * inner) / den
+    if x_rad < 0.0:
+        raise DomainError("negative radicand for x", x_rad)
+    x_bar = math.copysign(math.sqrt(x_rad), x)
+    v_rad = (delta * v + gamma * x) ** 2 + k * delta**2 / x**2 - k / x_bar**2
+    scale = (delta * v + gamma * x) ** 2 + k * delta**2 / x**2 + k / x_bar**2
+    if v_rad < 0.0:
+        if v_rad > -1e-12 * max(1.0, scale):
+            v_rad = 0.0
+        else:
+            raise DomainError("negative radicand for v", v_rad)
+    # its own error, on the dozen roundings of each formula: x's relative one
+    # from the cancelling sums in ``inner`` (the map's x^2 alpha + x v beta
+    # cancels alike), and v's absolute one from v_rad, a difference of terms
+    # of size scale with a clamp at -1e-12 scale, that also takes x's error
+    terms = ((abs(beta * v) + abs(alpha * x)) * (abs(delta * v) + abs(gamma * x))
+             + abs(k * delta * beta) / x**2)
+    x_rel = 1e-14 * (1.0 + terms * abs(inner) / (k + inner * inner))
+    v_err = math.sqrt(2e-12 * max(1.0, scale) + 4.0 * k / x_rad * x_rel)
+    return x_bar, math.sqrt(v_rad), x_rel, v_err
+
+
+_MAP_X = st.tuples(_finite(1e-2, 1e2), st.sampled_from([1.0, -1.0])).map(
+    lambda pair: pair[0] * pair[1])
+_MAP_V = _finite(-1e2, 1e2).filter(lambda v: v == 0.0 or abs(v) > 1e-100)  # x v normal
+_MAP_K = _finite(0.0, 4.0).filter(lambda k: k > 0.0)
+
+
+def _pinney_tolerance(g, x, v, k, image_s):
+    # the rounding of g S g^T, eps |g|^2 |S|, times the condition 1 + |v / x|
+    # of v = Y / x in the image, where |v| <= sqrt(S11) by det S = k
+    size = np.abs(g.array).max() ** 2 * np.abs(_pinney_s(x, v, k)).max()
+    return 1e-14 * size * (1.0 + math.sqrt(image_s[1, 1] / image_s[0, 0]))
+
+
+@PROPERTY
+@given(a=_ANGLES, x=_MAP_X, v=_MAP_V, k=_MAP_K)
+def test_the_pinney_action_is_g_s_g_transpose(a, x, v, k):
+    # the image is finite, in x's half-plane, and S(image) = g S(x, v) g^T;
+    # its entry (1, 1) holds only if X (v^2 + k / X) - (x v)^2 = k
+    g = _group_element(a)
+    res = pinney_action(g, (x, v), k)
+    assert math.isfinite(res.x) and math.isfinite(res.v)
+    assert math.copysign(1.0, res.x) == math.copysign(1.0, x)
+    want = g.array @ _pinney_s(x, v, k) @ g.array.T
+    assert_allclose(_pinney_s(res.x, res.v, k), want, rtol=0.0,
+                    atol=_pinney_tolerance(g, x, v, k, want))
+
+
+@PROPERTY
+@given(a=_ANGLES, b=_ANGLES, x=_MAP_X, v=_MAP_V, k=_MAP_K)
+def test_the_pinney_action_composes(a, b, x, v, k):
+    g, h = _group_element(a), _group_element(b)
+    once = pinney_action(g @ h, (x, v), k)
+    twice = pinney_action(g, pinney_action(h, (x, v), k), k)
+    want = (g @ h).array @ _pinney_s(x, v, k) @ (g @ h).array.T
+    tol = 1e-14 * (np.abs(g.array).max() * np.abs(h.array).max()) ** 2 * np.abs(
+        _pinney_s(x, v, k)).max() * (1.0 + math.sqrt(want[1, 1] / want[0, 0]))
+    # an error dX in X moves x by dX / (2 |x|), and v = Y / x alike
+    assert abs(twice.x - once.x) <= tol / abs(once.x)
+    assert abs(twice.v - once.v) <= tol / abs(once.x)
+
+
+@PROPERTY
+@given(x=_MAP_X, v=_MAP_V, k=_MAP_K)
+def test_the_pinney_action_of_the_identity_is_the_point(x, v, k):
+    # x to 1 ulp; v = Y / x takes the roundings of x v, of X Y, of Y / X and
+    # of the last quotient: 6 ulps
+    res = pinney_action(IDENTITY, (x, v), k)
+    assert abs(res.x - x) <= np.spacing(abs(x))
+    assert abs(res.v - v) <= 6.0 * np.spacing(abs(v))
+
+
+@PROPERTY
+@given(a=_ANGLES, x=_MAP_X, v=_MAP_V, k=_MAP_K)
+def test_the_pinney_action_agrees_with_its_former_closed_form(a, x, v, k):
+    g = _group_element(a)
+    try:
+        x_bar, v_abs, x_rel, v_err = _reference_pinney_action(g, x, v, k)
+    except DomainError:
+        return  # outside the former formula's domain
+    res = pinney_action(g, (x, v), k)
+    assert abs(res.x - x_bar) <= x_rel * abs(x_bar)
+    assert abs(abs(res.v) - v_abs) <= v_err
+
+
+def test_the_pinney_map_is_certified_by_sympy():
+    # the map's own X and Y arithmetic, run on symbols: X and Y are the
+    # entries (0, 0) and (0, 1) of Phi S0 Phi^T, and under the oscillator's
+    # Phi' = [[0, 1], [-omega^2, 0]] Phi, x = sqrt(X) and v = Y / x solve
+    # Milne-Pinney with det S = det S0 det(Phi)^2
+    sympy = pytest.importorskip("sympy")
+    s00, s01, det, p, q, dp, dq, w2 = sympy.symbols("s00 s01 det p q dp dq omega2",
+                                                    real=True)
+    big_x, big_y = _pinney_xy(s00, s01, det, p, q, dp, dq)
+    s = (sympy.Matrix([[p, q], [dp, dq]])
+         * sympy.Matrix([[s00, s01], [s01, (det + s01**2) / s00]])
+         * sympy.Matrix([[p, dp], [q, dq]]))
+    assert sympy.cancel(big_x - s[0, 0]) == 0
+    assert sympy.cancel(big_y - s[0, 1]) == 0
+
+    def d_dt(f):
+        return f.diff(p) * dp + f.diff(q) * dq - w2 * (f.diff(dp) * p + f.diff(dq) * q)
+
+    x = sympy.sqrt(big_x)
+    v = big_y / x
+    det_s = det * (p * dq - q * dp) ** 2
+    assert sympy.cancel(d_dt(x) - v) == 0
+    assert sympy.cancel((d_dt(v) + w2 * x - det_s / x**3) * x**3) == 0
+
+
+def test_the_pinney_action_takes_a_stack_of_elements():
+    gs = [sl2_exp(Sl2Vector(0.3, -1.0, 0.2), s) for s in (0.0, 0.5, 1.0)]
+    xs, vs = np.array([0.5, -1.0, 2.0]), np.array([0.1, 0.0, -0.3])
+    res = pinney_action(SL2Matrix(np.array([g.array for g in gs])), (xs, vs), 1.0)
+    one_by_one = [pinney_action(g, (x, v), 1.0) for g, x, v in zip(gs, xs, vs)]
+    assert_allclose(np.column_stack(res), one_by_one, rtol=0.0, atol=0.0)
+
+
+def test_a_pinney_action_with_k_below_zero_leaves_through_x_squared():
+    # k < 0: X = (x p + v q)^2 + k q^2 / x^2 reaches 0 along the rotation
+    g = sl2_exp(Sl2Vector(1.0, -1.0, 0.0), 1.0)  # p = cos 1, q = sin 1
+    with pytest.raises(DomainError, match="nonpositive radicand"):
+        pinney_action(g, (1.0, -1.0 / math.tan(1.0)), -0.5)
+
+
 # --- group equation ----------------------------------------------------------
 
 def test_group_solve_autonomous_equals_exp():
@@ -194,9 +336,9 @@ def test_linear_action_rotation():
 
 
 def test_pinney_action_identity():
-    res = pinney_action(IDENTITY, (2.0, 3.0), 1.0)
+    res = pinney_action(IDENTITY, (2.0, -3.0), 1.0)
     assert res.x == pytest.approx(2.0, abs=1e-12)
-    assert res.v_abs == pytest.approx(3.0, abs=1e-12)
+    assert res.v == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_pinney_action_preserves_sign():
@@ -221,7 +363,7 @@ def test_fundamental_fields_match_generators():
 
     def apply_pinney(g, q):
         r = pinney_action(g, q, 1.0)
-        return np.array([r.x, r.v_abs])
+        return np.array([r.x, r.v])
 
     for _ in range(20):
         p = rng.uniform(0.3, 2.0, size=2)  # x > 0, v > 0 chart

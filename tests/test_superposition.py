@@ -6,10 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from liesys import (DependentSolutionsError, DomainError, Trajectory,
-                    constant_frequency, ermakov_pair_invariants, keys_from,
-                    linear_rule, milne_pinney, oscillator_1d, pinney_rule,
-                    pinney_rule_from_solutions, quadrature_rule, two_plus_sin)
+from liesys import (DependentSolutionsError, DomainError, SingularityError,
+                    Trajectory, constant_frequency, ermakov_pair_invariants,
+                    keys_from, linear_rule, milne_pinney, oscillator_1d,
+                    pinney_rule, pinney_rule_from_solutions, quadrature_rule,
+                    two_plus_sin)
 
 
 def oscillator_pair(y0, vy0, z0, vz0, t_end=10.0, n=301):
@@ -106,21 +107,23 @@ def test_quadrature_rule_output_satisfies_ode():
 
 def test_pinney_rule_equilibrium():
     # y = sin t, z = cos t, I1 = I2 = 1/2, W = -1, k = 1: root r = 0 and
-    # |x| = 1 at every time
+    # (x, v) = (1, 0) at every time
     for t in np.linspace(0.0, 6.0, 25):
-        val = pinney_rule(math.sin(t), math.cos(t), 0.5, 0.5, -1.0, 0.0)
-        assert val == pytest.approx(1.0, abs=1e-12)
+        x, v = pinney_rule((math.sin(t), math.cos(t)), (math.cos(t), -math.sin(t)),
+                           0.5, 0.5, -1.0, 0.0)
+        assert x == pytest.approx(1.0, abs=1e-12)
+        assert v == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pinney_rule_wronskian_zero():
     with pytest.raises(DependentSolutionsError):
-        pinney_rule(1.0, 1.0, 0.5, 0.5, 0.0, 0.0)
+        pinney_rule((1.0, 0.0), (1.0, 0.0), 0.5, 0.5, 0.0, 0.0)
 
 
 def test_pinney_rule_permutation_symmetry():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        y, z = rng.uniform(-2, 2, size=2)
+        y, z = rng.uniform(-2, 2, size=(2, 2))
         i1, i2 = rng.uniform(0.2, 2.0, size=2)
         w = rng.uniform(0.3, 2.0)
         k = 1.0
@@ -129,16 +132,19 @@ def test_pinney_rule_permutation_symmetry():
         root = rng.choice([1.0, -1.0]) * math.sqrt(4 * i1 * i2 - k * w * w)
         a = pinney_rule(y, z, i1, i2, w, root)
         b = pinney_rule(z, y, i2, i1, -w, root)
-        assert a == pytest.approx(b, abs=1e-12)
+        assert_allclose(a, b, rtol=0.0, atol=1e-12)
 
 
 def test_pinney_rule_k_zero_linear_degeneration():
     # I1 = a^2/2, I2 = b^2/2, W = ab with a, b > 0, and the root r = ab of
-    # 4 I1 I2 - 0 W^2, collapses to |b y + a z| / W
+    # 4 I1 I2 - 0 W^2, collapses to the linear rule |b y + a z| / W, with
+    # the velocity of its sign
     a, b = 0.8, 1.3
-    for y, z in [(0.5, 1.1), (1.0, -0.4), (-0.3, 0.9)]:
-        val = pinney_rule(y, z, 0.5 * a * a, 0.5 * b * b, a * b, a * b)
-        assert val == pytest.approx(abs(b * y + a * z) / (a * b), abs=1e-12)
+    for y, z in [((0.5, 0.2), (1.1, -0.7)), ((1.0, 0.4), (-0.4, 0.3)),
+                 ((-0.3, -1.2), (0.9, 0.5))]:
+        x, v = pinney_rule(y, z, 0.5 * a * a, 0.5 * b * b, a * b, a * b)
+        lin = (np.multiply(b, y) + np.multiply(a, z)) / (a * b)
+        assert_allclose((x, v), math.copysign(1.0, lin[0]) * lin, rtol=0.0, atol=1e-12)
 
 
 # --- trajectory-level rule ---------------------------------------------------
@@ -149,6 +155,12 @@ def test_pinney_from_solutions_equilibrium():
     assert np.max(np.abs(traj.states[:, 0] - 1.0)) < 1e-8
     # dense output between samples keeps the closed form
     assert traj.position(2.468) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_pinney_from_solutions_rejects_a_target_at_x_zero():
+    y, z = analytic_pair()
+    with pytest.raises(SingularityError):
+        pinney_rule_from_solutions(y, z, 0.0, 1.0, 1.0)
 
 
 def test_pinney_from_solutions_matches_integration():
@@ -207,14 +219,17 @@ _REAL = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
          array=False)  # sqrt(2) / W overflows
 def test_pinney_rule_is_finite_or_a_domain_error(y, z, i1, i2, w, root, half_plane,
                                                  array):
+    # the states (position, velocity) of the two solutions reuse the draws
+    states = (y, z), (z, -y)
     if array:
-        y, z = np.array([y, 0.5 * y, z]), np.array([z, -z, y])
+        states = ((np.array([y, 0.5 * y, z]), np.array([z, -z, y])),
+                  (np.array([z, -z, y]), np.array([-y, y, z])))
     try:
-        val = pinney_rule(y, z, i1, i2, w, root, half_plane)
+        x, v = pinney_rule(*states, i1, i2, w, root, half_plane)
     except DomainError:
         return
-    assert np.all(np.isfinite(val))
-    assert np.all(half_plane * val >= 0.0)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(v))
+    assert np.all(half_plane * x > 0.0)
 
 
 _INITIAL = st.floats(-2.0, 2.0)

@@ -2,18 +2,27 @@
 shipped scenarios and ``liesys verify --seed 0`` write, with the Python and
 numpy versions that produced them.
 
-    python3 tests/update_manifest.py
+    python3 tests/update_manifest.py [--compare OLD_DIR]
 
 A change that moves an output reruns this script, which prints each file
-whose digest it changed, added or dropped.  tests/test_cli.py holds the
-outputs of every tier-1 run to the manifest.
+whose digest it changed, added or dropped.  With --compare it also prints,
+for each changed file, its largest absolute and relative numeric move
+against the file of the same name in OLD_DIR, which holds the outputs of
+the commit before the change: in a checkout of that commit,
+
+    liesys run scenarios/NAME.json --out OLD_DIR   (for each scenario)
+    liesys verify --seed 0 --out OLD_DIR
+
+tests/test_cli.py holds the outputs of every tier-1 run to the manifest.
 """
 
+import argparse
 import glob
 import hashlib
 import json
 import os
 import platform
+import re
 import sys
 import tempfile
 
@@ -48,7 +57,32 @@ def moves(old, new):
             for name in sorted(old.keys() | new.keys()) if old.get(name) != new.get(name)]
 
 
+# A decimal number as the CSV and JSON writers print it, nan and inf too
+_NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\bnan\b|\binf\b)")
+
+
+def numeric_move(old_text, new_text):
+    """(largest absolute, largest relative) move between the numbers of two
+    texts, compared in order; None if their numbers or the text between
+    them differ in layout.  A move from 0 is relative inf."""
+    old, new = _NUMBER.findall(old_text), _NUMBER.findall(new_text)
+    if len(old) != len(new) or _NUMBER.split(old_text) != _NUMBER.split(new_text):
+        return None
+    most_abs = most_rel = 0.0
+    for a, b in zip(map(float, old), map(float, new)):
+        if a == b or (a != a and b != b):  # equal, or both nan
+            continue
+        move = abs(b - a)
+        most_abs = max(most_abs, move)
+        most_rel = max(most_rel, move / abs(a) if a else float("inf"))
+    return most_abs, most_rel
+
+
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", metavar="OLD_DIR",
+                        help="print each changed file's largest numeric move")
+    args = parser.parse_args()
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from liesys import cli
 
@@ -59,6 +93,14 @@ def main():
         if cli.main(["verify", "--seed", "0", "--out", out]) != 0:
             sys.exit("verify --seed 0 did not pass")
         manifest = {**versions(), "files": digests(out)}
+        if args.compare:
+            for name, move in moves(digests(args.compare), manifest["files"]):
+                if move == "changed":
+                    with open(os.path.join(args.compare, name)) as fh_old, \
+                            open(os.path.join(out, name)) as fh_new:
+                        most = numeric_move(fh_old.read(), fh_new.read())
+                    print(f"moved: {name}: " + ("layout differs" if most is None else
+                          f"largest move {most[0]:.3g} absolute, {most[1]:.3g} relative"))
     old = {}
     if os.path.exists(MANIFEST):
         with open(MANIFEST) as fh:
