@@ -65,16 +65,21 @@ MAX_STATES = 64
 
 
 def _atomic_write(path, text):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".liesys-", suffix=".tmp")
+    """Write through a temporary file and a rename; an OSError is a usage
+    error of ``--out``."""
+    tmp = None
     try:
+        d = os.path.dirname(os.path.abspath(path))
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".liesys-", suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ScenarioError(str(exc), field="--out") from exc
         raise
 
 
@@ -526,9 +531,8 @@ def cmd_run(args):
         # attribute pipeline_* (perfbench/tracer.py wraps them) takes effect.
         run = globals()["pipeline_" + pipeline.replace("-", "_")]
         ok, summary, files = run(scn, args.tol_override, seed)
-    except ScenarioError as exc:
-        print(f"usage error in field '{exc.field}': {exc}", file=sys.stderr)
-        return 2
+    except ScenarioError:
+        raise  # main reports it
     except LiesysError as exc:
         summary = {"pipeline": pipeline, "pass": False,
                    "error": str(exc), "last_good_time": exc.last_time}
@@ -580,11 +584,7 @@ def cmd_list(_args):
 
 def cmd_verify(args):
     out_dir = _resolve_out(args.out)
-    try:
-        seed = _seed(args.seed if args.seed is not None else 0)
-    except ScenarioError as exc:
-        print(f"usage error in field '{exc.field}': {exc}", file=sys.stderr)
-        return 2
+    seed = _seed(args.seed if args.seed is not None else 0)
     from .acceptance import run_all  # imported here: acceptance imports cli
 
     criteria = []
@@ -638,7 +638,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioError as exc:  # a bad field, or a failed write under --out
+        print(f"usage error in field '{exc.field}': {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """SL(2,R) machinery: algebra/group types, exponential, the Lie equation on
 the group, the linear and Pinney actions, tau-reparametrization and the
-reduction-by-particular-solution procedures."""
+reduction-by-particular-solution procedures.  The Pinney reductions build an
+oscillator pair of Wronskian 1 from x1 and tau, and hand it to Pinney's rule."""
 
 import math
 from dataclasses import dataclass
@@ -250,48 +251,28 @@ def reduce_oscillator(x1: Trajectory, k_prime, k) -> Trajectory:
     ]))
 
 
-def _reduce_pinney(x1: Trajectory, x0, v0, k, propagator) -> Trajectory:
-    """The Milne-Pinney solution through (x0, v0) from the nonvanishing
-    particular solution x1.  In the reduced time tau, z = x / x1 is a Pinney
-    state from (A, B) at tau = 0, A = x0 / x1(t0) and B = v0 x1(t0) -
-    x0 x1'(t0), moved by the rows of ``propagator(tau)``; then x = x1 z and
-    x' = x1' z + z_tau / x1."""
-    x10, v10 = x1.states[0, 0], x1.states[0, 1]
-    if x10 == 0.0:
-        raise SingularityError("particular solution vanishes at the initial time")
-    if x0 == 0.0:
-        raise SingularityError("the Milne-Pinney target is singular at x0 = 0")
-    a, b = x0 / x10, v0 * x10 - x0 * v10
-
-    def formula(pos, vel, tau):
-        z, z_tau = _pinney_map(a * a, a * b, k, *propagator(tau), math.copysign(1.0, a))
-        return np.column_stack([pos * z, vel * z + z_tau / pos])
-
-    return _on_tau_clock(x1, formula)
+def _lift(pos, vel, f, f_tau):
+    """Rows (u, u') of u = x1 f(tau): u' = x1' f + f_tau / x1, as tau' = 1 / x1^2."""
+    return np.column_stack([pos * f, vel * f + f_tau / pos])
 
 
 def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k) -> Trajectory:
-    """Milne-Pinney solution from a nonvanishing oscillator solution x1.
-
-    z = x / x1 obeys z_tau_tau = k / z^3, so its propagator is the free
-    one, [[1, tau], [0, 1]]: the d'Alembert pair (x1, x1 tau), of
-    Wronskian 1, divided by x1.
-    """
-    return _reduce_pinney(x1, x0, v0, k, lambda tau: (1.0, tau, 0.0, 1.0))
+    """Milne-Pinney solution from a nonvanishing oscillator solution x1:
+    Pinney's rule on d'Alembert's pair (x1, x1 tau), of Wronskian 1."""
+    from .superposition import pinney_rule_from_solutions  # it imports group
+    return pinney_rule_from_solutions(x1, reduce_oscillator(x1, 0.0, 1.0), x0, v0, k)
 
 
 def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k) -> Trajectory:
-    """Milne-Pinney solution from a particular Milne-Pinney solution x1.
-
-    z = x / x1 obeys z_tau_tau = -k z + k / z^3, so its propagator is the
-    rotation by sqrt(k) tau: [[cos, sin / sqrt(k)], [-sqrt(k) sin, cos]].
-    """
+    """Milne-Pinney solution from a Milne-Pinney solution x1 of the same
+    k > 0: Pinney's rule on Milne's pair (x1 cos(sqrt(k) tau), x1 sin(sqrt(k)
+    tau) / sqrt(k)), of Wronskian 1 (W. E. Milne, Phys. Rev. 35, 863, 1930)."""
+    from .superposition import pinney_rule_from_solutions  # it imports group
     if k <= 0.0:
         raise DomainError("this reduction needs k > 0", k)
     rk = math.sqrt(k)
-
-    def rotation(tau):
-        cos, sin = np.cos(rk * tau), np.sin(rk * tau)
-        return cos, sin / rk, -rk * sin, cos
-
-    return _reduce_pinney(x1, x0, v0, k, rotation)
+    y = _on_tau_clock(x1, lambda pos, vel, tau: _lift(
+        pos, vel, np.cos(rk * tau), -rk * np.sin(rk * tau)))
+    z = _on_tau_clock(x1, lambda pos, vel, tau: _lift(
+        pos, vel, np.sin(rk * tau) / rk, np.cos(rk * tau)))
+    return pinney_rule_from_solutions(y, z, x0, v0, k)

@@ -49,10 +49,14 @@ def pinney_rule(y, z, i1, i2, w, root, half_plane=1):
     of determinant k / W^2, under Phi = [[y, z], [y', z']]; x lies in
     ``half_plane``.  The entries of y and z may be scalars or arrays.  Where
     x^2 <= 0, or a value is out of floating-point range (a Wronskian near
-    0), it raises DomainError.
+    0), it raises DomainError.  Where I2 = 0 (k = 0 and x proportional to
+    z) the map takes y and z swapped, with I1 and I2, so that its s00 is
+    2 I1 / W^2 > 0.
     """
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
+    if i2 == 0.0:
+        y, z, i1, i2 = z, y, i2, i1
     (p, dp), (q, dq) = y, z
     with np.errstate(all="ignore"):  # a W near 0 overflows here; the map raises
         w2 = np.float64(w) * w
@@ -76,7 +80,9 @@ def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
     if x0 == 0.0:
         raise SingularityError("the Milne-Pinney target is singular at x0 = 0")
-    invariants = 0.5 * (v0 * v0 + k / x0**2), 0.5 * x0 * x0, 1.0, x0 * v0
+    with np.errstate(all="ignore"):  # an x0 near 0 or inf overflows; the map raises
+        x0 = np.float64(x0)
+        invariants = 0.5 * (v0 * v0 + k / x0**2), 0.5 * x0 * x0, 1.0, x0 * v0
 
     def evaluate(t):
         ys, zs = y_traj.dense(t)[:, :2].T, z_traj.dense(t)[:, :2].T

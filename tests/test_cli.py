@@ -5,6 +5,7 @@ import math
 import os
 import re
 import runpy
+import warnings
 
 import numpy as np
 import pytest
@@ -356,8 +357,8 @@ def test_the_pinney_targets_of_the_error_floors_take_both_branches():
 
 @pytest.mark.parametrize("k, target", [(0.0, [2.0, 0.6]), (-0.5, [1.0, 0.3])])
 def test_pinney_osc_runs_for_k_not_positive(k, target, tmp_path):
-    # k = 0 with the target on x1's ray (B = 0), and k = -0.5, where s(tau)
-    # falls toward 0: both closed forms meet their oracle
+    # k = 0 with the target 2 x1 on x1's ray, and k = -0.5, where x^2 falls
+    # toward 0: both closed forms meet their oracle
     path = write_scenario(tmp_path, {
         "pipeline": "reduce", "method": "pinney-osc",
         "system": {"k": k, "frequency": {"name": "constant", "omega_squared": 1.0}},
@@ -369,7 +370,8 @@ def test_pinney_osc_runs_for_k_not_positive(k, target, tmp_path):
 
 
 def test_pinney_osc_reports_the_last_sample_before_s_vanishes(tmp_path, capsys):
-    # k = -0.5, A = 1, B = 0: s(tau) = 1 - tau^2 / 2 vanishes at tau = sqrt 2.
+    # k = -0.5 and the target x1's own state: on d'Alembert's pair (x1, x1 tau)
+    # x^2 = x1^2 s(tau) with s = 1 - tau^2 / 2, which vanishes at tau = sqrt 2.
     # On x1 = cos t + 0.3 sin t, tau(t) = (tan(t - phi) + 0.3) / 1.09 with
     # tan phi = 0.3, so s > 0 exactly at the samples before t*.
     body = {"pipeline": "reduce", "method": "pinney-osc",
@@ -487,12 +489,17 @@ def test_reversed_t_span(name, change, status, tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["superpose_quadrature.json", "reduce_oscillator.json"])
-def test_vanishing_x1_with_k_nonzero_is_a_runtime_error(name, tmp_path, capsys,
+@pytest.mark.parametrize("name, change", [
+    ("superpose_quadrature.json", {}),
+    ("reduce_oscillator.json", {}),
+    ("reduce_pinney_self.json",
+     {"method": "pinney-osc", "initial_states": [[0.0, 1.0], [0.8, 0.5]]}),
+], ids=["superpose_quadrature.json", "reduce_oscillator.json", "pinney_osc"])
+def test_vanishing_x1_with_k_nonzero_is_a_runtime_error(name, change, tmp_path, capsys,
                                                         monkeypatch):
     # x1(t0) = 0: tau, and the target velocity k / x1(t0), are undefined
     with open(os.path.join(SCENARIO_DIR, name)) as fh:
-        scn = {**json.load(fh), "initial_states": [[0.0, 1.0]]}
+        scn = {**json.load(fh), "initial_states": [[0.0, 1.0]], **change}
     if name.startswith("superpose"):  # it stops before any solve
         monkeypatch.setattr(systems, "integrate", None)
     out = tmp_path / "out"
@@ -517,6 +524,48 @@ def test_x1_vanishing_inside_the_span_exits_1_with_the_last_good_time(name, tmp_
     summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
     assert summary["pass"] is False and summary["pipeline"] == scn["pipeline"]
     assert 0.0 < summary["last_good_time"] < 2.0
+
+
+@pytest.mark.parametrize("name, x0", [
+    ("superpose_pinney.json", 1e-200), ("superpose_pinney.json", 1e200),
+    ("reduce_pinney_self.json", 1e-200), ("reduce_pinney_self.json", 1e200)])
+def test_a_pinney_target_out_of_range_is_a_runtime_error(name, x0, tmp_path, capsys):
+    # k / x0^2 or x0^2 overflows: the map reports it, and numpy warns nothing
+    with open(os.path.join(SCENARIO_DIR, name)) as fh:
+        scn = json.load(fh)
+    scn["initial_states"][-1][0] = x0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", write_scenario(tmp_path, scn),
+                         "--out", str(tmp_path)]) == 1
+    assert "runtime error" in capsys.readouterr().err
+    stem = scn["output"]["csv"][:-len(".csv")]
+    summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    assert summary["pass"] is False and summary["last_good_time"] is None
+
+
+@pytest.mark.parametrize("name", ["integrate_ermakov.json", "reduce_oscillator.json"])
+def test_an_unwritable_out_is_a_usage_error(name, tmp_path, capsys):
+    # a run that passes, and one that exits 1 (x1 vanishes in its span) and
+    # writes its summary alone
+    with open(os.path.join(SCENARIO_DIR, name)) as fh:
+        scn = {**json.load(fh), "t_span": [0.0, 2.0]}
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["run", write_scenario(tmp_path, scn),
+                     "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'--out'" in err[0] and "Not a directory" in err[0]
+
+
+def test_verify_into_an_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [acceptance.criterion_2])
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main(["verify", "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'--out'" in err[0] and "File exists" in err[0]
+    assert blocker.read_text() == ""
 
 
 def test_quadrature_rule_with_k_zero_needs_no_tau(tmp_path):
@@ -783,13 +832,17 @@ def test_scenario_that_is_not_an_object_is_usage_error(tmp_path, capsys):
 
 def test_tracer_bindings_exist(tmp_path):
     # perfbench/tracer.py wraps liesys functions at the module attributes
-    # their callers look up; install() raises if one of them is gone.
+    # their callers look up; install() raises if one of them is gone.  A
+    # Pinney reduction runs through the traced reduction and Pinney rule.
     tracer = runpy.run_path(TRACER)["Tracer"]()
     try:
         tracer.install()
         assert run_scenario("minimal_m_oscillator.json", tmp_path) == 0
+        assert run_scenario("reduce_pinney_self.json", tmp_path) == 0
     finally:
         tracer.uninstall()
-    assert tracer.stats["cli.pipeline"][0] == 1
+    assert tracer.stats["cli.pipeline"][0] == 2
     assert tracer.stats["cli.build"][0] >= 1
+    assert tracer.stats["group.reduce"][0] >= 1
+    assert tracer.stats["superposition.pinney_rule"][0] >= 1
     assert not hasattr(cli.pipeline_minimal_m, "__wrapped__")

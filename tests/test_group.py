@@ -9,7 +9,8 @@ from numpy.testing import assert_allclose
 from liesys import (DomainError, QuadratureError, Trajectory,
                     constant_frequency, integrate, milne_pinney,
                     oscillator_1d, two_plus_sin)
-from liesys.group import (_PARABOLIC_DET, _pinney_xy, A1, A2, A3, IDENTITY,
+from liesys import group
+from liesys.group import (_PARABOLIC_DET, _lift, _pinney_xy, A1, A2, A3, IDENTITY,
                           SL2Matrix, Sl2Vector, generator_by_finite_difference,
                           linear_action, pinney_action, reduce_oscillator,
                           reduce_pinney_from_oscillator,
@@ -292,6 +293,30 @@ def test_the_pinney_map_is_certified_by_sympy():
     assert sympy.cancel((d_dt(v) + w2 * x - det_s / x**3) * x**3) == 0
 
 
+def test_the_pairs_of_the_pinney_reductions_are_certified_by_sympy(monkeypatch):
+    # with x1'' = -omega^2 x1 + k / x1^3 and tau' = 1 / x1^2, Milne's pair,
+    # lifted from tau by the library's _lift, solves the oscillator with
+    # Wronskian 1; with k = 0 so does d'Alembert's (x1, x1 tau), whose x1 tau
+    # is reduce_oscillator's own formula (taken from _on_tau_clock).  The
+    # trigonometry of Milne's pair is numpy's, so sympy's stands in for it.
+    sympy = pytest.importorskip("sympy")
+    x, v, tau, w2, rk = sympy.symbols("x v tau omega2 rk", positive=True)
+
+    def d_dt(f, k):
+        return f.diff(x) * v + f.diff(v) * (-w2 * x + k / x**3) + f.diff(tau) / x**2
+
+    def certify(y, z, k):
+        for u, du in (y, z):
+            assert sympy.simplify(d_dt(u, k) - du) == 0
+            assert sympy.simplify(d_dt(du, k) + w2 * u) == 0
+        assert sympy.simplify(y[0] * z[1] - z[0] * y[1] - 1) == 0
+
+    cos, sin = sympy.cos(rk * tau), sympy.sin(rk * tau)
+    certify(_lift(x, v, cos, -rk * sin)[0], _lift(x, v, sin / rk, cos)[0], rk**2)
+    monkeypatch.setattr(group, "_on_tau_clock", lambda x1, formula: formula)
+    certify((x, v), reduce_oscillator(None, 0, 1)(x, v, tau)[0], 0)
+
+
 def test_the_pinney_action_takes_a_stack_of_elements():
     gs = [sl2_exp(Sl2Vector(0.3, -1.0, 0.2), s) for s in (0.0, 0.5, 1.0)]
     xs, vs = np.array([0.5, -1.0, 2.0]), np.array([0.1, 0.0, -0.3])
@@ -425,7 +450,7 @@ def test_reduce_oscillator_vs_integration():
 
 
 def test_the_pinney_reductions_start_at_the_equilibrium():
-    # x1 = 1 and (x0, v0) = (1, 0): (A, B) = (1, 0)
+    # x1 = 1 and (x0, v0) = (1, 0): both pairs start at (1, 0), (0, 1)
     for reduce in (reduce_pinney_from_oscillator, reduce_pinney_from_pinney):
         red = reduce(ones_trajectory(), 1.0, 0.0, 1.0)
         assert_allclose(red.initial_state, (1.0, 0.0), rtol=0.0, atol=1e-12)
@@ -448,6 +473,23 @@ def test_reduce_pinney_from_pinney_vs_integration():
         assert max(errs) < 1e-5
 
 
+@pytest.mark.parametrize("reduce, x1_state, t1", [
+    (reduce_pinney_from_pinney, [1.3, 0.2], 5.0),
+    (reduce_pinney_from_oscillator, [1.0, 0.3], 1.2)], ids=["pinney", "oscillator"])
+def test_the_pinney_reductions_match_their_oracle_in_x_and_v(reduce, x1_state, t1):
+    # the reduce pipeline compares x alone; here v is held to the oracle too
+    tol = 1e-12
+    osc = oscillator_1d(constant_frequency(1.0))
+    mp = milne_pinney(constant_frequency(1.0), 1.0)
+    x1 = (mp if reduce is reduce_pinney_from_pinney else osc).integrate(
+        x1_state, (0.0, t1), tol, tol)
+    t = np.linspace(0.0, t1, 41)
+    for x0, v0 in [(0.8, 0.5), (-1.5, 0.4)]:
+        ref = mp.integrate([x0, v0], (0.0, t1), tol, tol)
+        assert_allclose(reduce(x1, x0, v0, 1.0).dense(t), ref.dense(t),
+                        rtol=1e-9, atol=1e-9)
+
+
 def test_reduce_pinney_from_pinney_ode_residual():
     mp = milne_pinney(constant_frequency(1.0), 1.0)
     x1 = mp.integrate([1.3, 0.2], (0.0, 5.0))
@@ -465,8 +507,8 @@ def test_reduce_pinney_from_pinney_needs_positive_k():
 
 
 def test_reduce_pinney_from_oscillator_equilibrium():
-    # x1 = cos t with (x0, v0) = (1, 0) gives (A, B) = (1, 0) and
-    # x = cos t * sqrt(1 + tan^2 t) = 1
+    # x1 = cos t with (x0, v0) = (1, 0): d'Alembert's pair is (cos t, sin t)
+    # and x = sqrt(cos^2 t + sin^2 t) = 1
     red = reduce_pinney_from_oscillator(cos_trajectory(), 1.0, 0.0, 1.0)
     assert np.max(np.abs(red.states[:, 0] - 1.0)) < 1e-8
 

@@ -115,6 +115,17 @@ def test_pinney_rule_equilibrium():
         assert v == pytest.approx(0.0, abs=1e-12)
 
 
+def test_pinney_rule_is_defined_where_i2_vanishes():
+    # k = 0 and x proportional to z: I2 = 0 and the root r = 0, so
+    # x = sqrt(2 I1) |z| / |W|.  With y = t and z = 1 + t (omega = 0, W = -1)
+    # and I1 = 1: x = sqrt(2) (1 + t) and v = sqrt(2); at t = 0 the map
+    # divided 0 by 0 before y and z were swapped
+    t = np.linspace(0.0, 2.0, 9)
+    x, v = pinney_rule((t, np.ones_like(t)), (1.0 + t, np.ones_like(t)), 1.0, 0.0, -1.0, 0.0)
+    assert_allclose(x, math.sqrt(2.0) * (1.0 + t), rtol=1e-15, atol=0.0)
+    assert_allclose(v, math.sqrt(2.0), rtol=1e-15, atol=0.0)
+
+
 def test_pinney_rule_wronskian_zero():
     with pytest.raises(DependentSolutionsError):
         pinney_rule((1.0, 0.0), (1.0, 0.0), 0.5, 0.5, 0.0, 0.0)
