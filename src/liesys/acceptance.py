@@ -106,10 +106,10 @@ def criterion_3(seed=0):
                                 for part in range(len(_DRIFT_SYSTEMS))])
 
 
-# The unit oscillator's solutions sin t and cos t, (x, v) at each of an array
-# of times: closed forms for Trajectory.from_function.
-def _sin_t(t):
-    return np.column_stack([np.sin(t), np.cos(t)])
+# The unit oscillator's cos t and pair (sin t, cos t), rows (x, v) and
+# (y, y', z, z') at an array of times: closed forms for Trajectory.from_function.
+def _sin_cos_t(t):
+    return np.column_stack([np.sin(t), np.cos(t), np.cos(t), -np.sin(t)])
 
 
 def _cos_t(t):
@@ -126,9 +126,8 @@ def criterion_4(seed=0):
         "initial_states": [[1.0, 0.0], [0.0, 1.0], *states]}, None, seed)
     rows = [[x0, v0, run["max_error"]] for (x0, v0), run in zip(states, summary["runs"])]
 
-    grid = np.linspace(0.0, 10.0, 301)
-    ya, za = (Trajectory.from_function(f, grid) for f in (_sin_t, _cos_t))
-    rec = pinney_rule_from_solutions(ya, za, 1.0, 0.0, 1.0)
+    pair = Trajectory.from_function(_sin_cos_t, np.linspace(0.0, 10.0, 301))
+    rec = pinney_rule_from_solutions(pair, 1.0, 0.0, 1.0)
     err_exact = float(cli.compare(rec.states[:, 0], 1.0, "abs").max())
     rows.append(["analytic", "", err_exact])
     return CriterionResult(4, "Pinney superposition oracle equivalence",
@@ -229,13 +228,6 @@ def criterion_7(seed=0):
                            [[check, err] for check, err, _ in checks])
 
 
-def _random_sl2(rng):
-    g = G.sl2_exp(G.Sl2Vector(1.0, 0.0, 0.0), rng.uniform(-1.5, 1.5))
-    g = g @ G.sl2_exp(G.Sl2Vector(0.0, 1.0, 0.0), rng.uniform(-1.5, 1.5))
-    g = g @ G.sl2_exp(G.Sl2Vector(0.0, 0.0, 1.0), rng.uniform(-1.5, 1.5))
-    return g
-
-
 def _random_point(rng):
     return rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]), rng.uniform(-2.0, 2.0)
 
@@ -246,23 +238,25 @@ def criterion_8(seed=0):
     k = 1.0
 
     # the identity check's draws, then the sign check's, each drawn in the
-    # stream order of one point (or element and point) at a time and acted
-    # on in one call
+    # stream order of one point (or exponents and point) at a time and acted
+    # on in one call; an element is exp(s1 A1) exp(s2 A2) exp(s3 A3)
     x, v = np.array([_random_point(rng) for _ in range(50)]).T
     res = G.pinney_action(G.IDENTITY, (x, v), k)
     err_id = float(max(np.max(np.abs(res.x - x)), np.max(np.abs(res.v - v))))
 
-    draws = [(_random_sl2(rng).array, _random_point(rng)) for _ in range(1000)]
-    p = np.array([point for _, point in draws]).T
+    basis = [G.Sl2Vector(1, 0, 0), G.Sl2Vector(0, 1, 0), G.Sl2Vector(0, 0, 1)]
+    *s, x, v = np.array([(*rng.uniform(-1.5, 1.5, size=3), *_random_point(rng))
+                         for _ in range(1000)]).T
+    g = (G.sl2_exp(basis[0], s[0]) @ G.sl2_exp(basis[1], s[1])
+         @ G.sl2_exp(basis[2], s[2]))
     try:
-        res = G.pinney_action(G.SL2Matrix(np.array([g for g, _ in draws])), p, k)
-        signs_ok, valid = bool(np.all(np.sign(res.x) == np.sign(p[0]))), len(draws)
+        res = G.pinney_action(g, (x, v), k)
+        signs_ok, valid = bool(np.all(np.sign(res.x) == np.sign(x))), len(x)
     except DomainError:
         signs_ok, valid = False, 0
 
     mp = milne_pinney(constant_frequency(1.0), k)
     osc = oscillator_1d(constant_frequency(1.0))
-    basis = [G.Sl2Vector(1, 0, 0), G.Sl2Vector(0, 1, 0), G.Sl2Vector(0, 0, 1)]
     err_ff = 0.0
     for _ in range(20):
         p = np.array([rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)])
@@ -319,11 +313,12 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
 SPLIT = {criterion_3: (len(_DRIFT_SYSTEMS), criterion_3_part, criterion_3_combine)}
 
 # The units run_all hands out first, longest first: criterion 3's generalized
-# Ermakov, Ermakov and Pinney-triple solves, then criteria 8, 4 and 7 (about
-# 0.32, 0.17, 0.17, 0.12, 0.12 and 0.06 s on one core of a 2-core Xeon
-# VM).  The rest follow in index order.
-_LONGEST_FIRST = [(criterion_3, 3), (criterion_3, 0), (criterion_3, 2),
-                  (criterion_8, None), (criterion_4, None), (criterion_7, None)]
+# Ermakov, Pinney-triple and Ermakov solves, then criteria 4, 7, 1, 8 and 6
+# (best of 5 at seed 0 on one core of a 2-core Xeon VM: 194, 102, 96, 59, 34,
+# 25, 25 and 22 ms).  The rest, 13 ms or less, follow in index order.
+_LONGEST_FIRST = [(criterion_3, 3), (criterion_3, 2), (criterion_3, 0),
+                  *((fn, None) for fn in (criterion_4, criterion_7, criterion_1,
+                                          criterion_8, criterion_6))]
 
 
 def _unwrapped(fn):

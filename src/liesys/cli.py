@@ -26,7 +26,7 @@ import numpy as np
 
 from . import group as G
 from .errors import LiesysError, ScenarioError, SingularityError
-from .integrate import FREQUENCY_PROFILES
+from .integrate import FREQUENCY_PROFILES, Trajectory
 from .invariants import drift
 from .invariants import generalized_invariant  # noqa: F401  bound for perfbench/tracer.py
 from .superposition import (keys_from, linear_rule, pinney_rule_from_solutions,
@@ -306,8 +306,11 @@ def pipeline_integrate(scn, tol_override, seed):
 def pipeline_drift(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
     reg = sysd.invariants
+    if not reg:
+        raise ScenarioError(f"system {sysd.name} has no registered invariant",
+                            field="invariant")
     # an omitted invariant means every invariant of the system
-    names = [scn["invariant"]] if "invariant" in scn else list(reg) or [None]
+    names = [scn["invariant"]] if "invariant" in scn else list(reg)
     for name in names:
         _choice(name, reg, "invariant", f"invariant of system {sysd.name}")
     t0, t1 = _t_span(scn)
@@ -382,9 +385,10 @@ def pipeline_superpose(scn, tol_override, seed):
     else:  # pinney: every state after y and z is a target
         osc = build_system(syscfg, "oscillator_1d")
         y, z = [osc.integrate(s, (t0, t1), abs_tol, rel_tol) for s in states[:2]]
-        k = sysd.params["k"]
-        targets = states[2:]
-        got = [pinney_rule_from_solutions(y, z, x0, v0, k).dense(times)[:, :1]
+        pair = Trajectory.from_function(lambda t: np.hstack([y.dense(t), z.dense(t)]),
+                                        y.times)
+        k, targets = sysd.params["k"], states[2:]
+        got = [pinney_rule_from_solutions(pair, x0, v0, k).dense(times)[:, :1]
                for x0, v0 in targets]
         refs = sysd.integrate_lanes(targets, (t0, t1), abs_tol, rel_tol)
         kind, extra = "rel", {"k": k}

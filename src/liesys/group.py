@@ -1,7 +1,8 @@
 """SL(2,R) machinery: algebra/group types, exponential, the Lie equation on
 the group, the linear and Pinney actions, tau-reparametrization and the
-reduction-by-particular-solution procedures.  The Pinney reductions build an
-oscillator pair of Wronskian 1 from x1 and tau, and hand it to Pinney's rule."""
+reduction-by-particular-solution procedures.  All three reductions read one
+oscillator pair of Wronskian 1 that x1 and tau give (_tau_pair): d'Alembert's
+combines it, the Pinney ones hand it to Pinney's rule."""
 
 import math
 from dataclasses import dataclass
@@ -63,8 +64,9 @@ _EYE.flags.writeable = False
 IDENTITY = SL2Matrix(_EYE)
 
 
-def sl2_exp(v: Sl2Vector, s: float) -> SL2Matrix:
-    """Exact exponential of s * v via the trace/determinant classification.
+def sl2_exp(v: Sl2Vector, s) -> SL2Matrix:
+    """Exact exponential of s * v via the trace/determinant classification;
+    for an array of s, the stack of exponentials, one per entry.
 
     For traceless M with d = det M: M^2 = -d I, so the exponential is
     elliptic (d > 0), hyperbolic (d < 0) or parabolic (d ~ 0), and
@@ -72,13 +74,15 @@ def sl2_exp(v: Sl2Vector, s: float) -> SL2Matrix:
     """
     m = v.matrix
     d = -0.25 * v.c3 * v.c3 - v.c1 * v.c2
+    lib = np if np.ndim(s) else math  # a scalar s keeps math's bits
+    s = np.asarray(s, dtype=float)[..., None, None] if lib is np else s
     if abs(d) < _PARABOLIC_DET:
         return SL2Matrix(_EYE + s * m)
     if d > 0.0:
         w = math.sqrt(d)
-        return SL2Matrix(math.cos(w * s) * _EYE + (math.sin(w * s) / w) * m)
+        return SL2Matrix(lib.cos(w * s) * _EYE + (lib.sin(w * s) / w) * m)
     w = math.sqrt(-d)
-    return SL2Matrix(math.cosh(w * s) * _EYE + (math.sinh(w * s) / w) * m)
+    return SL2Matrix(lib.cosh(w * s) * _EYE + (lib.sinh(w * s) / w) * m)
 
 
 class GroupSolution:
@@ -230,49 +234,56 @@ def tau_grid(x1: Trajectory):
     return x1.tau_clock()(x1.times)
 
 
-def _on_tau_clock(x1: Trajectory, formula) -> Trajectory:
-    """The closed form whose rows (x, x') at an array of times are
-    ``formula(x1, x1', tau)`` there, on x1's grid and x1's tau clock."""
+def _pair_rows(pos, vel, tau, kappa, lib=np):
+    """Rows (y, y', z, z') of (x1 c(tau), x1 s(tau)) from x1's (pos, vel) and
+    tau, for the basis c, s of f'' = -kappa f from (1, 0) and (0, 1): x1 f has
+    derivative x1' f + f_tau / x1, as tau' = 1 / x1^2.  ``lib`` gives cos, sin
+    and sqrt, so sympy runs it too."""
+    if kappa == 0:
+        c, dc, s, ds = 1.0, 0.0, tau, 1.0
+    else:
+        rk = lib.sqrt(kappa)
+        c, sn = lib.cos(rk * tau), lib.sin(rk * tau)
+        dc, s, ds = -rk * sn, sn / rk, c
+    return pos * c, vel * c + dc / pos, pos * s, vel * s + ds / pos
+
+
+def _tau_pair(x1: Trajectory, kappa) -> Trajectory:
+    """Oscillator pair of _pair_rows on x1's grid, of Wronskian 1: d'Alembert's
+    (x1, x1 tau) for kappa = 0, Milne's (W. E. Milne, Phys. Rev. 35, 863, 1930) for
+    kappa = k and a Milne-Pinney x1 of that k.  Reads x1 and tau once per evaluation."""
     clock = x1.tau_clock()
 
     def evaluate(t):
         rows = x1.dense(t)
-        return formula(rows[:, 0], rows[:, 1], clock(t))
+        return np.column_stack(_pair_rows(rows[:, 0], rows[:, 1], clock(t), kappa))
 
     return _closed_form(x1.times, evaluate)
 
 
 def reduce_oscillator(x1: Trajectory, k_prime, k) -> Trajectory:
     """General oscillator solution from one nonvanishing solution by the
-    order-reduction quadrature: x = k' x1 + k x1 tau."""
-    return _on_tau_clock(x1, lambda pos, vel, tau: np.column_stack([
-        k_prime * pos + k * pos * tau,
-        k_prime * vel + k * (vel * tau + 1.0 / pos),
-    ]))
+    order-reduction quadrature: x = k' x1 + k x1 tau, the (k', k)
+    combination of d'Alembert's pair."""
+    pair = _tau_pair(x1, 0.0)
 
+    def combine(rows):
+        return k_prime * rows[:, :2] + k * rows[:, 2:]
 
-def _lift(pos, vel, f, f_tau):
-    """Rows (u, u') of u = x1 f(tau): u' = x1' f + f_tau / x1, as tau' = 1 / x1^2."""
-    return np.column_stack([pos * f, vel * f + f_tau / pos])
+    return Trajectory(x1.times, combine(pair.states), lambda t: combine(pair.dense(t)))
 
 
 def reduce_pinney_from_oscillator(x1: Trajectory, x0, v0, k) -> Trajectory:
     """Milne-Pinney solution from a nonvanishing oscillator solution x1:
     Pinney's rule on d'Alembert's pair (x1, x1 tau), of Wronskian 1."""
     from .superposition import pinney_rule_from_solutions  # it imports group
-    return pinney_rule_from_solutions(x1, reduce_oscillator(x1, 0.0, 1.0), x0, v0, k)
+    return pinney_rule_from_solutions(_tau_pair(x1, 0.0), x0, v0, k)
 
 
 def reduce_pinney_from_pinney(x1: Trajectory, x0, v0, k) -> Trajectory:
     """Milne-Pinney solution from a Milne-Pinney solution x1 of the same
-    k > 0: Pinney's rule on Milne's pair (x1 cos(sqrt(k) tau), x1 sin(sqrt(k)
-    tau) / sqrt(k)), of Wronskian 1 (W. E. Milne, Phys. Rev. 35, 863, 1930)."""
+    k > 0: Pinney's rule on Milne's pair, of Wronskian 1."""
     from .superposition import pinney_rule_from_solutions  # it imports group
     if k <= 0.0:
         raise DomainError("this reduction needs k > 0", k)
-    rk = math.sqrt(k)
-    y = _on_tau_clock(x1, lambda pos, vel, tau: _lift(
-        pos, vel, np.cos(rk * tau), -rk * np.sin(rk * tau)))
-    z = _on_tau_clock(x1, lambda pos, vel, tau: _lift(
-        pos, vel, np.sin(rk * tau) / rk, np.cos(rk * tau)))
-    return pinney_rule_from_solutions(y, z, x0, v0, k)
+    return pinney_rule_from_solutions(_tau_pair(x1, k), x0, v0, k)

@@ -78,10 +78,6 @@ class Trajectory:
     def dimension(self):
         return self.states.shape[1]
 
-    @property
-    def t0(self):
-        return float(self.times[0])
-
     def dense(self, t):
         """State at time t (a scalar, or rows for an array); exact at sample
         times.  All off-sample times go to the interpolant in one call."""
@@ -110,11 +106,8 @@ class Trajectory:
             out[off] = rows[:len(t_off)]
         return out.reshape(t_arr.shape + (self.dimension,))
 
-    def component(self, i, t):
-        return self.dense(t)[..., i]
-
     def position(self, t):
-        return self.component(0, t)
+        return self.dense(t)[..., 0]
 
     @property
     def initial_state(self):

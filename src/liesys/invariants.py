@@ -49,7 +49,7 @@ def ermakov_pair_invariants(state, k):
     Wronskian of the two oscillator copies.  For k = 0 the k (y/x)^2 terms
     vanish, and x = 0 is a point like any other.
     """
-    x, y, z, vx, vy, vz = np.asarray(state, dtype=float)
+    x, y, z, vx, vy, vz = state
     if k == 0.0:
         return 0.5 * (y * vx - x * vy) ** 2, 0.5 * (x * vz - z * vx) ** 2, y * vz - z * vy
     if x == 0.0:

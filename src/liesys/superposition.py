@@ -64,9 +64,10 @@ def pinney_rule(y, z, i1, i2, w, root, half_plane=1):
     return _pinney_map(*s0, p, q, dp, dq, half_plane)
 
 
-def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k):
-    """Map two oscillator solutions to the Milne-Pinney solution through
-    (x0, v0), returned on y_traj's sample grid with states (x, v).
+def pinney_rule_from_solutions(pair: Trajectory, x0, v0, k):
+    """The Milne-Pinney solution through (x0, v0), states (x, v) on the grid
+    of ``pair``: rows (y, y', z, z') of two oscillator solutions, read once
+    per evaluation.
 
     The rule runs on the pair normalized at t0, the columns of the
     propagator Phi(t) Phi(t0)^-1 of Phi = [[y, z], [y', z']].  Against that
@@ -74,7 +75,7 @@ def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k
     and the root r = x0 v0, so S = [[x0^2, x0 v0], [x0 v0, v0^2 + k / x0^2]]
     and no branch is chosen.  x stays in the half-plane of x0.
     """
-    (y0, vy0), (z0, vz0) = (traj.dense(traj.t0)[:2] for traj in (y_traj, z_traj))
+    y0, vy0, z0, vz0 = pair.states[0]
     w = y0 * vz0 - z0 * vy0
     if w == 0.0:
         raise DependentSolutionsError("Wronskian W = 0: dependent oscillator solutions")
@@ -85,9 +86,9 @@ def pinney_rule_from_solutions(y_traj: Trajectory, z_traj: Trajectory, x0, v0, k
         invariants = 0.5 * (v0 * v0 + k / x0**2), 0.5 * x0 * x0, 1.0, x0 * v0
 
     def evaluate(t):
-        ys, zs = y_traj.dense(t)[:, :2].T, z_traj.dense(t)[:, :2].T
+        ys, zs = pair.dense(t).T.reshape(2, 2, -1)  # rows (y, y') and (z, z')
         return np.column_stack(pinney_rule((vz0 * ys - vy0 * zs) / w,
                                            (y0 * zs - z0 * ys) / w, *invariants,
                                            1 if x0 >= 0 else -1))
 
-    return _closed_form(y_traj.times, evaluate)
+    return _closed_form(pair.times, evaluate)

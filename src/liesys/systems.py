@@ -212,8 +212,6 @@ def oscillator_2d(omega: FrequencyProfile) -> SystemDef:
 
 def milne_pinney(omega: FrequencyProfile, k: float) -> SystemDef:
     """Isotonic oscillator x'' = -omega^2(t) x + k / x^3, state (x, v)."""
-    k = float(k)
-
     def field(w, p):
         x = _guard(p[0], "Milne-Pinney field")
         return np.array([p[1], w * x + k / (x * x * x)])
@@ -263,8 +261,6 @@ def pinney_triple(omega: FrequencyProfile, k: float) -> SystemDef:
 
     State (x, y, z, vx, vy, vz); six-dimensional with three joint integrals.
     """
-    k = float(k)
-
     def field(w, p):
         x = _guard(p[0], "Pinney-triple field")
         return np.array([p[3], p[4], p[5], w * x + k / (x * x * x), w * p[1], w * p[2]])

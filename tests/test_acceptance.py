@@ -9,6 +9,7 @@ import importlib
 import multiprocessing
 import os
 import pickle
+import runpy
 import signal
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from liesys import acceptance, cli, errors
 # the module, not the function the package re-exports under the same name
 integrate_module = importlib.import_module("liesys.integrate")
 SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +90,21 @@ def test_criterion_07_takes_the_reduce_pipelines_verdict(at_seed_0, monkeypatch)
 
 def test_criterion_08_action_sanity(at_seed_0):
     _run(at_seed_0, 8)
+
+
+def test_criteria_07_and_08_make_their_counted_work():
+    # criterion 7's reductions read x1 and tau once per evaluation of their
+    # pair; criterion 8 builds its 1000 group elements as three stacks
+    tracer = runpy.run_path(TRACER)["Tracer"]()
+    try:
+        tracer.install()
+        acceptance.criterion_7(0)
+        points = tracer.counters["integrate.dense_points"]
+        acceptance.criterion_8(0)
+    finally:
+        tracer.uninstall()
+    assert points <= 16500
+    assert tracer.stats["group.sl2_exp"][0] <= 250
 
 
 def test_criterion_09_cross_consistency(at_seed_0):

@@ -461,6 +461,16 @@ def test_drift_without_an_invariant_runs_all_of_the_system(tmp_path):
     assert all(column == times[0] for column in times)
 
 
+@pytest.mark.parametrize("system", ["milne_pinney", "oscillator_1d"])
+def test_drift_of_a_system_without_invariants_says_so(system, tmp_path, capsys):
+    scn = {**INTEGRATE, "pipeline": "drift", "system": {"name": system}}
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"usage error in field 'invariant': system {system} has no registered "
+            "invariant") in err
+    assert "null" not in err
+
+
 # Shipped scenarios with t_span reversed: the closed forms are anchored at the
 # first sample, so superpose's quadrature and pinney rules and every reduction
 # refuse a reversed span before any work; the pipelines without a closed form
@@ -845,4 +855,6 @@ def test_tracer_bindings_exist(tmp_path):
     assert tracer.stats["cli.build"][0] >= 1
     assert tracer.stats["group.reduce"][0] >= 1
     assert tracer.stats["superposition.pinney_rule"][0] >= 1
+    # the reduction reads x1 and its tau clock once per evaluation of its pair
+    assert tracer.counters["integrate.dense_points"] <= 4100
     assert not hasattr(cli.pipeline_minimal_m, "__wrapped__")

@@ -9,8 +9,7 @@ from numpy.testing import assert_allclose
 from liesys import (DomainError, QuadratureError, Trajectory,
                     constant_frequency, integrate, milne_pinney,
                     oscillator_1d, two_plus_sin)
-from liesys import group
-from liesys.group import (_PARABOLIC_DET, _lift, _pinney_xy, A1, A2, A3, IDENTITY,
+from liesys.group import (_PARABOLIC_DET, _pair_rows, _pinney_xy, A1, A2, A3, IDENTITY,
                           SL2Matrix, Sl2Vector, generator_by_finite_difference,
                           linear_action, pinney_action, reduce_oscillator,
                           reduce_pinney_from_oscillator,
@@ -69,6 +68,17 @@ def test_exp_parabolic_unipotent():
 
 def test_exp_at_zero_is_identity():
     assert_allclose(sl2_exp(Sl2Vector(0.6, 0.2, -0.4), 0.0).array, np.eye(2))
+
+
+def test_exp_of_an_array_is_the_stack_of_exponentials():
+    s = np.array([[-1.3, 0.0], [0.4, 1.5]])
+    # elliptic, hyperbolic and parabolic; the stack takes numpy's cos and sin
+    for v in (Sl2Vector(1.0, -1.0, 0.3), Sl2Vector(1.0, 1.0, 0.0),
+              Sl2Vector(0.0, 1.0, 0.0)):
+        stack = sl2_exp(v, s).array
+        assert stack.shape == (2, 2, 2, 2)
+        one_by_one = [[sl2_exp(v, si).array for si in row] for row in s]
+        assert_allclose(stack, one_by_one, rtol=0.0, atol=1e-15)
 
 
 def test_exp_matches_ode_solve():
@@ -293,28 +303,23 @@ def test_the_pinney_map_is_certified_by_sympy():
     assert sympy.cancel((d_dt(v) + w2 * x - det_s / x**3) * x**3) == 0
 
 
-def test_the_pairs_of_the_pinney_reductions_are_certified_by_sympy(monkeypatch):
-    # with x1'' = -omega^2 x1 + k / x1^3 and tau' = 1 / x1^2, Milne's pair,
-    # lifted from tau by the library's _lift, solves the oscillator with
-    # Wronskian 1; with k = 0 so does d'Alembert's (x1, x1 tau), whose x1 tau
-    # is reduce_oscillator's own formula (taken from _on_tau_clock).  The
-    # trigonometry of Milne's pair is numpy's, so sympy's stands in for it.
+def test_the_pairs_of_the_pinney_reductions_are_certified_by_sympy():
+    # the pair's own rows (_pair_rows), run on symbols: with
+    # x1'' = -omega^2 x1 + k / x1^3 and tau' = 1 / x1^2, Milne's pair
+    # (kappa = k) solves the oscillator with Wronskian 1, and so does
+    # d'Alembert's (kappa = 0) from an oscillator x1 (k = 0)
     sympy = pytest.importorskip("sympy")
-    x, v, tau, w2, rk = sympy.symbols("x v tau omega2 rk", positive=True)
+    x, v, tau, w2, k = sympy.symbols("x v tau omega2 k", positive=True)
 
     def d_dt(f, k):
         return f.diff(x) * v + f.diff(v) * (-w2 * x + k / x**3) + f.diff(tau) / x**2
 
-    def certify(y, z, k):
-        for u, du in (y, z):
-            assert sympy.simplify(d_dt(u, k) - du) == 0
-            assert sympy.simplify(d_dt(du, k) + w2 * u) == 0
-        assert sympy.simplify(y[0] * z[1] - z[0] * y[1] - 1) == 0
-
-    cos, sin = sympy.cos(rk * tau), sympy.sin(rk * tau)
-    certify(_lift(x, v, cos, -rk * sin)[0], _lift(x, v, sin / rk, cos)[0], rk**2)
-    monkeypatch.setattr(group, "_on_tau_clock", lambda x1, formula: formula)
-    certify((x, v), reduce_oscillator(None, 0, 1)(x, v, tau)[0], 0)
+    for kappa in (0, k):
+        y, dy, z, dz = _pair_rows(x, v, tau, kappa, sympy)
+        for u, du in ((y, dy), (z, dz)):
+            assert sympy.simplify(d_dt(u, kappa) - du) == 0
+            assert sympy.simplify(d_dt(du, kappa) + w2 * u) == 0
+        assert sympy.simplify(y * dz - z * dy - 1) == 0
 
 
 def test_the_pinney_action_takes_a_stack_of_elements():

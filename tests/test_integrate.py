@@ -548,9 +548,10 @@ def _dense_trajectories():
     cosine = Trajectory.from_function(cos_t, np.linspace(0.0, 1.2, 41))
     reduced = reduce_pinney_from_pinney(solved, 0.8, 0.5, 1.0)
     osc = oscillator_1d(two_plus_sin())
-    superposed = pinney_rule_from_solutions(osc.integrate([1.0, 0.0], (0.0, 5.0)),
-                                            osc.integrate([0.0, 1.0], (0.0, 5.0)),
-                                            0.7, 0.4, 1.0)
+    y, z = (osc.integrate(s, (0.0, 5.0)) for s in ([1.0, 0.0], [0.0, 1.0]))
+    pair = Trajectory.from_function(lambda t: np.hstack([y.dense(t), z.dense(t)]),
+                                    y.times)
+    superposed = pinney_rule_from_solutions(pair, 0.7, 0.4, 1.0)
     return solved, cosine, reduced, superposed
 
 
@@ -559,7 +560,7 @@ def test_dense_array_equals_scalar_loop():
         nodes = traj.times
         assert np.array_equal(traj.dense(nodes),
                               np.array([traj.dense(t) for t in nodes]))
-        off = np.random.default_rng(0).uniform(traj.t0, traj.times[-1], size=200)
+        off = np.random.default_rng(0).uniform(traj.times[0], traj.times[-1], size=200)
         got = traj.dense(off)
         want = np.array([traj.dense(t) for t in off])
         ulp = np.spacing(np.maximum(np.abs(got), np.abs(want)))

@@ -15,17 +15,31 @@ from liesys import (DependentSolutionsError, DomainError, SingularityError,
 
 def oscillator_pair(y0, vy0, z0, vz0, t_end=10.0, n=301):
     """The omega = 1 oscillator solutions through (y0, vy0) and (z0, vz0) at
-    t = 0, in closed form on n samples of [0, t_end]."""
-    grid = np.linspace(0.0, t_end, n)
-    return [Trajectory.from_function(
-        lambda t, a=a, b=b: np.column_stack([a * np.cos(t) + b * np.sin(t),
-                                             b * np.cos(t) - a * np.sin(t)]), grid)
-        for a, b in ((y0, vy0), (z0, vz0))]
+    t = 0, as one closed-form pair of rows (y, y', z, z') on n samples of
+    [0, t_end]."""
+    def rows(t):
+        c, s = np.cos(t), np.sin(t)
+        return np.column_stack([y0 * c + vy0 * s, vy0 * c - y0 * s,
+                                z0 * c + vz0 * s, vz0 * c - z0 * s])
+
+    return Trajectory.from_function(rows, np.linspace(0.0, t_end, n))
+
+
+def solved_pair(y, z):
+    """The pair of rows (y, y', z, z') of two solves, on y's grid."""
+    return Trajectory.from_function(lambda t: np.hstack([y.dense(t), z.dense(t)]),
+                                    y.times)
 
 
 def analytic_pair(t_end=10.0, n=301):
-    """y = sin t, z = cos t as oscillator trajectories (omega^2 = 1)."""
+    """y = sin t, z = cos t as an oscillator pair (omega^2 = 1)."""
     return oscillator_pair(0.0, 1.0, 1.0, 0.0, t_end, n)
+
+
+def cosine(t_end, n):
+    """cos t alone, with rows (x, v) on n samples of [0, t_end]."""
+    return Trajectory.from_function(lambda t: np.column_stack([np.cos(t), -np.sin(t)]),
+                                    np.linspace(0.0, t_end, n))
 
 
 # --- linear rule -------------------------------------------------------------
@@ -78,14 +92,14 @@ def test_keys_constant_along_solutions():
 # --- quadrature rule ---------------------------------------------------------
 
 def test_quadrature_rule_cos_to_sin():
-    _, z = analytic_pair(1.3, 140)  # z = cos t, nonvanishing on [0, 1.2]
+    z = cosine(1.3, 140)  # nonvanishing on [0, 1.2]
     for t in np.linspace(0.0, 1.2, 13):
         assert quadrature_rule(z, 0.0, 1.0, t) == pytest.approx(math.sin(t),
                                                                 abs=1e-8)
 
 
 def test_quadrature_rule_k_zero_scaling():
-    _, z = analytic_pair(1.0, 100)
+    z = cosine(1.0, 100)
     assert quadrature_rule(z, 0.7, 0.0, 0.9) == pytest.approx(
         0.7 * math.cos(0.9), abs=1e-10)
 
@@ -161,17 +175,15 @@ def test_pinney_rule_k_zero_linear_degeneration():
 # --- trajectory-level rule ---------------------------------------------------
 
 def test_pinney_from_solutions_equilibrium():
-    y, z = analytic_pair()
-    traj = pinney_rule_from_solutions(y, z, 1.0, 0.0, 1.0)
+    traj = pinney_rule_from_solutions(analytic_pair(), 1.0, 0.0, 1.0)
     assert np.max(np.abs(traj.states[:, 0] - 1.0)) < 1e-8
     # dense output between samples keeps the closed form
     assert traj.position(2.468) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_pinney_from_solutions_rejects_a_target_at_x_zero():
-    y, z = analytic_pair()
     with pytest.raises(SingularityError):
-        pinney_rule_from_solutions(y, z, 0.0, 1.0, 1.0)
+        pinney_rule_from_solutions(analytic_pair(), 0.0, 1.0, 1.0)
 
 
 def test_pinney_from_solutions_matches_integration():
@@ -181,7 +193,7 @@ def test_pinney_from_solutions_matches_integration():
     y = osc.integrate([1.0, 0.0], (0.0, 10.0))
     z = osc.integrate([0.0, 1.0], (0.0, 10.0))
     for x0, v0 in [(1.0, 0.0), (0.7, 0.4), (1.8, -0.6)]:
-        rec = pinney_rule_from_solutions(y, z, x0, v0, 1.0)
+        rec = pinney_rule_from_solutions(solved_pair(y, z), x0, v0, 1.0)
         ref = mp.integrate([x0, v0], (0.0, 10.0))
         errs = [abs(float(rec.position(t)) - float(ref.position(t)))
                 / max(1.0, abs(float(ref.position(t))))
@@ -195,7 +207,7 @@ def test_pinney_from_solutions_small_k_matches_linear_rule():
     y = osc.integrate([1.0, 0.0], (0.0, 0.5))
     z = osc.integrate([0.0, 1.0], (0.0, 0.5))
     x0, v0 = 1.0, 0.5
-    rec = pinney_rule_from_solutions(y, z, x0, v0, 1e-12)
+    rec = pinney_rule_from_solutions(solved_pair(y, z), x0, v0, 1e-12)
     for t in np.linspace(0.0, 0.5, 11):
         lin = x0 * math.cos(t) + v0 * math.sin(t)
         assert float(rec.position(t)) == pytest.approx(lin, abs=1e-5)
@@ -260,8 +272,8 @@ def test_pinney_rule_from_solutions_rebuilds_the_initial_state(pair, x0, sign, v
         pair, v0 = (1.0, 0.0, 0.0, 1.0), 0.0
     x0 *= sign
     y0, vy0, z0, vz0 = pair
-    y, z = oscillator_pair(*pair, t_end=1.0, n=3)
-    x, v = pinney_rule_from_solutions(y, z, x0, v0, k).states[0]
+    x, v = pinney_rule_from_solutions(oscillator_pair(*pair, t_end=1.0, n=3),
+                                      x0, v0, k).states[0]
     # x0 comes back to the rounding of the radicand I2 y^2 + I1 z^2 + r y z,
     # whose value x0^2 W^2 / 2 is up to cond (>= 1) times smaller than its terms
     i1, i2, w = ermakov_pair_invariants((x0, y0, z0, v0, vy0, vz0), k)

@@ -7,7 +7,7 @@ from liesys import (DimensionMismatchError, ShapeFunctions, SingularityError,
                     generalized_ermakov, milne_pinney, oscillator_1d,
                     oscillator_2d, pinney_triple, prolonged_rank,
                     quadratic_shapes, step_frequency,
-                    two_plus_sin, verify_algebra, zero_one_shapes)
+                    sl2_constants, two_plus_sin, verify_algebra, zero_one_shapes)
 from liesys.systems import SHAPE_FUNCTIONS, SYSTEM_FACTORIES
 
 W1 = constant_frequency(1.0)
@@ -116,6 +116,41 @@ def test_every_factory_closes_the_algebra():
         probes = sysd.sample_domain(rng, 100)
         report = verify_algebra(sysd.generators, sysd.constants, probes, 1e-9)
         assert report.ok, f"{sysd.name}: {report}"
+
+
+def test_every_factory_is_certified_by_sympy():
+    # each factory's own closures, run on symbols with a symbolic k and
+    # undefined shapes f and g (whose Q is the integral itself): X2 is
+    # field(0, p), X1 the w-derivative of field(w, p) (the rhs assembly test
+    # holds field(w, p) = w X1 + X2) and X3 the generator's function, read
+    # past VectorField's float coercion.  Every bracket equals its
+    # sl2_constants() combination, and X1, X2 and X3 annihilate every
+    # registered invariant, exactly.
+    sympy = pytest.importorskip("sympy")
+    k, w, z = sympy.symbols("k w z")
+    f, g = sympy.Function("f"), sympy.Function("g")
+    undefined = ShapeFunctions(f, g, "f, g", Q=lambda u: sympy.Integral(
+        -z**-3 * f(1 / z) + z * g(1 / z), (z, 1, u)))
+    systems = [oscillator_1d(W1), oscillator_2d(W1), milne_pinney(W1, k), ermakov(W1),
+               generalized_ermakov(W1, undefined), pinney_triple(W1, k)]
+    systems += [generalized_ermakov(W1, shapes()) for shapes in SHAPE_FUNCTIONS.values()]
+    assert {sysd.name for sysd in systems} == set(SYSTEM_FACTORIES)
+    c = sl2_constants().c
+    for sysd in systems:
+        p = np.array(sympy.symbols(f"p0:{sysd.dimension}"), dtype=object)
+        zero = sympy.zeros(len(p), 1)
+        field = sympy.Matrix(list(sysd.field(w, p)))
+        xs = [field.diff(w), field.subs(w, 0),
+              sympy.Matrix(list(sysd.generators[2]._func(p)))]
+        jacobians = [x.jacobian(p) for x in xs]
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            residual = (jacobians[b] * xs[a] - jacobians[a] * xs[b]
+                        - sum((c[a, b, i] * xs[i] for i in range(3)), zero))
+            assert residual.applyfunc(sympy.expand) == zero, (sysd.name, a, b)
+        for name, invariant in sysd.invariants.items():
+            gradient = sympy.Matrix([invariant(p)]).jacobian(p)
+            for x in xs:
+                assert sympy.expand((gradient * x)[0]) == 0, (sysd.name, name)
 
 
 def assembled_rhs(sysd, t, p):
