@@ -80,12 +80,10 @@ _DRIFT_SYSTEMS = (
 def criterion_3_part(seed, part):
     """Criterion 3 on its system number ``part`` alone: (rows, passed)."""
     rng = np.random.default_rng(seed)
-    for _, ranges in _DRIFT_SYSTEMS[:part]:
-        _seeded_states(rng, 5, ranges)  # the earlier systems' share of the stream
-    name, ranges = _DRIFT_SYSTEMS[part]
+    states = [_seeded_states(rng, 5, ranges) for _, ranges in _DRIFT_SYSTEMS][part]
     ok, summary, _ = cli.pipeline_drift({
-        "system": {"name": name, "frequency": "two_plus_sin"},
-        "initial_states": _seeded_states(rng, 5, ranges), "t_span": [0.0, 20.0],
+        "system": {"name": _DRIFT_SYSTEMS[part][0], "frequency": "two_plus_sin"},
+        "initial_states": states, "t_span": [0.0, 20.0],
         "tolerances": {"threshold": 1e-6}}, None, seed)
     return [[run["invariant"], run["drift_rel"]] for run in summary["runs"]], ok
 
@@ -229,7 +227,9 @@ def criterion_7(seed=0):
 
 
 def _random_point(rng):
-    return rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]), rng.uniform(-2.0, 2.0)
+    # the sign's index is the draw of Generator.choice([-1.0, 1.0]), without
+    # its per-call overhead
+    return rng.uniform(0.2, 2.0) * (-1.0, 1.0)[rng.integers(2)], rng.uniform(-2.0, 2.0)
 
 
 def criterion_8(seed=0):
@@ -308,32 +308,15 @@ ALL_CRITERIA = [criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
                 criterion_6, criterion_7, criterion_8, criterion_9]
 
 
-# Criterion -> (part count, part(seed, part), combine(part results)) for the
-# criteria whose parts run_all runs as units of their own.
-SPLIT = {criterion_3: (len(_DRIFT_SYSTEMS), criterion_3_part, criterion_3_combine)}
-
-# The units run_all hands out first, longest first: criterion 3's generalized
-# Ermakov, Pinney-triple and Ermakov solves, then criteria 4, 7, 1, 8 and 6
-# (best of 5 at seed 0 on one core of a 2-core Xeon VM: 194, 102, 96, 59, 34,
-# 25, 25 and 22 ms).  The rest, 13 ms or less, follow in index order.
-_LONGEST_FIRST = [(criterion_3, 3), (criterion_3, 2), (criterion_3, 0),
-                  *((fn, None) for fn in (criterion_4, criterion_7, criterion_1,
-                                          criterion_8, criterion_6))]
-
-
 def _unwrapped(fn):
     return getattr(fn, "__wrapped__", fn)
 
 
 def _run_unit(seed, index, part):
-    """In a worker: ALL_CRITERIA[index], or its ``part`` when it is split,
-    with its time in seconds."""
-    fn = ALL_CRITERIA[index]
+    """In a worker: ALL_CRITERIA[index], or criterion 3's ``part`` when
+    ``part`` is not None, with its time in seconds."""
     start = time.perf_counter()
-    if part is None:
-        result = fn(seed)
-    else:
-        result = SPLIT[_unwrapped(fn)][1](seed, part)
+    result = ALL_CRITERIA[index](seed) if part is None else criterion_3_part(seed, part)
     return result, time.perf_counter() - start
 
 
@@ -341,22 +324,24 @@ def run_all(seed=0):
     """Each criterion's result with its time in seconds, in ALL_CRITERIA order.
 
     The criteria draw no shared state, so they run side by side in forked
-    worker processes, one per usable CPU; a criterion in SPLIT runs as its
-    parts, and its time is the sum of theirs.  A worker receives only indices
-    into ALL_CRITERIA and inherits the list at the fork, so a patched or
-    wrapped list runs as it stands.  An exception in a worker is raised here.
-    SIGTERM raises SystemExit while the pool is up, so the pool shuts its
-    workers down before this process ends; the workers keep SIGTERM's default.
+    worker processes, one per usable CPU.  Criterion 3 runs as its four
+    parts, handed out first as the longest units, and its time is the sum of
+    theirs; every other criterion follows in index order.  A worker receives
+    only indices into ALL_CRITERIA and inherits the list at the fork, so a
+    patched or wrapped list runs as it stands.  An exception in a worker is
+    raised here.  SIGTERM raises SystemExit while the pool is up, so the pool
+    shuts its workers down before this process ends; the workers keep
+    SIGTERM's default.
     """
     # Imported here: `liesys run` never gets this far and would pay for it.
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    criteria = [_unwrapped(fn) for fn in ALL_CRITERIA]
-    units = [(i, part) for i, fn in enumerate(criteria)
-             for part in (range(SPLIT[fn][0]) if fn in SPLIT else [None])]
-    first = {unit: rank for rank, unit in enumerate(_LONGEST_FIRST)}
-    units.sort(key=lambda u: first.get((criteria[u[0]], u[1]), len(first)))
+    # criterion 3's parts first, then the whole criteria in index order
+    parts = range(len(_DRIFT_SYSTEMS))
+    units = sorted(((i, part) for i, fn in enumerate(ALL_CRITERIA)
+                    for part in (parts if _unwrapped(fn) is criterion_3 else [None])),
+                   key=lambda unit: unit[1] is None)
     workers = min(len(os.sched_getaffinity(0)), len(units))
     previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
@@ -364,13 +349,12 @@ def run_all(seed=0):
                                initargs=(signal.SIGTERM, signal.SIG_DFL))
     try:
         pending = {unit: pool.submit(_run_unit, seed, *unit) for unit in units}
-        for i, fn in enumerate(criteria):
-            if fn not in SPLIT:
+        for i in range(len(ALL_CRITERIA)):
+            if (i, None) in pending:
                 yield pending[i, None].result()
                 continue
-            count, _, combine = SPLIT[fn]
-            done = [pending[i, part].result() for part in range(count)]
-            yield (combine([result for result, _ in done]),
+            done = [pending[i, part].result() for part in parts]
+            yield (criterion_3_combine([result for result, _ in done]),
                    sum(seconds for _, seconds in done))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)

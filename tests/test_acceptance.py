@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from liesys import acceptance, cli, errors
@@ -126,13 +127,32 @@ def test_criterion_10_cli_verify_deterministic(shipped_outputs, tmp_path, capsys
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_run_all_matches_the_criteria_run_in_process(seed, request):
-    # run_all's workers, its longest-first order and criterion 3's parts
-    # against each criterion called here, criterion 3 as one function
+    # run_all's workers, its order of units and criterion 3's parts against
+    # each criterion called here, criterion 3 as one function
     pooled = [result for result, _ in acceptance.run_all(seed)]
     assert [r.index for r in pooled] == list(range(1, 10))
     in_process = (request.getfixturevalue("at_seed_0") if seed == 0
                   else [fn(seed) for fn in acceptance.ALL_CRITERIA])
     assert pooled == in_process
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_run_all_does_not_depend_on_the_number_of_workers(cpus, at_seed_0,
+                                                          monkeypatch):
+    # one worker runs every unit in the order run_all hands them out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert [result for result, _ in acceptance.run_all(0)] == at_seed_0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 42, 123])
+def test_random_point_draws_the_stream_of_generator_choice(seed):
+    # criterion 8 draws its sign as an index into (-1, 1): the numbers that
+    # Generator.choice([-1.0, 1.0]) draws, without its per-call overhead
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(200):
+        expected = (ref.uniform(0.2, 2.0) * ref.choice([-1.0, 1.0]),
+                    ref.uniform(-2.0, 2.0))
+        assert acceptance._random_point(rng) == expected
 
 
 def _integration_failure(seed=0):

@@ -1,14 +1,22 @@
+import copy
 import csv
+import functools
+import glob
 import importlib
 import json
 import math
+import operator
 import os
+import pathlib
 import re
 import runpy
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from liesys import acceptance, cli, group, invariants, systems
 
@@ -807,6 +815,63 @@ def test_bad_field_is_usage_error(case, tmp_path, capsys, monkeypatch):
                      "--out", str(tmp_path)]) == 2
     assert f"usage error in field '{field}'" in capsys.readouterr().err
     assert solves == []
+
+
+def _fields(node, path=()):
+    """The path of every field under ``node``: object members and list
+    items, at every depth."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+def _shipped():
+    for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json"))):
+        with open(path) as fh:
+            yield os.path.basename(path), json.load(fh)
+
+
+# One field of a shipped scenario deleted or set to an odd value, or one of
+# its names set to a name that nothing registers: (file name, field, value).
+SHIPPED = dict(_shipped())
+DELETE = object()
+ODD_VALUES = [DELETE, math.nan, math.inf, -math.inf, -0.0, 1e308, 1e-300, 2**62,
+              -1, 0, "x", [], None]
+NAME_FIELDS = [("pipeline",), ("system", "name"), ("system", "frequency"),
+               ("system", "shapes"), ("rule",), ("method",), ("invariant",)]
+MUTATIONS = [(name, field, value) for name, scn in SHIPPED.items()
+             for field, values in [*((f, ODD_VALUES) for f in _fields(scn)),
+                                   *((f, ["no_such_name"]) for f in NAME_FIELDS)]
+             for value in values]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(MUTATIONS))
+def test_a_mutated_scenario_ends_in_a_documented_way(tmp_path, capsys, mutation):
+    # it runs, exits 2 naming a field, or exits 1 with a failed summary that
+    # carries the last good time when a solve or closed form broke off
+    name, field, value = mutation
+    scn = copy.deepcopy(SHIPPED[name])
+    parent = functools.reduce(operator.getitem, field[:-1], scn)
+    if value is DELETE:
+        del parent[field[-1]]
+    else:
+        parent[field[-1]] = value
+    out = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
+    capsys.readouterr()
+    status = cli.main(["run", write_scenario(out, scn, name), "--out", str(out)])
+    assert status in (0, 1, 2)
+    if status == 2:
+        assert "usage error in field '" in capsys.readouterr().err
+    elif status == 1:
+        summaries = list(out.glob("*_summary.json"))
+        assert len(summaries) == 1
+        summary = json.loads(summaries[0].read_text())
+        assert summary["pass"] is False
+        assert "error" not in summary or "last_good_time" in summary
 
 
 @pytest.mark.parametrize("argv", [
