@@ -5,7 +5,6 @@ oscillator pair of Wronskian 1 that x1 and tau give (_tau_pair): d'Alembert's
 combines it, the Pinney ones hand it to Pinney's rule."""
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,8 +23,7 @@ A3 = 0.5 * np.array([[-1.0, 0.0], [0.0, 1.0]])
 _PARABOLIC_DET = 1e-12
 
 
-@dataclass(frozen=True)
-class Sl2Vector:
+class Sl2Vector(NamedTuple):
     """An algebra element by its coordinates in the basis (A1, A2, A3)."""
 
     c1: float
@@ -110,6 +108,14 @@ class GroupSolution:
         return float(np.max(np.abs(np.linalg.det(self.raw(self.times)) - 1.0)))
 
 
+def _sl2_matrix(c1, c2, c3):
+    """Sl2Vector(c1, c2, c3).matrix from float coordinates: each entry is
+    summed as c1 * A1 + c2 * A2 + c3 * A3 sums it, so its bits, signed zeros
+    included, are the same."""
+    return np.array([[c1 * 0.0 + c2 * 0.0 + c3 * -0.5, c1 * 0.0 + c2 * -1.0 + c3 * 0.0],
+                     [c1 * -1.0 + c2 * 0.0 + c3 * 0.0, c1 * 0.0 + c2 * 0.0 + c3 * 0.5]])
+
+
 def solve_group_equation(a, t_span, abs_tol=DEFAULT_ABS_TOL,
                          rel_tol=DEFAULT_REL_TOL) -> GroupSolution:
     """Integrate g' g^-1 = a(t) as the matrix equation g' = a(t) g from I.
@@ -121,7 +127,7 @@ def solve_group_equation(a, t_span, abs_tol=DEFAULT_ABS_TOL,
     def rhs(t, y):
         v = a(t)
         if y.ndim == 1:
-            return (v.matrix @ y.reshape(2, 2)).ravel()
+            return (_sl2_matrix(*v) @ y.reshape(2, 2)).ravel()
         # one matrix a(t) per column, and one stacked product for the block
         m = (np.multiply.outer(v.c1, A1) + np.multiply.outer(v.c2, A2)
              + np.multiply.outer(v.c3, A3))

@@ -235,6 +235,7 @@ class TauClock:
         else:
             self._limit = np.inf
         times = times[:max(m, 1)]
+        self._last = None  # (off-node times, tau there) of the last call
         # tau at every sample the clock covers
         self.nodes = np.concatenate(
             [[0.0], np.cumsum(_panel_integrals(self._f, times[:-1], times[1:], TAU_TOL))])
@@ -253,10 +254,18 @@ class TauClock:
         out[on_node] = self.nodes[j[on_node]]
         off = ~on_node
         if off.any():
-            lo = np.maximum(j[off], 1) - 1
-            out[off] = self.nodes[lo] + _panel_integrals(
-                self._f, times[lo], flat[off], TAU_TOL)
+            out[off] = self._between_nodes(flat[off], np.maximum(j[off], 1) - 1)
         return out.reshape(t_arr.shape)[()]  # a scalar t gives a scalar
+
+    def _between_nodes(self, t, lo):
+        """tau at the off-node times t, from the node lo below each and one
+        partial panel.  The clock keeps its last such times and values, so
+        callers that ask for the same times integrate them once: a reduction
+        and the tau column of its CSV, or several reductions on one x1."""
+        if self._last is None or not np.array_equal(self._last[0], t):
+            self._last = t, self.nodes[lo] + _panel_integrals(
+                self._f, self._x1.times[lo], t, TAU_TOL)
+        return self._last[1]
 
 
 # --- the DOP853 lane driver --------------------------------------------------

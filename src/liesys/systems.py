@@ -118,16 +118,21 @@ class SystemDef:
 
     def sample_domain(self, rng, count=1, low=-2.0, high=2.0, guard=0.1,
                       half_plane=1):
-        """Seeded random probes in the guarded domain of this system, each
-        of ``singular_coords`` in the half-plane of the sign ``half_plane``."""
-        probes = []
+        """``count`` seeded random probes in the guarded domain of this
+        system, one per row of a (count, dimension) array, each of
+        ``singular_coords`` in the half-plane of the sign ``half_plane``.
+
+        Each batch of the probes still needed is one draw of the generator,
+        and a probe with a coordinate inside ``guard`` is dropped, so the
+        probes, and the generator's state after them, are those of drawing
+        one probe at a time until ``count`` are kept.
+        """
+        probes = np.empty((0, self.dimension))
         while len(probes) < count:
-            p = rng.uniform(low, high, size=self.dimension)
-            if np.any(np.abs(p) < guard):
-                continue
-            for i in self.singular_coords:
-                p[i] = half_plane * abs(p[i])
-            probes.append(p)
+            batch = rng.uniform(low, high, size=(count - len(probes), self.dimension))
+            probes = np.concatenate([probes, batch[~np.any(np.abs(batch) < guard, axis=1)]])
+        sc = list(self.singular_coords)
+        probes[:, sc] = half_plane * np.abs(probes[:, sc])
         return probes
 
 
@@ -156,8 +161,10 @@ def _second_order(name, omega, letter, positions, velocities, field,
     with b = (-omega^2(t), 1, 0).  ``field`` is the factory's w X1 + X2
     (SystemDef.field), and ``params`` go to SystemDef.params beside the
     frequency's description.  X2's Jacobian is the complex step
-    Im field(0, p + i h e_j) / h in each direction e_j, one block call: exact
-    to rounding, as no difference cancels (Squire & Trapp, SIAM Rev. 40, 1998).
+    Im field(0, p + i h e_j) / h in each direction e_j, one block call for a
+    point or a block of them: exact to rounding, as no difference cancels
+    (Squire & Trapp, SIAM Rev. 40, 1998).  Every generator and Jacobian takes
+    a (n,) point or an (n, m) block (see VectorField).
     """
     pos, vel = np.array(positions), np.array(velocities)
     n = 2 * len(pos)
@@ -170,16 +177,24 @@ def _second_order(name, omega, letter, positions, velocities, field,
     steps = 1j * _COMPLEX_STEP * np.eye(n)
 
     def x1(p):
-        out = np.zeros(n)
+        out = np.zeros_like(p)
         out[vel] = p[pos]
         return out
 
     def x2_jac(p):
-        return field(0.0, p[:, None] + steps).imag / _COMPLEX_STEP
+        # column k * n + j of the complex block is point k + i h e_j
+        cols = p.reshape(n, -1)
+        z = (cols[:, :, None] + steps[:, None, :]).reshape(n, -1)
+        J = (field(0.0, z).imag / _COMPLEX_STEP).reshape(n, -1, n).transpose(1, 0, 2)
+        return J if p.ndim == 2 else J[0]
 
-    generators = (VectorField(n, x1, lambda p: j1, name=f"{letter}1"),
+    def constant(j):  # a Jacobian that is j at every point
+        return lambda p: j if p.ndim == 1 else np.broadcast_to(j, (p.shape[1], n, n))
+
+    generators = (VectorField(n, x1, constant(j1), name=f"{letter}1"),
                   VectorField(n, lambda p: field(0.0, p), x2_jac, name=f"{letter}2"),
-                  VectorField(n, lambda p: p * half, lambda p: j3, name=f"{letter}3"))
+                  VectorField(n, lambda p: (p.T * half).T, constant(j3),
+                              name=f"{letter}3"))
     return SystemDef(
         name=name, dimension=n, generators=generators,
         coefficients=(lambda t: -omega(t), lambda t: 1.0, lambda t: 0.0),

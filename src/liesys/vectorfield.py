@@ -13,9 +13,12 @@ _FD_BASE = float(np.cbrt(np.finfo(float).eps))
 class VectorField:
     """An autonomous vector field on R^n.
 
-    ``func`` maps a point (array of shape (n,)) to a tangent vector of the
-    same shape.  ``jac`` maps a point to the n x n matrix of partials
-    d func_i / d x_j; when omitted a central-difference fallback is used.
+    ``func`` maps a point, an array of shape (n,), to its tangent vector of
+    the same shape, and an (n, m) block of m points, one per column, to the
+    (n, m) block of their vectors.  ``jac`` maps a point to the n x n matrix
+    of partials d func_i / d x_j, and a block to the (m, n, n) stack of the
+    matrices of its points; when omitted, a central-difference fallback
+    makes one call of ``func`` on every shifted point at once.
     """
 
     def __init__(self, dimension, func, jac=None, name=""):
@@ -26,36 +29,58 @@ class VectorField:
         self._jac = jac
         self.name = name
 
-    def _point(self, p):
+    def _points(self, p):
         p = np.asarray(p, dtype=float)
-        if p.shape != (self.dimension,):
+        if p.ndim not in (1, 2) or len(p) != self.dimension:
             raise DimensionMismatchError(
-                f"point of shape {p.shape} on a field of dimension {self.dimension}"
+                f"points of shape {p.shape} on a field of dimension {self.dimension}"
             )
         return p
 
+    def _checked(self, out, shape):
+        out = np.asarray(out, dtype=float)
+        if out.shape != shape:
+            raise DimensionMismatchError(
+                f"{self!r} returned shape {out.shape} where {shape} is due")
+        return out
+
     def __call__(self, p):
-        return np.asarray(self._func(self._point(p)), dtype=float)
+        p = self._points(p)
+        return self._checked(self._func(p), p.shape)
 
     def jacobian(self, p):
-        p = self._point(p)
-        if self._jac is not None:
-            return np.asarray(self._jac(p), dtype=float)
-        return self._fd_jacobian(p)
+        p = self._points(p)
+        if self._jac is None:
+            return self._fd_jacobian(p)
+        return self._checked(self._jac(p), p.shape[1:] + (self.dimension,) * 2)
 
     def _fd_jacobian(self, p):
         n = self.dimension
-        h = _FD_BASE * max(1.0, float(np.linalg.norm(p)))
-        J = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            J[:, j] = (self(p + e) - self(p - e)) / (2.0 * h)
-        return J
+        cols = p.reshape(n, -1)
+        # each point's step, from its 2-norm as np.linalg.norm takes it
+        h = _FD_BASE * np.maximum(1.0, np.sqrt(_dots(np.ascontiguousarray(cols.T))))
+        shift = np.eye(n)[:, :, None] * h  # [i, j, k]: h_k in direction j
+        ends = cols[:, None, None, :] + np.stack([shift, -shift], axis=1)
+        flat = ends.reshape(n, -1)
+        vals = self._checked(self._func(flat), flat.shape).reshape(ends.shape)
+        J = (vals[:, 0] - vals[:, 1]) / (2.0 * h)  # [i, j, k]
+        return J.transpose(2, 0, 1) if p.ndim == 2 else J[:, :, 0]
 
     def __repr__(self):
         tag = self.name or "field"
         return f"VectorField({tag}, dim={self.dimension})"
+
+
+def _dots(rows):
+    """Each row's dot product with itself: per row the ddot that
+    np.linalg.norm squares, so its square root is that norm bit for bit."""
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _at_rows(X, block):
+    """X's values at the columns of ``block`` as (m, n) rows, and its
+    Jacobians there: one call of each."""
+    return np.ascontiguousarray(X(block).T), X.jacobian(block)
 
 
 @dataclass(frozen=True)
@@ -93,18 +118,23 @@ def sl2_constants():
 
 
 def bracket(X, Y, p):
-    """Lie bracket [X, Y] evaluated at p: (DY . X - DX . Y)(p)."""
+    """Lie bracket [X, Y] evaluated at p: (DY . X - DX . Y)(p), at a (n,)
+    point or at each column of an (n, m) block."""
     if X.dimension != Y.dimension:
         raise DimensionMismatchError(
             f"bracket of fields with dimensions {X.dimension} and {Y.dimension}"
         )
-    p = np.asarray(p, dtype=float)
-    return _bracket(X(p), X.jacobian(p), Y(p), Y.jacobian(p))
+    p = X._points(p)
+    block = p.reshape(len(p), -1)
+    out = _bracket(*_at_rows(X, block), *_at_rows(Y, block)).T
+    return out if p.ndim == 2 else out[:, 0]
 
 
 def _bracket(x, dx, y, dy):
-    """[X, Y] at a point from the values x, y and Jacobians dx, dy there."""
-    return dy @ x - dx @ y
+    """[X, Y] at m points from the values x, y ((m, n) rows) and the
+    Jacobians dx, dy ((m, n, n) stacks) there, as (m, n) rows: stacked
+    matrix-vector products, each row with the bits of dy @ x - dx @ y."""
+    return np.matmul(dy, x[:, :, None])[:, :, 0] - np.matmul(dx, y[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -122,8 +152,14 @@ class AlgebraReport:
 
 
 def verify_algebra(fields, constants, probes, tol):
-    """Check [X_a, X_b](p) = sum_g c_{ab}^g X_g(p) at every probe point."""
-    if not probes:
+    """Check [X_a, X_b](p) = sum_g c_{ab}^g X_g(p) at every probe point.
+
+    ``probes`` holds one point per row, an (m, n) array or a sequence of
+    points.  Each generator is evaluated, and differentiated, at all of them
+    in one call; each pair's brackets are one stacked product.
+    """
+    probes = np.asarray(probes, dtype=float)
+    if probes.size == 0:
         raise ValueError("probes must be nonempty")
     r = len(fields)
     if constants.r != r:
@@ -133,40 +169,45 @@ def verify_algebra(fields, constants, probes, tol):
     dims = {X.dimension for X in fields}
     if len(dims) != 1:
         raise DimensionMismatchError("fields do not share a dimension")
+    if probes.ndim != 2:
+        raise DimensionMismatchError(f"probes of shape {probes.shape}, not one per row")
 
-    pair_residuals = {(a, b): 0.0 for a in range(r) for b in range(a + 1, r)}
-    for p in probes:
-        p = np.asarray(p, dtype=float)
-        vals = [X(p) for X in fields]
-        jacs = [X.jacobian(p) for X in fields]
-        for a, b in pair_residuals:
+    block = np.ascontiguousarray(probes.T)
+    vals, jacs = zip(*(_at_rows(X, block) for X in fields))
+    pair_residuals = {}
+    for a in range(r):
+        for b in range(a + 1, r):
             expected = sum(constants.c[a, b, g] * vals[g] for g in range(r))
-            res = float(np.linalg.norm(
-                _bracket(vals[a], jacs[a], vals[b], jacs[b]) - expected))
-            pair_residuals[a, b] = max(pair_residuals[a, b], res)
+            res = np.sqrt(_dots(_bracket(vals[a], jacs[a], vals[b], jacs[b]) - expected))
+            # the worst over the probes, as a running max from 0 that skips NaN
+            pair_residuals[a, b] = float(np.fmax.reduce(res, initial=0.0))
     worst = max(pair_residuals.values(), default=0.0)
     return AlgebraReport(ok=worst < tol, worst_residual=worst,
                          pair_residuals=pair_residuals)
 
 
 def diagonal_prolongation(X, copies):
-    """The field on R^(n * copies) acting as X on each n-block."""
+    """The field on R^(n * copies) acting as X on each n-block; on an
+    (n * copies, m) block, X runs once on the (n, copies * m) block of all
+    the copies of all the points."""
     if copies < 1:
         raise ValueError("copies must be a positive integer")
     if copies == 1:
         return X
     n = X.dimension
 
+    def spread(p):  # copy c of point k in column c * m + k
+        return p.reshape(copies, n, -1).transpose(1, 0, 2).reshape(n, -1)
+
     def func(p):
-        blocks = p.reshape(copies, n)
-        return np.concatenate([X(b) for b in blocks])
+        return X(spread(p)).reshape(n, copies, -1).transpose(1, 0, 2).reshape(p.shape)
 
     def jac(p):
-        blocks = p.reshape(copies, n)
-        J = np.zeros((copies * n, copies * n))
-        for i, b in enumerate(blocks):
-            J[i * n:(i + 1) * n, i * n:(i + 1) * n] = X.jacobian(b)
-        return J
+        blocks = X.jacobian(spread(p)).reshape(copies, -1, n, n)
+        J = np.zeros((blocks.shape[1], copies * n, copies * n))
+        for c in range(copies):
+            J[:, c * n:(c + 1) * n, c * n:(c + 1) * n] = blocks[c]
+        return J if p.ndim == 2 else J[0]
 
     return VectorField(n * copies, func, jac, name=f"{X.name}^({copies})" if X.name else "")
 
@@ -176,12 +217,17 @@ PROBES_PER_LEVEL = 11  # random probes whose majority rank decides each level
 
 
 def prolonged_rank(fields, copies, probe):
-    """Rank of the diagonally prolonged fields stacked as rows at one probe."""
-    prolonged = [diagonal_prolongation(X, copies) for X in fields]
-    sv = np.linalg.svd(np.array([Xp(probe) for Xp in prolonged]), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > RANK_TOL * sv[0]))
+    """Rank of the diagonally prolonged fields stacked as rows at one probe;
+    at each column of an (n * copies, m) block of probes, the array of their
+    m ranks, from one call per field and one batched SVD."""
+    probe = np.asarray(probe, dtype=float)
+    rows = np.stack([diagonal_prolongation(X, copies)(probe) for X in fields])
+    if probe.ndim == 2:
+        rows = rows.transpose(2, 0, 1)  # one (fields, n * copies) matrix per probe
+    sv = np.linalg.svd(rows, compute_uv=False)
+    # a zero largest singular value counts none, as no value exceeds it
+    ranks = np.sum(sv > RANK_TOL * sv[..., :1], axis=-1)
+    return ranks if probe.ndim == 2 else int(ranks)
 
 
 def minimal_m(fields, max_copies, draw):
@@ -190,13 +236,13 @@ def minimal_m(fields, max_copies, draw):
 
     ``draw(copies)`` returns one probe of the prolonged space; each level's
     rank is the majority over PROBES_PER_LEVEL probes, which guards against
-    accidentally non-generic points.
+    accidentally non-generic points, read off one block of them.
     """
     r = len(fields)
     ranks = []
     for copies in range(1, max_copies + 1):
-        votes = [prolonged_rank(fields, copies, draw(copies))
-                 for _ in range(PROBES_PER_LEVEL)]
+        probes = np.column_stack([draw(copies) for _ in range(PROBES_PER_LEVEL)])
+        votes = prolonged_rank(fields, copies, probes)
         ranks.append(int(np.bincount(votes).argmax()))
         if ranks[-1] == r:
             return ranks

@@ -562,6 +562,29 @@ def test_a_pinney_target_out_of_range_is_a_runtime_error(name, x0, tmp_path, cap
     assert summary["pass"] is False and summary["last_good_time"] is None
 
 
+@pytest.mark.parametrize("name, field, stderr_lines", [
+    ("integrate_ermakov.json", ("initial_states", 0, 0), 1),
+    ("integrate_pinney_equilibrium.json", ("initial_states", 0, 0), 1),
+    ("verify_algebra_triple.json", ("system", "k"), 0)])
+def test_a_value_at_the_float_limit_ends_without_a_numpy_warning(
+        name, field, stderr_lines, tmp_path, capsys):
+    # x = 1e308 overflows the first steps and k = 1e308 the brackets: each run
+    # exits 1, after a runtime error or a failed check, and numpy warns nothing
+    with open(os.path.join(SCENARIO_DIR, name)) as fh:
+        scn = json.load(fh)
+    functools.reduce(operator.getitem, field[:-1], scn)[field[-1]] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", write_scenario(tmp_path, scn),
+                         "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == stderr_lines
+    assert all(line.startswith("runtime error: ") for line in err)
+    stem = scn["output"]["csv"][:-len(".csv")]
+    summary = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    assert summary["pass"] is False
+
+
 @pytest.mark.parametrize("name", ["integrate_ermakov.json", "reduce_oscillator.json"])
 def test_an_unwritable_out_is_a_usage_error(name, tmp_path, capsys):
     # a run that passes, and one that exits 1 (x1 vanishes in its span) and
@@ -920,6 +943,7 @@ def test_tracer_bindings_exist(tmp_path):
     assert tracer.stats["cli.build"][0] >= 1
     assert tracer.stats["group.reduce"][0] >= 1
     assert tracer.stats["superposition.pinney_rule"][0] >= 1
-    # the reduction reads x1 and its tau clock once per evaluation of its pair
-    assert tracer.counters["integrate.dense_points"] <= 4100
+    # the reduction reads x1 and its tau clock once per evaluation of its
+    # pair, and the CSV's tau column reads the clock's values at those times
+    assert tracer.counters["integrate.dense_points"] <= 2516
     assert not hasattr(cli.pipeline_minimal_m, "__wrapped__")

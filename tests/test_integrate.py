@@ -421,6 +421,34 @@ def test_the_group_rhs_on_a_block_matches_its_columns(monkeypatch):
             assert np.array_equal(rhs(t, block), want), profile.description
 
 
+def test_the_group_rhs_at_a_point_is_the_matrix_of_its_vector_times_y(monkeypatch):
+    # a stage builds a(t)'s matrix from float coordinates; its bits, signed
+    # zeros included, are those of Sl2Vector.matrix @ y
+    class Captured(Exception):
+        pass
+
+    def capture(rhs, *args):
+        raise Captured(rhs)
+    monkeypatch.setattr(group_module, "integrate", capture)
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0]
+    coords = [(c1, c2, c3) for c1 in special for c2 in special for c3 in special]
+    coords += [tuple(rng.normal(size=3)) for _ in range(200)]
+    for c in coords:
+        v = Sl2Vector(*c)
+        m = group_module._sl2_matrix(*c)
+        assert np.array_equal(m, v.matrix), c
+        assert np.array_equal(np.signbit(m), np.signbit(v.matrix)), c
+        with pytest.raises(Captured) as exc:
+            solve_group_equation(lambda t: v, (0.0, 1.0))
+        rhs = exc.value.args[0]
+        for y in (rng.normal(size=4), np.array([0.0, -0.0, 1.0, -1.0]),
+                  np.array([-0.0, -0.0, -0.0, -0.0]), np.eye(2).ravel()):
+            got, want = rhs(0.5, y), (v.matrix @ y.reshape(2, 2)).ravel()
+            assert np.array_equal(got, want), (c, y)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (c, y)
+
+
 def per_step_coefficients(fun, K, t_old, y_old, y, h):
     """DOP853's dense-output coefficients of one step as scipy builds them,
     one point call of fun per extra stage: the reference of the block pass."""

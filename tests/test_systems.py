@@ -4,11 +4,12 @@ from numpy.testing import assert_allclose
 
 from liesys import (DimensionMismatchError, ShapeFunctions, SingularityError,
                     constant_frequency, diagonal_prolongation, ermakov,
-                    generalized_ermakov, milne_pinney, oscillator_1d,
+                    generalized_ermakov, milne_pinney, minimal_m, oscillator_1d,
                     oscillator_2d, pinney_triple, prolonged_rank,
                     quadratic_shapes, step_frequency,
                     sl2_constants, two_plus_sin, verify_algebra, zero_one_shapes)
-from liesys.systems import SHAPE_FUNCTIONS, SYSTEM_FACTORIES
+from liesys.systems import _COMPLEX_STEP, SHAPE_FUNCTIONS, SYSTEM_FACTORIES
+from liesys.vectorfield import PROBES_PER_LEVEL, RANK_TOL
 
 W1 = constant_frequency(1.0)
 
@@ -211,6 +212,112 @@ def test_singularity_errors_at_zero():
         ermakov(W1).rhs(0.0, [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(SingularityError):
         generalized_ermakov(W1, quadratic_shapes()).rhs(0.0, [0.0, 0.0, 1.0, 0.0])
+
+
+# --- the block paths against their per-probe loops ---------------------------
+# verify_algebra, prolonged_rank, minimal_m and sample_domain read all their
+# probes at once; the loops below take one probe at a time, as they did before,
+# and the block paths must give the same bits.
+
+ALGEBRA_CASES = {
+    "oscillator_1d": oscillator_1d(W1),
+    "oscillator_2d": oscillator_2d(W1),
+    "ermakov": ermakov(W1),
+    **{f"milne_pinney-k{k}": milne_pinney(W1, float(k)) for k in (0, 1)},
+    **{f"pinney_triple-k{k}": pinney_triple(W1, float(k)) for k in (0, 1)},
+    **{f"generalized_ermakov-{name}": generalized_ermakov(W1, shapes())
+       for name, shapes in SHAPE_FUNCTIONS.items()},
+}
+
+
+def per_probe_residuals(sysd, probes):
+    """verify_algebra's pair residuals, one probe at a time, with X2's
+    Jacobian read off the complex block of that probe alone."""
+    X, c = sysd.generators, sysd.constants.c
+    steps = 1j * _COMPLEX_STEP * np.eye(sysd.dimension)
+    out = {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.0}
+    for p in probes:
+        vals = [Xg(p) for Xg in X]
+        jacs = [X[0].jacobian(p),
+                sysd.field(0.0, p[:, None] + steps).imag / _COMPLEX_STEP,
+                X[2].jacobian(p)]
+        for a, b in out:
+            expected = sum(c[a, b, g] * vals[g] for g in range(3))
+            res = float(np.linalg.norm(jacs[b] @ vals[a] - jacs[a] @ vals[b] - expected))
+            out[a, b] = max(out[a, b], res)
+    return out
+
+
+def per_probe_rank(fields, copies, probe):
+    """prolonged_rank at one probe: each field on each copy, one SVD."""
+    n = fields[0].dimension
+    rows = [np.concatenate([X(b) for b in probe.reshape(copies, n)]) for X in fields]
+    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    return 0 if sv[0] == 0.0 else int(np.sum(sv > RANK_TOL * sv[0]))
+
+
+def per_probe_sample(sysd, rng, count, low=-2.0, high=2.0, guard=0.1, half_plane=1):
+    """sample_domain drawing one probe at a time until count are kept."""
+    probes = []
+    while len(probes) < count:
+        p = rng.uniform(low, high, size=sysd.dimension)
+        if np.any(np.abs(p) < guard):
+            continue
+        for i in sysd.singular_coords:
+            p[i] = half_plane * abs(p[i])
+        probes.append(p)
+    return probes
+
+
+@pytest.mark.parametrize("case", ALGEBRA_CASES)
+def test_verify_algebra_gives_the_per_probe_residuals_bit_for_bit(case):
+    sysd = ALGEBRA_CASES[case]
+    for seed in range(3):
+        probes = sysd.sample_domain(np.random.default_rng(seed), 200)
+        report = verify_algebra(sysd.generators, sysd.constants, probes, 1e-9)
+        assert report.pair_residuals == per_probe_residuals(sysd, probes), seed
+
+
+@pytest.mark.parametrize("case", ALGEBRA_CASES)
+def test_the_ranks_of_a_block_are_the_per_probe_ranks(case):
+    sysd = ALGEBRA_CASES[case]
+    fields, n = sysd.generators, sysd.dimension
+    rng = np.random.default_rng(4)
+    for copies in (1, 2, 3):
+        block = rng.uniform(-2, 2, size=(n * copies, 40))
+        block[:, :5] = np.tile(block[:n, :5], (copies, 1))  # copies of one point
+        want = [per_probe_rank(fields, copies, column) for column in block.T]
+        assert prolonged_rank(fields, copies, block).tolist() == want
+        assert [prolonged_rank(fields, copies, column) for column in block.T] == want
+    for seed in range(5):
+        # the minimal-m pipeline's draw, and minimal_m one probe at a time
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ranks = minimal_m(fields, 4, lambda copies: sysd.sample_domain(rng, copies).ravel())
+        want = []
+        for copies in range(1, 5):
+            votes = [per_probe_rank(fields, copies,
+                                    np.concatenate(per_probe_sample(sysd, ref_rng, copies)))
+                     for _ in range(PROBES_PER_LEVEL)]
+            want.append(int(np.bincount(votes).argmax()))
+            if want[-1] == 3:
+                break
+        assert ranks == want, seed
+        assert rng.uniform() == ref_rng.uniform()
+
+
+@pytest.mark.parametrize("case", ALGEBRA_CASES)
+def test_sample_domain_draws_the_per_probe_stream(case):
+    # a guard of 1 rejects half of each coordinate's draws, so most batches
+    # keep only some of their probes
+    sysd = ALGEBRA_CASES[case]
+    for seed, half_plane, guard in ((0, 1, 0.1), (1, -1, 1.0), (2, 1, 1.0)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        probes = sysd.sample_domain(rng, 60, guard=guard, half_plane=half_plane)
+        want = per_probe_sample(sysd, ref_rng, 60, guard=guard, half_plane=half_plane)
+        assert probes.shape == (60, sysd.dimension)
+        assert np.array_equal(probes, want)
+        assert np.array_equal(np.signbit(probes), np.signbit(want))
+        assert rng.uniform() == ref_rng.uniform()
 
 
 def test_half_plane_sampling():

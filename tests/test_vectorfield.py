@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from liesys import vectorfield
 from liesys import (DimensionMismatchError, UndeterminedRankError, VectorField,
                     StructureConstants, bracket, constant_frequency,
                     diagonal_prolongation, ermakov, milne_pinney, minimal_m,
@@ -145,22 +146,52 @@ def test_verify_algebra_wrong_constant_fails():
     assert report.pair_residuals[0, 2] < 1e-9 and report.pair_residuals[1, 2] < 1e-9
 
 
-def test_verify_algebra_reads_each_jacobian_once_per_probe(monkeypatch):
+def test_verify_algebra_calls_each_generator_once_whatever_the_probe_count(monkeypatch):
     sysd = ermakov(constant_frequency(1.0))
-    probes = sysd.sample_domain(np.random.default_rng(0), 100)
     X = sysd.generators
-    # the residuals of the brackets taken one pair at a time, bit for bit
-    want = {(a, b): max(float(np.linalg.norm(
-        bracket(X[a], X[b], p) - sum(sysd.constants.c[a, b, g] * X[g](p)
-                                     for g in range(3)))) for p in probes)
-        for a, b in ((0, 1), (0, 2), (1, 2))}
     calls = []
-    jacobian = VectorField.jacobian
+    call, jacobian = VectorField.__call__, VectorField.jacobian
+    monkeypatch.setattr(VectorField, "__call__",
+                        lambda self, p: calls.append(("func", self.name)) or call(self, p))
     monkeypatch.setattr(VectorField, "jacobian",
-                        lambda self, p: calls.append(p) or jacobian(self, p))
-    report = verify_algebra(X, sysd.constants, probes, 1e-9)
-    assert len(calls) == 300
-    assert report.pair_residuals == want
+                        lambda self, p: calls.append(("jac", self.name)) or jacobian(self, p))
+    for count in (1, 10, 100):
+        probes = sysd.sample_domain(np.random.default_rng(0), count)
+        # the residuals of the brackets taken one pair and one probe at a time
+        want = {(a, b): max(float(np.linalg.norm(
+            bracket(X[a], X[b], p) - sum(sysd.constants.c[a, b, g] * X[g](p)
+                                         for g in range(3)))) for p in probes)
+            for a, b in ((0, 1), (0, 2), (1, 2))}
+        calls.clear()
+        report = verify_algebra(X, sysd.constants, probes, 1e-9)
+        assert sorted(calls) == sorted((kind, Xg.name) for Xg in X
+                                       for kind in ("func", "jac"))
+        assert report.pair_residuals == want
+
+
+def test_the_stacked_products_give_each_probe_its_own_bits():
+    # verify_algebra's brackets and norms against the per-probe products
+    rng = np.random.default_rng(2)
+    for n in (2, 4, 6):
+        x, y = rng.normal(size=(2, 500, n))
+        dx, dy = rng.normal(size=(2, 500, n, n))
+        got = vectorfield._bracket(x, dx, y, dy)
+        want = np.array([b @ u - a @ v for u, a, v, b in zip(x, dx, y, dy)])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.sqrt(vectorfield._dots(got)),
+                              [np.linalg.norm(row) for row in want])
+
+
+def test_a_field_answers_a_block_in_its_shapes():
+    f = VectorField(2, lambda p: np.array([p[0] * p[1], np.sin(p[0])]))
+    block = np.random.default_rng(1).uniform(-2, 2, size=(2, 5))
+    assert f(block).shape == (2, 5) and f.jacobian(block).shape == (5, 2, 2)
+    for k, column in enumerate(block.T):
+        assert np.array_equal(f(block)[:, k], f(column))
+        assert np.array_equal(f.jacobian(block)[k], f.jacobian(column))
+    # a func that ignores the block is named, not broadcast
+    with pytest.raises(DimensionMismatchError):
+        VectorField(2, lambda p: np.array([1.0, 0.0]))(block)
 
 
 # --- diagonal prolongation ---------------------------------------------------
@@ -233,7 +264,7 @@ def test_rank_monotone_in_copies():
 
 def test_minimal_m_undetermined_raises():
     # two copies of the same field can never span a 2-dim algebra rank
-    f = VectorField(1, lambda p: np.array([1.0]))
+    f = VectorField(1, lambda p: np.ones_like(p))
     with pytest.raises(UndeterminedRankError) as exc:
         minimal_m([f, f], 2, lambda c: np.ones(c))
     assert exc.value.ranks == {1: 1, 2: 1}  # the ranks found along the way
