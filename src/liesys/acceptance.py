@@ -15,7 +15,7 @@ import numpy as np
 from . import cli
 from . import group as G
 from .errors import DomainError
-from .integrate import Trajectory, constant_frequency, two_plus_sin
+from .integrate import Trajectory, compare, constant_frequency, two_plus_sin, worst
 from .invariants import drift  # noqa: F401  bound for perfbench/tracer.py
 from .invariants import generalized_invariant, lewis_ermakov
 from .superposition import pinney_rule_from_solutions, quadrature_rule
@@ -48,7 +48,7 @@ def criterion_1(seed=0):
         rows.append([name, summary["worst_residual"]])
         ok = ok and passed
     return CriterionResult(1, "sl(2,R) closure residual < 1e-9", ok,
-                           f"worst residual {max(row[1] for row in rows):.3e}",
+                           f"worst residual {worst([row[1] for row in rows]):.3e}",
                            ["system", "worst_residual"], rows)
 
 
@@ -91,10 +91,10 @@ def criterion_3_part(seed, part):
 def criterion_3_combine(parts):
     """Criterion 3's result from the (rows, passed) of its parts, in order."""
     rows = [row for part_rows, _ in parts for row in part_rows]
-    worst = max([0.0] + [drift_rel for _, drift_rel in rows])
     return CriterionResult(3, "invariant drift_rel < 1e-6 over [0,20]",
                            all(ok for _, ok in parts),
-                           f"worst drift {worst:.3e} across {len(rows)} runs",
+                           f"worst drift {worst([row[1] for row in rows]):.3e} "
+                           f"across {len(rows)} runs",
                            ["invariant", "drift_rel"], rows)
 
 
@@ -126,7 +126,7 @@ def criterion_4(seed=0):
 
     pair = Trajectory.from_function(_sin_cos_t, np.linspace(0.0, 10.0, 301))
     rec = pinney_rule_from_solutions(pair, 1.0, 0.0, 1.0)
-    err_exact = float(cli.compare(rec.states[:, 0], 1.0, "abs").max())
+    err_exact = worst(compare(rec.states[:, 0], 1.0, "abs"))
     rows.append(["analytic", "", err_exact])
     return CriterionResult(4, "Pinney superposition oracle equivalence",
                            ok and err_exact < 1e-8,
@@ -146,8 +146,7 @@ def criterion_5(seed=0):
 
     x1 = Trajectory.from_function(_cos_t, np.linspace(0.0, 1.2, 121))
     sample = np.linspace(0.0, 1.2, 25)
-    err_quad = float(cli.compare(quadrature_rule(x1, 0.0, 1.0, sample),
-                                 np.sin(sample), "abs").max())
+    err_quad = worst(compare(quadrature_rule(x1, 0.0, 1.0, sample), np.sin(sample), "abs"))
     return CriterionResult(
         5, "linear and quadrature superposition to 1e-8", ok and err_quad < 1e-8,
         f"linear {err_lin:.3e}, quadrature {err_quad:.3e}",
@@ -172,8 +171,8 @@ def criterion_6(seed=0):
         ok = ok and passed
     return CriterionResult(
         6, "group equation: action error < 1e-6, |det-1| < 1e-9", ok,
-        f"worst action error {max(row[3] for row in rows):.3e}, "
-        f"det drift {max(row[4] for row in rows):.3e}",
+        f"worst action error {worst([row[3] for row in rows]):.3e}, "
+        f"det drift {worst([row[4] for row in rows]):.3e}",
         ["profile", "x0", "v0", "max_rel_error", "det_drift"], rows,
     )
 
@@ -186,7 +185,7 @@ def criterion_7(seed=0):
     red = G.reduce_oscillator(cos_t, 0.0, 1.0)
     # (check, error, passed): the criterion's own cases against their bounds,
     # the pipeline's runs under its verdict
-    err = cli.compare(red.position(sample), np.sin(sample), "abs").max()
+    err = worst(compare(red.position(sample), np.sin(sample), "abs"))
     checks = [("dalembert_analytic", err, err < 1e-8)]
 
     # d'Alembert against its oracle in (x, v), where the reduce pipeline
@@ -196,7 +195,7 @@ def criterion_7(seed=0):
     red = G.reduce_oscillator(x1, 0.4, 0.7)
     ref = osc.integrate(red.states[0], (0.0, 0.9))
     sample = np.linspace(0.0, 0.9, 25)
-    err = cli.compare(red.dense(sample), ref.dense(sample), "rel").max()
+    err = worst(compare(red.dense(sample), ref.dense(sample), "rel"))
     checks.append(("dalembert_vs_oracle", err, err < 1e-6))
 
     # Milne-Pinney from a particular Milne-Pinney solution, then from an
@@ -209,7 +208,7 @@ def criterion_7(seed=0):
             ("pinney-osc", G.reduce_pinney_from_oscillator, cos_t, [1.0, 0.3], 1.2, 49)):
         name = method.replace("-", "_")
         exact = reduce(analytic, 1.0, 0.0, 1.0).states[:, 0]
-        err = cli.compare(exact, 1.0, "abs").max()
+        err = worst(compare(exact, 1.0, "abs"))
         checks.append((f"{name}_analytic", err, err < 1e-8))
         states = _seeded_states(rng, 3, [(0.5, 2), (-1, 1)])
         passed, summary, _ = cli.pipeline_reduce({
@@ -219,10 +218,10 @@ def criterion_7(seed=0):
         checks += [(f"{name}_vs_oracle", run["max_rel_error"], passed)
                    for run in summary["runs"]]
 
-    worst = max(err for _, err, _ in checks)
     return CriterionResult(7, "reductions match direct integration",
                            all(passed for _, _, passed in checks),
-                           f"worst error {worst:.3e}", ["check", "max_error"],
+                           f"worst error {worst([err for _, err, _ in checks]):.3e}",
+                           ["check", "max_error"],
                            [[check, err] for check, err, _ in checks])
 
 
@@ -242,7 +241,8 @@ def criterion_8(seed=0):
     # on in one call; an element is exp(s1 A1) exp(s2 A2) exp(s3 A3)
     x, v = np.array([_random_point(rng) for _ in range(50)]).T
     res = G.pinney_action(G.IDENTITY, (x, v), k)
-    err_id = float(max(np.max(np.abs(res.x - x)), np.max(np.abs(res.v - v))))
+    err_id = worst(compare(np.column_stack([res.x, res.v]), np.column_stack([x, v]),
+                           "abs"))
 
     basis = [G.Sl2Vector(1, 0, 0), G.Sl2Vector(0, 1, 0), G.Sl2Vector(0, 0, 1)]
     *s, x, v = np.array([(*rng.uniform(-1.5, 1.5, size=3), *_random_point(rng))
@@ -257,15 +257,15 @@ def criterion_8(seed=0):
 
     mp = milne_pinney(constant_frequency(1.0), k)
     osc = oscillator_1d(constant_frequency(1.0))
-    err_ff = 0.0
+    fd, exact = [], []  # each generator by finite differences, and exactly
     for _ in range(20):
         p = np.array([rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)])
         for v, Li, Xi in zip(basis, mp.generators, osc.generators):
-            fd_lin = G.generator_by_finite_difference(G.linear_action, v, p)
-            err_ff = max(err_ff, float(np.max(np.abs(fd_lin - Xi(p)))))
-            fd_pin = G.generator_by_finite_difference(
-                lambda g, q: np.array(G.pinney_action(g, q, k)), v, p)
-            err_ff = max(err_ff, float(np.max(np.abs(fd_pin - Li(p)))))
+            fd += [G.generator_by_finite_difference(G.linear_action, v, p),
+                   G.generator_by_finite_difference(
+                       lambda g, q: np.array(G.pinney_action(g, q, k)), v, p)]
+            exact += [Xi(p), Li(p)]
+    err_ff = worst(compare(fd, exact, "abs"))
 
     ok = err_id < 1e-12 and signs_ok and valid > 900 and err_ff < 1e-5
     return CriterionResult(
@@ -287,13 +287,13 @@ def criterion_9(seed=0):
     w = constant_frequency(1.0)
     gen0 = generalized_ermakov(w, zero_one_shapes())
     erma = ermakov(w)
-    err_inv, err_rhs = 0.0, 0.0
+    inv, rhs = [], []  # (generalized, Ermakov) pairs at each probe
     for p in gen0.sample_domain(rng, 100):
-        gi = generalized_invariant(p[0], p[2], p[1], p[3], zero_one_shapes())
-        le = lewis_ermakov(p[0], p[2], p[1], p[3])
-        err_inv = max(err_inv, abs(gi - (0.5 * le - 0.5)))
+        inv.append((generalized_invariant(p[0], p[2], p[1], p[3], zero_one_shapes()),
+                    0.5 * lewis_ermakov(p[0], p[2], p[1], p[3]) - 0.5))
         t = rng.uniform(0.0, 5.0)
-        err_rhs = max(err_rhs, float(np.max(np.abs(gen0.rhs(t, p) - erma.rhs(t, p)))))
+        rhs.append((gen0.rhs(t, p), erma.rhs(t, p)))
+    err_inv, err_rhs = (worst(compare(*zip(*pairs), "abs")) for pairs in (inv, rhs))
     ok = err_inv < 1e-10 and err_rhs < 1e-14
     return CriterionResult(
         9, "cross-consistency (generalized vs Ermakov)", ok,

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import group as G
 from .errors import LiesysError, ScenarioError, SingularityError
-from .integrate import FREQUENCY_PROFILES, Trajectory
+from .integrate import FREQUENCY_PROFILES, Trajectory, compare, worst
 from .invariants import drift
 from .invariants import generalized_invariant  # noqa: F401  bound for perfbench/tracer.py
 from .superposition import (keys_from, linear_rule, pinney_rule_from_solutions,
@@ -103,8 +103,11 @@ def _json_default(obj):
 
 
 def write_summary(path, summary):
+    """Strict JSON (RFC 8259): a non-finite float is written as the string
+    "NaN", "Infinity" or "-Infinity", which float() reads back."""
+    summary = json.loads(json.dumps(summary, default=_json_default), parse_constant=str)
     _atomic_write(path, json.dumps(summary, indent=2, sort_keys=True,
-                                   default=_json_default) + "\n")
+                                   allow_nan=False) + "\n")
 
 
 # --- scenario parsing --------------------------------------------------------
@@ -272,18 +275,6 @@ def _keys(scn):
 # Each takes (scn, tol_override, seed) and returns (ok, summary, files), where
 # files is [(suffix, header, rows)].
 
-def compare(got, want, kind):
-    """Per-sample error of ``got`` against the reference ``want`` (broadcast
-    to it) in the max norm over each sample's components, the rows of 2-D
-    input: |got - want| for ``kind`` "abs", over max(1, |want|) for "rel"."""
-    got = np.asarray(got, dtype=float)
-    want = np.broadcast_to(want, got.shape)
-    err = np.max(np.abs(got - want).reshape(len(got), -1), axis=1)
-    if kind == "rel":
-        err = err / np.maximum(1.0, np.max(np.abs(want).reshape(len(got), -1), axis=1))
-    return err
-
-
 def pipeline_integrate(scn, tol_override, seed):
     sysd = build_system(_require(scn, "system"))
     t0, t1 = _t_span(scn)
@@ -340,9 +331,9 @@ def _oracle_runs(targets, got, refs, times, kind, key):
     for y0, rows, ref in zip(targets, got, refs):
         want = ref.dense(times)[:, :rows.shape[1]]
         runs.append({"initial_state": [float(c) for c in y0],
-                     key: float(np.max(compare(rows, want, kind)))})
+                     key: worst(compare(rows, want, kind))})
         columns.append((rows[:, 0], want[:, 0], compare(rows, want, "abs")))
-    return max(run[key] for run in runs), runs, columns
+    return worst([run[key] for run in runs]), runs, columns
 
 
 def pipeline_superpose(scn, tol_override, seed):
@@ -463,8 +454,8 @@ def pipeline_minimal_m(scn, tol_override, seed):
     if expected is not None:
         expected = _number(expected, "expected_m", integer=True)
     rng = np.random.default_rng(seed)
-    ranks = minimal_m(sysd.generators, max_copies,
-                      lambda copies: sample(rng, copies).ravel())
+    ranks = minimal_m(sysd.generators, max_copies, lambda copies, count: sample(
+        rng, copies * count).reshape(count, -1).T)
     m = len(ranks)
     ok = expected is None or m == expected
     summary = {"system": sysd.name, "m": m}
@@ -485,20 +476,20 @@ def pipeline_group_solve(scn, tol_override, seed):
                                  (t0, t1), abs_tol, rel_tol)
     refs = osc.integrate_lanes(states, (t0, t1), abs_tol, rel_tol)
     g = sol.normalized(times)
-    det_minus_1 = np.linalg.det(sol.raw(times)) - 1.0
+    det = np.linalg.det(sol.raw(times))
     # |det - 1| at the samples, at the solver's nodes and on the curve acting
-    max_det = max(float(np.max(np.abs(det_minus_1))), sol.max_det_drift,
-                  float(np.max(compare(np.linalg.det(g), 1.0, "abs"))))
+    max_det = worst([worst(compare(det, 1.0, "abs")), sol.max_det_drift,
+                     worst(compare(np.linalg.det(g), 1.0, "abs"))])
     runs, files = [], []
     for i, (p0, ref) in enumerate(zip(states, refs)):
         err = compare(g @ p0, ref.dense(times), "rel")
         runs.append({"initial_state": [float(c) for c in p0],
-                     "max_action_error": float(np.max(err))})
+                     "max_action_error": worst(err)})
         files.append((f"target{i}", ["time", "g11", "g12", "g21", "g22",
                                      "det_minus_1", "action_error"],
                       zip(times, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1],
-                          det_minus_1, err)))
-    max_err = max(run["max_action_error"] for run in runs)
+                          det - 1.0, err)))
+    max_err = worst([run["max_action_error"] for run in runs])
     ok = max_err < threshold and max_det < 1e-9
     summary = {"frequency": osc.params["frequency"], "max_action_error": max_err,
                "max_det_drift": max_det, "threshold": threshold, "runs": runs}

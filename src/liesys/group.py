@@ -10,7 +10,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .integrate import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Trajectory, integrate
+from .integrate import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Trajectory, compare,
+                        integrate, worst)
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 
 # Basis of the traceless 2x2 real matrices used throughout.
@@ -105,7 +106,7 @@ class GroupSolution:
 
     @property
     def max_det_drift(self):
-        return float(np.max(np.abs(np.linalg.det(self.raw(self.times)) - 1.0)))
+        return worst(compare(np.linalg.det(self.raw(self.times)), 1.0, "abs"))
 
 
 def _sl2_matrix(c1, c2, c3):

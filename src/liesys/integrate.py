@@ -132,6 +132,24 @@ class Trajectory:
         return cls(times, f(times), interpolant=f)
 
 
+def compare(got, want, kind):
+    """Per-sample error of ``got`` against the reference ``want`` (broadcast
+    to it) in the max norm over each sample's components, the rows of 2-D
+    input: |got - want| for ``kind`` "abs", over max(1, |want|) for "rel"."""
+    got = np.asarray(got, dtype=float)
+    want = np.broadcast_to(want, got.shape)
+    err = np.max(np.abs(got - want).reshape(len(got), -1), axis=1)
+    if kind == "rel":
+        err = err / np.maximum(1.0, np.max(np.abs(want).reshape(len(got), -1), axis=1))
+    return err
+
+
+def worst(errors):
+    """The largest of ``errors`` as a float, 0.0 for none: NaN when any is
+    NaN (IEEE 754 maximum), so a verdict ``worst(errors) < bound`` fails it."""
+    return float(np.max(np.asarray(errors, dtype=float), initial=0.0))
+
+
 # Gauss-Kronrod 7/15 rule on [-1, 1] (the QUADPACK qk15 constants): abscissae
 # +-_GK_X and 0, Kronrod weights _GK_WK, and Gauss weights _GK_WG on the Gauss
 # abscissae (every other Kronrod one) and zero on the rest.

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, UndeterminedRankError
+from .integrate import worst
 
 # Central-difference step for the Jacobian fallback.
 _FD_BASE = float(np.cbrt(np.finfo(float).eps))
@@ -179,10 +180,9 @@ def verify_algebra(fields, constants, probes, tol):
         for b in range(a + 1, r):
             expected = sum(constants.c[a, b, g] * vals[g] for g in range(r))
             res = np.sqrt(_dots(_bracket(vals[a], jacs[a], vals[b], jacs[b]) - expected))
-            # the worst over the probes, as a running max from 0 that skips NaN
-            pair_residuals[a, b] = float(np.fmax.reduce(res, initial=0.0))
-    worst = max(pair_residuals.values(), default=0.0)
-    return AlgebraReport(ok=worst < tol, worst_residual=worst,
+            pair_residuals[a, b] = worst(res)
+    worst_residual = worst(list(pair_residuals.values()))
+    return AlgebraReport(ok=worst_residual < tol, worst_residual=worst_residual,
                          pair_residuals=pair_residuals)
 
 
@@ -234,15 +234,15 @@ def minimal_m(fields, max_copies, draw):
     """The majority rank of the prolonged fields at 1, 2, ... copies, up to
     the first count m at which it is full: a list of m ranks.
 
-    ``draw(copies)`` returns one probe of the prolonged space; each level's
-    rank is the majority over PROBES_PER_LEVEL probes, which guards against
-    accidentally non-generic points, read off one block of them.
+    ``draw(copies, count)`` returns ``count`` probes of the prolonged space
+    as the columns of one block; each level's rank is the majority over
+    PROBES_PER_LEVEL probes, which guards against accidentally non-generic
+    points.
     """
     r = len(fields)
     ranks = []
     for copies in range(1, max_copies + 1):
-        probes = np.column_stack([draw(copies) for _ in range(PROBES_PER_LEVEL)])
-        votes = prolonged_rank(fields, copies, probes)
+        votes = prolonged_rank(fields, copies, draw(copies, PROBES_PER_LEVEL))
         ranks.append(int(np.bincount(votes).argmax()))
         if ranks[-1] == r:
             return ranks

@@ -585,6 +585,39 @@ def test_a_value_at_the_float_limit_ends_without_a_numpy_warning(
     assert summary["pass"] is False
 
 
+def _reject(constant):
+    """parse_constant for json.loads: strict JSON holds no NaN or Infinity."""
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def test_a_summary_is_strict_json_with_non_finite_values_as_strings(tmp_path):
+    path = tmp_path / "summary.json"
+    cli.write_summary(path, {"nan": math.nan, "inf": math.inf, "ninf": -np.inf,
+                             "runs": [{"err": np.float64(0.25)}, (np.int64(3), True)],
+                             "array": np.array([np.nan, 2.0]), "zero": np.float32(0.0)})
+    summary = json.loads(path.read_text(), parse_constant=_reject)
+    assert summary == {"nan": "NaN", "inf": "Infinity", "ninf": "-Infinity",
+                       "runs": [{"err": 0.25}, [3, True]], "array": ["NaN", 2.0],
+                       "zero": 0.0}
+    assert float(summary["inf"]) == math.inf and float(summary["ninf"]) == -math.inf
+    assert math.isnan(float(summary["nan"]))
+
+
+def test_a_nan_residual_fails_verify_algebra_and_is_written(tmp_path):
+    # k = 1e308 makes each pair's brackets NaN at some probes (an inf Jacobian
+    # entry times 0), and N2-N3's inf at most others: each pair's worst is
+    # NaN, which the CSV writes as nan and the summary as the string "NaN"
+    with open(os.path.join(SCENARIO_DIR, "verify_algebra_triple.json")) as fh:
+        scn = json.load(fh)
+    scn["system"]["k"] = 1e308
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 1
+    rows = (tmp_path / "triple_algebra.csv").read_text().splitlines()
+    assert rows == ["pair,max_residual", "N1-N2,nan", "N1-N3,nan", "N2-N3,nan"]
+    summary = json.loads((tmp_path / "triple_algebra_summary.json").read_text(),
+                         parse_constant=_reject)
+    assert summary["pass"] is False and summary["worst_residual"] == "NaN"
+
+
 @pytest.mark.parametrize("name", ["integrate_ermakov.json", "reduce_oscillator.json"])
 def test_an_unwritable_out_is_a_usage_error(name, tmp_path, capsys):
     # a run that passes, and one that exits 1 (x1 vanishes in its span) and
@@ -850,6 +883,19 @@ def _fields(node, path=()):
         yield from _fields(child, path + (key,))
 
 
+def _leaves(node):
+    """Every value under ``node`` that is neither an object nor a list."""
+    if not isinstance(node, (dict, list)):
+        yield node
+        return
+    for child in node.values() if isinstance(node, dict) else node:
+        yield from _leaves(child)
+
+
+# The strings by which a summary writes a non-finite value.
+NON_FINITE = ("NaN", "Infinity", "-Infinity")
+
+
 def _shipped():
     for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json"))):
         with open(path) as fh:
@@ -887,14 +933,19 @@ def test_a_mutated_scenario_ends_in_a_documented_way(tmp_path, capsys, mutation)
     capsys.readouterr()
     status = cli.main(["run", write_scenario(out, scn, name), "--out", str(out)])
     assert status in (0, 1, 2)
+    summaries = [json.loads(path.read_text(), parse_constant=_reject)
+                 for path in out.glob("*_summary.json")]
     if status == 2:
         assert "usage error in field '" in capsys.readouterr().err
     elif status == 1:
-        summaries = list(out.glob("*_summary.json"))
         assert len(summaries) == 1
-        summary = json.loads(summaries[0].read_text())
+        summary = summaries[0]
         assert summary["pass"] is False
         assert "error" not in summary or "last_good_time" in summary
+    else:  # a run that passes reports only finite numbers
+        assert len(summaries) == 1
+        assert [value for value in _leaves(summaries[0]) if value in NON_FINITE
+                or isinstance(value, float) and not math.isfinite(value)] == []
 
 
 @pytest.mark.parametrize("argv", [

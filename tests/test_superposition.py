@@ -11,6 +11,7 @@ from liesys import (DependentSolutionsError, DomainError, SingularityError,
                     keys_from, linear_rule, milne_pinney, oscillator_1d,
                     pinney_rule, pinney_rule_from_solutions, quadrature_rule,
                     two_plus_sin)
+from liesys.integrate import compare, worst
 
 
 def oscillator_pair(y0, vy0, z0, vz0, t_end=10.0, n=301):
@@ -79,6 +80,22 @@ def test_keys_from_fundamental_pair():
     assert_allclose(keys_from(x2, v2, x1, v1, x2, v2), (0.0, k), atol=1e-15)
 
 
+def test_keys_from_and_linear_rule_reach_rounding_on_cos_and_sin():
+    # on the exact pair (cos t, sin t), x = 0.7 cos t - 0.4 sin t has keys
+    # (0.7, -0.4), and the rule rebuilds (x, v) from them: both to 2.2e-16
+    t = np.linspace(0.0, 10.0, 101)
+    x1, v1 = [math.cos(s) for s in t], [-math.sin(s) for s in t]
+    x2, v2 = [math.sin(s) for s in t], [math.cos(s) for s in t]
+    x = [0.7 * math.cos(s) - 0.4 * math.sin(s) for s in t]
+    v = [-0.7 * math.sin(s) - 0.4 * math.cos(s) for s in t]
+    pair = np.array([x1, v1, x2, v2])
+    keys = keys_from(np.array(x), np.array(v), *pair)
+    assert worst(compare(np.column_stack(keys), [0.7, -0.4], "abs")) < 2e-14
+    rebuilt = linear_rule(*pair, 0.7, -0.4)
+    assert worst(compare(np.column_stack(rebuilt), np.column_stack([x, v]),
+                         "abs")) < 2e-14
+
+
 def test_keys_constant_along_solutions():
     osc = oscillator_1d(two_plus_sin())
     s1 = osc.integrate([1.0, 0.0], (0.0, 10.0))
@@ -92,10 +109,14 @@ def test_keys_constant_along_solutions():
 # --- quadrature rule ---------------------------------------------------------
 
 def test_quadrature_rule_cos_to_sin():
+    # x1 = cos t and its tau clock give sin t to rounding, 2.2e-16 at these
+    # samples read at once or one at a time
     z = cosine(1.3, 140)  # nonvanishing on [0, 1.2]
-    for t in np.linspace(0.0, 1.2, 13):
-        assert quadrature_rule(z, 0.0, 1.0, t) == pytest.approx(math.sin(t),
-                                                                abs=1e-8)
+    t = np.linspace(0.0, 1.2, 25)
+    want = [math.sin(s) for s in t]
+    assert worst(compare(quadrature_rule(z, 0.0, 1.0, t), want, "abs")) < 2e-14
+    assert worst(compare([quadrature_rule(z, 0.0, 1.0, s) for s in t], want,
+                         "abs")) < 2e-14
 
 
 def test_quadrature_rule_k_zero_scaling():

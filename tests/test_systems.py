@@ -292,7 +292,8 @@ def test_the_ranks_of_a_block_are_the_per_probe_ranks(case):
     for seed in range(5):
         # the minimal-m pipeline's draw, and minimal_m one probe at a time
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ranks = minimal_m(fields, 4, lambda copies: sysd.sample_domain(rng, copies).ravel())
+        ranks = minimal_m(fields, 4, lambda copies, count: sysd.sample_domain(
+            rng, copies * count).reshape(count, -1).T)
         want = []
         for copies in range(1, 5):
             votes = [per_probe_rank(fields, copies,

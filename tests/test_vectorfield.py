@@ -235,13 +235,14 @@ def test_prolongation_commutes_with_bracket():
 
 def test_minimal_m_oscillator_is_two():
     rng = np.random.default_rng(0)
-    assert minimal_m(osc_fields(), 4, lambda c: rng.uniform(-2, 2, size=2 * c)) == [2, 3]
+    assert minimal_m(osc_fields(), 4,
+                     lambda c, count: rng.uniform(-2, 2, size=(count, 2 * c)).T) == [2, 3]
 
 
 def test_minimal_m_single_field_is_one():
     f = VectorField(1, lambda p: np.array([1.0 + p[0] ** 2]))
     rng = np.random.default_rng(0)
-    assert minimal_m([f], 3, lambda c: rng.uniform(-2, 2, size=c)) == [1]
+    assert minimal_m([f], 3, lambda c, count: rng.uniform(-2, 2, size=(count, c)).T) == [1]
 
 
 def test_pinney_rank_deficient_on_one_copy():
@@ -266,5 +267,5 @@ def test_minimal_m_undetermined_raises():
     # two copies of the same field can never span a 2-dim algebra rank
     f = VectorField(1, lambda p: np.ones_like(p))
     with pytest.raises(UndeterminedRankError) as exc:
-        minimal_m([f, f], 2, lambda c: np.ones(c))
+        minimal_m([f, f], 2, lambda c, count: np.ones((c, count)))
     assert exc.value.ranks == {1: 1, 2: 1}  # the ranks found along the way
