@@ -38,17 +38,19 @@ class Sl2Vector(NamedTuple):
 
 class SL2Matrix:
     """A group element, or a stack of them in an array of shape (..., 2, 2);
-    each determinant must be 1 within 1e-6 on construction
-    (``GroupSolution.normalized`` rescales a solved curve to determinant 1)."""
+    each determinant must be 1 within 1e-6 on construction, which a NaN
+    determinant is not."""
 
     def __init__(self, array):
         a = np.asarray(array, dtype=float)
         if a.shape[-2:] != (2, 2):
             raise ValueError("expected a 2x2 matrix or a stack of them")
-        for a00, a01, a10, a11 in a.reshape(-1, 4).tolist():
-            d = a00 * a11 - a01 * a10  # closed form: this value feeds only the check
-            if abs(d - 1.0) > 1e-6:
-                raise ValueError(f"determinant {d:.9g} too far from 1")
+        e = a.reshape(-1, 4).T
+        with np.errstate(all="ignore"):  # inf * 0 is a NaN determinant, rejected below
+            d = e[0] * e[3] - e[1] * e[2]  # closed form: this value feeds only the check
+        bad = ~(np.abs(d - 1.0) <= 1e-6)
+        if bad.any():
+            raise ValueError(f"determinant {d[bad.argmax()]:.9g} too far from 1")
         self.array = a
 
     def __matmul__(self, other):
@@ -87,8 +89,8 @@ def sl2_exp(v: Sl2Vector, s) -> SL2Matrix:
 class GroupSolution:
     """Solution of the right-invariant equation g' = a(t) g, g(0) = I.
 
-    ``normalized`` renormalizes the determinant; ``raw`` exposes the solver
-    output and ``max_det_drift`` its worst determinant deviation.
+    ``raw`` exposes the solver output and ``max_det_drift`` its worst
+    determinant deviation at the solver's nodes.
     """
 
     def __init__(self, trajectory: Trajectory):
@@ -99,11 +101,6 @@ class GroupSolution:
         """Solver output at t: one 2x2 matrix, or a stack for an array of t."""
         return self._traj.dense(t).reshape(np.shape(t) + (2, 2))
 
-    def normalized(self, t):
-        """raw(t) scaled to determinant 1, on scalars or arrays of t."""
-        m = self.raw(t)
-        return m / np.sqrt(np.linalg.det(m))[..., None, None]
-
     @property
     def max_det_drift(self):
         return worst(compare(np.linalg.det(self.raw(self.times)), 1.0, "abs"))
@@ -112,9 +109,11 @@ class GroupSolution:
 def _sl2_matrix(c1, c2, c3):
     """Sl2Vector(c1, c2, c3).matrix from float coordinates: each entry is
     summed as c1 * A1 + c2 * A2 + c3 * A3 sums it, so its bits, signed zeros
-    included, are the same."""
-    return np.array([[c1 * 0.0 + c2 * 0.0 + c3 * -0.5, c1 * 0.0 + c2 * -1.0 + c3 * 0.0],
-                     [c1 * -1.0 + c2 * 0.0 + c3 * 0.0, c1 * 0.0 + c2 * 0.0 + c3 * 0.5]])
+    included, are the same.  One flat array, reshaped, is cheaper than a
+    nested one."""
+    return np.array((c1 * 0.0 + c2 * 0.0 + c3 * -0.5, c1 * 0.0 + c2 * -1.0 + c3 * 0.0,
+                     c1 * -1.0 + c2 * 0.0 + c3 * 0.0, c1 * 0.0 + c2 * 0.0 + c3 * 0.5)
+                    ).reshape(2, 2)
 
 
 def solve_group_equation(a, t_span, abs_tol=DEFAULT_ABS_TOL,
@@ -128,7 +127,7 @@ def solve_group_equation(a, t_span, abs_tol=DEFAULT_ABS_TOL,
     def rhs(t, y):
         v = a(t)
         if y.ndim == 1:
-            return (_sl2_matrix(*v) @ y.reshape(2, 2)).ravel()
+            return np.dot(_sl2_matrix(*v), y.reshape(2, 2)).ravel()
         # one matrix a(t) per column, and one stacked product for the block
         m = (np.multiply.outer(v.c1, A1) + np.multiply.outer(v.c2, A2)
              + np.multiply.outer(v.c3, A3))

@@ -1,0 +1,134 @@
+"""Plant a relative defect of 1e-12 in each closed form and check that tier-1
+sees it.
+
+    python3 tests/plant_defects.py SCRATCH_DIR [NAME ...]
+
+For each entry of DEFECTS (all of them, or the NAMEs given) the script
+copies this checkout into SCRATCH_DIR/NAME, replaces one text in one source
+file by the same expression times (1 + 1e-12), and runs tier-1 there without
+the byte-manifest test, which would see any moved output and so shows
+nothing.  It prints the tests that fail on the defect and passed on a clean
+copy, run first.  It exits 1 if a defect fails no test, and 2 if a clean
+test fails, pytest cannot run the tests, or a planting text is not found
+exactly once.  Each run takes as
+long as tier-1; the runs go one after another.
+"""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+MANIFEST_TEST = "tests/test_cli.py::test_outputs_match_the_manifest"
+IGNORE = shutil.ignore_patterns(".git", ".hypothesis", ".pytest_cache", "__pycache__",
+                                ".perfbench_out")
+F = " * (1 + 1e-12)"
+
+# name -> (file under src/liesys, text, the text with its defect)
+DEFECTS = {
+    "dalembert_combination": (
+        "group.py", "return k_prime * rows[:, :2] + k * rows[:, 2:]",
+        f"return (k_prime * rows[:, :2] + k * rows[:, 2:]){F}"),
+    "tau_pair_y": (
+        "group.py", "return pos * c, vel * c + dc / pos, pos * s, vel * s + ds / pos",
+        f"return pos * c{F}, vel * c + dc / pos, pos * s, vel * s + ds / pos"),
+    "tau_pair_dy": (
+        "group.py", "return pos * c, vel * c + dc / pos, pos * s, vel * s + ds / pos",
+        f"return pos * c, (vel * c + dc / pos){F}, pos * s, vel * s + ds / pos"),
+    "tau_pair_z": (
+        "group.py", "return pos * c, vel * c + dc / pos, pos * s, vel * s + ds / pos",
+        f"return pos * c, vel * c + dc / pos, pos * s{F}, vel * s + ds / pos"),
+    "tau_pair_dz": (
+        "group.py", "return pos * c, vel * c + dc / pos, pos * s, vel * s + ds / pos",
+        f"return pos * c, vel * c + dc / pos, pos * s, (vel * s + ds / pos){F}"),
+    "tau_node_sums": (
+        "integrate.py",
+        "np.cumsum(_panel_integrals(self._f, times[:-1], times[1:], TAU_TOL))",
+        f"np.cumsum(_panel_integrals(self._f, times[:-1], times[1:], TAU_TOL)){F}"),
+    "pinney_s0_i1": (
+        "superposition.py", "invariants = 0.5 * (v0 * v0 + k / x0**2),",
+        f"invariants = 0.5 * (v0 * v0 + k / x0**2){F},"),
+    "pinney_s0_i2": (
+        "superposition.py", "0.5 * x0 * x0, 1.0, x0 * v0", f"0.5 * x0 * x0{F}, 1.0, x0 * v0"),
+    "pinney_s0_root": (
+        "superposition.py", "0.5 * x0 * x0, 1.0, x0 * v0", f"0.5 * x0 * x0, 1.0, x0 * v0{F}"),
+    "linear_action": (
+        "group.py", "return g.array @ np.asarray(p, dtype=float)",
+        f"return g.array @ np.asarray(p, dtype=float){F}"),
+    "quadrature_rule": (
+        "superposition.py", "return k_prime * pos + k * pos * x1.tau_clock()(t)",
+        f"return (k_prime * pos + k * pos * x1.tau_clock()(t)){F}"),
+    "linear_rule": (
+        "superposition.py", "return (k1 * x1 + k2 * x2) / k, (k1 * v1 + k2 * v2) / k",
+        f"return (k1 * x1 + k2 * x2) / k{F}, (k1 * v1 + k2 * v2) / k{F}"),
+    "keys_from": (
+        "superposition.py", "return x * v2 - x2 * v, x1 * v - v1 * x",
+        f"return (x * v2 - x2 * v){F}, (x1 * v - v1 * x){F}"),
+}
+
+
+def failed_tests(checkout):
+    """The node ids of the tier-1 tests that fail in ``checkout``."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors", "--deselect", MANIFEST_TEST],
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    if run.returncode not in (0, 1):  # 1: tests failed; any other: pytest did not run them
+        raise SystemExit(f"pytest exited {run.returncode} in {checkout}:\n"
+                         f"{run.stdout[-2000:]}")
+    return sorted(set(re.findall(r"^(?:FAILED|ERROR) (\S+)", run.stdout, re.M)))
+
+
+def copy_of_checkout(scratch, name):
+    dest = os.path.join(scratch, name)
+    shutil.rmtree(dest, ignore_errors=True)
+    shutil.copytree(ROOT, dest, ignore=IGNORE)
+    return dest
+
+
+def source_of(checkout, path):
+    with open(os.path.join(checkout, "src", "liesys", path)) as fh:
+        return fh.read()
+
+
+def plant(checkout, path, text, defect):
+    source = source_of(checkout, path)
+    with open(os.path.join(checkout, "src", "liesys", path), "w") as fh:
+        fh.write(source.replace(text, defect))
+
+
+def main(argv):
+    if not argv or argv[0].startswith("-"):
+        raise SystemExit(__doc__)
+    scratch, names = os.path.abspath(argv[0]), argv[1:] or list(DEFECTS)
+    unknown = set(names) - set(DEFECTS)
+    if unknown:
+        print(f"unknown defects: {sorted(unknown)}")
+        return 2
+    for name in names:
+        path, text, _ = DEFECTS[name]
+        if source_of(ROOT, path).count(text) != 1:
+            print(f"{name}: the planting text is not found once in {path}")
+            return 2
+    clean = failed_tests(copy_of_checkout(scratch, "clean"))
+    if clean:
+        print("clean copy fails:", *clean, sep="\n  ")
+        return 2
+    survivors = []
+    for name in names:
+        checkout = copy_of_checkout(scratch, name)
+        plant(checkout, *DEFECTS[name])
+        failed = failed_tests(checkout)
+        print(f"{name}: {len(failed)} failed", *failed, sep="\n  ", flush=True)
+        if not failed:
+            survivors.append(name)
+        shutil.rmtree(checkout)
+    print("survived:", ", ".join(survivors) if survivors else "none")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

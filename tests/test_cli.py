@@ -590,6 +590,35 @@ def _reject(constant):
     raise ValueError(f"{constant} is not JSON (RFC 8259)")
 
 
+CELLS = [0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308,
+         np.float64(2.0 / 3.0), np.float64(-0.0), np.float64(math.nan),
+         np.float64(-math.inf), np.float64(5e-324), np.float32(0.1), np.float32(-0.0),
+         np.float32(math.inf), 7, -3, np.int64(-2**63), True, False, np.bool_(True),
+         np.bool_(False), "name", ""]
+
+
+def test_write_csv_keeps_the_per_cell_rule_byte_for_byte(tmp_path):
+    # float and numpy floating cells by f"{c:.17g}", every other one by str,
+    # joined by "," and "\n": rows given as a list, a zip of arrays and an
+    # enumerate, with the cell types mixed within rows and across them
+    rng = np.random.default_rng(5)
+    mixed = [[CELLS[j] for j in rng.integers(len(CELLS), size=rng.integers(1, 6))]
+             for _ in range(200)] + [[]]
+    floats = rng.normal(size=(3, 50)).astype(np.float32)
+    cases = [(lambda: mixed, ["a", "b"]),
+             (lambda: zip(np.array(CELLS[:8]), floats[0, :8], np.arange(8), CELLS[-8:]),
+              ["t", "x", "i", "tag"]),
+             (lambda: enumerate(floats[1]), ["i", "x"]),
+             (lambda: enumerate(CELLS), ["i", "cell"])]
+    for i, (rows, header) in enumerate(cases):
+        path = tmp_path / f"cells{i}.csv"
+        cli.write_csv(path, header, rows())
+        want = [",".join(header)] + [
+            ",".join(f"{c:.17g}" if isinstance(c, (float, np.floating)) else str(c)
+                     for c in row) for row in rows()]
+        assert path.read_bytes() == ("\n".join(want) + "\n").encode(), i
+
+
 def test_a_summary_is_strict_json_with_non_finite_values_as_strings(tmp_path):
     path = tmp_path / "summary.json"
     cli.write_summary(path, {"nan": math.nan, "inf": math.inf, "ninf": -np.inf,

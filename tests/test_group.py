@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 from liesys import (DomainError, QuadratureError, Trajectory,
                     constant_frequency, integrate, milne_pinney,
                     oscillator_1d, two_plus_sin)
-from liesys.group import (_PARABOLIC_DET, _pair_rows, _pinney_xy, A1, A2, A3, IDENTITY,
-                          SL2Matrix, Sl2Vector, generator_by_finite_difference,
+from liesys.group import (_PARABOLIC_DET, _pair_rows, _pinney_xy, _tau_pair, A1, A2,
+                          A3, IDENTITY, SL2Matrix, Sl2Vector, generator_by_finite_difference,
                           linear_action, pinney_action, reduce_oscillator,
                           reduce_pinney_from_oscillator,
                           reduce_pinney_from_pinney, sl2_exp,
@@ -49,6 +49,36 @@ def test_sl2vector_matrix_traceless_and_round_trip():
 def test_sl2matrix_rejects_bad_determinant():
     with pytest.raises(ValueError):
         SL2Matrix(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("array", [
+    [[math.nan, 0.0], [0.0, 1.0]],
+    [[1.0, math.inf], [0.0, 1.0]],  # 1 - inf * 0 is NaN
+    [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [math.nan, 1.0]], [[2.0, 0.0], [0.0, 1.0]]],
+], ids=["nan", "inf", "stack"])
+def test_sl2matrix_rejects_a_nan_determinant_and_names_the_first_bad_one(array):
+    with pytest.raises(ValueError, match="determinant nan too far from 1"):
+        SL2Matrix(array)
+
+
+def test_sl2matrix_checks_each_determinant_as_the_closed_form():
+    # accepted or rejected, and the first rejected determinant, as a loop
+    # over the elements with a00 a11 - a01 a10 finds them
+    rng, checked = np.random.default_rng(9), []
+    for _ in range(50):
+        stack = rng.normal(size=(7, 2, 2))
+        stack[:, 1, 1] = (1.0 + stack[:, 0, 1] * stack[:, 1, 0]) / stack[:, 0, 0]
+        stack[rng.integers(7), 0, 1] *= 1.0 + rng.choice([1e-7, 1e-3])
+        bad = [d for d in (a00 * a11 - a01 * a10 for a00, a01, a10, a11
+                           in stack.reshape(-1, 4).tolist()) if not abs(d - 1.0) <= 1e-6]
+        if bad:
+            with pytest.raises(ValueError) as exc:
+                SL2Matrix(stack)
+            assert str(exc.value) == f"determinant {bad[0]:.9g} too far from 1"
+        else:
+            assert np.array_equal(SL2Matrix(stack).array, stack)
+        checked.append(bool(bad))
+    assert 0 < sum(checked) < len(checked)  # both outcomes are seen
 
 
 # --- exponential -------------------------------------------------------------
@@ -340,11 +370,17 @@ def test_a_pinney_action_with_k_below_zero_leaves_through_x_squared():
 
 # --- group equation ----------------------------------------------------------
 
+def normalized(sol, t):
+    """The solved curve at t scaled to determinant 1, as group-solve scales it."""
+    m = sol.raw(t)
+    return m / np.sqrt(np.linalg.det(m))[..., None, None]
+
+
 def test_group_solve_autonomous_equals_exp():
     v = Sl2Vector(0.6, -0.8, 0.3)
     sol = solve_group_equation(lambda t: v, (0.0, 2.0))
     for t in (0.5, 1.0, 2.0):
-        assert_allclose(sol.normalized(t), sl2_exp(v, t).array, atol=1e-9)
+        assert_allclose(normalized(sol, t), sl2_exp(v, t).array, atol=1e-9)
 
 
 def test_group_solve_reproduces_oscillator():
@@ -355,7 +391,7 @@ def test_group_solve_reproduces_oscillator():
         p0 = np.array([1.0, 0.0])
         ref = osc.integrate(p0, (0.0, 10.0))
         for t in np.linspace(0.0, 10.0, 26):
-            assert_allclose(sol.normalized(t) @ p0, ref.dense(t), atol=1e-6)
+            assert_allclose(normalized(sol, t) @ p0, ref.dense(t), atol=1e-6)
         assert sol.max_det_drift < 1e-9
 
 
@@ -364,6 +400,20 @@ def test_group_solve_reproduces_oscillator():
 def test_linear_action_rotation():
     g = SL2Matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     assert_allclose(linear_action(g, (1.0, 0.0)), [0.0, 1.0])
+
+
+def test_linear_action_reaches_rounding_on_the_rotation():
+    # the propagator of x'' = -x, [[cos t, sin t], [-sin t, cos t]], moves
+    # (x0, v0) to (x0 cos t + v0 sin t, v0 cos t - x0 sin t): to 4.4e-16 on a
+    # stack and one element at a time, so a relative defect of 1e-12 shows
+    t = np.linspace(0.0, 10.0, 301)
+    g = SL2Matrix([[[math.cos(s), math.sin(s)], [-math.sin(s), math.cos(s)]] for s in t])
+    for x0, v0 in [(0.7, -0.4), (1.8, 0.9), (-1.3, 0.2)]:
+        want = [[x0 * math.cos(s) + v0 * math.sin(s), v0 * math.cos(s) - x0 * math.sin(s)]
+                for s in t]
+        assert worst(compare(linear_action(g, (x0, v0)), want, "abs")) < 5e-14
+        assert worst(compare([linear_action(SL2Matrix(m), (x0, v0)) for m in g.array],
+                             want, "abs")) < 5e-14
 
 
 def test_pinney_action_identity():
@@ -417,6 +467,23 @@ def test_tau_of_cosine():
     x1 = cos_trajectory(1.3, 140)
     assert tau_reparametrization(x1, 1.2) == pytest.approx(math.tan(1.2),
                                                            abs=1e-8)
+
+
+def test_the_tau_clock_and_the_tau_pairs_reach_rounding_on_exact_inputs():
+    # x1 = cos t: tau = tan t, and d'Alembert's pair (x1, x1 tau) is
+    # (cos t, -sin t, sin t, cos t), both to 8.9e-16 at the nodes and off
+    # them; x1 = 1 and k = 2: Milne's pair is the rotation of frequency
+    # sqrt 2, exactly.  At about 100x these, a relative defect of 1e-12 in
+    # tau's node sums or in a row of the pair shows
+    x1, ones = cos_trajectory(), ones_trajectory(1.2, 121)
+    r = math.sqrt(2.0)
+    for t in (x1.times, np.random.default_rng(3).uniform(0.0, 1.2, size=25)):
+        assert worst(compare(x1.tau_clock()(t), [math.tan(s) for s in t], "abs")) < 1e-13
+        rows = [[math.cos(s), -math.sin(s), math.sin(s), math.cos(s)] for s in t]
+        assert worst(compare(_tau_pair(x1, 0.0).dense(t), rows, "abs")) < 1e-13
+        rows = [[math.cos(r * s), -r * math.sin(r * s), math.sin(r * s) / r,
+                 math.cos(r * s)] for s in t]
+        assert worst(compare(_tau_pair(ones, 2.0).dense(t), rows, "abs")) < 2e-14
 
 
 def test_tau_strictly_increasing():

@@ -234,6 +234,28 @@ def test_pinney_from_solutions_small_k_matches_linear_rule():
         assert float(rec.position(t)) == pytest.approx(lin, abs=1e-5)
 
 
+@pytest.mark.parametrize("x0, v0, k", [(0.7, -0.4, 1.0), (1.8, 0.9, 0.5), (-1.3, 0.2, 2.0)])
+def test_pinney_rule_from_solutions_reaches_rounding_on_the_exact_pair(x0, v0, k):
+    # on the pair (cos t, -sin t, sin t, cos t) the target is
+    # x^2 = A cos^2 t + B sin^2 t + 2 C sin t cos t with the rule's S0,
+    # A = x0^2, B = v0^2 + k / x0^2, C = x0 v0, and x v = (B - A) sin t cos t
+    # + C (cos^2 t - sin^2 t): x to 4.4e-16 and v to 1.6e-15, at the nodes and
+    # off them.  At about 100x these, a relative defect of 1e-12 in an entry
+    # of S0 shows
+    pair = oscillator_pair(1.0, 0.0, 0.0, 1.0)
+    a, b, c = x0 * x0, v0 * v0 + k / (x0 * x0), x0 * v0
+    sol = pinney_rule_from_solutions(pair, x0, v0, k)
+    for t in (pair.times, np.random.default_rng(4).uniform(0.0, 10.0, size=40)):
+        want = []
+        for s in t:
+            cs, sn = math.cos(s), math.sin(s)
+            x = math.copysign(math.sqrt(a * cs * cs + b * sn * sn + 2.0 * c * sn * cs), x0)
+            want.append([x, ((b - a) * sn * cs + c * (cs * cs - sn * sn)) / x])
+        got, want = sol.dense(t), np.array(want)
+        assert worst(compare(got[:, 0], want[:, 0], "abs")) < 5e-14
+        assert worst(compare(got[:, 1], want[:, 1], "abs")) < 2e-13
+
+
 def test_pinney_invariants_from_initial_data_are_constant():
     # the (I1, I2, W) computed at t0 stay the invariants of the combined flow
     w = two_plus_sin()
