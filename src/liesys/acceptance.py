@@ -44,7 +44,8 @@ def criterion_1(seed=0):
     rows, ok = [], True
     for name in ("oscillator_1d", "milne_pinney", "generalized_ermakov", "pinney_triple"):
         passed, summary, _ = cli.pipeline_verify_algebra(
-            {"system": name, "probes": 100, "tolerances": {"threshold": 1e-9}}, None, seed)
+            {"system": name, "probes": 100, "tolerances": {"threshold": 1e-9},
+             "seed": seed})
         rows.append([name, summary["worst_residual"]])
         ok = ok and passed
     return CriterionResult(1, "sl(2,R) closure residual < 1e-9", ok,
@@ -55,7 +56,7 @@ def criterion_1(seed=0):
 def criterion_2(seed=0):
     """Minimal number of solutions in the oscillator superposition rule."""
     ok, summary, _ = cli.pipeline_minimal_m({
-        "system": "oscillator_1d", "max_copies": 4, "expected_m": 2}, None, seed)
+        "system": "oscillator_1d", "max_copies": 4, "expected_m": 2, "seed": seed})
     m = summary["m"]
     return CriterionResult(2, "minimal m for the 1-dim oscillator", ok,
                            f"m = {m} (expected 2)",
@@ -84,7 +85,7 @@ def criterion_3_part(seed, part):
     ok, summary, _ = cli.pipeline_drift({
         "system": {"name": _DRIFT_SYSTEMS[part][0], "frequency": "two_plus_sin"},
         "initial_states": states, "t_span": [0.0, 20.0],
-        "tolerances": {"threshold": 1e-6}}, None, seed)
+        "tolerances": {"threshold": 1e-6}})
     return [[run["invariant"], run["drift_rel"]] for run in summary["runs"]], ok
 
 
@@ -121,7 +122,7 @@ def criterion_4(seed=0):
     ok, summary, _ = cli.pipeline_superpose({
         "rule": "pinney", "t_span": [0.0, 10.0], "tolerances": {"threshold": 1e-5},
         "system": {"name": "milne_pinney", "frequency": "two_plus_sin"},
-        "initial_states": [[1.0, 0.0], [0.0, 1.0], *states]}, None, seed)
+        "initial_states": [[1.0, 0.0], [0.0, 1.0], *states]})
     rows = [[x0, v0, run["max_error"]] for (x0, v0), run in zip(states, summary["runs"])]
 
     pair = Trajectory.from_function(_sin_cos_t, np.linspace(0.0, 10.0, 301))
@@ -140,8 +141,7 @@ def criterion_5(seed=0):
     ok, linear, _ = cli.pipeline_superpose({
         "rule": "linear", "samples": 101, "tolerances": {"threshold": 1e-8},
         "system": {"name": "oscillator_1d", "frequency": "two_plus_sin"},
-        "initial_states": [[1.0, 0.0], [0.0, 1.0], [0.7, -0.4]], "t_span": [0.0, 10.0]},
-        None, seed)
+        "initial_states": [[1.0, 0.0], [0.0, 1.0], [0.7, -0.4]], "t_span": [0.0, 10.0]})
     err_lin = linear["max_error"]
 
     x1 = Trajectory.from_function(_cos_t, np.linspace(0.0, 1.2, 121))
@@ -163,8 +163,7 @@ def criterion_6(seed=0):
         states = _seeded_states(rng, 5, [(-1.5, 1.5)] * 2)
         passed, summary, _ = cli.pipeline_group_solve({
             "system": {"frequency": frequency}, "initial_states": states,
-            "t_span": [0.0, 10.0], "samples": 51, "tolerances": {"threshold": 1e-6}},
-            None, seed)
+            "t_span": [0.0, 10.0], "samples": 51, "tolerances": {"threshold": 1e-6}})
         rows += [[summary["frequency"], x0, v0, run["max_action_error"],
                   summary["max_det_drift"]]
                  for (x0, v0), run in zip(states, summary["runs"])]
@@ -213,8 +212,7 @@ def criterion_7(seed=0):
         states = _seeded_states(rng, 3, [(0.5, 2), (-1, 1)])
         passed, summary, _ = cli.pipeline_reduce({
             "method": method, "system": {"frequency": "constant"},
-            "initial_states": [x1, *states], "t_span": [0.0, t1], "samples": samples},
-            None, seed)
+            "initial_states": [x1, *states], "t_span": [0.0, t1], "samples": samples})
         checks += [(f"{name}_vs_oracle", run["max_rel_error"], passed)
                    for run in summary["runs"]]
 

@@ -298,6 +298,8 @@ MIN_FACTOR = 0.2  # a rejected attempt shrinks the step by at most this factor
 MAX_FACTOR = 10  # an accepted step lets the next one grow by at most this
 _ERROR_EXPONENT = -1 / 8  # -1 / (order of the error estimator + 1)
 EPS = np.finfo(float).eps
+# The smallest rel_tol a solve runs at, scipy's DOP853 floor
+MIN_REL_TOL = 100 * EPS
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Accepted steps one solve may take before it stops with IntegrationError;
@@ -522,15 +524,15 @@ def _brentq(f, xa, xb):
     return xcur
 
 
-def _singularity_abort(active, guard, t_old, t, y_old, F, lanes):
+def _singularity_abort(active, guard, t_old, t, dense, lanes):
     """IntegrationError at the earliest root, inside the step from t_old to
     t, of the guard events that changed sign (event e is coordinate
-    ``guard.index[e // 2]`` minus (e even) or plus (e odd) the radius)."""
-    h = t - t_old
+    ``guard.index[e // 2]`` minus (e even) or plus (e odd) the radius), read
+    off ``dense``, the step's _DenseOutput."""
 
     def event(s, e):
-        y = _horner(np.array([(s - t_old) / h]), F[None], y_old)[0]
-        return y[guard.index[e // 2]] + guard.offsets[e % 2]
+        component, lane = divmod(int(guard.index[e // 2]), lanes)
+        return dense(np.array([s]), lane)[0, component] + guard.offsets[e % 2]
 
     roots = np.asarray([_brentq(lambda s: event(s, e), t_old, t)
                         for e in active])
@@ -562,15 +564,13 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
     number of fun calls.  Raises IntegrationError with the last good time
     when the step size underflows, when a guard entry comes within its
     radius of zero (``block`` then builds the dense output of that step,
-    see _dense_coefficients), or after MAX_STEPS steps short of t1.  Times,
+    see _DenseOutput), or after MAX_STEPS steps short of t1.  Times,
     step sizes and error norms are Python floats."""
     direction = 1.0 if t1 > t0 else -1.0
     f = np.asarray(fun(t0, y0), dtype=float)
     h_abs = _initial_step(fun, t0, y0, f, t1, direction, rtol, atol)
     nfev = 2
-    # one step's 16 stages; a step fills the first 13
-    K_ext = np.empty((1, rk.N_STAGES_EXTENDED, len(y0)))
-    K = K_ext[0, :rk.N_STAGES + 1]
+    K = np.empty((rk.N_STAGES + 1, len(y0)))  # one step's 13 stages
     plan = _stage_plan(K)
     t, y = t0, y0
     ts, ys, Ks = [t], [y], []
@@ -611,9 +611,9 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
             g_new = guard.values(y_new)
             active = np.nonzero(((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0)))[0]
             if active.size:
-                F = _dense_coefficients(block, K_ext, np.array([t]), y[None],
-                                        y_new[None], np.array([h]), lanes)[0]
-                raise _singularity_abort(active, guard, t, t_new, y, F, lanes)
+                dense = _DenseOutput(block, lanes, np.array([t, t_new]),
+                                     np.array([y, y_new]), [K], nfev)
+                raise _singularity_abort(active, guard, t, t_new, dense, lanes)
             g = g_new
         t, y, f = t_new, y_new, f_new
         ts.append(t)
@@ -645,7 +645,7 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     SINGULARITY_RADIUS of zero, in any lane, aborts the solve (Pinney-type
     1/x^3 terms).  Raises IntegrationError carrying the last good time on
     abort (the message names the lane), on failure, or past MAX_STEPS steps.
-    A rel_tol below 100 machine epsilons is raised to that floor.
+    A rel_tol below MIN_REL_TOL is raised to that floor, with a warning.
     """
     lanes = np.asarray(states, dtype=float)
     if lanes.ndim != 2 or lanes.size == 0:
@@ -654,10 +654,10 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
         raise ValueError("all components of the initial states must be finite")
     if abs_tol < 0:
         raise ValueError("abs_tol must not be negative")
-    if rel_tol < 100 * EPS:
-        warnings.warn(f"rel_tol below 100 machine epsilons; using {100 * EPS}",
+    if rel_tol < MIN_REL_TOL:
+        warnings.warn(f"rel_tol below 100 machine epsilons; using {MIN_REL_TOL}",
                       stacklevel=2)
-        rel_tol = 100 * EPS
+        rel_tol = MIN_REL_TOL
     n, d = lanes.shape
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 == t1:

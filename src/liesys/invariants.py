@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SingularityError
+from .integrate import compare, worst
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 
 
@@ -27,7 +28,7 @@ class InvariantSeries:
         v0 = self.values[0]
         self.running = np.maximum.accumulate(np.abs(self.values - v0))
         self.drift_abs = float(self.running[-1])
-        self.drift_rel = self.drift_abs / max(1.0, abs(float(v0)))
+        self.drift_rel = worst(compare(self.values, v0, "rel"))
 
 
 def angular_momentum(x1, v1, x2, v2):

@@ -43,6 +43,8 @@ DEFECTS = {
     "tau_pair_dz": (
         "group.py", "return pos * c, vel * c + dc / pos, pos * s, vel * s + ds / pos",
         f"return pos * c, vel * c + dc / pos, pos * s, (vel * s + ds / pos){F}"),
+    "milne_pair_s": ("group.py", "sn / rk", f"sn / rk{F}"),
+    "milne_pair_dc": ("group.py", "-rk * sn", f"-rk * sn{F}"),
     "tau_node_sums": (
         "integrate.py",
         "np.cumsum(_panel_integrals(self._f, times[:-1], times[1:], TAU_TOL))",

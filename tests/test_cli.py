@@ -3,6 +3,7 @@ import csv
 import functools
 import glob
 import importlib
+import inspect
 import json
 import math
 import operator
@@ -271,6 +272,10 @@ def test_every_target_gets_a_run_and_a_csv(case, tmp_path):
             lambda t: group.Sl2Vector(*(-b(t) for b in osc.coefficients)),
             (0.0, 10.0))
         assert summary["max_det_drift"] >= sol.max_det_drift
+        # the worst |det - 1| of the samples and of the solver's nodes
+        samples = np.linalg.det(sol.raw(np.linspace(0.0, 10.0, 3)))
+        assert summary["max_det_drift"] == max(np.max(np.abs(samples - 1.0)),
+                                               sol.max_det_drift)
 
 
 def test_the_oracles_of_all_targets_are_one_lane_solve(tmp_path):
@@ -345,7 +350,7 @@ def test_closed_form_errors_track_the_integrator_tolerance(form, frequency):
     run = getattr(cli, "pipeline_" + scn["pipeline"].replace("-", "_"))
     errors = []
     for tol in (1e-8, 1e-12):
-        _, summary, _ = run({**scn, "tolerances": {"abs": tol, "rel": tol}}, None, 0)
+        _, summary, _ = run({**scn, "tolerances": {"abs": tol, "rel": tol}})
         errors.append(summary[WORST_ERROR[scn["pipeline"]]])
     assert errors[1] < 1e-9, errors
     assert errors[0] >= 100.0 * errors[1], errors
@@ -687,6 +692,34 @@ def test_tol_override_can_force_failure(tmp_path):
                         extra=["--tol-override", "1e-20"]) == 1
 
 
+@pytest.mark.parametrize("name", ["drift_angular_momentum.json",
+                                  "minimal_m_oscillator.json"])
+def test_a_nan_tol_override_is_a_usage_error_for_every_pipeline(name, tmp_path, capsys):
+    # checked once, before the pipeline runs, also where no threshold is read
+    assert run_scenario(name, tmp_path, extra=["--tol-override", "nan"]) == 2
+    assert "usage error in field '--tol-override'" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+def test_a_pipeline_reads_its_scenario_alone(tmp_path):
+    # every pipeline takes the scenario only; --seed reaches it as the
+    # scenario's seed, and the loaded scenario is a copy
+    for name in cli.PIPELINES:
+        run = getattr(cli, "pipeline_" + name.replace("-", "_"))
+        assert list(inspect.signature(run).parameters) == ["scn"]
+    with open(os.path.join(SCENARIO_DIR, "verify_algebra_ermakov.json")) as fh:
+        scn = json.load(fh)
+    _, summary, files = cli.pipeline_verify_algebra({**scn, "seed": 3})
+    assert run_scenario("verify_algebra_ermakov.json", tmp_path, ["--seed", "3"]) == 0
+    stem = scn["output"]["csv"][:-len(".csv")]
+    written = json.loads((tmp_path / f"{stem}_summary.json").read_text())
+    assert written["seed"] == 3
+    assert written["worst_residual"] == summary["worst_residual"]
+    with open(tmp_path / f"{stem}.csv", newline="") as fh:
+        rows = [(row["pair"], float(row["max_residual"])) for row in csv.DictReader(fh)]
+    assert rows == [(pair, res) for pair, res in files[0][2]]
+
+
 def test_unknown_system_is_usage_error(tmp_path, capsys):
     path = write_scenario(tmp_path, {
         "pipeline": "integrate",
@@ -852,6 +885,9 @@ BAD_FIELDS = {
                                                      "frequency": 2.0}},
                             "system.frequency"),
     "number_as_tolerances": ({**INTEGRATE, "tolerances": 1e-6}, "tolerances"),
+    # below the solver's floor: the solve would warn and run at the floor
+    "rel_tol_below_the_floor": ({**DRIFT, "tolerances": {"rel": 1e-16}},
+                                "tolerances.rel"),
     "list_as_system_name": ({**INTEGRATE, "system": {"name": ["oscillator_1d"]}},
                             "system.name"),
     "list_as_frequency_name": ({**INTEGRATE, "system": {
@@ -948,9 +984,11 @@ MUTATIONS = [(name, field, value) for name, scn in SHIPPED.items()
 @settings(derandomize=True, max_examples=200, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(MUTATIONS))
-def test_a_mutated_scenario_ends_in_a_documented_way(tmp_path, capsys, mutation):
-    # it runs, exits 2 naming a field, or exits 1 with a failed summary that
-    # carries the last good time when a solve or closed form broke off
+def test_a_mutated_scenario_ends_in_a_documented_way(tmp_path, capsys, monkeypatch,
+                                                     mutation):
+    # it runs, exits 2 naming a field before any solve, or exits 1 with a
+    # failed summary that carries the last good time when a solve or closed
+    # form broke off
     name, field, value = mutation
     scn = copy.deepcopy(SHIPPED[name])
     parent = functools.reduce(operator.getitem, field[:-1], scn)
@@ -960,12 +998,18 @@ def test_a_mutated_scenario_ends_in_a_documented_way(tmp_path, capsys, mutation)
         parent[field[-1]] = value
     out = pathlib.Path(tempfile.mkdtemp(dir=tmp_path))
     capsys.readouterr()
-    status = cli.main(["run", write_scenario(out, scn, name), "--out", str(out)])
+    solves = []
+    dop853 = integrate_module._dop853
+    with monkeypatch.context() as patch:
+        patch.setattr(integrate_module, "_dop853",
+                      lambda *args: solves.append(args) or dop853(*args))
+        status = cli.main(["run", write_scenario(out, scn, name), "--out", str(out)])
     assert status in (0, 1, 2)
     summaries = [json.loads(path.read_text(), parse_constant=_reject)
                  for path in out.glob("*_summary.json")]
     if status == 2:
         assert "usage error in field '" in capsys.readouterr().err
+        assert solves == []
     elif status == 1:
         assert len(summaries) == 1
         summary = summaries[0]

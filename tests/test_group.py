@@ -568,6 +568,54 @@ def test_the_pinney_reductions_match_their_oracle_in_x_and_v(reduce, x1_state, t
                         rtol=1e-9, atol=1e-9)
 
 
+def pinney_of_unit_frequency(t, x0, v0, k):
+    """Rows (x, v) of the Milne-Pinney solution of omega^2 = 1 from (x0, v0)
+    at t0 = 0: x^2 = A cos^2 t + B sin^2 t + 2 C sin t cos t with A = x0^2,
+    B = v0^2 + k / x0^2 and C = x0 v0, and v = (x^2)' / 2x."""
+    a, b, c = x0 * x0, v0 * v0 + k / x0 ** 2, x0 * v0
+    rows = []
+    for s in t:
+        cos, sin = math.cos(s), math.sin(s)
+        x = math.copysign(math.sqrt(a * cos * cos + b * sin * sin + 2 * c * sin * cos), x0)
+        rows.append((x, ((b - a) * sin * cos + c * (cos * cos - sin * sin)) / x))
+    return np.array(rows)
+
+
+# (x1, x0, v0, k, bound on x, bound on v), each bound about 100x the
+# rounding error the case measures on x1's nodes and 40 times between them.
+# x1 = cos t for the oscillator reduction: at most 6.7e-16 in x and 1.3e-15
+# in v.  x1 = k^(1/4), constant, for the Pinney one, where tau = t / sqrt(k):
+# 2.2e-16 and 4.4e-16 for k = 1, 5.1e-15 and 9.8e-15 for k = 2, 2.8e-15 and
+# 9.6e-15 for k = 0.5.
+PINNEY_REDUCTIONS_OFF_THE_EQUILIBRIUM = [
+    ("oscillator", 0.7, -0.4, 1.0, 5e-14, 1e-13),
+    ("oscillator", 1.8, 0.9, 0.5, 5e-14, 1e-13),
+    ("oscillator", -1.3, 0.2, 2.0, 5e-14, 1e-13),
+    ("pinney", 0.7, -0.4, 1.0, 2e-14, 5e-14),
+    ("pinney", 1.8, 0.9, 2.0, 5e-13, 1e-12),
+    ("pinney", -1.3, 0.2, 0.5, 3e-13, 1e-12),
+]
+
+
+@pytest.mark.parametrize("x1_kind, x0, v0, k, bound_x, bound_v",
+                         PINNEY_REDUCTIONS_OFF_THE_EQUILIBRIUM)
+def test_the_pinney_reductions_reach_rounding_off_the_equilibrium(
+        x1_kind, x0, v0, k, bound_x, bound_v):
+    if x1_kind == "oscillator":
+        x1, reduce = cos_trajectory(), reduce_pinney_from_oscillator
+    else:
+        x1 = Trajectory.from_function(
+            lambda t: np.column_stack([np.full_like(t, k ** 0.25), np.zeros_like(t)]),
+            np.linspace(0.0, 5.0, 101))
+        reduce = reduce_pinney_from_pinney
+    red = reduce(x1, x0, v0, k)
+    off_nodes = np.random.default_rng(3).uniform(0.0, x1.times[-1], size=40)
+    for t in (x1.times, off_nodes):
+        got, want = red.dense(t), pinney_of_unit_frequency(t, x0, v0, k)
+        assert worst(compare(got[:, 0], want[:, 0], "abs")) < bound_x
+        assert worst(compare(got[:, 1], want[:, 1], "abs")) < bound_v
+
+
 def test_reduce_pinney_from_pinney_ode_residual():
     mp = milne_pinney(constant_frequency(1.0), 1.0)
     x1 = mp.integrate([1.3, 0.2], (0.0, 5.0))

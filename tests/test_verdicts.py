@@ -103,7 +103,7 @@ def _superpose(monkeypatch, pos):
     _on_call(monkeypatch, cli, "pinney_rule_from_solutions", pos,
              lambda rec: _NanRows(rec, pos))
     ok, summary, _ = cli.pipeline_superpose(
-        _scenario("superpose_pinney.json", TARGETS), None, 0)
+        _scenario("superpose_pinney.json", TARGETS))
     assert math.isnan(summary["max_error"])
     return ok
 
@@ -112,7 +112,7 @@ def _reduce(monkeypatch, pos):
     _on_call(monkeypatch, group, "reduce_pinney_from_pinney", pos,
              lambda red: _NanRows(red, pos))
     ok, summary, _ = cli.pipeline_reduce(
-        _scenario("reduce_pinney_self.json", TARGETS), None, 0)
+        _scenario("reduce_pinney_self.json", TARGETS))
     assert math.isnan(summary["max_rel_error"])
     return ok
 
@@ -123,19 +123,19 @@ def _group_solve_action(monkeypatch, pos):
              lambda lanes: [_NanRows(lane, pos) if i == pos else lane
                             for i, lane in enumerate(lanes)])
     ok, summary, _ = cli.pipeline_group_solve(
-        _scenario("group_solve_constant.json", TARGETS), None, 0)
+        _scenario("group_solve_constant.json", TARGETS))
     assert math.isnan(summary["max_action_error"])
     return ok
 
 
 def _group_solve_det(monkeypatch, pos):
-    # the solved matrix at one solver node, the second of the three |det - 1|
+    # the solved matrix at one solver node, the second of the two |det - 1|
     # folds, whose action errors stay finite
     raw = group.GroupSolution.raw
     monkeypatch.setattr(group.GroupSolution, "raw", lambda self, t: (
         _with_nan(raw(self, t), pos) if t is self.times else raw(self, t)))
     ok, summary, _ = cli.pipeline_group_solve(
-        _scenario("group_solve_constant.json"), None, 0)
+        _scenario("group_solve_constant.json"))
     assert math.isnan(summary["max_det_drift"])
     assert summary["max_action_error"] < 1e-6
     return ok
@@ -146,7 +146,7 @@ def _verify_algebra(monkeypatch, pos):
     _on_call(monkeypatch, vectorfield, "_bracket", pos,
              lambda rows: _with_nan(rows, pos))
     ok, summary, files = cli.pipeline_verify_algebra(
-        _scenario("verify_algebra_triple.json"), None, 0)
+        _scenario("verify_algebra_triple.json"))
     residuals = [res for _, res in files[0][2]]
     assert [math.isnan(res) for res in residuals] == [i == pos for i in range(3)]
     assert math.isnan(summary["worst_residual"])
