@@ -337,16 +337,18 @@ def pipeline_drift(scn):
     return all(run["pass"] for run in runs), summary, files
 
 
-def _oracle_runs(targets, got, refs, times, kind, key):
+def _oracle_runs(oracle, targets, got, times, span, tols, kind, key):
     """The closed-form rows ``got`` of each target (x, or the linear rule's
-    (x, v)) against its oracle in ``refs``: the worst ``kind`` error, the runs
-    (theirs under ``key``) and each target's CSV x, reference x and |error|."""
+    (x, v)) against its oracle, a lane of one solve of the system ``oracle``
+    from all ``targets`` over ``span`` at ``tols`` (abs, rel): the worst
+    ``kind`` error, the runs (theirs under ``key``) and each target's x,
+    reference x, |error| and ``kind`` error per sample."""
     runs, columns = [], []
-    for y0, rows, ref in zip(targets, got, refs):
+    for y0, rows, ref in zip(targets, got, oracle.integrate_lanes(targets, span, *tols)):
         want = ref.dense(times)[:, :rows.shape[1]]
-        runs.append({"initial_state": [float(c) for c in y0],
-                     key: worst(compare(rows, want, kind))})
-        columns.append((rows[:, 0], want[:, 0], compare(rows, want, "abs")))
+        err = compare(rows, want, kind)
+        runs.append({"initial_state": [float(c) for c in y0], key: worst(err)})
+        columns.append((rows[:, 0], want[:, 0], compare(rows, want, "abs"), err))
     return worst([run[key] for run in runs]), runs, columns
 
 
@@ -364,13 +366,12 @@ def pipeline_superpose(scn):
     states = _initial_states(scn, 2, 1 if rule == "quadrature" else 3)
 
     if rule == "linear":
-        # Three solo solves, never lanes of one: on shared steps the Runge-Kutta
-        # map of a linear system is linear in y0, so the rule would hold anyway.
-        s1, s2, ref = [sysd.integrate(y0, (t0, t1), abs_tol, rel_tol)
-                       for y0 in states[:3]]
-        k1, k2 = keys_from(*ref.initial_state, *s1.initial_state,
-                           *s2.initial_state)
-        targets, refs = states[2:3], [ref]
+        # Two solo solves, never lanes of the oracle's: on shared steps the
+        # Runge-Kutta map of a linear system is linear in y0, so the rule would
+        # hold anyway.
+        s1, s2 = [sysd.integrate(y0, (t0, t1), abs_tol, rel_tol) for y0 in states[:2]]
+        k1, k2 = keys_from(*states[2], *states[0], *states[1])
+        targets = states[2:3]
         got = [np.column_stack(linear_rule(*s1.dense(times).T, *s2.dense(times).T,
                                            k1, k2))]
         kind, extra = "abs", {"keys": [k1, k2]}
@@ -383,7 +384,6 @@ def pipeline_superpose(scn):
         # x2 = k' x1 + k x1 tau, where tau(t0) = 0 and tau'(t0) = 1 / x1(t0)^2
         targets = [[k_prime * x0, k_prime * v0 + (k / x0 if k != 0.0 else 0.0)]]
         x1 = sysd.integrate(states[0], (t0, t1), abs_tol, rel_tol)
-        refs = [sysd.integrate(targets[0], (t0, t1), abs_tol, rel_tol)]
         got = [quadrature_rule(x1, k_prime, k, times)[:, None]]
         kind, extra = "abs", {"keys": [k_prime, k]}
 
@@ -395,16 +395,16 @@ def pipeline_superpose(scn):
         k, targets = sysd.params["k"], states[2:]
         got = [pinney_rule_from_solutions(pair, x0, v0, k).dense(times)[:, :1]
                for x0, v0 in targets]
-        refs = sysd.integrate_lanes(targets, (t0, t1), abs_tol, rel_tol)
         kind, extra = "rel", {"k": k}
 
-    max_err, runs, columns = _oracle_runs(targets, got, refs, times, kind, "max_error")
+    max_err, runs, columns = _oracle_runs(sysd, targets, got, times, (t0, t1),
+                                          (abs_tol, rel_tol), kind, "max_error")
     ok = max_err < threshold
     summary = {"rule": rule, "max_error": max_err, "threshold": threshold,
                "runs": runs, **extra}
     header = ["time", "reconstructed_x", "reference_x", "abs_error"]
-    return ok, summary, [(f"target{i}", header, zip(times, *cols))
-                         for i, cols in enumerate(columns)]
+    return ok, summary, [(f"target{i}", header, zip(times, x, rx, err))
+                         for i, (x, rx, err, _) in enumerate(columns)]
 
 
 def pipeline_reduce(scn):
@@ -424,27 +424,25 @@ def pipeline_reduce(scn):
         keys = _keys(scn)
         x1 = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
         reds = [G.reduce_oscillator(x1, *keys)]
-        targets = [reds[0].initial_state]
-        refs = [osc.integrate(targets[0], (t0, t1), abs_tol, rel_tol)]
+        targets, oracle = [reds[0].initial_state], osc
     else:  # every state after the particular solution x1 is a target
         x1 = (osc if method == "pinney-osc" else mp).integrate(
             states[0], (t0, t1), abs_tol, rel_tol)
-        targets = states[1:]
+        targets, oracle = states[1:], mp
         reduce = (G.reduce_pinney_from_oscillator if method == "pinney-osc"
                   else G.reduce_pinney_from_pinney)
         reds = [reduce(x1, x0, v0, k) for x0, v0 in targets]
-        refs = mp.integrate_lanes(targets, (t0, t1), abs_tol, rel_tol)
 
     max_err, runs, columns = _oracle_runs(
-        targets, [red.dense(times)[:, :1] for red in reds], refs, times, "rel",
-        "max_rel_error")
+        oracle, targets, [red.dense(times)[:, :1] for red in reds], times, (t0, t1),
+        (abs_tol, rel_tol), "rel", "max_rel_error")
     tau = x1.tau_clock()(times)  # the clock the reduction itself ran on
     ok = max_err < threshold
     summary = {"method": method, "max_rel_error": max_err,
                "threshold": threshold, "runs": runs}
     header = ["time", "tau", "reduced_x", "reference_x", "abs_error"]
     return ok, summary, [(f"target{i}", header, zip(times, tau, x, rx, err))
-                         for i, (x, rx, err) in enumerate(columns)]
+                         for i, (x, rx, err, _) in enumerate(columns)]
 
 
 def pipeline_verify_algebra(scn):
@@ -487,22 +485,17 @@ def pipeline_group_solve(scn):
     b1, b2, b3 = osc.coefficients
     sol = G.solve_group_equation(lambda t: G.Sl2Vector(-b1(t), -b2(t), -b3(t)),
                                  (t0, t1), abs_tol, rel_tol)
-    refs = osc.integrate_lanes(states, (t0, t1), abs_tol, rel_tol)
     raw = sol.raw(times)  # one read of the curve, scaled to determinant 1
     det = np.linalg.det(raw)
     g = raw / np.sqrt(det)[..., None, None]
     # |det - 1| at the samples and at the solver's nodes
     max_det = worst([worst(compare(det, 1.0, "abs")), sol.max_det_drift])
-    runs, files = [], []
-    for i, (p0, ref) in enumerate(zip(states, refs)):
-        err = compare(g @ p0, ref.dense(times), "rel")
-        runs.append({"initial_state": [float(c) for c in p0],
-                     "max_action_error": worst(err)})
-        files.append((f"target{i}", ["time", "g11", "g12", "g21", "g22",
-                                     "det_minus_1", "action_error"],
-                      zip(times, g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1],
-                          det - 1.0, err)))
-    max_err = worst([run["max_action_error"] for run in runs])
+    max_err, runs, columns = _oracle_runs(osc, states, [g @ p0 for p0 in states], times,
+                                          (t0, t1), (abs_tol, rel_tol), "rel",
+                                          "max_action_error")
+    header = ["time", "g11", "g12", "g21", "g22", "det_minus_1", "action_error"]
+    files = [(f"target{i}", header, zip(times, *g.reshape(-1, 4).T, det - 1.0, err))
+             for i, (*_, err) in enumerate(columns)]
     ok = max_err < threshold and max_det < 1e-9
     summary = {"frequency": osc.params["frequency"], "max_action_error": max_err,
                "max_det_drift": max_det, "threshold": threshold, "runs": runs}
@@ -517,18 +510,12 @@ def _resolve_out(args_out):
 
 def cmd_run(args):
     try:
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:  # RFC 8259
             scn = json.load(fh)
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-
+    except (OSError, ValueError, RecursionError) as exc:  # JSON, UTF-8, digit limit
+        raise ScenarioError(f"cannot read scenario: {exc}", field="scenario") from exc
     if not isinstance(scn, dict):
-        print("error: scenario must be a JSON object", file=sys.stderr)
-        return 2
+        raise ScenarioError("scenario must be a JSON object", field="scenario")
 
     out_dir = _resolve_out(args.out)
     try:

@@ -182,22 +182,6 @@ def _pinney_map(s00, s01, det, p, q, dp, dq, sign):
     return x, v
 
 
-def _closed_form(times, evaluate) -> Trajectory:
-    """Trajectory.from_function(evaluate, times), where a DomainError of the
-    Pinney map at the array t gets as ``last_time`` the last of ``times``
-    before the earliest t it marks (None if there is none)."""
-
-    def rows(t):
-        try:
-            return evaluate(t)
-        except DomainError as exc:
-            earlier = times[times < np.min(t[exc.value])]
-            exc.last_time = float(earlier[-1]) if earlier.size else None
-            raise
-
-    return Trajectory.from_function(rows, times)
-
-
 def pinney_action(g: SL2Matrix, p, k: float) -> PinneyActionResult:
     """The SL(2,R) action on the Pinney phase plane (x != 0): g moves
     S = [[x^2, x v], [x v, v^2 + k / x^2]] to g S g^T, and x stays in its
@@ -264,7 +248,7 @@ def _tau_pair(x1: Trajectory, kappa) -> Trajectory:
         rows = x1.dense(t)
         return np.column_stack(_pair_rows(rows[:, 0], rows[:, 1], clock(t), kappa))
 
-    return _closed_form(x1.times, evaluate)
+    return Trajectory.from_function(evaluate, x1.times)
 
 
 def reduce_oscillator(x1: Trajectory, k_prime, k) -> Trajectory:

@@ -5,7 +5,6 @@ trajectories produced here, so the default tolerances are deliberately tight.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -645,7 +644,7 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     SINGULARITY_RADIUS of zero, in any lane, aborts the solve (Pinney-type
     1/x^3 terms).  Raises IntegrationError carrying the last good time on
     abort (the message names the lane), on failure, or past MAX_STEPS steps.
-    A rel_tol below MIN_REL_TOL is raised to that floor, with a warning.
+    Raises ValueError for a rel_tol below MIN_REL_TOL, the solver's floor.
     """
     lanes = np.asarray(states, dtype=float)
     if lanes.ndim != 2 or lanes.size == 0:
@@ -655,9 +654,8 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     if abs_tol < 0:
         raise ValueError("abs_tol must not be negative")
     if rel_tol < MIN_REL_TOL:
-        warnings.warn(f"rel_tol below 100 machine epsilons; using {MIN_REL_TOL}",
-                      stacklevel=2)
-        rel_tol = MIN_REL_TOL
+        raise ValueError("rel_tol must be at least 100 machine epsilons "
+                         f"({MIN_REL_TOL:.6g}), the solver's floor")
     n, d = lanes.shape
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t0 == t1:

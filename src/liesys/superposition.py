@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from .errors import DependentSolutionsError, SingularityError
-from .group import _closed_form, _pinney_map
+from .errors import DependentSolutionsError, DomainError, SingularityError
+from .group import _pinney_map
 from .integrate import Trajectory
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 
@@ -73,7 +73,9 @@ def pinney_rule_from_solutions(pair: Trajectory, x0, v0, k):
     propagator Phi(t) Phi(t0)^-1 of Phi = [[y, z], [y', z']].  Against that
     pair the target has W = 1, I1 = (v0^2 + k / x0^2) / 2, I2 = x0^2 / 2
     and the root r = x0 v0, so S = [[x0^2, x0 v0], [x0 v0, v0^2 + k / x0^2]]
-    and no branch is chosen.  x stays in the half-plane of x0.
+    and no branch is chosen.  x stays in the half-plane of x0.  A
+    DomainError of the map at the array t gets as ``last_time`` the last of
+    the pair's times before the earliest t it marks (None if there is none).
     """
     y0, vy0, z0, vz0 = pair.states[0]
     w = y0 * vz0 - z0 * vy0
@@ -87,8 +89,13 @@ def pinney_rule_from_solutions(pair: Trajectory, x0, v0, k):
 
     def evaluate(t):
         ys, zs = pair.dense(t).T.reshape(2, 2, -1)  # rows (y, y') and (z, z')
-        return np.column_stack(pinney_rule((vz0 * ys - vy0 * zs) / w,
-                                           (y0 * zs - z0 * ys) / w, *invariants,
-                                           1 if x0 >= 0 else -1))
+        try:
+            return np.column_stack(pinney_rule((vz0 * ys - vy0 * zs) / w,
+                                               (y0 * zs - z0 * ys) / w, *invariants,
+                                               1 if x0 >= 0 else -1))
+        except DomainError as exc:
+            earlier = pair.times[pair.times < np.min(t[exc.value])]
+            exc.last_time = float(earlier[-1]) if earlier.size else None
+            raise
 
-    return _closed_form(pair.times, evaluate)
+    return Trajectory.from_function(evaluate, pair.times)

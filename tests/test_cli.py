@@ -294,6 +294,34 @@ def test_the_oracles_of_all_targets_are_one_lane_solve(tmp_path):
                 column = [float(row["reference_x"]) for row in csv.DictReader(fh)]
             assert column == ref.position(times).tolist()
 
+    # the forms of one target: the oracle is the solo solve, bit for bit
+    for form in ("superpose-linear", "superpose-quadrature", "reduce-dalembert"):
+        scn = closed_form_scenario(form, "two_plus_sin")
+        osc, span = cli.build_system(scn["system"]), scn["t_span"]
+        (x0, v0), (k_prime, k) = scn["initial_states"][0], scn["keys"]
+        target = {
+            "superpose-linear": lambda: scn["initial_states"][2],
+            "superpose-quadrature": lambda: [k_prime * x0, k_prime * v0 + k / x0],
+            "reduce-dalembert": lambda: group.reduce_oscillator(
+                osc.integrate([x0, v0], span), k_prime, k).initial_state,
+        }[form]()
+        _, _, [(_, header, rows)] = closed_form_run(scn)(scn)
+        times = np.linspace(*span, scn["samples"])
+        assert ([row[header.index("reference_x")] for row in rows]
+                == osc.integrate(target, span).position(times).tolist())
+
+    # group-solve: each target's action error against its lane
+    scn = closed_form_scenario("group-solve", "two_plus_sin")
+    states, span = scn["initial_states"], scn["t_span"]
+    times = np.linspace(*span, scn["samples"])
+    lanes = cli.build_system(scn["system"]).integrate_lanes(states, span)
+    _, _, files = cli.pipeline_group_solve(scn)
+    for p0, lane, (_, header, rows) in zip(states, lanes, files):
+        rows = np.array(list(rows))
+        g = rows[:, 1:5].copy().reshape(-1, 2, 2)  # g11, g12, g21, g22
+        err = integrate_module.compare(g @ p0, lane.dense(times), "rel")
+        assert rows[:, header.index("action_error")].tolist() == err.tolist()
+
 
 # --- error floors of the closed forms ------------------------------------------
 # Each closed form meets its DOP853 oracle to the oracle's tolerance, far below
@@ -343,17 +371,44 @@ def closed_form_scenario(form, frequency):
             "t_span": [0.0, t_span], "samples": 41}
 
 
+def closed_form_run(scn):
+    """The pipeline function that runs ``scn``."""
+    return getattr(cli, "pipeline_" + scn["pipeline"].replace("-", "_"))
+
+
 @pytest.mark.parametrize("frequency", ["constant", "two_plus_sin"])
 @pytest.mark.parametrize("form", CLOSED_FORMS)
 def test_closed_form_errors_track_the_integrator_tolerance(form, frequency):
     scn = closed_form_scenario(form, frequency)
-    run = getattr(cli, "pipeline_" + scn["pipeline"].replace("-", "_"))
+    run = closed_form_run(scn)
     errors = []
     for tol in (1e-8, 1e-12):
         _, summary, _ = run({**scn, "tolerances": {"abs": tol, "rel": tol}})
         errors.append(summary[WORST_ERROR[scn["pipeline"]]])
     assert errors[1] < 1e-9, errors
     assert errors[0] >= 100.0 * errors[1], errors
+
+
+# The first scenario state that is an oracle target, for the forms whose
+# targets are scenario states; the others compute their one target.
+FIRST_TARGET = {"superpose-linear": 2, "superpose-pinney": 2, "reduce-pinney-osc": 1,
+                "reduce-pinney-self": 1, "group-solve": 0}
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS)
+def test_each_closed_form_meets_all_its_oracles_in_one_call(form, monkeypatch):
+    scn = closed_form_scenario(form, "constant")
+    calls = []
+    oracle_runs = cli._oracle_runs
+    monkeypatch.setattr(cli, "_oracle_runs",
+                        lambda *args: calls.append(args[1]) or oracle_runs(*args))
+    closed_form_run(scn)(scn)
+    [targets] = calls
+    if form in FIRST_TARGET:
+        states = scn["initial_states"][FIRST_TARGET[form]:]
+        assert np.asarray(targets).tolist() == states
+    else:
+        assert len(targets) == 1
 
 
 def test_the_pinney_targets_of_the_error_floors_take_both_branches():
@@ -1044,6 +1099,31 @@ def test_verify_prints_each_criterion_wall_time(tmp_path, capsys, monkeypatch):
     # the time is on stdout only
     summary = (tmp_path / "verify_summary.json").read_text()
     assert " s]" not in summary
+
+
+# Scenario files that cannot be read as a JSON object: each is written to
+# the path by its function.
+UNREADABLE = {
+    "missing_path": lambda path: None,
+    "directory": lambda path: path.mkdir(),
+    "invalid_json": lambda path: path.write_bytes(b'{"pipeline": '),
+    "json_list": lambda path: path.write_bytes(b'[{"pipeline": "integrate"}]'),
+    "not_utf8": lambda path: path.write_bytes(b'{"pipeline": "\xff"}'),
+    "deep_array": lambda path: path.write_bytes(b"[" * 100_000 + b"]" * 100_000),
+    "seed_beyond_the_digit_limit": lambda path: path.write_bytes(
+        b'{"pipeline": "integrate", "seed": ' + b"1" * 5000 + b"}"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_an_unreadable_scenario_is_usage_error(case, tmp_path, capsys):
+    path, out = tmp_path / "scn.json", tmp_path / "out"
+    UNREADABLE[case](path)
+    assert cli.main(["run", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error in field 'scenario'") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_scenario_that_is_not_an_object_is_usage_error(tmp_path, capsys):

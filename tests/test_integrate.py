@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -339,6 +340,21 @@ def test_lanes_reject_ragged_states():
         integrate_lanes(lambda t, y: y, [[1.0, 0.0], [1.0]], (0.0, 1.0))
     with pytest.raises(ValueError):
         integrate_lanes(lambda t, y: y, [], (0.0, 1.0))
+
+
+def test_a_rel_tol_below_the_floor_raises():
+    # a solve runs at the tolerance asked for or not at all
+    sysd = oscillator_1d(constant_frequency(1.0))
+    floor = integrate_module.MIN_REL_TOL
+    for rel_tol in (1e-16, floor * (1 - EPS)):
+        with pytest.raises(ValueError, match="rel_tol"):
+            integrate_lanes(sysd.rhs, [[1.0, 0.0]], (0.0, 1.0), TOL, rel_tol)
+        with pytest.raises(ValueError, match="rel_tol"):
+            sysd.integrate([1.0, 0.0], (0.0, 1.0), TOL, rel_tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrate_lanes(sysd.rhs, [[1.0, 0.0], [0.0, 1.0]], (0.0, 1.0), TOL, floor)
+        sysd.integrate([1.0, 0.0], (0.0, 1.0), TOL, floor)
 
 
 def _block_systems(w=two_plus_sin()):
