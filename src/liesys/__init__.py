@@ -15,8 +15,8 @@ from .superposition import (keys_from, linear_rule, pinney_rule,
 from .systems import (ShapeFunctions, SystemDef, ermakov, generalized_ermakov,
                       milne_pinney, oscillator_1d, oscillator_2d,
                       pinney_triple, quadratic_shapes, zero_one_shapes)
-from .group import (A1, A2, A3, GroupSolution, PinneyActionResult, SL2Matrix,
-                    Sl2Vector, generator_by_finite_difference, linear_action,
+from .group import (A1, A2, A3, PinneyActionResult, SL2Matrix, Sl2Vector,
+                    generator_by_finite_difference, linear_action,
                     pinney_action, reduce_oscillator,
                     reduce_pinney_from_oscillator, reduce_pinney_from_pinney,
                     sl2_exp, solve_group_equation, tau_grid,

@@ -232,12 +232,15 @@ def _probed_system(scn):
     return sysd, lambda count: sysd.sample_domain(rng, count, half_plane=half_plane)
 
 
-def _initial_states(scn, dimension, count_min=1):
+def _initial_states(scn, dimension, count_min=1, count_max=MAX_STATES):
+    """The scenario's ``count_min`` to ``count_max`` initial states, each of
+    ``dimension`` finite numbers, or a ScenarioError naming initial_states."""
     states = _require(scn, "initial_states", list)
-    if not count_min <= len(states) <= MAX_STATES:
-        raise ScenarioError(
-            f"pipeline needs {count_min} to {MAX_STATES} initial states",
-            field="initial_states")
+    if not count_min <= len(states) <= count_max:
+        count = (count_min if count_min == count_max
+                 else f"{count_min} to {count_max}")
+        raise ScenarioError(f"pipeline needs {count} initial states",
+                            field="initial_states")
     for i, s in enumerate(states):
         if not isinstance(s, list) or len(s) != dimension:
             raise ScenarioError(
@@ -302,7 +305,7 @@ def pipeline_integrate(scn):
         rows = [[t, *state] for t, state in zip(times, traj.dense(times))]
         files.append((f"run{i}", header, rows))
         runs.append({"initial_state": [float(c) for c in y0],
-                     "final_state": [float(c) for c in traj.final_state],
+                     "final_state": [float(c) for c in traj.dense(t1)],
                      "accepted_steps": len(traj.times) - 1,
                      "nfev": traj.nfev})
     return True, {"system": sysd.name, "runs": runs}, files
@@ -322,9 +325,11 @@ def pipeline_drift(scn):
     abs_tol, rel_tol, threshold = _tolerances(scn)
     states = _initial_states(scn, sysd.dimension)
     files, runs = [], []
+    # the rows in the order solved, from t0: a reversed span reads them backwards
+    order = slice(None, None, 1 if t0 < t1 else -1)
     for y0, traj in zip(states, sysd.integrate_lanes(states, (t0, t1), abs_tol, rel_tol)):
         for name in names:
-            series = drift(traj, reg[name], name)
+            series = drift(traj.times[order], traj.states[order], reg[name], name)
             files.append((f"run{len(files)}", ["time", "value", "running_drift"],
                           zip(series.times, series.values, series.running)))
             runs.append({"initial_state": [float(c) for c in y0], "invariant": name,
@@ -363,7 +368,10 @@ def pipeline_superpose(scn):
     if sysd.name != needs:
         raise ScenarioError(f"the {rule} rule needs system {needs}",
                             field="system.name")
-    states = _initial_states(scn, 2, 1 if rule == "quadrature" else 3)
+    # the linear rule reads two basis solutions and a target, the quadrature
+    # rule x1 alone; every Pinney state after y and z is a target
+    states = _initial_states(scn, 2, *{"linear": (3, 3), "quadrature": (1, 1),
+                                       "pinney": (3, MAX_STATES)}[rule])
 
     if rule == "linear":
         # Two solo solves, never lanes of the oracle's: on shared steps the
@@ -413,7 +421,8 @@ def pipeline_reduce(scn):
     t0, t1 = _t_span(scn, forward=True)
     abs_tol, rel_tol, threshold = _tolerances(scn, 1e-5)
     times = _sample_times(scn, t0, t1)
-    states = _initial_states(scn, 2, 1 if method == "dalembert" else 2)
+    states = _initial_states(scn, 2, *((1, 1) if method == "dalembert"
+                                       else (2, MAX_STATES)))
     osc = build_system(syscfg, "oscillator_1d")
     mp = build_system(syscfg, "milne_pinney")
     k = mp.params["k"]
@@ -424,7 +433,7 @@ def pipeline_reduce(scn):
         keys = _keys(scn)
         x1 = osc.integrate(states[0], (t0, t1), abs_tol, rel_tol)
         reds = [G.reduce_oscillator(x1, *keys)]
-        targets, oracle = [reds[0].initial_state], osc
+        targets, oracle = [reds[0].states[0]], osc
     else:  # every state after the particular solution x1 is a target
         x1 = (osc if method == "pinney-osc" else mp).integrate(
             states[0], (t0, t1), abs_tol, rel_tol)
@@ -483,13 +492,14 @@ def pipeline_group_solve(scn):
     states = _initial_states(scn, osc.dimension)
     # The group curve of the oscillator: a(t) = -sum_a b_a(t) e_a.
     b1, b2, b3 = osc.coefficients
-    sol = G.solve_group_equation(lambda t: G.Sl2Vector(-b1(t), -b2(t), -b3(t)),
-                                 (t0, t1), abs_tol, rel_tol)
-    raw = sol.raw(times)  # one read of the curve, scaled to determinant 1
+    curve = G.solve_group_equation(lambda t: G.Sl2Vector(-b1(t), -b2(t), -b3(t)),
+                                   (t0, t1), abs_tol, rel_tol)
+    raw = curve.dense(times).reshape(-1, 2, 2)  # one read, scaled to determinant 1
     det = np.linalg.det(raw)
     g = raw / np.sqrt(det)[..., None, None]
     # |det - 1| at the samples and at the solver's nodes
-    max_det = worst([worst(compare(det, 1.0, "abs")), sol.max_det_drift])
+    max_det = worst(compare(np.concatenate(
+        [det, np.linalg.det(curve.states.reshape(-1, 2, 2))]), 1.0, "abs"))
     max_err, runs, columns = _oracle_runs(osc, states, [g @ p0 for p0 in states], times,
                                           (t0, t1), (abs_tol, rel_tol), "rel",
                                           "max_action_error")

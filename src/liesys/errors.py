@@ -5,7 +5,9 @@ class LiesysError(Exception):
     """Base class for all errors raised by this package; ``last_time`` is
     the last good time of the failed computation, where it has one."""
 
-    last_time = None
+    def __init__(self, message, last_time=None):
+        super().__init__(message)
+        self.last_time = last_time
 
 
 class DimensionMismatchError(LiesysError):
@@ -23,9 +25,8 @@ class DomainError(LiesysError):
     """
 
     def __init__(self, message, value=None, last_time=None):
-        super().__init__(message)
+        super().__init__(message, last_time)
         self.value = value
-        self.last_time = last_time
 
 
 class DependentSolutionsError(LiesysError):
@@ -34,10 +35,6 @@ class DependentSolutionsError(LiesysError):
 
 class IntegrationError(LiesysError):
     """Numerical integration failed; ``last_time`` is the last good time."""
-
-    def __init__(self, message, last_time=None):
-        super().__init__(message)
-        self.last_time = last_time
 
 
 class QuadratureError(LiesysError):
@@ -48,9 +45,8 @@ class QuadratureError(LiesysError):
     """
 
     def __init__(self, message, abscissa=None, last_time=None):
-        super().__init__(message)
+        super().__init__(message, last_time)
         self.abscissa = abscissa
-        self.last_time = last_time
 
 
 class UndeterminedRankError(LiesysError):

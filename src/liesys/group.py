@@ -10,8 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .integrate import (DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Trajectory, compare,
-                        integrate, worst)
+from .integrate import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Trajectory, integrate
 from .integrate import quadrature  # noqa: F401  bound for perfbench/tracer.py
 
 # Basis of the traceless 2x2 real matrices used throughout.
@@ -86,26 +85,6 @@ def sl2_exp(v: Sl2Vector, s) -> SL2Matrix:
     return SL2Matrix(lib.cosh(w * s) * _EYE + (lib.sinh(w * s) / w) * m)
 
 
-class GroupSolution:
-    """Solution of the right-invariant equation g' = a(t) g, g(0) = I.
-
-    ``raw`` exposes the solver output and ``max_det_drift`` its worst
-    determinant deviation at the solver's nodes.
-    """
-
-    def __init__(self, trajectory: Trajectory):
-        self._traj = trajectory
-        self.times = trajectory.times
-
-    def raw(self, t):
-        """Solver output at t: one 2x2 matrix, or a stack for an array of t."""
-        return self._traj.dense(t).reshape(np.shape(t) + (2, 2))
-
-    @property
-    def max_det_drift(self):
-        return worst(compare(np.linalg.det(self.raw(self.times)), 1.0, "abs"))
-
-
 def _sl2_matrix(c1, c2, c3):
     """Sl2Vector(c1, c2, c3).matrix from float coordinates: each entry is
     summed as c1 * A1 + c2 * A2 + c3 * A3 sums it, so its bits, signed zeros
@@ -117,8 +96,9 @@ def _sl2_matrix(c1, c2, c3):
 
 
 def solve_group_equation(a, t_span, abs_tol=DEFAULT_ABS_TOL,
-                         rel_tol=DEFAULT_REL_TOL) -> GroupSolution:
-    """Integrate g' g^-1 = a(t) as the matrix equation g' = a(t) g from I.
+                         rel_tol=DEFAULT_REL_TOL) -> Trajectory:
+    """Integrate g' g^-1 = a(t) as the matrix equation g' = a(t) g from I:
+    the Trajectory of g, one flattened 2x2 matrix per row.
 
     ``a`` maps a time to an Sl2Vector.  The dense output also calls it on an
     array of times, one per column of a block of flattened matrices; the
@@ -133,8 +113,7 @@ def solve_group_equation(a, t_span, abs_tol=DEFAULT_ABS_TOL,
              + np.multiply.outer(v.c3, A3))
         return np.matmul(m, y.T.reshape(-1, 2, 2)).reshape(-1, 4).T
 
-    traj = integrate(rhs, np.eye(2).ravel(), t_span, abs_tol, rel_tol)
-    return GroupSolution(traj)
+    return integrate(rhs, np.eye(2).ravel(), t_span, abs_tol, rel_tol)
 
 
 def linear_action(g: SL2Matrix, p):

@@ -45,11 +45,12 @@ class FrequencyProfile:
 class Trajectory:
     """A sampled solution curve with dense-output interpolation.
 
-    ``states`` has one row per sample time.  Dense evaluation snaps to the
-    stored states at sample times and otherwise calls the ``interpolant``:
-    the solver's own dense output, or a closed form (``from_function``).  An
-    interpolant maps a 1-D array of times to an array of shape
-    (len(times), dimension).
+    ``states`` has one row per sample time, in increasing time whichever
+    way the solve ran: a reversed span's initial state is the last row.
+    Dense evaluation snaps to the stored states at sample times and
+    otherwise calls the ``interpolant``: the solver's own dense output, or a
+    closed form (``from_function``).  An interpolant maps a 1-D array of
+    times to an array of shape (len(times), dimension).
     """
 
     def __init__(self, times, states, interpolant, solve=None):
@@ -107,14 +108,6 @@ class Trajectory:
 
     def position(self, t):
         return self.dense(t)[..., 0]
-
-    @property
-    def initial_state(self):
-        return self.states[0].copy()
-
-    @property
-    def final_state(self):
-        return self.states[-1].copy()
 
     def tau_clock(self):
         """The clock tau(t) = integral_{t0}^{t} dz / x(z)^2 of the position
@@ -525,13 +518,13 @@ def _brentq(f, xa, xb):
 
 def _singularity_abort(active, guard, t_old, t, dense, lanes):
     """IntegrationError at the earliest root, inside the step from t_old to
-    t, of the guard events that changed sign (event e is coordinate
-    ``guard.index[e // 2]`` minus (e even) or plus (e odd) the radius), read
-    off ``dense``, the step's _DenseOutput."""
+    t, of the guard events that changed sign (event e is the stacked
+    state's entry guard[e // 2] minus (e even) or plus (e odd) the radius),
+    read off ``dense``, the step's _DenseOutput."""
 
     def event(s, e):
-        component, lane = divmod(int(guard.index[e // 2]), lanes)
-        return dense(np.array([s]), lane)[0, component] + guard.offsets[e % 2]
+        component, lane = divmod(int(guard[e // 2]), lanes)
+        return dense(np.array([s]), lane)[0, component] + _GUARD_OFFSETS[e % 2]
 
     roots = np.asarray([_brentq(lambda s: event(s, e), t_old, t)
                         for e in active])
@@ -544,26 +537,25 @@ def _singularity_abort(active, guard, t_old, t, dense, lanes):
     )
 
 
-@dataclass(frozen=True)
-class _Guard:
-    """Entries of the stacked state kept outside (-radius, radius)."""
+_GUARD_OFFSETS = np.array([-SINGULARITY_RADIUS, SINGULARITY_RADIUS])
 
-    index: np.ndarray
-    offsets: np.ndarray  # (-radius, +radius)
 
-    def values(self, y):
-        # one signed pair per entry: |y| - radius would be positive on both
-        # sides of a fast zero crossing and the crossing would go unseen
-        return (y[self.index][:, None] + self.offsets).ravel()
+def _guard_values(y, guard):
+    """The guard events at the stacked state y, whose entries ``guard`` are
+    kept outside (-SINGULARITY_RADIUS, SINGULARITY_RADIUS)."""
+    # one signed pair per entry: |y| - radius would be positive on both
+    # sides of a fast zero crossing and the crossing would go unseen
+    return (y[guard][:, None] + _GUARD_OFFSETS).ravel()
 
 
 def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
     """Adaptive DOP853 from (t0, y0) to t1: the accepted times, the states
     (one row per time), the list of each accepted step's 13 stages, and the
     number of fun calls.  Raises IntegrationError with the last good time
-    when the step size underflows, when a guard entry comes within its
-    radius of zero (``block`` then builds the dense output of that step,
-    see _DenseOutput), or after MAX_STEPS steps short of t1.  Times,
+    when the step size underflows, when an entry of the state that
+    ``guard`` indexes (None: no entry) comes within SINGULARITY_RADIUS of
+    zero (``block`` then builds the dense output of that step, see
+    _DenseOutput), or after MAX_STEPS steps short of t1.  Times,
     step sizes and error norms are Python floats."""
     direction = 1.0 if t1 > t0 else -1.0
     f = np.asarray(fun(t0, y0), dtype=float)
@@ -573,7 +565,7 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
     plan = _stage_plan(K)
     t, y = t0, y0
     ts, ys, Ks = [t], [y], []
-    g = guard.values(y) if guard is not None else None
+    g = _guard_values(y, guard) if guard is not None else None
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -607,7 +599,7 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
         h_abs *= factor
 
         if guard is not None:
-            g_new = guard.values(y_new)
+            g_new = _guard_values(y_new, guard)
             active = np.nonzero(((g <= 0) & (g_new >= 0)) | ((g >= 0) & (g_new <= 0)))[0]
             if active.size:
                 dense = _DenseOutput(block, lanes, np.array([t, t_new]),
@@ -674,8 +666,7 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
 
     guard = None
     if len(singular_coords):
-        guard = _Guard(np.array([i * n + j for i in singular_coords for j in range(n)]),
-                       np.array([-SINGULARITY_RADIUS, SINGULARITY_RADIUS]))
+        guard = np.array([i * n + j for i in singular_coords for j in range(n)])
     times, stacked, K, nfev = _dop853(fun, block, y0, t0, t1, rel_tol, abs_tol, n, guard)
     dense = _DenseOutput(block, n, times, stacked, K, nfev)
     if t1 < t0:  # keep Trajectory times increasing for reverse-time solves

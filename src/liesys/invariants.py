@@ -78,12 +78,12 @@ def generalized_invariant(x, y, vx, vy, shapes):
     return 0.5 * xi * xi + shapes.Q(x / y)
 
 
-def drift(traj, invariant, label="invariant"):
-    """Evaluate ``invariant`` on the state at every sample of ``traj``, up to
-    the first sample where it is singular."""
-    times = traj.times
+def drift(times, states, invariant, label="invariant"):
+    """Evaluate ``invariant`` on each of the ``states`` at ``times``, taken
+    in the order solved, so that the drift runs from the first of them, up
+    to the first at which it is singular."""
     values = []
-    for state in traj.states:
+    for state in states:
         try:
             values.append(invariant(state))
         except SingularityError:

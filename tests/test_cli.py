@@ -11,6 +11,7 @@ import os
 import pathlib
 import re
 import runpy
+import sys
 import tempfile
 import warnings
 
@@ -271,11 +272,11 @@ def test_every_target_gets_a_run_and_a_csv(case, tmp_path):
         sol = group.solve_group_equation(
             lambda t: group.Sl2Vector(*(-b(t) for b in osc.coefficients)),
             (0.0, 10.0))
-        assert summary["max_det_drift"] >= sol.max_det_drift
+        nodes = np.max(np.abs(np.linalg.det(sol.states.reshape(-1, 2, 2)) - 1.0))
+        assert summary["max_det_drift"] >= nodes
         # the worst |det - 1| of the samples and of the solver's nodes
-        samples = np.linalg.det(sol.raw(np.linspace(0.0, 10.0, 3)))
-        assert summary["max_det_drift"] == max(np.max(np.abs(samples - 1.0)),
-                                               sol.max_det_drift)
+        samples = np.linalg.det(sol.dense(np.linspace(0.0, 10.0, 3)).reshape(-1, 2, 2))
+        assert summary["max_det_drift"] == max(np.max(np.abs(samples - 1.0)), nodes)
 
 
 def test_the_oracles_of_all_targets_are_one_lane_solve(tmp_path):
@@ -303,7 +304,7 @@ def test_the_oracles_of_all_targets_are_one_lane_solve(tmp_path):
             "superpose-linear": lambda: scn["initial_states"][2],
             "superpose-quadrature": lambda: [k_prime * x0, k_prime * v0 + k / x0],
             "reduce-dalembert": lambda: group.reduce_oscillator(
-                osc.integrate([x0, v0], span), k_prime, k).initial_state,
+                osc.integrate([x0, v0], span), k_prime, k).states[0],
         }[form]()
         _, _, [(_, header, rows)] = closed_form_run(scn)(scn)
         times = np.linspace(*span, scn["samples"])
@@ -497,19 +498,50 @@ def test_drift_solves_its_states_as_lanes_of_one_solve(tmp_path):
     for i, lane in enumerate(lanes):
         times, values = _drift_columns(tmp_path / f"d_run{i}.csv")
         assert times == lane.times.tolist()
-        assert values == invariants.drift(lane, lewis).values.tolist()
+        assert values == invariants.drift(lane.times, lane.states, lewis).values.tolist()
 
 
 def test_one_state_drift_is_the_solo_solve(tmp_path):
     scn = {**DRIFT, "initial_states": DRIFT["initial_states"][:1]}
     assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 0
     sysd = cli.build_system(DRIFT["system"])
-    series = invariants.drift(sysd.integrate(scn["initial_states"][0], (0.0, 5.0)),
-                              sysd.invariants["lewis_ermakov"])
+    solo = sysd.integrate(scn["initial_states"][0], (0.0, 5.0))
+    series = invariants.drift(solo.times, solo.states, sysd.invariants["lewis_ermakov"])
     running = np.maximum.accumulate(np.abs(series.values - series.values[0]))
     cli.write_csv(tmp_path / "solo.csv", ["time", "value", "running_drift"],
                   zip(series.times, series.values, running))
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+
+
+@pytest.mark.parametrize("span", [[0.0, 5.0], [5.0, 0.0]])
+def test_integrate_reports_the_final_state_at_t1(span, tmp_path):
+    # the summary's final_state is the CSV's last row, at t_span[1], on a
+    # reversed span too
+    with open(os.path.join(SCENARIO_DIR, "integrate_ermakov.json")) as fh:
+        scn = {**json.load(fh), "t_span": span}
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "ermakov_orbit_summary.json").read_text())
+    with open(tmp_path / "ermakov_orbit.csv", newline="") as fh:
+        last = [float(cell) for cell in list(csv.reader(fh))[-1]]
+    assert last[0] == span[1]
+    assert summary["runs"][0]["final_state"] == last[1:]
+    assert summary["runs"][0]["final_state"] != scn["initial_states"][0]
+
+
+@pytest.mark.parametrize("span", [[0.0, 20.0], [20.0, 0.0]])
+def test_drift_runs_from_t0(span, tmp_path):
+    # each CSV starts at t_span[0] with I(y0) and a running drift of 0, on a
+    # reversed span too
+    with open(os.path.join(SCENARIO_DIR, "drift_lewis_ermakov.json")) as fh:
+        scn = {**json.load(fh), "t_span": span}
+    assert cli.main(["run", write_scenario(tmp_path, scn), "--out", str(tmp_path)]) == 0
+    lewis = cli.build_system(scn["system"]).invariants["lewis_ermakov"]
+    for i, y0 in enumerate(scn["initial_states"]):
+        with open(tmp_path / f"lewis_drift_run{i}.csv", newline="") as fh:
+            first = next(csv.DictReader(fh))
+        assert float(first["time"]) == span[0]
+        assert float(first["value"]) == lewis(np.array(y0))
+        assert float(first["running_drift"]) == 0.0
 
 
 def test_drift_without_an_invariant_runs_all_of_the_system(tmp_path):
@@ -742,6 +774,18 @@ def test_quadrature_rule_with_k_zero_needs_no_tau(tmp_path):
     assert summary["max_error"] < 1e-8
 
 
+def test_dalembert_with_k_zero_still_needs_x1_nonzero_at_t0(tmp_path, capsys):
+    # d'Alembert's pair divides its v column by x1 whatever the keys, so at
+    # x1(t0) = 0 the reduction stops where the quadrature rule with k = 0 runs
+    with open(os.path.join(SCENARIO_DIR, "reduce_oscillator.json")) as fh:
+        scn = {**json.load(fh), "initial_states": [[0.0, 1.0]], "keys": [0.2, 0.0]}
+    assert cli.main(["run", write_scenario(tmp_path, scn),
+                     "--out", str(tmp_path)]) == 1
+    assert "runtime error" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "oscillator_reduction_summary.json").read_text())
+    assert summary["pass"] is False and summary["last_good_time"] is None
+
+
 def test_tol_override_can_force_failure(tmp_path):
     assert run_scenario("reduce_oscillator.json", tmp_path,
                         extra=["--tol-override", "1e-20"]) == 1
@@ -866,6 +910,24 @@ def test_the_manifest_compare_reports_the_largest_numeric_move():
     assert MANIFEST["numeric_move"](old, old.replace("x", "v")) is None
 
 
+def test_the_manifest_outputs_are_every_seed_and_verify(tmp_path, monkeypatch):
+    # --outputs runs the scenarios at each seed into a directory of its own
+    # and verify --seed 0 into another, and leaves the manifest as it is
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", ["update_manifest.py", "--outputs", str(tmp_path)])
+    monkeypatch.setattr(sys, "path", sys.path[:])  # main puts src on it
+    with open(MANIFEST["MANIFEST"]) as fh:
+        manifest = fh.read()
+    MANIFEST["main"]()
+    scenarios = sorted(glob.glob(os.path.join(MANIFEST["SCENARIO_DIR"], "*.json")))
+    assert calls == [["run", path, "--out", str(tmp_path / f"seed{seed}"),
+                      "--seed", str(seed)] for seed in (0, 1, 7) for path in scenarios] + [
+        ["verify", "--seed", "0", "--out", str(tmp_path / "verify")]]
+    with open(MANIFEST["MANIFEST"]) as fh:
+        assert fh.read() == manifest
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUT_ENV_VAR, str(tmp_path))
     path = os.path.join(SCENARIO_DIR, "minimal_m_oscillator.json")
@@ -976,6 +1038,19 @@ BAD_FIELDS = {
     "list_as_system_name_group_solve": ({**INTEGRATE, "pipeline": "group-solve",
                                          "system": {"name": ["x"]}},
                                         "system.name"),
+    # a closed form of a fixed number of states takes no more: the extra
+    # state would never be read
+    "fourth_state_linear": ({**INTEGRATE, "pipeline": "superpose", "rule": "linear",
+                             "initial_states": [[1.0, 0.0], [0.0, 1.0], [0.7, -0.4],
+                                                [0.2, 0.1]]}, "initial_states"),
+    "second_state_quadrature": ({**INTEGRATE, "pipeline": "superpose",
+                                 "rule": "quadrature", "keys": [0.2, 1.0],
+                                 "initial_states": [[1.0, 0.0], [0.0, 1.0]]},
+                                "initial_states"),
+    "second_state_dalembert": ({**INTEGRATE, "pipeline": "reduce",
+                                "method": "dalembert", "keys": [0.4, 0.7],
+                                "initial_states": [[1.0, 0.3], [0.8, 0.5]]},
+                               "initial_states"),
 }
 
 

@@ -38,7 +38,7 @@ def osc_rhs(omega2):
 
 def test_oscillator_quarter_period():
     traj = integrate(osc_rhs(1.0), [1.0, 0.0], (0.0, math.pi / 2), TOL, TOL)
-    assert_allclose(traj.final_state, [0.0, -1.0], atol=10 * TOL)
+    assert_allclose(traj.states[-1], [0.0, -1.0], atol=10 * TOL)
 
 
 def test_pinney_equilibrium_is_constant():
@@ -50,9 +50,9 @@ def test_pinney_equilibrium_is_constant():
 def test_time_reversal():
     y0 = np.array([0.7, -0.3])
     fwd = integrate(osc_rhs(2.0), y0, (0.0, 5.0), TOL, TOL)
-    back = integrate(osc_rhs(2.0), fwd.final_state, (5.0, 0.0), TOL, TOL)
+    back = integrate(osc_rhs(2.0), fwd.states[-1], (5.0, 0.0), TOL, TOL)
     # reverse-time trajectories are stored with increasing times
-    assert_allclose(back.initial_state, y0, atol=100 * TOL)
+    assert_allclose(back.states[0], y0, atol=100 * TOL)
 
 
 def test_dense_output_accuracy():
@@ -60,7 +60,7 @@ def test_dense_output_accuracy():
     rng = np.random.default_rng(0)
     for t in rng.uniform(0.0, 10.0, size=50):
         fresh = integrate(osc_rhs(1.0), [1.0, 0.0], (0.0, t), TOL, TOL)
-        assert_allclose(traj.dense(t), fresh.final_state, atol=10 * TOL)
+        assert_allclose(traj.dense(t), fresh.states[-1], atol=10 * TOL)
 
 
 def test_convergence_with_tolerance():
@@ -69,7 +69,7 @@ def test_convergence_with_tolerance():
     for tol in (1e-6, 1e-8, 1e-10):
         traj = integrate(osc_rhs(1.0), [1.0, 0.0], (0.0, 10.0), tol, tol)
         exact = np.array([math.cos(10.0), -math.sin(10.0)])
-        errs.append(np.max(np.abs(traj.final_state - exact)))
+        errs.append(np.max(np.abs(traj.states[-1] - exact)))
     assert errs[2] < errs[0]
     assert errs[2] < 1e-8
 
@@ -220,7 +220,7 @@ def test_nfev_counts_the_rhs_calls_and_dense_output_waits_for_off_node_use(n):
     # build no dense output
     for lane in lanes:
         for name, invariant in sysd.invariants.items():
-            drift(lane, invariant, name)
+            drift(lane.times, lane.states, invariant, name)
         lane.dense(lane.times[::3])
     assert calls[0] == solved
     assert [lane.nfev for lane in lanes] == [solved] * n
@@ -308,7 +308,7 @@ def test_each_lane_meets_its_own_tolerance():
         err_solo = np.max(np.abs(solo - want) / np.maximum(1.0, np.abs(want)))
         assert err < 20 * TOL
         assert err <= 1.5 * err_solo
-        assert np.array_equal(lane.initial_state, state)
+        assert np.array_equal(lane.states[0], state)
 
 
 def test_reverse_time_lanes():
@@ -318,7 +318,7 @@ def test_reverse_time_lanes():
     t = np.linspace(0.0, 5.0, 51)
     for state, lane in zip(states, lanes):
         assert np.all(np.diff(lane.times) > 0)
-        assert np.array_equal(lane.final_state, state)
+        assert np.array_equal(lane.states[-1], state)
         solo = sysd.integrate(state, (5.0, 0.0)).dense(t)
         assert np.max(np.abs(lane.dense(t) - solo)) < 20 * TOL * np.max(np.abs(solo))
 

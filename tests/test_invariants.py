@@ -105,7 +105,8 @@ def test_lewis_constant_on_analytic_pair():
     # (x, vx, y, vy) of the Ermakov system
     traj = ermakov(constant_frequency(1.0)).integrate([0.0, 1.0, 1.0, 0.0],
                                                       (0.0, 10.0))
-    series = drift(traj, lambda s: lewis_ermakov(s[0], s[2], s[1], s[3]), "psi")
+    series = drift(traj.times, traj.states,
+                   lambda s: lewis_ermakov(s[0], s[2], s[1], s[3]), "psi")
     assert_allclose(series.values, 1.0, atol=1e-8)
     assert series.drift_rel < 1e-8
 
@@ -113,8 +114,8 @@ def test_lewis_constant_on_analytic_pair():
 def test_angular_momentum_drift():
     sysd = oscillator_2d(two_plus_sin())
     traj = sysd.integrate([1.0, 0.0, 0.0, 1.0], (0.0, 10.0))
-    series = drift(traj, lambda s: angular_momentum(s[0], s[1], s[2], s[3]),
-                   "xi")
+    series = drift(traj.times, traj.states,
+                   lambda s: angular_momentum(s[0], s[1], s[2], s[3]), "xi")
     assert series.drift_rel < 1e-8
 
 
@@ -122,8 +123,8 @@ def test_pair_invariants_drift():
     sysd = pinney_triple(two_plus_sin(), 1.0)
     traj = sysd.integrate([0.7, 1.0, 0.0, 0.4, 0.0, 1.0], (0.0, 20.0))
     for idx in range(3):
-        series = drift(traj, lambda s, i=idx: ermakov_pair_invariants(s, 1.0)[i],
-                       f"inv{idx}")
+        series = drift(traj.times, traj.states,
+                       lambda s, i=idx: ermakov_pair_invariants(s, 1.0)[i], f"inv{idx}")
         assert series.drift_rel < 1e-6
 
 
@@ -131,14 +132,14 @@ def test_generalized_invariant_drift():
     shapes = quadratic_shapes()
     sysd = generalized_ermakov(two_plus_sin(), shapes)
     traj = sysd.integrate([1.1, 0.2, 0.9, -0.1], (0.0, 20.0))
-    series = drift(traj, lambda s: generalized_invariant(s[0], s[2], s[1], s[3],
-                                                         shapes), "gen")
+    series = drift(traj.times, traj.states,
+                   lambda s: generalized_invariant(s[0], s[2], s[1], s[3], shapes), "gen")
     assert series.drift_rel < 1e-6
 
 
 def test_drift_constant_function():
     traj = oscillator_1d(two_plus_sin()).integrate([1.0, 0.0], (0.0, 5.0))
-    series = drift(traj, lambda s: 3.25, "const")
+    series = drift(traj.times, traj.states, lambda s: 3.25, "const")
     assert series.drift_abs == 0.0
 
 
@@ -148,7 +149,8 @@ def test_drift_partial_on_singularity():
     traj = Trajectory.from_function(
         lambda t: np.column_stack([np.sin(t), np.cos(t), 1.0 - t, np.full_like(t, -1.0)]),
         times)
-    series = drift(traj, lambda s: lewis_ermakov(s[0], s[2], s[1], s[3]), "psi")
+    series = drift(traj.times, traj.states,
+                   lambda s: lewis_ermakov(s[0], s[2], s[1], s[3]), "psi")
     assert series.partial
     assert series.times[-1] < 2.0
 

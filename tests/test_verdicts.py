@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,11 +130,11 @@ def _group_solve_action(monkeypatch, pos):
 
 
 def _group_solve_det(monkeypatch, pos):
-    # the solved matrix at one solver node, the second of the two |det - 1|
-    # folds, whose action errors stay finite
-    raw = group.GroupSolution.raw
-    monkeypatch.setattr(group.GroupSolution, "raw", lambda self, t: (
-        _with_nan(raw(self, t), pos) if t is self.times else raw(self, t)))
+    # the solved matrix at one solver node, in the node rows of the |det - 1|
+    # fold; the samples read the curve as solved, so the action errors stay
+    # finite
+    _on_call(monkeypatch, group, "solve_group_equation", 0, lambda curve: (
+        SimpleNamespace(states=_with_nan(curve.states, pos), dense=curve.dense)))
     ok, summary, _ = cli.pipeline_group_solve(
         _scenario("group_solve_constant.json"))
     assert math.isnan(summary["max_det_drift"])

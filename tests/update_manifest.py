@@ -3,6 +3,7 @@ shipped scenarios and ``liesys verify --seed 0`` write, with the Python and
 numpy versions that produced them.
 
     python3 tests/update_manifest.py [--compare OLD_DIR]
+    python3 tests/update_manifest.py --outputs DIR
 
 A change that moves an output reruns this script, which prints each file
 whose digest it changed, added or dropped.  With --compare it also prints,
@@ -12,6 +13,11 @@ the commit before the change: in a checkout of that commit,
 
     liesys run scenarios/NAME.json --out OLD_DIR   (for each scenario)
     liesys verify --seed 0 --out OLD_DIR
+
+With --outputs it writes the outputs of the shipped scenarios at --seed 0,
+1 and 7 into DIR/seed<N>, and those of ``liesys verify --seed 0`` into
+DIR/verify, and leaves the manifest as it is.  A change meant to move no
+output then shows none in ``diff -r`` of the DIRs of two checkouts.
 
 tests/test_cli.py holds the outputs of every tier-1 run to the manifest.
 """
@@ -27,6 +33,8 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+# The seeds at which --outputs runs the shipped scenarios
+OUTPUT_SEEDS = (0, 1, 7)
 ROOT = os.path.dirname(HERE)
 MANIFEST = os.path.join(HERE, "output_manifest.json")
 SCENARIO_DIR = os.path.join(ROOT, "scenarios")
@@ -78,20 +86,41 @@ def numeric_move(old_text, new_text):
     return most_abs, most_rel
 
 
+def run_scenarios(out, seed=None):
+    """Run every shipped scenario, at ``seed`` when given, into ``out``;
+    exit at the first that does not pass."""
+    from liesys import cli
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json"))):
+        if cli.main(["run", path, "--out", out, *seed_args]) != 0:
+            sys.exit(f"{path} {' '.join(seed_args)} did not pass")
+
+
+def run_verify(out):
+    """Run ``liesys verify --seed 0`` into ``out``; exit if it does not pass."""
+    from liesys import cli
+    if cli.main(["verify", "--seed", "0", "--out", out]) != 0:
+        sys.exit("verify --seed 0 did not pass")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", metavar="OLD_DIR",
                         help="print each changed file's largest numeric move")
+    parser.add_argument("--outputs", metavar="DIR",
+                        help="write the outputs at seeds 0, 1 and 7 into DIR, "
+                             "and not the manifest")
     args = parser.parse_args()
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    from liesys import cli
 
+    if args.outputs:
+        for seed in OUTPUT_SEEDS:
+            run_scenarios(os.path.join(args.outputs, f"seed{seed}"), seed)
+        run_verify(os.path.join(args.outputs, "verify"))
+        return
     with tempfile.TemporaryDirectory() as out:
-        for path in sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.json"))):
-            if cli.main(["run", path, "--out", out]) != 0:
-                sys.exit(f"{path} did not pass")
-        if cli.main(["verify", "--seed", "0", "--out", out]) != 0:
-            sys.exit("verify --seed 0 did not pass")
+        run_scenarios(out)
+        run_verify(out)
         manifest = {**versions(), "files": digests(out)}
         if args.compare:
             for name, move in moves(digests(args.compare), manifest["files"]):
