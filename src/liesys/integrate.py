@@ -50,7 +50,9 @@ class Trajectory:
     Dense evaluation snaps to the stored states at sample times and
     otherwise calls the ``interpolant``: the solver's own dense output, or a
     closed form (``from_function``).  An interpolant maps a 1-D array of
-    times to an array of shape (len(times), dimension).
+    times to an array of shape (len(times), dimension).  A solve's dense
+    output would extrapolate outside the solve's span, so a solve's
+    trajectory raises ValueError there; a closed form is read anywhere.
     """
 
     def __init__(self, times, states, interpolant, solve=None):
@@ -80,9 +82,17 @@ class Trajectory:
 
     def dense(self, t):
         """State at time t (a scalar, or rows for an array); exact at sample
-        times.  All off-sample times go to the interpolant in one call."""
+        times.  All off-sample times go to the interpolant in one call.  On a
+        solve's trajectory, a time outside the span (NaN included) raises
+        ValueError."""
         t_arr = np.asarray(t, dtype=float)
         flat = t_arr.reshape(-1)
+        if self._solve is not None:
+            lo, hi = self.times[0], self.times[-1]
+            inside = (flat >= lo) & (flat <= hi)
+            if not inside.all():
+                raise ValueError(f"time {flat[~inside][0]:.6g} is outside the span "
+                                 f"[{lo:.6g}, {hi:.6g}] of the solve")
         j = np.minimum(np.searchsorted(self.times, flat), len(self.times) - 1)
         on_node = self.times[j] == flat
         if on_node.all():
@@ -294,6 +304,12 @@ EPS = np.finfo(float).eps
 MIN_REL_TOL = 100 * EPS
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
+# Lanes up to which a solve whose rhs takes the float form (integrate_lanes'
+# float_form) hands it each stage as Python floats: up to here numpy's fixed
+# cost per call on a few entries outweighs its per-entry speed (the crossover
+# table is in CHANGES.md).
+FLOAT_LANES = 5
+
 # Accepted steps one solve may take before it stops with IntegrationError;
 # the longest solve of the shipped scenarios and of verify takes 732.
 MAX_STEPS = 10_000
@@ -372,16 +388,25 @@ def _stage_plan(K):
     return [(K[:s].T, a, c) for s, (a, c) in enumerate(_STAGES, start=1)], K[:-1].T
 
 
-def _rk_step(fun, t, y, f, h, K, plan):
+def _rk_step(fun, t, y, f, h, K, plan, floats):
     """One step of size h from (t, y), where f = fun(t, y): the 8th-order
     state at t + h and its derivative.  The 13 stages are left in K, whose
-    ``_stage_plan`` is ``plan``."""
+    ``_stage_plan`` is ``plan``.  With ``floats`` fun takes and gives the
+    stacked states as lists of Python floats: a stage state is still
+    y + (A row . K) h, its products BLAS's and each entry's two roundings
+    numpy's."""
     stages, before_b = plan
     K[0] = f
-    for s, (before, a, c) in enumerate(stages, start=1):
-        K[s] = fun(t + c * h, y + np.dot(before, a) * h)
+    if floats:
+        yl = y.tolist()
+        for s, (before, a, c) in enumerate(stages, start=1):
+            K[s] = fun(t + c * h, [yi + di * h for yi, di in
+                                   zip(yl, np.dot(before, a).tolist())])
+    else:
+        for s, (before, a, c) in enumerate(stages, start=1):
+            K[s] = fun(t + c * h, y + np.dot(before, a) * h)
     y_new = y + h * np.dot(before_b, rk.B)
-    f_new = fun(t + h, y_new)
+    f_new = fun(t + h, y_new.tolist() if floats else y_new)
     K[-1] = f_new
     return y_new, f_new
 
@@ -431,7 +456,7 @@ class _DenseOutput:
     """The interpolants of all accepted steps of one solve of ``lanes``
     lanes, evaluated for every requested time in one batched pass.  A time
     on a step boundary takes the earlier step, and times outside the span
-    take the end steps.
+    take the end steps (Trajectory.dense asks for none).
 
     ``K`` lists each step's 13 stages, one array a step.  The first
     evaluation builds every step's coefficients from them, DENSE_CHUNK
@@ -548,17 +573,24 @@ def _guard_values(y, guard):
     return (y[guard][:, None] + _GUARD_OFFSETS).ravel()
 
 
-def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
+def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard, floats):
     """Adaptive DOP853 from (t0, y0) to t1: the accepted times, the states
     (one row per time), the list of each accepted step's 13 stages, and the
-    number of fun calls.  Raises IntegrationError with the last good time
-    when the step size underflows, when an entry of the state that
-    ``guard`` indexes (None: no entry) comes within SINGULARITY_RADIUS of
-    zero (``block`` then builds the dense output of that step, see
-    _DenseOutput), or after MAX_STEPS steps short of t1.  Times,
-    step sizes and error norms are Python floats."""
+    number of fun calls.  ``floats``, unless None, is fun on the stacked
+    state as a list of Python floats, giving a list: the steps' stages call
+    it (see _rk_step).  Raises IntegrationError with the last good time
+    when the derivative at t0 is not finite (t0 is then the last good
+    time), when the step size underflows or is NaN, when an entry of the
+    state that ``guard`` indexes (None: no entry) comes within
+    SINGULARITY_RADIUS of zero (``block`` then builds the dense output of
+    that step, see _DenseOutput), or after MAX_STEPS steps short of t1.
+    Times, step sizes and error norms are Python floats."""
     direction = 1.0 if t1 > t0 else -1.0
     f = np.asarray(fun(t0, y0), dtype=float)
+    if not np.isfinite(f).all():
+        raise IntegrationError(
+            f"integration failed: the derivative at t0 is not finite "
+            f"(last good time {t0:.6g})", last_time=t0)
     h_abs = _initial_step(fun, t0, y0, f, t1, direction, rtol, atol)
     nfev = 2
     K = np.empty((rk.N_STAGES + 1, len(y0)))  # one step's 13 stages
@@ -566,13 +598,15 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
     t, y = t0, y0
     ts, ys, Ks = [t], [y], []
     g = _guard_values(y, guard) if guard is not None else None
+    step = fun if floats is None else floats
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
+        abs_y = np.abs(y)
         while True:
-            if h_abs < min_step:
+            if not (h_abs >= min_step):  # a NaN step size stops here too
                 raise IntegrationError(
                     f"integration failed: {_TOO_SMALL_STEP} (last good time {t:.6g})",
                     last_time=t,
@@ -582,9 +616,9 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new = _rk_step(fun, t, y, f, h, K, plan)
+            y_new, f_new = _rk_step(step, t, y, f, h, K, plan, floats is not None)
             nfev += rk.N_STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = atol + np.maximum(abs_y, np.abs(y_new)) * rtol
             error_norm = lane_error_norm(K, h, scale, lanes)
             if error_norm < 1:
                 break
@@ -620,7 +654,7 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard):
 
 
 def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
-                    rel_tol=DEFAULT_REL_TOL, singular_coords=()):
+                    rel_tol=DEFAULT_REL_TOL, singular_coords=(), float_form=False):
     """One adaptive DOP853 solve of y' = rhs(t, y) from every state at once;
     returns one Trajectory per state, all on the shared step grid.
 
@@ -632,24 +666,33 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     column, for a single state too; each column of the result must be
     that column's derivative at its own time, bit for bit as on that
     column alone.  The error control is ``lane_error_norm``.
-    ``singular_coords`` lists state indices whose approach within
-    SINGULARITY_RADIUS of zero, in any lane, aborts the solve (Pinney-type
-    1/x^3 terms).  Raises IntegrationError carrying the last good time on
-    abort (the message names the lane), on failure, or past MAX_STEPS steps.
-    Raises ValueError for a rel_tol below MIN_REL_TOL, the solver's floor.
+    ``float_form`` declares that ``rhs`` also takes the stacked state as a
+    list of d * n Python floats, entry i * n + j component i of lane j, and
+    gives a list in the same layout, bit for bit the block's values (as
+    ``SystemDef.rhs`` does); a solve of at most FLOAT_LANES lanes then hands
+    it each stage that way.  ``singular_coords`` lists state indices whose
+    approach within SINGULARITY_RADIUS of zero, in any lane, aborts the
+    solve (Pinney-type 1/x^3 terms).  Raises IntegrationError carrying the
+    last good time on abort (the message names the lane), on failure (a
+    non-finite derivative at t0 among them), or past MAX_STEPS steps.
+    Raises ValueError for a non-finite tolerance or t_span entry, and for a
+    rel_tol below MIN_REL_TOL, the solver's floor.
     """
     lanes = np.asarray(states, dtype=float)
     if lanes.ndim != 2 or lanes.size == 0:
         raise ValueError("states must be a nonempty list of equal-length vectors")
     if not np.isfinite(lanes).all():
         raise ValueError("all components of the initial states must be finite")
-    if abs_tol < 0:
-        raise ValueError("abs_tol must not be negative")
-    if rel_tol < MIN_REL_TOL:
-        raise ValueError("rel_tol must be at least 100 machine epsilons "
+    # each check fails on NaN
+    if not (0.0 <= abs_tol < math.inf):
+        raise ValueError("abs_tol must be finite and not negative")
+    if not (MIN_REL_TOL <= rel_tol < math.inf):
+        raise ValueError("rel_tol must be finite and at least 100 machine epsilons "
                          f"({MIN_REL_TOL:.6g}), the solver's floor")
     n, d = lanes.shape
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (-math.inf < t0 < math.inf and -math.inf < t1 < math.inf):
+        raise ValueError("t_span must be finite")
     if t0 == t1:
         raise ValueError("t_span must be nondegenerate")
 
@@ -667,7 +710,9 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     guard = None
     if len(singular_coords):
         guard = np.array([i * n + j for i in singular_coords for j in range(n)])
-    times, stacked, K, nfev = _dop853(fun, block, y0, t0, t1, rel_tol, abs_tol, n, guard)
+    floats = rhs if float_form and n <= FLOAT_LANES else None
+    times, stacked, K, nfev = _dop853(fun, block, y0, t0, t1, rel_tol, abs_tol, n, guard,
+                                      floats)
     dense = _DenseOutput(block, n, times, stacked, K, nfev)
     if t1 < t0:  # keep Trajectory times increasing for reverse-time solves
         times, stacked = times[::-1], stacked[::-1]
@@ -677,11 +722,12 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
 
 
 def integrate(rhs, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL,
-              singular_coords=()):
+              singular_coords=(), float_form=False):
     """Adaptive embedded Runge-Kutta (DOP853) solve of y' = rhs(t, y) from
     one state: ``integrate_lanes`` with a single lane."""
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    return integrate_lanes(rhs, [y0], t_span, abs_tol, rel_tol, singular_coords)[0]
+    return integrate_lanes(rhs, [y0], t_span, abs_tol, rel_tol, singular_coords,
+                           float_form)[0]
 
 
 def quadrature(f, t_span, tol=1e-12):

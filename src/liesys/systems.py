@@ -34,9 +34,10 @@ class ShapeFunctions:
     """The two coupling shapes of the generalized Ermakov system, with the
     closed forms built on them.
 
-    ``f`` and ``g`` must be analytic and take real or complex arrays of u:
-    lane solves (``SystemDef.integrate_lanes``) call them on real arrays,
-    and X2's Jacobian on complex ones.  ``Q`` is the antiderivative
+    ``f`` and ``g`` must be analytic and take Python floats and real or
+    complex arrays of u: solves of a few lanes call them on floats, larger
+    ones and the dense output on real arrays (``SystemDef.rhs``), and X2's
+    Jacobian on complex ones.  ``Q`` is the antiderivative
     integral_1^u (-z^-3 f(1/z) + z g(1/z)) dz of the generalized invariant.
     """
 
@@ -68,20 +69,22 @@ SHAPE_FUNCTIONS = {
 class SystemDef:
     """A Lie system: generators X_a, coefficients b_a(t), structure constants.
 
-    ``field(w, p)`` is w X1(p) + X2(p), the one closed form of the system's
-    vector fields: X2 is ``field(0.0, p)``, and the rhs sum_a b_a(t) X_a(p)
-    is ``field(b_1(t), p)`` (b_2 = 1, b_3 = 0), with the same guards and
-    order of summation as the generator sum, so the two agree bit for bit
-    (the tests hold them equal).  It takes a (dimension,) point or a
-    (dimension, n) block of n points, one per column, real or complex (X2's
-    Jacobian is read off a complex block, so F must be analytic); on a
-    block, w is a float or one value per column.  A column of a real block
-    gets the bits of the same point alone, so fields write x^3 as
-    x * x * x: numpy's x**3 may round a scalar otherwise than an array.  The
-    generators remain the source of truth for the algebra and rank checks.
-    ``singular_coords`` are state indices whose vanishing is a genuine
-    singularity.  ``invariants`` maps the name of each first integral of
-    the system to a function of its state vector.
+    ``rows(w, p)`` is w X1(p) + X2(p), the one closed form of the system's
+    vector fields, as a tuple of its components.  It takes Python floats, a
+    (dimension,) point or a (dimension, n) block of n points, one per
+    column, real or complex (X2's Jacobian is read off a complex block, so
+    F must be analytic); on a block, w is a float or one value per column.
+    ``field(w, p)`` is ``np.array(rows(w, p))``: X2 is ``field(0.0, p)``,
+    and the rhs sum_a b_a(t) X_a(p) is ``field(b_1(t), p)`` (b_2 = 1,
+    b_3 = 0), with the same guards and order of summation as the generator
+    sum, so the two agree bit for bit (the tests hold them equal).  A column
+    of a real block gets the bits of the same point alone, and of the same
+    point as floats, so fields write x^3 as x * x * x: numpy's x**3 may round
+    a scalar otherwise than an array.  The generators remain the source of
+    truth for the algebra and rank checks.  ``singular_coords`` are state
+    indices whose vanishing is a genuine singularity.  ``invariants`` maps
+    the name of each first integral of the system to a function of its
+    state vector.
     """
 
     name: str
@@ -90,6 +93,7 @@ class SystemDef:
     coefficients: Tuple[Callable[[float], float], ...]
     constants: StructureConstants
     field: Callable[[float, np.ndarray], np.ndarray]
+    rows: Callable[[float, np.ndarray], tuple]
     singular_coords: Tuple[int, ...] = ()
     invariants: dict = dataclasses.field(default_factory=dict)
     params: dict = dataclasses.field(default_factory=dict)
@@ -97,24 +101,45 @@ class SystemDef:
     def rhs(self, t, p):
         """sum_a b_a(t) X_a(p), evaluated as ``field(b_1(t), p)``, at a
         (dimension,) point or on each column of a (dimension, n) block, at
-        one time t or at an array of n times, one per column."""
+        one time t or at an array of n times, one per column.
+
+        A list is a solve's float form: p a list of dimension * n Python
+        floats, entry i * n + j component i of lane j, gives a list in the
+        same layout, ``rows`` run on each lane's floats.  A call whose
+        floats raise ArithmeticError (0.0 / 0.0 where numpy gives NaN) or
+        SingularityError is evaluated again on the block, so it gives the
+        block's bits, or its error naming the lane."""
+        w = self.coefficients[0](t)
+        if p.__class__ is list:
+            n, rest = divmod(len(p), self.dimension)
+            if not rest:
+                rows = self.rows
+                try:
+                    if n == 1:
+                        return list(rows(w, p))
+                    lanes = [rows(w, p[j::n]) for j in range(n)]
+                    return [x for component in zip(*lanes) for x in component]
+                except (ArithmeticError, SingularityError):
+                    block = np.array(p, dtype=float).reshape(
+                        (self.dimension, n) if n > 1 else -1)
+                    return self.field(w, block).reshape(-1).tolist()
         p = np.asarray(p, dtype=float)
         if p.shape != (self.dimension,) and (p.ndim != 2 or len(p) != self.dimension):
             raise DimensionMismatchError(
                 f"point of shape {p.shape} on a system of dimension {self.dimension}"
             )
-        return self.field(self.coefficients[0](t), p)
+        return self.field(w, p)
 
     def integrate(self, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
         return integrate(self.rhs, y0, t_span, abs_tol, rel_tol,
-                         singular_coords=self.singular_coords)
+                         singular_coords=self.singular_coords, float_form=True)
 
     def integrate_lanes(self, states, t_span, abs_tol=DEFAULT_ABS_TOL,
                         rel_tol=DEFAULT_REL_TOL):
         """One trajectory per state, from one solve of the states as lanes
         (the diagonal prolongation of this system to len(states) copies)."""
         return integrate_lanes(self.rhs, states, t_span, abs_tol, rel_tol,
-                               singular_coords=self.singular_coords)
+                               singular_coords=self.singular_coords, float_form=True)
 
     def sample_domain(self, rng, count=1, low=-2.0, high=2.0, guard=0.1,
                       half_plane=1):
@@ -149,7 +174,7 @@ def _guard(x, what):
     return x
 
 
-def _second_order(name, omega, letter, positions, velocities, field,
+def _second_order(name, omega, letter, positions, velocities, rows,
                   singular_coords=(), invariants=None, **params):
     """The SystemDef of x_i'' = -omega^2(t) x_i + F_i(x), whose positions x_i
     and velocities v_i sit at the state indices ``positions`` and
@@ -158,8 +183,8 @@ def _second_order(name, omega, letter, positions, velocities, field,
         X1 = sum_i x_i d/dv_i,    X2 = sum_i (v_i d/dx_i + F_i(x) d/dv_i),
         X3 = 1/2 sum_i (x_i d/dx_i - v_i d/dv_i),
 
-    with b = (-omega^2(t), 1, 0).  ``field`` is the factory's w X1 + X2
-    (SystemDef.field), and ``params`` go to SystemDef.params beside the
+    with b = (-omega^2(t), 1, 0).  ``rows`` is the factory's w X1 + X2
+    (SystemDef.rows), and ``params`` go to SystemDef.params beside the
     frequency's description.  X2's Jacobian is the complex step
     Im field(0, p + i h e_j) / h in each direction e_j, one block call for a
     point or a block of them: exact to rounding, as no difference cancels
@@ -175,6 +200,9 @@ def _second_order(name, omega, letter, positions, velocities, field,
     j1[vel, pos] = 1.0
     j1.flags.writeable = j3.flags.writeable = False
     steps = 1j * _COMPLEX_STEP * np.eye(n)
+
+    def field(w, p):
+        return np.array(rows(w, p))
 
     def x1(p):
         out = np.zeros_like(p)
@@ -198,7 +226,7 @@ def _second_order(name, omega, letter, positions, velocities, field,
     return SystemDef(
         name=name, dimension=n, generators=generators,
         coefficients=(lambda t: -omega(t), lambda t: 1.0, lambda t: 0.0),
-        constants=sl2_constants(), field=field,
+        constants=sl2_constants(), field=field, rows=rows,
         singular_coords=tuple(singular_coords), invariants=invariants or {},
         params={**params, "frequency": omega.description},
     )
@@ -207,35 +235,35 @@ def _second_order(name, omega, letter, positions, velocities, field,
 def oscillator_1d(omega: FrequencyProfile) -> SystemDef:
     """1-dim harmonic oscillator with time-dependent frequency, state (x, v)."""
 
-    def field(w, p):
-        return np.array([p[1], w * p[0]])
+    def rows(w, p):
+        return p[1], w * p[0]
 
-    return _second_order("oscillator_1d", omega, "X", (0,), (1,), field)
+    return _second_order("oscillator_1d", omega, "X", (0,), (1,), rows)
 
 
 def oscillator_2d(omega: FrequencyProfile) -> SystemDef:
     """Isotropic 2-dim oscillator, state (x1, v1, x2, v2): the diagonal
     prolongation of the 1-dim one, with the angular momentum as invariant."""
 
-    def field(w, p):
-        return np.array([p[1], w * p[0], p[3], w * p[2]])
+    def rows(w, p):
+        return p[1], w * p[0], p[3], w * p[2]
 
     return _second_order(
-        "oscillator_2d", omega, "X", (0, 2), (1, 3), field,
+        "oscillator_2d", omega, "X", (0, 2), (1, 3), rows,
         invariants={"angular_momentum": lambda s: angular_momentum(*s[:4])})
 
 
 def milne_pinney(omega: FrequencyProfile, k: float) -> SystemDef:
     """Isotonic oscillator x'' = -omega^2(t) x + k / x^3, state (x, v)."""
-    def field(w, p):
+    def rows(w, p):
         x = _guard(p[0], "Milne-Pinney field")
-        return np.array([p[1], w * x + k / (x * x * x)])
+        return p[1], w * x + k / (x * x * x)
 
-    def free_field(w, p):  # k = 0: no force, so x = 0 is regular
-        return np.array([p[1], w * p[0]])
+    def free_rows(w, p):  # k = 0: no force, so x = 0 is regular
+        return p[1], w * p[0]
 
     return _second_order("milne_pinney", omega, "L", (0,), (1,),
-                         field if k != 0.0 else free_field,
+                         rows if k != 0.0 else free_rows,
                          (0,) if k != 0.0 else (), k=k)
 
 
@@ -247,14 +275,13 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions) -> Syst
     f, g = shapes.f, shapes.g
     what = "generalized Ermakov field"
 
-    def field(w, p):
+    def rows(w, p):
         x, y = _guard(p[0], what), _guard(p[2], what)
         u = y / x
-        return np.array([p[1], w * x + f(u) / (x * x * x),
-                         p[3], w * y + g(u) / (y * y * y)])
+        return p[1], w * x + f(u) / (x * x * x), p[3], w * y + g(u) / (y * y * y)
 
     return _second_order(
-        "generalized_ermakov", omega, "N", (0, 2), (1, 3), field, (0, 2), shapes=shapes,
+        "generalized_ermakov", omega, "N", (0, 2), (1, 3), rows, (0, 2), shapes=shapes,
         invariants={"generalized": lambda s: generalized_invariant(
             s[0], s[2], s[1], s[3], shapes)})
 
@@ -262,12 +289,12 @@ def generalized_ermakov(omega: FrequencyProfile, shapes: ShapeFunctions) -> Syst
 def ermakov(omega: FrequencyProfile) -> SystemDef:
     """Oscillator in x coupled to a k = 1 Pinney block in y, state (x, vx, y, vy)."""
 
-    def field(w, p):
+    def rows(w, p):
         y = _guard(p[2], "Ermakov field")
-        return np.array([p[1], w * p[0], p[3], w * y + 1.0 / (y * y * y)])
+        return p[1], w * p[0], p[3], w * y + 1.0 / (y * y * y)
 
     return _second_order(
-        "ermakov", omega, "X", (0, 2), (1, 3), field, (2,),
+        "ermakov", omega, "X", (0, 2), (1, 3), rows, (2,),
         invariants={"lewis_ermakov": lambda s: lewis_ermakov(s[0], s[2], s[1], s[3])})
 
 
@@ -276,16 +303,16 @@ def pinney_triple(omega: FrequencyProfile, k: float) -> SystemDef:
 
     State (x, y, z, vx, vy, vz); six-dimensional with three joint integrals.
     """
-    def field(w, p):
+    def rows(w, p):
         x = _guard(p[0], "Pinney-triple field")
-        return np.array([p[3], p[4], p[5], w * x + k / (x * x * x), w * p[1], w * p[2]])
+        return p[3], p[4], p[5], w * x + k / (x * x * x), w * p[1], w * p[2]
 
-    def free_field(w, p):  # k = 0: no force, so x = 0 is regular
-        return np.array([p[3], p[4], p[5], w * p[0], w * p[1], w * p[2]])
+    def free_rows(w, p):  # k = 0: no force, so x = 0 is regular
+        return p[3], p[4], p[5], w * p[0], w * p[1], w * p[2]
 
     return _second_order(
         "pinney_triple", omega, "N", (0, 1, 2), (3, 4, 5),
-        field if k != 0.0 else free_field, (0,) if k != 0.0 else (), k=k,
+        rows if k != 0.0 else free_rows, (0,) if k != 0.0 else (), k=k,
         invariants={name: lambda s, i=i: ermakov_pair_invariants(s, k)[i]
                     for i, name in enumerate(("pair_i1", "pair_i2", "wronskian"))})
 

@@ -1,11 +1,13 @@
-"""Plant a relative defect of 1e-12 in each closed form and check that tier-1
-sees it.
+"""Plant a relative defect of 1e-12 in each closed form, and a wrong lane
+order in the solver's float form of the fields, and check that tier-1 sees
+each.
 
     python3 tests/plant_defects.py SCRATCH_DIR [NAME ...]
 
 For each entry of DEFECTS (all of them, or the NAMEs given) the script
 copies this checkout into SCRATCH_DIR/NAME, replaces one text in one source
-file by the same expression times (1 + 1e-12), and runs tier-1 there without
+file by the same expression times (1 + 1e-12), or by its lanes in reverse
+order (float_form_lane_order), and runs tier-1 there without
 the byte-manifest test, which would see any moved output and so shows
 nothing.  It prints the tests that fail on the defect and passed on a clean
 copy, run first.  It exits 1 if a defect fails no test, and 2 if a clean
@@ -68,6 +70,9 @@ DEFECTS = {
     "keys_from": (
         "superposition.py", "return x * v2 - x2 * v, x1 * v - v1 * x",
         f"return (x * v2 - x2 * v){F}, (x1 * v - v1 * x){F}"),
+    "float_form_lane_order": (
+        "systems.py", "lanes = [rows(w, p[j::n]) for j in range(n)]",
+        "lanes = [rows(w, p[j::n]) for j in range(n)][::-1]"),
 }
 
 

@@ -11,8 +11,10 @@ import os
 import pathlib
 import re
 import runpy
+import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 
 import numpy as np
@@ -1149,6 +1151,77 @@ def test_a_mutated_scenario_ends_in_a_documented_way(tmp_path, capsys, monkeypat
         assert len(summaries) == 1
         assert [value for value in _leaves(summaries[0]) if value in NON_FINITE
                 or isinstance(value, float) and not math.isfinite(value)] == []
+
+
+# Finite scenarios whose derivative at t0 is NaN: inf / inf once x^3 and
+# (y / x)^2 overflow, or 0 / 0 once x^3 underflows.  No exit of the solver's
+# step loop held for NaN, and each ran until it was killed.
+NAN_AT_T0 = {
+    "quadratic_overflow": {
+        "pipeline": "integrate", "t_span": [0.0, 10.0],
+        "system": {"name": "generalized_ermakov", "shapes": "quadratic"},
+        "initial_states": [[1e103, 0.0, 1e300, 0.0]]},
+    "quadratic_overflow_drift": {
+        "pipeline": "drift", "invariant": "generalized", "t_span": [0.0, 10.0],
+        "system": {"name": "generalized_ermakov", "shapes": "quadratic"},
+        "initial_states": [[1e103, 0.0, 1e300, 0.0]]},
+    "zero_one_underflow": {
+        "pipeline": "integrate", "t_span": [0.0, 10.0],
+        "system": {"name": "generalized_ermakov", "shapes": "zero_one"},
+        "initial_states": [[1e-110, 0.0, 1.0, 0.0]]},
+}
+
+
+def test_a_nan_derivative_at_t0_exits_1_at_t0_at_once(tmp_path):
+    # in a subprocess under a timeout, so that a hang fails the test; each
+    # run is timed inside it, past the interpreter's start
+    code = textwrap.dedent("""
+        import sys, time
+        from liesys import cli
+        out, *paths = sys.argv[1:]
+        for path in paths:
+            start = time.perf_counter()
+            status = cli.main(["run", path, "--out", out])
+            print(status, time.perf_counter() - start)
+    """)
+    paths = [write_scenario(tmp_path, scn, f"{name}.json") for name, scn in NAN_AT_T0.items()]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.abspath(os.path.join(SCENARIO_DIR, os.pardir, "src"))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), *paths],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.split("\n")[:-1]
+    assert len(lines) == len(NAN_AT_T0)
+    for name, line in zip(NAN_AT_T0, lines):
+        status, seconds = line.split()
+        assert status == "1" and float(seconds) < 1.0, (name, line)
+        summary = json.loads((tmp_path / f"{name}_summary.json").read_text())
+        assert summary["pass"] is False and summary["last_good_time"] == 0.0, name
+        assert "not finite" in summary["error"]
+
+
+def test_no_liesys_path_reads_a_trajectory_outside_its_span(tmp_path, monkeypatch,
+                                                           capsys):
+    # a solve's trajectory raises there; a closed form's would not, and a
+    # caught error would hide the read, so every read is watched
+    reads, outside = [0], []
+    dense = integrate_module.Trajectory.dense
+
+    def spy(self, t):
+        reads[0] += 1
+        flat = np.asarray(t, dtype=float).reshape(-1)
+        if not ((flat >= self.times[0]) & (flat <= self.times[-1])).all():
+            outside.append((self.times[0], self.times[-1], t))
+        return dense(self, t)
+    monkeypatch.setattr(integrate_module.Trajectory, "dense", spy)
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        assert run_scenario(name, tmp_path, ["--seed", "0"]) == 0, name
+    for criterion in acceptance.ALL_CRITERIA:
+        assert criterion(seed=0).passed
+    assert reads[0] > 100
+    assert outside == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,8 +19,9 @@ from liesys import (DimensionMismatchError, IntegrationError, QuadratureError,
                     tau_reparametrization, two_plus_sin)
 from liesys import _dop853
 from liesys.group import Sl2Vector, solve_group_equation
-from liesys.integrate import EPS, FREQUENCY_PROFILES, _brentq, lane_error_norm
-from liesys.systems import SHAPE_FUNCTIONS
+from liesys.integrate import (EPS, FLOAT_LANES, FREQUENCY_PROFILES, SINGULARITY_RADIUS,
+                               _brentq, lane_error_norm)
+from liesys.systems import SHAPE_FUNCTIONS, SystemDef
 from test_systems import linear_g_shapes
 
 # the module, not the function the package re-exports under the same name
@@ -186,10 +187,17 @@ def assert_lanes_equal_reference(rhs, states, t_span, probe_times):
     if t_span[1] < t_span[0]:
         times, stacked = times[::-1], stacked[:, ::-1]
     dense = sol.sol(probe_times)
+    # outside the span the solve's own dense output extrapolates as scipy's
+    # does, and the trajectory refuses to read it
+    inside = (probe_times >= min(t_span)) & (probe_times <= max(t_span))
     for j, lane in enumerate(lanes):
         assert np.array_equal(lane.times, times)
         assert np.array_equal(lane.states, stacked[j::n].T)
-        assert np.array_equal(lane.dense(probe_times), dense[j::n].T)
+        assert np.array_equal(lane.dense(probe_times[inside]), dense[j::n, inside].T)
+        assert np.array_equal(lane._solve(probe_times[~inside], j), dense[j::n, ~inside].T)
+        if not inside.all():
+            with pytest.raises(ValueError, match="outside the span"):
+                lane.dense(probe_times)
         assert lane.nfev == sol.nfev
 
 
@@ -282,6 +290,149 @@ def test_coefficients_are_scipys():
                               getattr(dop853_coefficients, name)), name
     assert np.array_equal(_dop853.A_EXTRA, DOP853.A_EXTRA)
     assert np.array_equal(_dop853.C_EXTRA, DOP853.C_EXTRA)
+
+
+# --- the float form of a field's owner ---------------------------------------
+
+def _rhs_point_types(monkeypatch):
+    """The class of the point of every SystemDef.rhs call from here on (a
+    hundred thousand calls fail the test: a solve that never stops)."""
+    seen = []
+    rhs = SystemDef.rhs
+
+    def spy(self, t, p):
+        seen.append(p.__class__)
+        assert len(seen) < 100_000, "the solve does not stop"
+        return rhs(self, t, p)
+    monkeypatch.setattr(SystemDef, "rhs", spy)
+    return seen
+
+
+def test_a_systems_solve_on_floats_is_its_solve_on_blocks(monkeypatch):
+    # SystemDef's solves declare the float form; a generic rhs (the same
+    # method, undeclared) steps on blocks.  Steps, states, nfev and dense
+    # output are the same bits, or the same abort: the float form evaluates
+    # a call that meets x = 0 again on the block, so the abort's time and
+    # message (its lane) are the block's.  Up to FLOAT_LANES lanes each step
+    # stage is a list
+    def solve(call):
+        try:
+            return call()
+        except IntegrationError as exc:  # a lane fell into a singularity
+            return exc.last_time, str(exc)
+
+    rng = np.random.default_rng(21)
+    seen = _rhs_point_types(monkeypatch)
+    falling = milne_pinney(two_plus_sin(), -1.0)  # an attracting 1/x^3: x falls to 0
+    for lanes in (1, FLOAT_LANES, FLOAT_LANES + 1):
+        cases = [(sysd, sysd.sample_domain(rng, lanes).tolist(),
+                  (0.0, 2.0) if i % 2 else (2.0, 0.0))
+                 for i, sysd in enumerate(_block_systems())]
+        cases.append((falling, [[1.0 + 0.2 * j, 0.3] for j in range(1, lanes)]
+                      + [[0.5, -1.0]], (0.0, 5.0)))
+        for sysd, states, span in cases:
+            seen.clear()
+            got = solve(lambda: sysd.integrate_lanes(states, span))
+            assert (list in seen) == (lanes <= FLOAT_LANES), sysd.name
+            want = solve(lambda: integrate_lanes(sysd.rhs, states, span,
+                                                 singular_coords=sysd.singular_coords))
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            probes = rng.uniform(0.0, 2.0, 20)
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g.times, w.times)
+                assert np.array_equal(g.states, w.states)
+                assert g.nfev == w.nfev
+                assert np.array_equal(g.dense(probes), w.dense(probes))
+        assert isinstance(got, tuple)  # the falling lane's abort
+
+
+def test_a_lane_aborts_where_x_first_reaches_the_singularity_radius(monkeypatch):
+    # once on floats (one lane), once above the float bound (blocks): the
+    # falling lane, the last, is at |x| = SINGULARITY_RADIUS at the abort,
+    # read off the same lanes solved without the guard up to that time
+    sysd = milne_pinney(two_plus_sin(), -1.0)
+    seen = _rhs_point_types(monkeypatch)
+    for lanes in (1, FLOAT_LANES + 1):
+        states = [[1.0 + 0.2 * j, 0.3] for j in range(1, lanes)] + [[0.5, -1.0]]
+        seen.clear()
+        with pytest.raises(IntegrationError) as abort:
+            sysd.integrate_lanes(states, (0.0, 5.0))
+        assert (list in seen) == (lanes == 1)
+        if lanes > 1:
+            assert f"in lane {lanes - 1} at" in str(abort.value)
+        t = abort.value.last_time
+        falling = integrate_lanes(sysd.rhs, states, (0.0, t))[-1]
+        x = falling.dense(t)[0]
+        assert abs(abs(x) / SINGULARITY_RADIUS - 1.0) < 1e-3
+        assert np.all(np.abs(falling.states[:-1, 0]) > SINGULARITY_RADIUS)
+
+
+# --- the ends of a solve -------------------------------------------------------
+
+@pytest.mark.parametrize("name, value", [
+    ("abs_tol", math.nan), ("abs_tol", math.inf), ("rel_tol", math.nan),
+    ("rel_tol", math.inf), ("t_span", (0.0, math.nan)), ("t_span", (math.nan, 1.0)),
+    ("t_span", (0.0, math.inf)), ("t_span", (-math.inf, 0.0))])
+def test_a_non_finite_tolerance_or_span_raises(name, value, monkeypatch):
+    sysd = oscillator_1d(constant_frequency(1.0))
+    _rhs_point_types(monkeypatch)  # a solve that never stops fails
+    args = {"abs_tol": TOL, "rel_tol": TOL, "t_span": (0.0, 1.0), name: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rel_tol = inf warns no numpy warning
+        for solve in (lambda: integrate_lanes(sysd.rhs, [[1.0, 0.0]], args["t_span"],
+                                              args["abs_tol"], args["rel_tol"]),
+                      lambda: sysd.integrate([1.0, 0.0], args["t_span"],
+                                             args["abs_tol"], args["rel_tol"])):
+            with pytest.raises(ValueError, match=name):
+                solve()
+
+
+@pytest.mark.parametrize("sysd", [
+    milne_pinney(constant_frequency(math.nan), 1.0), milne_pinney(two_plus_sin(), math.nan),
+    ermakov(constant_frequency(math.inf)),
+    generalized_ermakov(two_plus_sin(), SHAPE_FUNCTIONS["zero_one"]())],
+    ids=["nan_frequency", "nan_k", "inf_frequency", "underflowing_x_cubed"])
+def test_a_non_finite_derivative_at_t0_ends_the_solve_there(sysd, monkeypatch):
+    # NaN from the parameters, inf - inf, or 0 / 0 once x^3 underflows
+    state = [1e-110, 0.0, 1.0, 0.0] if sysd.dimension == 4 else [1.0, 0.0]
+    seen = _rhs_point_types(monkeypatch)
+    for lanes in (1, FLOAT_LANES + 1):
+        seen.clear()
+        with np.errstate(all="ignore"):
+            with pytest.raises(IntegrationError, match="not finite") as exc:
+                sysd.integrate_lanes([state] * lanes, (2.0, 7.0))
+        assert exc.value.last_time == 2.0
+
+
+def test_a_nan_step_size_ends_the_solve(monkeypatch):
+    # a NaN step size takes the step loop's exit; the calls are counted, so
+    # that a hang fails the test
+    monkeypatch.setattr(integrate_module, "_initial_step", lambda *args: math.nan)
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        assert calls[0] < 10_000, "the solve does not stop"
+        return np.array([y[1], -y[0]])
+    with pytest.raises(IntegrationError, match="less than spacing") as exc:
+        integrate(rhs, [1.0, 0.0], (0.0, 1.0), TOL, TOL)
+    assert exc.value.last_time == 0.0
+
+
+def test_a_solves_dense_output_refuses_times_outside_its_span():
+    # over [0, 1], the last step extrapolated to t = 5 reads (-3.99, 6.60),
+    # where the state is (cos 5, -sin 5) = (0.28, 0.96)
+    osc = oscillator_1d(constant_frequency(1.0))
+    for span in ((0.0, 1.0), (1.0, 0.0)):
+        traj = osc.integrate([1.0, 0.0], span)
+        for t in (5.0, -1e-9, 1.0 + 1e-9, [0.5, math.nan], [[0.2], [1.5]]):
+            with pytest.raises(ValueError, match=r"outside the span \[0, 1\]"):
+                traj.dense(t)
+        assert np.array_equal(traj.dense([0.0, 1.0]), traj.states[[0, -1]])
+        s = 0.5 - span[0]
+        assert np.allclose(traj.dense(0.5), [math.cos(s), -math.sin(s)])
 
 
 def test_step_budget_stops_a_long_solve(monkeypatch):

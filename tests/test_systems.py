@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from liesys import (DimensionMismatchError, ShapeFunctions, SingularityError,
@@ -8,6 +12,7 @@ from liesys import (DimensionMismatchError, ShapeFunctions, SingularityError,
                     oscillator_2d, pinney_triple, prolonged_rank,
                     quadratic_shapes, step_frequency,
                     sl2_constants, two_plus_sin, verify_algebra, zero_one_shapes)
+from liesys.integrate import FLOAT_LANES
 from liesys.systems import _COMPLEX_STEP, SHAPE_FUNCTIONS, SYSTEM_FACTORIES
 from liesys.vectorfield import PROBES_PER_LEVEL, RANK_TOL
 
@@ -376,3 +381,53 @@ def test_generator_jacobians_match_central_differences(case):
                                        for e in h * np.eye(sysd.dimension)])
             assert_allclose(X.jacobian(p), central, rtol=1e-6, atol=1e-6,
                             err_msg=f"{case} {X.name} at {p}")
+
+
+# --- the solver's float form against the block -------------------------------
+# A solve of at most FLOAT_LANES lanes hands SystemDef.rhs its stages as a list
+# of Python floats, stacked component-major; the list it returns must hold the
+# block's values bit for bit, NaNs and signs included, or it must raise as the
+# block does.
+
+FLOAT_FORM_CASES = {
+    "oscillator_1d": oscillator_1d(two_plus_sin()),
+    "oscillator_2d": oscillator_2d(two_plus_sin()),
+    "ermakov": ermakov(two_plus_sin()),
+    **{f"milne_pinney-k{k}": milne_pinney(two_plus_sin(), float(k)) for k in (0, 1)},
+    **{f"pinney_triple-k{k}": pinney_triple(two_plus_sin(), float(k)) for k in (0, 1)},
+    **{f"generalized_ermakov-{name}": generalized_ermakov(two_plus_sin(), shapes())
+       for name, shapes in SHAPE_FUNCTIONS.items()},
+}
+# finite values, and the edges where floats and numpy part: overflow to inf,
+# x^3 underflowing to 0 (1e-110), 0 itself, inf and NaN
+STATE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 1e-110, 1e300, -1e300, 1e-300, -1e-300,
+                     math.inf, -math.inf, math.nan]))
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except Exception as exc:  # the block's own error, to be raised alike
+        return None, (type(exc), str(exc))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(sorted(FLOAT_FORM_CASES)), st.integers(1, FLOAT_LANES),
+       st.floats(0.0, 10.0), st.data())
+def test_the_float_form_is_the_block_bit_for_bit(case, lanes, t, data):
+    assert {s.name for s in FLOAT_FORM_CASES.values()} == set(SYSTEM_FACTORIES)
+    sysd = FLOAT_FORM_CASES[case]
+    d = sysd.dimension
+    stacked = data.draw(st.lists(STATE_VALUES, min_size=d * lanes, max_size=d * lanes))
+    block = np.array(stacked) if lanes == 1 else np.reshape(stacked, (d, lanes))
+    with np.errstate(all="ignore"):
+        want, want_error = _outcome(lambda: sysd.rhs(t, block))
+        got, got_error = _outcome(lambda: sysd.rhs(t, list(stacked)))
+    assert got_error == want_error
+    if want_error is None:
+        assert got.__class__ is list and all(x.__class__ is float for x in got)
+        got, want = np.array(got), want.reshape(-1)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
