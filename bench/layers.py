@@ -7,7 +7,8 @@ liesys is imported from the ``src/`` of the checkout that holds this script.
 Each timing is the best of REPEAT runs of one layer:
 
 - ``rhs``: one ``SystemDef.rhs`` call per system on a 1-lane and on a 5-lane
-  state, in the solver's float form (a list of Python floats) and on arrays;
+  state, in the solver's float form (a list of Python floats and the lane
+  count, or the bare list where rhs takes no lane count) and on arrays;
   ``calls`` is the number of calls each run times, and the time is per call;
 - ``solve``: one adaptive solve per system over [0, 20] under
   ``two_plus_sin``, of 1 and of 5 lanes, through ``SystemDef.integrate_lanes``;
@@ -89,20 +90,23 @@ def measure(src=os.path.join(ROOT, "src"), quick=False):
     solve_span, crossover_span = ((0.0, 1.0),) * 2 if quick else (SOLVE_SPAN, CROSSOVER_SPAN)
     build = {name: cli.build_system({"name": name, "frequency": "two_plus_sin"})
              for name in systems}
+    # an older checkout's rhs takes the bare list as its float form
+    lane_count = "lanes" in inspect.signature(build[systems[0]].rhs).parameters
     rows = []
     for name, sysd in build.items():
         for lanes in RHS_LANES:
             stacked = np.array(_states(sysd, np, lanes, 0)).T
             block = stacked[:, 0] if lanes == 1 else stacked
-            points = {"array": block}
+            points = {"array": (block,)}
             if float_form:
-                points["float"] = block.reshape(-1).tolist()
+                points["float"] = (block.reshape(-1).tolist(),) + (
+                    (lanes,) if lane_count else ())
             for form, p in points.items():
                 rhs = sysd.rhs
 
                 def loop(p=p, rhs=rhs):
                     for _ in range(calls):
-                        rhs(0.7, p)
+                        rhs(0.7, *p)
                 best, _ = _best(loop, repeat)
                 rows.append({"layer": "rhs", "system": name, "lanes": lanes,
                              "form": form, "calls": calls, "us": 1e6 * best / calls})

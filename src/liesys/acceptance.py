@@ -234,6 +234,9 @@ def _random_point(rng):
     return rng.uniform(0.2, 2.0) * (-1.0, 1.0)[rng.integers(2)], rng.uniform(-2.0, 2.0)
 
 
+SIGN_CHECKS = 1000  # criterion 8's sign-check draws, of which more than 900 must be valid
+
+
 def criterion_8(seed=0):
     """Pinney action sanity: identity, sign preservation, fundamental fields."""
     rng = np.random.default_rng(seed)
@@ -249,7 +252,7 @@ def criterion_8(seed=0):
 
     basis = [G.Sl2Vector(1, 0, 0), G.Sl2Vector(0, 1, 0), G.Sl2Vector(0, 0, 1)]
     *s, x, v = np.array([(*rng.uniform(-1.5, 1.5, size=3), *_random_point(rng))
-                         for _ in range(1000)]).T
+                         for _ in range(SIGN_CHECKS)]).T
     g = (G.sl2_exp(basis[0], s[0]) @ G.sl2_exp(basis[1], s[1])
          @ G.sl2_exp(basis[2], s[2]))
     try:
@@ -273,7 +276,7 @@ def criterion_8(seed=0):
     ok = err_id < 1e-12 and signs_ok and valid > 900 and err_ff < 1e-5
     return CriterionResult(
         8, "Pinney action sanity", ok,
-        f"identity error {err_id:.2e}, {valid}/1000 valid sign checks "
+        f"identity error {err_id:.2e}, {valid}/{SIGN_CHECKS} valid sign checks "
         f"({'all preserved' if signs_ok else 'VIOLATED'}), "
         f"fundamental-field error {err_ff:.2e}",
         ["check", "value"],

@@ -391,22 +391,22 @@ def _stage_plan(K):
 def _rk_step(fun, t, y, f, h, K, plan, floats):
     """One step of size h from (t, y), where f = fun(t, y): the 8th-order
     state at t + h and its derivative.  The 13 stages are left in K, whose
-    ``_stage_plan`` is ``plan``.  With ``floats`` fun takes and gives the
-    stacked states as lists of Python floats: a stage state is still
-    y + (A row . K) h, its products BLAS's and each entry's two roundings
-    numpy's."""
+    ``_stage_plan`` is ``plan``.  With ``floats`` lanes (0: none) fun takes
+    the stacked states as lists of Python floats and that lane count, and
+    gives a list: a stage state is still y + (A row . K) h, its products
+    BLAS's and each entry's two roundings numpy's."""
     stages, before_b = plan
     K[0] = f
     if floats:
         yl = y.tolist()
         for s, (before, a, c) in enumerate(stages, start=1):
             K[s] = fun(t + c * h, [yi + di * h for yi, di in
-                                   zip(yl, np.dot(before, a).tolist())])
+                                   zip(yl, np.dot(before, a).tolist())], floats)
     else:
         for s, (before, a, c) in enumerate(stages, start=1):
             K[s] = fun(t + c * h, y + np.dot(before, a) * h)
     y_new = y + h * np.dot(before_b, rk.B)
-    f_new = fun(t + h, y_new.tolist() if floats else y_new)
+    f_new = fun(t + h, y_new.tolist(), floats) if floats else fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
 
@@ -577,10 +577,10 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard, floats):
     """Adaptive DOP853 from (t0, y0) to t1: the accepted times, the states
     (one row per time), the list of each accepted step's 13 stages, and the
     number of fun calls.  ``floats``, unless None, is fun on the stacked
-    state as a list of Python floats, giving a list: the steps' stages call
-    it (see _rk_step).  Raises IntegrationError with the last good time
-    when the derivative at t0 is not finite (t0 is then the last good
-    time), when the step size underflows or is NaN, when an entry of the
+    state as a list of Python floats and the lane count, giving a list: the
+    steps' stages call it (see _rk_step).  Raises IntegrationError with the
+    last good time when the derivative at t0 is not finite (t0 is then the
+    last good time), when the step size underflows or is NaN, when an entry of the
     state that ``guard`` indexes (None: no entry) comes within
     SINGULARITY_RADIUS of zero (``block`` then builds the dense output of
     that step, see _DenseOutput), or after MAX_STEPS steps short of t1.
@@ -598,7 +598,7 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard, floats):
     t, y = t0, y0
     ts, ys, Ks = [t], [y], []
     g = _guard_values(y, guard) if guard is not None else None
-    step = fun if floats is None else floats
+    step, float_lanes = (fun, 0) if floats is None else (floats, lanes)
     while True:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs < min_step:
@@ -616,7 +616,7 @@ def _dop853(fun, block, y0, t0, t1, rtol, atol, lanes, guard, floats):
                 t_new = t1
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new = _rk_step(step, t, y, f, h, K, plan, floats is not None)
+            y_new, f_new = _rk_step(step, t, y, f, h, K, plan, float_lanes)
             nfev += rk.N_STAGES
             scale = atol + np.maximum(abs_y, np.abs(y_new)) * rtol
             error_norm = lane_error_norm(K, h, scale, lanes)
@@ -666,11 +666,12 @@ def integrate_lanes(rhs, states, t_span, abs_tol=DEFAULT_ABS_TOL,
     column, for a single state too; each column of the result must be
     that column's derivative at its own time, bit for bit as on that
     column alone.  The error control is ``lane_error_norm``.
-    ``float_form`` declares that ``rhs`` also takes the stacked state as a
-    list of d * n Python floats, entry i * n + j component i of lane j, and
-    gives a list in the same layout, bit for bit the block's values (as
-    ``SystemDef.rhs`` does); a solve of at most FLOAT_LANES lanes then hands
-    it each stage that way.  ``singular_coords`` lists state indices whose
+    ``float_form`` declares that ``rhs`` also takes (t, floats, n): the
+    stacked state as a list of d * n Python floats, entry i * n + j
+    component i of lane j, and the lane count n; it gives a list in the
+    same layout, bit for bit the block's values (as ``SystemDef.rhs``
+    does).  A solve of at most FLOAT_LANES lanes then hands it each stage
+    that way.  ``singular_coords`` lists state indices whose
     approach within SINGULARITY_RADIUS of zero, in any lane, aborts the
     solve (Pinney-type 1/x^3 terms).  Raises IntegrationError carrying the
     last good time on abort (the message names the lane), on failure (a

@@ -74,17 +74,16 @@ class SystemDef:
     (dimension,) point or a (dimension, n) block of n points, one per
     column, real or complex (X2's Jacobian is read off a complex block, so
     F must be analytic); on a block, w is a float or one value per column.
-    ``field(w, p)`` is ``np.array(rows(w, p))``: X2 is ``field(0.0, p)``,
-    and the rhs sum_a b_a(t) X_a(p) is ``field(b_1(t), p)`` (b_2 = 1,
-    b_3 = 0), with the same guards and order of summation as the generator
-    sum, so the two agree bit for bit (the tests hold them equal).  A column
-    of a real block gets the bits of the same point alone, and of the same
-    point as floats, so fields write x^3 as x * x * x: numpy's x**3 may round
-    a scalar otherwise than an array.  The generators remain the source of
-    truth for the algebra and rank checks.  ``singular_coords`` are state
-    indices whose vanishing is a genuine singularity.  ``invariants`` maps
-    the name of each first integral of the system to a function of its
-    state vector.
+    X2 is ``rows(0.0, p)``, and the rhs sum_a b_a(t) X_a(p) is
+    ``rows(b_1(t), p)`` (b_2 = 1, b_3 = 0), with the same guards and order
+    of summation as the generator sum, so the two agree bit for bit (the
+    tests hold them equal).  A column of a real block gets the bits of the
+    same point alone, and of the same point as floats, so fields write x^3
+    as x * x * x: numpy's x**3 may round a scalar otherwise than an array.
+    The generators remain the source of truth for the algebra and rank
+    checks.  ``singular_coords`` are state indices whose vanishing is a
+    genuine singularity.  ``invariants`` maps the name of each first
+    integral of the system to a function of its state vector.
     """
 
     name: str
@@ -92,43 +91,42 @@ class SystemDef:
     generators: Tuple[VectorField, ...]
     coefficients: Tuple[Callable[[float], float], ...]
     constants: StructureConstants
-    field: Callable[[float, np.ndarray], np.ndarray]
     rows: Callable[[float, np.ndarray], tuple]
     singular_coords: Tuple[int, ...] = ()
     invariants: dict = dataclasses.field(default_factory=dict)
     params: dict = dataclasses.field(default_factory=dict)
 
-    def rhs(self, t, p):
-        """sum_a b_a(t) X_a(p), evaluated as ``field(b_1(t), p)``, at a
-        (dimension,) point or on each column of a (dimension, n) block, at
-        one time t or at an array of n times, one per column.
+    def rhs(self, t, p, lanes=0):
+        """sum_a b_a(t) X_a(p), evaluated as ``np.array(rows(b_1(t), p))``,
+        at a (dimension,) point or on each column of a (dimension, n) block
+        (a list, a tuple or an array), at one time t or at an array of n
+        times, one per column.
 
-        A list is a solve's float form: p a list of dimension * n Python
-        floats, entry i * n + j component i of lane j, gives a list in the
-        same layout, ``rows`` run on each lane's floats.  A call whose
-        floats raise ArithmeticError (0.0 / 0.0 where numpy gives NaN) or
-        SingularityError is evaluated again on the block, so it gives the
-        block's bits, or its error naming the lane."""
+        ``lanes`` > 0 declares p a solve's float form of that many lanes: a
+        list of dimension * lanes Python floats, entry i * lanes + j
+        component i of lane j.  It gives a list in the same layout, ``rows``
+        run on each lane's floats.  A call whose floats raise
+        ArithmeticError (0.0 / 0.0 where numpy gives NaN) or SingularityError
+        is evaluated again on the block, so it gives the block's bits, or
+        its error naming the lane."""
         w = self.coefficients[0](t)
-        if p.__class__ is list:
-            n, rest = divmod(len(p), self.dimension)
-            if not rest:
-                rows = self.rows
-                try:
-                    if n == 1:
-                        return list(rows(w, p))
-                    lanes = [rows(w, p[j::n]) for j in range(n)]
-                    return [x for component in zip(*lanes) for x in component]
-                except (ArithmeticError, SingularityError):
-                    block = np.array(p, dtype=float).reshape(
-                        (self.dimension, n) if n > 1 else -1)
-                    return self.field(w, block).reshape(-1).tolist()
+        if lanes:
+            rows = self.rows
+            try:
+                if lanes == 1:
+                    return list(rows(w, p))
+                cols = [rows(w, p[j::lanes]) for j in range(lanes)]
+                return [x for component in zip(*cols) for x in component]
+            except (ArithmeticError, SingularityError):
+                block = np.array(p, dtype=float).reshape(
+                    (self.dimension, lanes) if lanes > 1 else -1)
+                return np.array(rows(w, block)).reshape(-1).tolist()
         p = np.asarray(p, dtype=float)
         if p.shape != (self.dimension,) and (p.ndim != 2 or len(p) != self.dimension):
             raise DimensionMismatchError(
                 f"point of shape {p.shape} on a system of dimension {self.dimension}"
             )
-        return self.field(w, p)
+        return np.array(self.rows(w, p))
 
     def integrate(self, y0, t_span, abs_tol=DEFAULT_ABS_TOL, rel_tol=DEFAULT_REL_TOL):
         return integrate(self.rhs, y0, t_span, abs_tol, rel_tol,
@@ -186,7 +184,7 @@ def _second_order(name, omega, letter, positions, velocities, rows,
     with b = (-omega^2(t), 1, 0).  ``rows`` is the factory's w X1 + X2
     (SystemDef.rows), and ``params`` go to SystemDef.params beside the
     frequency's description.  X2's Jacobian is the complex step
-    Im field(0, p + i h e_j) / h in each direction e_j, one block call for a
+    Im rows(0, p + i h e_j) / h in each direction e_j, one block call for a
     point or a block of them: exact to rounding, as no difference cancels
     (Squire & Trapp, SIAM Rev. 40, 1998).  Every generator and Jacobian takes
     a (n,) point or an (n, m) block (see VectorField).
@@ -201,9 +199,6 @@ def _second_order(name, omega, letter, positions, velocities, rows,
     j1.flags.writeable = j3.flags.writeable = False
     steps = 1j * _COMPLEX_STEP * np.eye(n)
 
-    def field(w, p):
-        return np.array(rows(w, p))
-
     def x1(p):
         out = np.zeros_like(p)
         out[vel] = p[pos]
@@ -213,20 +208,21 @@ def _second_order(name, omega, letter, positions, velocities, rows,
         # column k * n + j of the complex block is point k + i h e_j
         cols = p.reshape(n, -1)
         z = (cols[:, :, None] + steps[:, None, :]).reshape(n, -1)
-        J = (field(0.0, z).imag / _COMPLEX_STEP).reshape(n, -1, n).transpose(1, 0, 2)
+        J = np.array(rows(0.0, z)).imag / _COMPLEX_STEP
+        J = J.reshape(n, -1, n).transpose(1, 0, 2)
         return J if p.ndim == 2 else J[0]
 
     def constant(j):  # a Jacobian that is j at every point
         return lambda p: j if p.ndim == 1 else np.broadcast_to(j, (p.shape[1], n, n))
 
     generators = (VectorField(n, x1, constant(j1), name=f"{letter}1"),
-                  VectorField(n, lambda p: field(0.0, p), x2_jac, name=f"{letter}2"),
+                  VectorField(n, lambda p: np.array(rows(0.0, p)), x2_jac, name=f"{letter}2"),
                   VectorField(n, lambda p: (p.T * half).T, constant(j3),
                               name=f"{letter}3"))
     return SystemDef(
         name=name, dimension=n, generators=generators,
         coefficients=(lambda t: -omega(t), lambda t: 1.0, lambda t: 0.0),
-        constants=sl2_constants(), field=field, rows=rows,
+        constants=sl2_constants(), rows=rows,
         singular_coords=tuple(singular_coords), invariants=invariants or {},
         params={**params, "frequency": omega.description},
     )

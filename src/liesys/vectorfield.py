@@ -7,9 +7,6 @@ import numpy as np
 from .errors import DimensionMismatchError, UndeterminedRankError
 from .integrate import worst
 
-# Central-difference step for the Jacobian fallback.
-_FD_BASE = float(np.cbrt(np.finfo(float).eps))
-
 
 class VectorField:
     """An autonomous vector field on R^n.
@@ -17,12 +14,11 @@ class VectorField:
     ``func`` maps a point, an array of shape (n,), to its tangent vector of
     the same shape, and an (n, m) block of m points, one per column, to the
     (n, m) block of their vectors.  ``jac`` maps a point to the n x n matrix
-    of partials d func_i / d x_j, and a block to the (m, n, n) stack of the
-    matrices of its points; when omitted, a central-difference fallback
-    makes one call of ``func`` on every shifted point at once.
+    of exact partials d func_i / d x_j, and a block to the (m, n, n) stack
+    of the matrices of its points: brackets read it.
     """
 
-    def __init__(self, dimension, func, jac=None, name=""):
+    def __init__(self, dimension, func, jac, name=""):
         if dimension < 1:
             raise ValueError("dimension must be a positive integer")
         self.dimension = int(dimension)
@@ -51,21 +47,7 @@ class VectorField:
 
     def jacobian(self, p):
         p = self._points(p)
-        if self._jac is None:
-            return self._fd_jacobian(p)
         return self._checked(self._jac(p), p.shape[1:] + (self.dimension,) * 2)
-
-    def _fd_jacobian(self, p):
-        n = self.dimension
-        cols = p.reshape(n, -1)
-        # each point's step, from its 2-norm as np.linalg.norm takes it
-        h = _FD_BASE * np.maximum(1.0, np.sqrt(_dots(np.ascontiguousarray(cols.T))))
-        shift = np.eye(n)[:, :, None] * h  # [i, j, k]: h_k in direction j
-        ends = cols[:, None, None, :] + np.stack([shift, -shift], axis=1)
-        flat = ends.reshape(n, -1)
-        vals = self._checked(self._func(flat), flat.shape).reshape(ends.shape)
-        J = (vals[:, 0] - vals[:, 1]) / (2.0 * h)  # [i, j, k]
-        return J.transpose(2, 0, 1) if p.ndim == 2 else J[:, :, 0]
 
     def __repr__(self):
         tag = self.name or "field"

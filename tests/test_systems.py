@@ -1,19 +1,21 @@
+import importlib
+import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from liesys import (DimensionMismatchError, ShapeFunctions, SingularityError,
+from liesys import (DimensionMismatchError, LiesysError, ShapeFunctions, SingularityError,
                     constant_frequency, diagonal_prolongation, ermakov,
                     generalized_ermakov, milne_pinney, minimal_m, oscillator_1d,
                     oscillator_2d, pinney_triple, prolonged_rank,
                     quadratic_shapes, step_frequency,
                     sl2_constants, two_plus_sin, verify_algebra, zero_one_shapes)
 from liesys.integrate import FLOAT_LANES
-from liesys.systems import _COMPLEX_STEP, SHAPE_FUNCTIONS, SYSTEM_FACTORIES
+from liesys.systems import _COMPLEX_STEP, SHAPE_FUNCTIONS, SYSTEM_FACTORIES, SystemDef
 from liesys.vectorfield import PROBES_PER_LEVEL, RANK_TOL
 
 W1 = constant_frequency(1.0)
@@ -127,8 +129,8 @@ def test_every_factory_closes_the_algebra():
 def test_every_factory_is_certified_by_sympy():
     # each factory's own closures, run on symbols with a symbolic k and
     # undefined shapes f and g (whose Q is the integral itself): X2 is
-    # field(0, p), X1 the w-derivative of field(w, p) (the rhs assembly test
-    # holds field(w, p) = w X1 + X2) and X3 the generator's function, read
+    # rows(0, p), X1 the w-derivative of rows(w, p) (the rhs assembly test
+    # holds rows(w, p) = w X1 + X2) and X3 the generator's function, read
     # past VectorField's float coercion.  Every bracket equals its
     # sl2_constants() combination, and X1, X2 and X3 annihilate every
     # registered invariant, exactly.
@@ -145,7 +147,7 @@ def test_every_factory_is_certified_by_sympy():
     for sysd in systems:
         p = np.array(sympy.symbols(f"p0:{sysd.dimension}"), dtype=object)
         zero = sympy.zeros(len(p), 1)
-        field = sympy.Matrix(list(sysd.field(w, p)))
+        field = sympy.Matrix(list(sysd.rows(w, p)))
         xs = [field.diff(w), field.subs(w, 0),
               sympy.Matrix(list(sysd.generators[2]._func(p)))]
         jacobians = [x.jacobian(p) for x in xs]
@@ -186,6 +188,25 @@ def test_rhs_rejects_a_point_of_the_wrong_dimension():
     for sysd in all_systems():
         with pytest.raises(DimensionMismatchError):
             sysd.rhs(0.0, np.ones(sysd.dimension + 1))
+    # a list that is no solve's float form is a point too
+    with pytest.raises(DimensionMismatchError):
+        oscillator_1d(W1).rhs(0.0, [1.0, 0.0, 2.0])
+
+
+def test_a_callers_list_or_tuple_is_a_point():
+    # only the solver's declared lane count selects the float form: any
+    # other point, ints included, gives the array's float values
+    for sysd in all_systems() + [milne_pinney(W1, 0.0), pinney_triple(W1, 0.0)]:
+        point = [1 + i for i in range(sysd.dimension)]
+        want = sysd.rhs(0.0, np.array(point, dtype=float))
+        for p in (point, [float(x) for x in point], tuple(point)):
+            got = sysd.rhs(0.0, p)
+            assert got.__class__ is np.ndarray and got.dtype == float
+            assert got.tobytes() == want.tobytes(), (sysd.name, p)
+    osc = oscillator_1d(W1)
+    want = osc.rhs(0.0, np.array([1.0, 0.0]))
+    for p in ([1, 0], [1.0, 0.0], (1, 0)):
+        assert osc.rhs(0.0, p).tobytes() == want.tobytes()
 
 
 def test_the_field_guards_like_the_generators():
@@ -244,7 +265,7 @@ def per_probe_residuals(sysd, probes):
     for p in probes:
         vals = [Xg(p) for Xg in X]
         jacs = [X[0].jacobian(p),
-                sysd.field(0.0, p[:, None] + steps).imag / _COMPLEX_STEP,
+                np.array(sysd.rows(0.0, p[:, None] + steps)).imag / _COMPLEX_STEP,
                 X[2].jacobian(p)]
         for a, b in out:
             expected = sum(c[a, b, g] * vals[g] for g in range(3))
@@ -385,9 +406,9 @@ def test_generator_jacobians_match_central_differences(case):
 
 # --- the solver's float form against the block -------------------------------
 # A solve of at most FLOAT_LANES lanes hands SystemDef.rhs its stages as a list
-# of Python floats, stacked component-major; the list it returns must hold the
-# block's values bit for bit, NaNs and signs included, or it must raise as the
-# block does.
+# of Python floats, stacked component-major, with the lane count; the list it
+# returns must hold the block's values bit for bit, NaNs and signs included, or
+# it must raise as the block does.
 
 FLOAT_FORM_CASES = {
     "oscillator_1d": oscillator_1d(two_plus_sin()),
@@ -424,10 +445,68 @@ def test_the_float_form_is_the_block_bit_for_bit(case, lanes, t, data):
     block = np.array(stacked) if lanes == 1 else np.reshape(stacked, (d, lanes))
     with np.errstate(all="ignore"):
         want, want_error = _outcome(lambda: sysd.rhs(t, block))
-        got, got_error = _outcome(lambda: sysd.rhs(t, list(stacked)))
+        got, got_error = _outcome(lambda: sysd.rhs(t, list(stacked), lanes))
     assert got_error == want_error
     if want_error is None:
         assert got.__class__ is list and all(x.__class__ is float for x in got)
         got, want = np.array(got), want.reshape(-1)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# --- every factory's solve ends in a documented way --------------------------
+# Under MAX_STEPS = 20 a solve makes at most 2 + 12 * 20 * (attempts per step)
+# rhs calls, and from a step of at most 1 down to the float spacing at t = 1
+# a step takes at most 23 attempts: so RHS_CAP calls mean a solve that never
+# stops.
+
+SHORT_MAX_STEPS = 20
+RHS_CAP = 10_000
+FINITE_STATE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 1e-110, 1e300, -1e300, 1e-300, -1e-300]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(SYSTEM_FACTORIES)), st.sampled_from(sorted(SHAPE_FUNCTIONS)),
+       STATE_VALUES, STATE_VALUES, st.integers(1, FLOAT_LANES + 1),
+       st.sampled_from([(1.0, 2.0), (2.0, 1.0)]), st.data())
+def test_every_factorys_solve_ends_in_a_documented_way(monkeypatch, name, shapes,
+                                                      omega_squared, k, lanes, t_span,
+                                                      data):
+    # on floats (up to FLOAT_LANES lanes) and on blocks: finite rows, or
+    # ValueError (a non-finite state), or a LiesysError with the last good
+    # time; a hang fails on the call count
+    factory = SYSTEM_FACTORIES[name]
+    takes = inspect.signature(factory).parameters
+    params = {"k": k} if "k" in takes else {}
+    if "shapes" in takes:
+        params["shapes"] = SHAPE_FUNCTIONS[shapes]()
+    sysd = factory(constant_frequency(omega_squared), **params)
+    # finite states, one entry of which is set to inf, -inf or NaN in about
+    # half of the draws
+    states = data.draw(st.lists(st.lists(FINITE_STATE_VALUES, min_size=sysd.dimension,
+                                         max_size=sysd.dimension),
+                                min_size=lanes, max_size=lanes))
+    non_finite = data.draw(st.one_of(st.none(),
+                                     st.sampled_from([math.inf, -math.inf, math.nan])))
+    if non_finite is not None:
+        states[data.draw(st.integers(0, lanes - 1))][
+            data.draw(st.integers(0, sysd.dimension - 1))] = non_finite
+    calls, rhs = [0], SystemDef.rhs
+
+    def counted(self, t, p, lanes=0):
+        calls[0] += 1
+        assert calls[0] <= RHS_CAP, "the solve does not stop"
+        return rhs(self, t, p, lanes)
+    with monkeypatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(importlib.import_module("liesys.integrate"), "MAX_STEPS",
+                      SHORT_MAX_STEPS)
+        patch.setattr(SystemDef, "rhs", counted)
+        try:
+            solved = sysd.integrate_lanes(states, t_span)
+        except (ValueError, LiesysError):
+            return
+    for lane in solved:
+        assert np.isfinite(lane.states).all(), (name, states)

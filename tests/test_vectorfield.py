@@ -56,41 +56,29 @@ def test_bracket_antisymmetry():
 
 
 def test_bracket_dimension_mismatch():
-    X = VectorField(2, lambda p: p)
-    Y = VectorField(3, lambda p: p)
+    X = VectorField(2, lambda p: p, lambda p: np.eye(2))
+    Y = VectorField(3, lambda p: p, lambda p: np.eye(3))
     with pytest.raises(DimensionMismatchError):
         bracket(X, Y, [1.0, 2.0])
 
 
 def test_jacobi_residual_small():
+    c = sl2_constants().c
     for fields in (osc_fields(), pinney_fields()):
         rng = np.random.default_rng(11)
-        X, Y, Z = fields
+
+        def nested(a, b, d, q):
+            # [[X_a, X_b], X_d] at q, the inner bracket taken as its closure
+            # sum_g c_ab^g X_g with that combination's exact Jacobian
+            inner = VectorField(
+                2, lambda s: sum(c[a, b, g] * fields[g](s) for g in range(3)),
+                lambda s: sum(c[a, b, g] * fields[g].jacobian(s) for g in range(3)))
+            assert_allclose(inner(q), bracket(fields[a], fields[b], q), atol=1e-12)
+            return bracket(inner, fields[d], q)
         for _ in range(10):
             p = rng.uniform(0.2, 2.0, size=2)
-            # cyclic sum via nested numeric brackets (the inner bracket has
-            # no analytic Jacobian, so wrap it as a plain field)
-            def nested(A, B, C, q):
-                inner = VectorField(2, lambda s, A=A, B=B: bracket(A, B, s))
-                return bracket(inner, C, q)
-            total = (nested(X, Y, Z, p) + nested(Y, Z, X, p)
-                     + nested(Z, X, Y, p))
+            total = nested(0, 1, 2, p) + nested(1, 2, 0, p) + nested(2, 0, 1, p)
             assert np.max(np.abs(total)) < 1e-8
-
-
-def test_finite_difference_jacobian_matches_analytic():
-    def f(p):
-        return np.array([p[0] * p[1], np.sin(p[0])])
-
-    def jac(p):
-        return np.array([[p[1], p[0]], [np.cos(p[0]), 0.0]])
-
-    with_jac = VectorField(2, f, jac)
-    without = VectorField(2, f)
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        p = rng.uniform(-2, 2, size=2)
-        assert_allclose(without.jacobian(p), with_jac.jacobian(p), atol=1e-8)
 
 
 # --- structure constants -----------------------------------------------------
@@ -183,7 +171,11 @@ def test_the_stacked_products_give_each_probe_its_own_bits():
 
 
 def test_a_field_answers_a_block_in_its_shapes():
-    f = VectorField(2, lambda p: np.array([p[0] * p[1], np.sin(p[0])]))
+    def jac(p):  # a point's matrix, or a block's stack of them
+        J = np.array([[p[1], p[0]], [np.cos(p[0]), np.zeros_like(p[0])]])
+        return J if p.ndim == 1 else J.transpose(2, 0, 1)
+
+    f = VectorField(2, lambda p: np.array([p[0] * p[1], np.sin(p[0])]), jac)
     block = np.random.default_rng(1).uniform(-2, 2, size=(2, 5))
     assert f(block).shape == (2, 5) and f.jacobian(block).shape == (5, 2, 2)
     for k, column in enumerate(block.T):
@@ -191,7 +183,7 @@ def test_a_field_answers_a_block_in_its_shapes():
         assert np.array_equal(f.jacobian(block)[k], f.jacobian(column))
     # a func that ignores the block is named, not broadcast
     with pytest.raises(DimensionMismatchError):
-        VectorField(2, lambda p: np.array([1.0, 0.0]))(block)
+        VectorField(2, lambda p: np.array([1.0, 0.0]), lambda p: np.zeros((2, 2)))(block)
 
 
 # --- diagonal prolongation ---------------------------------------------------
@@ -221,9 +213,11 @@ def test_prolongation_on_repeated_point():
 
 
 def test_prolongation_commutes_with_bracket():
-    X1, X2, _ = osc_fields()
+    X1, X2, X3 = osc_fields()
     rng = np.random.default_rng(9)
-    pb = diagonal_prolongation(VectorField(2, lambda p: bracket(X1, X2, p)), 2)
+    # [X1, X2] = 2 X3, so 2 X3's Jacobian is the bracket's
+    pb = diagonal_prolongation(VectorField(2, lambda p: bracket(X1, X2, p),
+                                           lambda p: 2.0 * X3.jacobian(p)), 2)
     for _ in range(10):
         q = rng.uniform(-2, 2, size=4)
         lhs = bracket(diagonal_prolongation(X1, 2),
@@ -240,7 +234,8 @@ def test_minimal_m_oscillator_is_two():
 
 
 def test_minimal_m_single_field_is_one():
-    f = VectorField(1, lambda p: np.array([1.0 + p[0] ** 2]))
+    f = VectorField(1, lambda p: np.array([1.0 + p[0] ** 2]),
+                    lambda p: (2.0 * p).reshape(p.shape[1:] + (1, 1)))
     rng = np.random.default_rng(0)
     assert minimal_m([f], 3, lambda c, count: rng.uniform(-2, 2, size=(count, c)).T) == [1]
 
@@ -265,7 +260,8 @@ def test_rank_monotone_in_copies():
 
 def test_minimal_m_undetermined_raises():
     # two copies of the same field can never span a 2-dim algebra rank
-    f = VectorField(1, lambda p: np.ones_like(p))
+    f = VectorField(1, lambda p: np.ones_like(p),
+                    lambda p: np.zeros(p.shape[1:] + (1, 1)))
     with pytest.raises(UndeterminedRankError) as exc:
         minimal_m([f, f], 2, lambda c, count: np.ones((c, count)))
     assert exc.value.ranks == {1: 1, 2: 1}  # the ranks found along the way

@@ -1,10 +1,12 @@
-"""One fold behind every verdict: ``worst`` keeps a NaN wherever it sits, and
-a NaN put into any verdict's errors fails the run or criterion."""
+"""One fold behind every verdict: ``worst`` keeps a NaN wherever it sits, a
+NaN put into any verdict's errors fails the run or criterion, and an error
+equal to a verdict's bound fails it while the float just below passes."""
 
 import itertools
 import json
 import math
 import os
+import runpy
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liesys import acceptance, cli, group, systems, vectorfield
-from liesys.integrate import worst
+from liesys.integrate import compare, worst
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -226,3 +228,118 @@ def test_a_nan_error_fails_the_verdict(case, position, monkeypatch):
     # under the state cli.main runs in, where numpy warns nothing of a NaN
     with np.errstate(all="ignore"):
         assert not NAN_CASES[case](monkeypatch, POSITIONS.index(position))
+
+
+# --- each verdict at its bound -----------------------------------------------
+# Each case runs a verdict with the error it folds set to ``value`` through the
+# same hooks, and gives the verdict and its bound: an error equal to the bound
+# fails, and the float just below it passes, which pins both ``<`` and the
+# bound's value.
+
+def _threshold(name):
+    return _scenario(name)["tolerances"]["threshold"]
+
+
+def _oracle_error(name, pipeline):
+    # the closed form's worst error against its oracle, as _oracle_runs folds it
+    def case(monkeypatch, value):
+        _on_call(monkeypatch, cli, "_oracle_runs", 0, lambda runs: (value, *runs[1:]))
+        return pipeline(_scenario(name))[0]
+    return case, _threshold(name)
+
+
+def _group_solve_det_at(monkeypatch, value):
+    # every |det - 1| of the node and sample rows
+    _on_call(monkeypatch, cli, "compare", 0, lambda err: np.full_like(err, value))
+    ok, summary, _ = cli.pipeline_group_solve(_scenario("group_solve_constant.json"))
+    assert summary["max_det_drift"] == value
+    return ok
+
+
+def _drift_at(monkeypatch, value):
+    # the first run's drift_rel; the second run's stays far below the bound
+    def poison(series):
+        series.drift_rel = value
+        return series
+    _on_call(monkeypatch, cli, "drift", 0, poison)
+    return cli.pipeline_drift(_scenario("drift_lewis_ermakov.json"))[0]
+
+
+def _verify_algebra_at(monkeypatch, value):
+    # the worst residual over the three pairs, folded after the pairs' own
+    _on_call(monkeypatch, vectorfield, "worst", 3, lambda _: value)
+    ok, summary, _ = cli.pipeline_verify_algebra(_scenario("verify_algebra_triple.json"))
+    assert summary["worst_residual"] == value
+    return ok
+
+
+def _criterion_worst(criterion, call):
+    # call number ``call`` of the criterion's own fold
+    def case(monkeypatch, value):
+        _on_call(monkeypatch, acceptance, "worst", call, lambda _: value)
+        return criterion(0).passed
+    return case
+
+
+def _criterion_7_oracle_at(monkeypatch, value):
+    # d'Alembert against its oracle in (x, v)
+    _on_call(monkeypatch, cli, "_oracle_runs", 0, lambda runs: (value, *runs[1:]))
+    return acceptance.criterion_7(0).passed
+
+
+BOUND_CASES = {
+    "superpose": _oracle_error("superpose_pinney.json", cli.pipeline_superpose),
+    "reduce": _oracle_error("reduce_pinney_self.json", cli.pipeline_reduce),
+    "group_solve_action": _oracle_error("group_solve_constant.json",
+                                        cli.pipeline_group_solve),
+    "group_solve_det": (_group_solve_det_at, 1e-9),
+    "drift": (_drift_at, _threshold("drift_lewis_ermakov.json")),
+    "verify_algebra": (_verify_algebra_at, _threshold("verify_algebra_triple.json")),
+    "criterion_7_dalembert_analytic": (_criterion_worst(acceptance.criterion_7, 0), 2e-14),
+    "criterion_7_dalembert_vs_oracle": (_criterion_7_oracle_at, 1e-6),
+    "criterion_7_pinney_self_analytic": (_criterion_worst(acceptance.criterion_7, 1), 1e-14),
+    "criterion_7_pinney_osc_analytic": (_criterion_worst(acceptance.criterion_7, 2), 3e-14),
+    "criterion_8_identity": (_criterion_worst(acceptance.criterion_8, 0), 1e-12),
+    "criterion_8_fields": (_criterion_worst(acceptance.criterion_8, 1), 1e-5),
+    "criterion_9_invariant": (_criterion_worst(acceptance.criterion_9, 0), 1e-10),
+    "criterion_9_rhs": (_criterion_worst(acceptance.criterion_9, 1), 1e-14),
+}
+
+
+@pytest.mark.parametrize("case", BOUND_CASES)
+def test_an_error_at_the_bound_fails_and_one_below_passes(case, monkeypatch):
+    verdict, bound = BOUND_CASES[case]
+    with monkeypatch.context() as patch:
+        assert not verdict(patch, bound)
+    with monkeypatch.context() as patch:
+        assert verdict(patch, np.nextafter(bound, 0))
+
+
+def test_criterion_8_needs_more_than_900_valid_sign_checks(monkeypatch):
+    for count, passed in ((900, False), (901, True)):
+        monkeypatch.setattr(acceptance, "SIGN_CHECKS", count)
+        assert acceptance.criterion_8(0).passed is passed
+
+
+def test_a_relative_error_is_over_the_larger_of_1_and_the_reference():
+    # |want| = 0.5: over 1; |want| = 2: over |want|; a row's error is its
+    # largest, over its largest |want|
+    for got, want, err in (([0.75], [0.5], 0.25), ([-0.25], [-0.5], 0.25),
+                           ([3.0], [2.0], 0.5), ([-1.0], [-2.0], 0.5)):
+        assert compare(np.array(got), np.array(want), "rel").tolist() == [err]
+    rows = compare(np.array([[0.75, 0.5], [3.0, 1.0]]),
+                   np.array([[0.5, 0.5], [2.0, -1.0]]), "rel")
+    assert rows.tolist() == [0.25, 1.0]
+
+
+def test_every_planted_defect_finds_its_text_once():
+    # tests/plant_defects.py plants each DEFECTS entry by replacing its text;
+    # a refactor that moves or repeats the text shows here, not only in the
+    # script's run of tier-1 per entry
+    script = os.path.join(os.path.dirname(__file__), "plant_defects.py")
+    defects = runpy.run_path(script)["DEFECTS"]
+    for name, (path, text, defect) in defects.items():
+        with open(os.path.join(os.path.dirname(__file__), os.pardir, "src", "liesys",
+                               path)) as fh:
+            assert fh.read().count(text) == 1, (name, path)
+        assert defect != text, name
