@@ -8,7 +8,7 @@ Each timing is the best of REPEAT runs of one layer:
 
 - ``rhs``: one ``SystemDef.rhs`` call per system on a 1-lane and on a 5-lane
   state, in the solver's float form (a list of Python floats and the lane
-  count, or the bare list where rhs takes no lane count) and on arrays;
+  count) and on arrays;
   ``calls`` is the number of calls each run times, and the time is per call;
 - ``solve``: one adaptive solve per system over [0, 20] under
   ``two_plus_sin``, of 1 and of 5 lanes, through ``SystemDef.integrate_lanes``;
@@ -20,7 +20,7 @@ Each timing is the best of REPEAT runs of one layer:
 
 ``--parent DIR`` times the checkout DIR as well, in a child process, in
 ROUNDS alternating rounds, and pairs each row with the parent's best time (a row the
-parent lacks, such as a float form it does not have, reads null).
+parent lacks reads null).
 ``--out FILE`` writes the report as JSON: the machine, the Python, numpy and
 scipy versions, each checkout's commit, and the rows.  ``--quick`` runs a
 reduced pass (one run, few calls, two cheap systems, spans of 1) that
@@ -32,7 +32,6 @@ import argparse
 import contextlib
 import importlib
 import importlib.metadata
-import inspect
 import json
 import os
 import platform
@@ -84,23 +83,17 @@ def measure(src=os.path.join(ROOT, "src"), quick=False):
     cli, integrate = _liesys(src)
     import numpy as np
 
-    float_form = "float_form" in inspect.signature(integrate.integrate_lanes).parameters
     systems = SYSTEMS[::2] if quick else SYSTEMS
     calls, repeat = (20, 1) if quick else (2000, REPEAT)
     solve_span, crossover_span = ((0.0, 1.0),) * 2 if quick else (SOLVE_SPAN, CROSSOVER_SPAN)
     build = {name: cli.build_system({"name": name, "frequency": "two_plus_sin"})
              for name in systems}
-    # an older checkout's rhs takes the bare list as its float form
-    lane_count = "lanes" in inspect.signature(build[systems[0]].rhs).parameters
     rows = []
     for name, sysd in build.items():
         for lanes in RHS_LANES:
             stacked = np.array(_states(sysd, np, lanes, 0)).T
             block = stacked[:, 0] if lanes == 1 else stacked
-            points = {"array": (block,)}
-            if float_form:
-                points["float"] = (block.reshape(-1).tolist(),) + (
-                    (lanes,) if lane_count else ())
+            points = {"array": (block,), "float": (block.reshape(-1).tolist(), lanes)}
             for form, p in points.items():
                 rhs = sysd.rhs
 
@@ -116,26 +109,24 @@ def measure(src=os.path.join(ROOT, "src"), quick=False):
             rows.append({"layer": "solve", "system": name, "lanes": lanes,
                          "steps": len(solved[0].times) - 1, "nfev": solved[0].nfev,
                          "ms": 1e3 * best})
-    if float_form:
-        crossover = CROSSOVER_SYSTEMS[-1:] if quick else CROSSOVER_SYSTEMS
-        for name in crossover:
-            sysd = cli.build_system({"name": name, "frequency": "two_plus_sin"})
-            for lanes in CROSSOVER_LANES[:2] if quick else CROSSOVER_LANES:
-                states = _states(sysd, np, lanes, 2)
-                times = {}
-                for form in ("float", "array"):
-                    def solve(form=form):
-                        return integrate.integrate_lanes(
-                            sysd.rhs, states, crossover_span,
-                            singular_coords=sysd.singular_coords,
-                            float_form=form == "float")
-                    with _float_lanes(integrate, len(states)):
-                        times[form], solved = _best(solve, repeat)
-                rows.append({"layer": "crossover", "system": name, "lanes": lanes,
-                             "steps": len(solved[0].times) - 1,
-                             "float_ms": 1e3 * times["float"],
-                             "array_ms": 1e3 * times["array"],
-                             "ratio": times["float"] / times["array"]})
+    for name in CROSSOVER_SYSTEMS[-1:] if quick else CROSSOVER_SYSTEMS:
+        sysd = cli.build_system({"name": name, "frequency": "two_plus_sin"})
+        for lanes in CROSSOVER_LANES[:2] if quick else CROSSOVER_LANES:
+            states = _states(sysd, np, lanes, 2)
+            times = {}
+            for form in ("float", "array"):
+                def solve(form=form):
+                    return integrate.integrate_lanes(
+                        sysd.rhs, states, crossover_span,
+                        singular_coords=sysd.singular_coords,
+                        float_form=form == "float")
+                with _float_lanes(integrate, len(states)):
+                    times[form], solved = _best(solve, repeat)
+            rows.append({"layer": "crossover", "system": name, "lanes": lanes,
+                         "steps": len(solved[0].times) - 1,
+                         "float_ms": 1e3 * times["float"],
+                         "array_ms": 1e3 * times["array"],
+                         "ratio": times["float"] / times["array"]})
     return rows
 
 

@@ -39,28 +39,33 @@ class CriterionResult:
         return f"criterion {self.index:2d} [{verdict}] {self.name}: {self.detail}"
 
 
+def _bound(value):
+    """A bound as a criterion's name prints it: 1e-9, where format's g
+    gives 1e-09."""
+    mantissa, _, exponent = f"{value:g}".partition("e")
+    return f"{mantissa}e{int(exponent)}" if exponent else mantissa
+
+
 def criterion_1(seed=0):
     """sl(2,R) closure of the four generator realizations (at the default
     constant frequency omega^2 = 1, k = 1 and quadratic shapes)."""
     rows, ok = [], True
     for name in ("oscillator_1d", "milne_pinney", "generalized_ermakov", "pinney_triple"):
-        passed, summary, _ = cli.pipeline_verify_algebra(
-            {"system": name, "probes": 100, "tolerances": {"threshold": 1e-9},
-             "seed": seed})
+        passed, summary, _ = cli.pipeline_verify_algebra({"system": name, "seed": seed})
         rows.append([name, summary["worst_residual"]])
         ok = ok and passed
-    return CriterionResult(1, "sl(2,R) closure residual < 1e-9", ok,
-                           f"worst residual {worst([row[1] for row in rows]):.3e}",
+    return CriterionResult(1, f"sl(2,R) closure residual < {_bound(summary['threshold'])}",
+                           ok, f"worst residual {worst([row[1] for row in rows]):.3e}",
                            ["system", "worst_residual"], rows)
 
 
 def criterion_2(seed=0):
     """Minimal number of solutions in the oscillator superposition rule."""
     ok, summary, _ = cli.pipeline_minimal_m({
-        "system": "oscillator_1d", "max_copies": 4, "expected_m": 2, "seed": seed})
+        "system": "oscillator_1d", "expected_m": 2, "seed": seed})
     m = summary["m"]
     return CriterionResult(2, "minimal m for the 1-dim oscillator", ok,
-                           f"m = {m} (expected 2)",
+                           f"m = {m} (expected {summary['expected_m']})",
                            ["m"], [[m]])
 
 
@@ -77,24 +82,29 @@ _DRIFT_SYSTEMS = (
     ("pinney_triple", [(0.5, 2)] + [(-1, 1)] * 5),
     ("generalized_ermakov", [(0.5, 2), (-1, 1), (0.5, 2), (-1, 1)]),
 )
+_DRIFT_SPAN = (0.0, 20.0)  # the span of every drift run, which the name prints
 
 
 def criterion_3_part(seed, part):
-    """Criterion 3 on its system number ``part`` alone: (rows, passed)."""
+    """Criterion 3 on its system number ``part`` alone: (rows, passed, the
+    drift bound applied)."""
     rng = np.random.default_rng(seed)
     states = [_seeded_states(rng, 5, ranges) for _, ranges in _DRIFT_SYSTEMS][part]
     ok, summary, _ = cli.pipeline_drift({
         "system": {"name": _DRIFT_SYSTEMS[part][0], "frequency": "two_plus_sin"},
-        "initial_states": states, "t_span": [0.0, 20.0],
-        "tolerances": {"threshold": 1e-6}})
-    return [[run["invariant"], run["drift_rel"]] for run in summary["runs"]], ok
+        "initial_states": states, "t_span": list(_DRIFT_SPAN)})
+    rows = [[run["invariant"], run["drift_rel"]] for run in summary["runs"]]
+    return rows, ok, summary["threshold"]
 
 
 def criterion_3_combine(parts):
-    """Criterion 3's result from the (rows, passed) of its parts, in order."""
-    rows = [row for part_rows, _ in parts for row in part_rows]
-    return CriterionResult(3, "invariant drift_rel < 1e-6 over [0,20]",
-                           all(ok for _, ok in parts),
+    """Criterion 3's result from the (rows, passed, bound) of its parts, in
+    order."""
+    rows = [row for part_rows, _, _ in parts for row in part_rows]
+    t0, t1 = _DRIFT_SPAN
+    return CriterionResult(3, f"invariant drift_rel < {_bound(parts[0][2])} "
+                              f"over [{t0:g},{t1:g}]",
+                           all(ok for _, ok, _ in parts),
                            f"worst drift {worst([row[1] for row in rows]):.3e} "
                            f"across {len(rows)} runs",
                            ["invariant", "drift_rel"], rows)
@@ -121,7 +131,7 @@ def criterion_4(seed=0):
     rng = np.random.default_rng(seed)
     states = _seeded_states(rng, 5, [(0.5, 2), (-1, 1)])
     ok, summary, _ = cli.pipeline_superpose({
-        "rule": "pinney", "t_span": [0.0, 10.0], "tolerances": {"threshold": 1e-5},
+        "rule": "pinney", "t_span": [0.0, 10.0],
         "system": {"name": "milne_pinney", "frequency": "two_plus_sin"},
         "initial_states": [[1.0, 0.0], [0.0, 1.0], *states]})
     rows = [[x0, v0, run["max_error"]] for (x0, v0), run in zip(states, summary["runs"])]
@@ -150,7 +160,8 @@ def criterion_5(seed=0):
     sample = np.linspace(0.0, 1.2, 25)
     err_quad = worst(compare(quadrature_rule(x1, 0.0, 1.0, sample), np.sin(sample), "abs"))
     return CriterionResult(
-        5, "linear and quadrature superposition to 1e-8", ok and err_quad < 2e-14,
+        5, f"linear and quadrature superposition to {_bound(linear['threshold'])}",
+        ok and err_quad < 2e-14,
         f"linear {err_lin:.3e}, quadrature {err_quad:.3e}",
         ["rule", "max_abs_error"],
         [["linear", err_lin], ["quadrature", err_quad]],
@@ -161,17 +172,19 @@ def criterion_6(seed=0):
     """Lie equation on the group vs direct oscillator integration."""
     rng = np.random.default_rng(seed)
     rows, ok = [], True
-    for frequency in ({"name": "constant", "omega_squared": 1.0}, "two_plus_sin"):
+    # the default profile, omega^2 = 1, then 2 + sin t
+    for system in ({}, {"frequency": "two_plus_sin"}):
         states = _seeded_states(rng, 5, [(-1.5, 1.5)] * 2)
         passed, summary, _ = cli.pipeline_group_solve({
-            "system": {"frequency": frequency}, "initial_states": states,
-            "t_span": [0.0, 10.0], "samples": 51, "tolerances": {"threshold": 1e-6}})
+            "system": system, "initial_states": states,
+            "t_span": [0.0, 10.0], "samples": 51})
         rows += [[summary["frequency"], x0, v0, run["max_action_error"],
                   summary["max_det_drift"]]
                  for (x0, v0), run in zip(states, summary["runs"])]
         ok = ok and passed
     return CriterionResult(
-        6, "group equation: action error < 1e-6, |det-1| < 1e-9", ok,
+        6, f"group equation: action error < {_bound(summary['threshold'])}, "
+           f"|det-1| < {_bound(cli.GROUP_DET_BOUND)}", ok,
         f"worst action error {worst([row[3] for row in rows]):.3e}, "
         f"det drift {worst([row[4] for row in rows]):.3e}",
         ["profile", "x0", "v0", "max_rel_error", "det_drift"], rows,
@@ -216,7 +229,7 @@ def criterion_7(seed=0):
         checks.append((f"{name}_analytic", err, err < bound))
         states = _seeded_states(rng, 3, [(0.5, 2), (-1, 1)])
         passed, summary, _ = cli.pipeline_reduce({
-            "method": method, "system": {"frequency": "constant"},
+            "method": method, "system": {},
             "initial_states": [x1, *states], "t_span": [0.0, t1], "samples": samples})
         checks += [(f"{name}_vs_oracle", run["max_rel_error"], passed)
                    for run in summary["runs"]]
@@ -234,7 +247,8 @@ def _random_point(rng):
     return rng.uniform(0.2, 2.0) * (-1.0, 1.0)[rng.integers(2)], rng.uniform(-2.0, 2.0)
 
 
-SIGN_CHECKS = 1000  # criterion 8's sign-check draws, of which more than 900 must be valid
+SIGN_CHECKS = 1000  # criterion 8's sign-check draws
+VALID_FLOOR = 900  # criterion 8 needs more valid sign checks than this
 
 
 def criterion_8(seed=0):
@@ -257,9 +271,11 @@ def criterion_8(seed=0):
          @ G.sl2_exp(basis[2], s[2]))
     try:
         res = G.pinney_action(g, (x, v), k)
-        signs_ok, valid = bool(np.all(np.sign(res.x) == np.sign(x))), len(x)
-    except DomainError:
-        signs_ok, valid = False, 0
+    except DomainError as exc:  # a sign check is valid where the image is defined
+        keep = ~exc.value
+        g, x, v = G.SL2Matrix(g.array[keep]), x[keep], v[keep]
+        res = G.pinney_action(g, (x, v), k)
+    signs_ok, valid = bool(np.all(np.sign(res.x) == np.sign(x))), len(x)
 
     mp = milne_pinney(constant_frequency(1.0), k)
     osc = oscillator_1d(constant_frequency(1.0))
@@ -273,7 +289,7 @@ def criterion_8(seed=0):
             exact += [Xi(p), Li(p)]
     err_ff = worst(compare(fd, exact, "abs"))
 
-    ok = err_id < 1e-12 and signs_ok and valid > 900 and err_ff < 1e-5
+    ok = err_id < 1e-12 and signs_ok and valid > VALID_FLOOR and err_ff < 1e-5
     return CriterionResult(
         8, "Pinney action sanity", ok,
         f"identity error {err_id:.2e}, {valid}/{SIGN_CHECKS} valid sign checks "

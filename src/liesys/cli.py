@@ -64,6 +64,10 @@ MAX_PROBES = 10**5
 MAX_COPIES = 16
 MAX_STATES = 64
 
+# group-solve's bound on |det g - 1| of the solved curve, at the samples and
+# at the solver's nodes
+GROUP_DET_BOUND = 1e-9
+
 
 def _atomic_write(path, text):
     """Write through a temporary file and a rename; an OSError is a usage
@@ -506,7 +510,7 @@ def pipeline_group_solve(scn):
     header = ["time", "g11", "g12", "g21", "g22", "det_minus_1", "action_error"]
     files = [(f"target{i}", header, zip(times, *g.reshape(-1, 4).T, det - 1.0, err))
              for i, (*_, err) in enumerate(columns)]
-    ok = max_err < threshold and max_det < 1e-9
+    ok = max_err < threshold and max_det < GROUP_DET_BOUND
     summary = {"frequency": osc.params["frequency"], "max_action_error": max_err,
                "max_det_drift": max_det, "threshold": threshold, "runs": runs}
     return ok, summary, files

@@ -1,14 +1,16 @@
 """Plant a relative defect of 1e-12 in each closed form, a wrong lane order
-in the solver's float form of the fields, and a loosened bound in each
-verdict, and check that tier-1 sees each.
+in the solver's float form of the fields, a loosened bound in each verdict
+and in each pipeline's default threshold, and more work than the budget,
+and check that tier-1 sees each.
 
     python3 tests/plant_defects.py SCRATCH_DIR [NAME ...]
 
 For each entry of DEFECTS (all of them, or the NAMEs given) the script
 copies this checkout into SCRATCH_DIR/NAME, replaces one text in one source
 file by the same expression times (1 + 1e-12), by its lanes in reverse
-order (float_form_lane_order), or by the same check against a looser bound
-(the entries after it), and runs tier-1 there.  It leaves out the
+order (float_form_lane_order), by the same check against a looser bound
+(the entries after it), or by code that does more work (the last three),
+and runs tier-1 there.  It leaves out the
 byte-manifest test, which would see any moved output and so shows nothing,
 and the test that finds each planting text once, which fails on every
 planted copy.  It prints the tests that fail on the defect and passed on a
@@ -87,7 +89,7 @@ DEFECTS = {
         'ok = max_err < 10 * threshold\n    summary = {"method"'),
     "group_solve_threshold": (
         "cli.py", "ok = max_err < threshold and", "ok = max_err < 10 * threshold and"),
-    "group_solve_det": ("cli.py", "max_det < 1e-9", "max_det < 1e-8"),
+    "group_solve_det": ("cli.py", "GROUP_DET_BOUND = 1e-9", "GROUP_DET_BOUND = 1e-8"),
     "drift_threshold": (
         "cli.py", "series.drift_rel < threshold", "series.drift_rel < 10 * threshold"),
     "algebra_tol": (
@@ -98,9 +100,35 @@ DEFECTS = {
         "integrate.py", "SINGULARITY_RADIUS = 1e-6", "SINGULARITY_RADIUS = 1e-7"),
     "criterion_7_analytic_bound": (
         "acceptance.py", "err, err < bound))", "err, err < 10 * bound))"),
-    "criterion_8_valid": ("acceptance.py", "valid > 900", "valid > 0"),
+    "criterion_8_valid": ("acceptance.py", "VALID_FLOOR = 900", "VALID_FLOOR = 0"),
     "criterion_8_fields": ("acceptance.py", "err_ff < 1e-5", "err_ff < 1e-4"),
     "criterion_9_invariant": ("acceptance.py", "err_inv < 1e-10", "err_inv < 1e-9"),
+    # each pipeline's default threshold loosened 10x: superpose and reduce
+    # share their default's text, so the line before it picks one
+    "superpose_default": (
+        "cli.py", "sysd = build_system(syscfg)\n    abs_tol, rel_tol, threshold = "
+        "_tolerances(scn, 1e-5)",
+        "sysd = build_system(syscfg)\n    abs_tol, rel_tol, threshold = "
+        "_tolerances(scn, 1e-4)"),
+    "reduce_default": (
+        "cli.py", "forward=True)\n    abs_tol, rel_tol, threshold = _tolerances(scn, 1e-5)",
+        "forward=True)\n    abs_tol, rel_tol, threshold = _tolerances(scn, 1e-4)"),
+    "verify_algebra_default": (
+        "cli.py", "_tolerances(scn, 1e-9)", "_tolerances(scn, 1e-8)"),
+    "group_solve_default": (
+        "cli.py", "_tolerances(scn, 1e-6)", "_tolerances(scn, 1e-5)"),
+    "tolerances_default": (
+        "cli.py", "def _tolerances(scn, default_threshold=1e-6)",
+        "def _tolerances(scn, default_threshold=1e-5)"),
+    # more work than tests/work_budget.json allows
+    "rk_step_extra_rhs_call": (
+        "integrate.py", "    K[-1] = f_new\n",
+        "    K[-1] = f_new\n    fun(t + h, y_new.tolist(), floats) if floats "
+        "else fun(t + h, y_new)\n"),
+    "step_safety": ("integrate.py", "SAFETY = 0.9", "SAFETY = 0.8"),
+    "csv_written_twice": (
+        "cli.py", "        write_csv(path, header, rows)\n",
+        "        write_csv(path, header, rows)\n        write_csv(path, header, rows)\n"),
 }
 
 

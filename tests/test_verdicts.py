@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liesys import acceptance, cli, group, systems, vectorfield
+from liesys.errors import DomainError
 from liesys.integrate import compare, worst
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -256,13 +257,23 @@ def _group_solve_det_at(monkeypatch, value):
     return ok
 
 
-def _drift_at(monkeypatch, value):
-    # the first run's drift_rel; the second run's stays far below the bound
+def _first_drift(monkeypatch, value):
+    # the first run's drift_rel; the other runs' stay far below the bound
     def poison(series):
         series.drift_rel = value
         return series
     _on_call(monkeypatch, cli, "drift", 0, poison)
+
+
+def _drift_at(monkeypatch, value):
+    _first_drift(monkeypatch, value)
     return cli.pipeline_drift(_scenario("drift_lewis_ermakov.json"))[0]
+
+
+def _criterion_3_drift_at(monkeypatch, value):
+    # criterion 3's oscillator_2d part, its cheapest
+    _first_drift(monkeypatch, value)
+    return acceptance.criterion_3_part(0, 1)[1]
 
 
 def _verify_algebra_at(monkeypatch, value):
@@ -281,10 +292,24 @@ def _criterion_worst(criterion, call):
     return case
 
 
-def _criterion_7_oracle_at(monkeypatch, value):
-    # d'Alembert against its oracle in (x, v)
-    _on_call(monkeypatch, cli, "_oracle_runs", 0, lambda runs: (value, *runs[1:]))
-    return acceptance.criterion_7(0).passed
+def _criterion_oracle(criterion, call):
+    # call number ``call`` of _oracle_runs, a closed form against its oracle
+    def case(monkeypatch, value):
+        _on_call(monkeypatch, cli, "_oracle_runs", call, lambda runs: (value, *runs[1:]))
+        return criterion(0).passed
+    return case
+
+
+def _criterion_6_det_at(monkeypatch, value):
+    # every |det - 1| of the first profile's group-solve
+    _on_call(monkeypatch, cli, "compare", 0, lambda err: np.full_like(err, value))
+    return acceptance.criterion_6(0).passed
+
+
+def _criterion_1_at(monkeypatch, value):
+    # the worst residual of the first system, oscillator_1d, over its three pairs
+    _on_call(monkeypatch, vectorfield, "worst", 3, lambda _: value)
+    return acceptance.criterion_1(0).passed
 
 
 BOUND_CASES = {
@@ -295,8 +320,18 @@ BOUND_CASES = {
     "group_solve_det": (_group_solve_det_at, 1e-9),
     "drift": (_drift_at, _threshold("drift_lewis_ermakov.json")),
     "verify_algebra": (_verify_algebra_at, _threshold("verify_algebra_triple.json")),
+    # criteria 1, 3, 4, 6 and 7's reductions run on their pipelines' defaults,
+    # which these cases pin
+    "criterion_1_residual": (_criterion_1_at, 1e-9),
+    "criterion_3_drift": (_criterion_3_drift_at, 1e-6),
+    "criterion_4_max_error": (_criterion_oracle(acceptance.criterion_4, 0), 1e-5),
+    "criterion_5_max_error": (_criterion_oracle(acceptance.criterion_5, 0), 1e-8),
+    "criterion_6_action": (_criterion_oracle(acceptance.criterion_6, 0), 1e-6),
+    "criterion_6_det": (_criterion_6_det_at, 1e-9),
     "criterion_7_dalembert_analytic": (_criterion_worst(acceptance.criterion_7, 0), 2e-14),
-    "criterion_7_dalembert_vs_oracle": (_criterion_7_oracle_at, 1e-6),
+    "criterion_7_dalembert_vs_oracle": (_criterion_oracle(acceptance.criterion_7, 0), 1e-6),
+    "criterion_7_pinney_self_vs_oracle": (_criterion_oracle(acceptance.criterion_7, 1),
+                                          1e-5),
     "criterion_7_pinney_self_analytic": (_criterion_worst(acceptance.criterion_7, 1), 1e-14),
     "criterion_7_pinney_osc_analytic": (_criterion_worst(acceptance.criterion_7, 2), 3e-14),
     "criterion_8_identity": (_criterion_worst(acceptance.criterion_8, 0), 1e-12),
@@ -319,6 +354,27 @@ def test_criterion_8_needs_more_than_900_valid_sign_checks(monkeypatch):
     for count, passed in ((900, False), (901, True)):
         monkeypatch.setattr(acceptance, "SIGN_CHECKS", count)
         assert acceptance.criterion_8(0).passed is passed
+
+
+@pytest.mark.parametrize("marked, passed", [(99, True), (100, False)])
+def test_criterion_8_counts_the_sign_checks_the_action_keeps(marked, passed,
+                                                             monkeypatch):
+    # the sign checks' action (its second call) marks ``marked`` of the 1000
+    # draws out of its domain; the criterion checks the signs of the others
+    action, calls = group.pinney_action, itertools.count()
+
+    def marking(g, p, k):
+        if next(calls) == 1:
+            bad = np.zeros(len(p[0]), dtype=bool)
+            bad[::10][:marked] = True
+            raise DomainError("marked", bad)
+        return action(g, p, k)
+
+    monkeypatch.setattr(group, "pinney_action", marking)
+    result = acceptance.criterion_8(0)
+    assert result.passed is passed
+    rows = dict(result.csv_rows)
+    assert rows["valid_sign_samples"] == 1000 - marked and rows["signs_preserved"]
 
 
 def test_a_relative_error_is_over_the_larger_of_1_and_the_reference():
