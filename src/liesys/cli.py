@@ -1,7 +1,7 @@
 """Scenario runner.
 
 Verbs:
-    liesys run <scenario.json> [--out DIR] [--seed N] [--tol-override X]
+    liesys run <scenario.json> [--out DIR] [--seed N]
     liesys list
     liesys verify [--out DIR] [--seed N]
 
@@ -39,18 +39,24 @@ from .vectorfield import minimal_m, verify_algebra
 SUPERPOSE_RULES = ("linear", "quadrature", "pinney")
 REDUCE_METHODS = ("dalembert", "pinney-osc", "pinney-self")
 
-# Pipeline name -> the scenario fields `liesys list` prints for it.  Each
-# name runs the function pipeline_<name with - as _> below.
+# Pipeline name -> every scenario field it reads, as `liesys list` prints
+# them: optional ones in [ ], keys of one object in { }, a note in ( ), and
+# "system" for the entry's name, frequency and the named system's
+# parameters.  Each name runs the function pipeline_<name with - as _> below.
 PIPELINES = {
-    "integrate": "system, initial_states, t_span",
-    "drift": "system, initial_states, t_span, tolerances.threshold [, invariant]",
+    "integrate": "system, initial_states, t_span [, samples, tolerances.{abs, rel}]",
+    "drift": "system, initial_states, t_span [, invariant, "
+             "tolerances.{abs, rel, threshold}]",
     "superpose": f"rule ({'|'.join(SUPERPOSE_RULES)}), system, initial_states "
-                 "(pinney: y, z, targets...), t_span (forward unless linear) [, keys]",
-    "reduce": f"method ({'|'.join(REDUCE_METHODS)}), system, initial_states "
-              "(x1, targets...), forward t_span [, keys]",
-    "verify-algebra": "system, probes, tolerances.threshold",
-    "minimal-m": "system, max_copies [, expected_m]",
-    "group-solve": "system.frequency, initial_states (targets...), t_span",
+                 "(pinney: y, z, targets...), t_span (forward unless linear) "
+                 "[, keys, samples, tolerances.{abs, rel, threshold}]",
+    "reduce": f"method ({'|'.join(REDUCE_METHODS)}), system.{{frequency, k}}, "
+              "initial_states (x1, targets...), t_span (forward) [, system.name, "
+              "keys, samples, tolerances.{abs, rel, threshold}]",
+    "verify-algebra": "system, probes [, system.half_plane, seed, tolerances.threshold]",
+    "minimal-m": "system, max_copies [, system.half_plane, seed, expected_m]",
+    "group-solve": "system.frequency, initial_states (targets...), t_span "
+                   "[, system.name, samples, tolerances.{abs, rel, threshold}]",
 }
 
 OUT_ENV_VAR = "LIESYS_OUT"
@@ -222,12 +228,32 @@ def build_system(cfg, name=None):
     return SYSTEM_FACTORIES[name](omega, **kwargs)
 
 
+def _only_reads(cfg, read, field):
+    """Exit 2 naming the first key of the object ``field`` (``cfg``) that the
+    pipeline does not ``read``, rather than ignore it."""
+    for key in cfg:
+        if key not in read:
+            raise ScenarioError(f"this pipeline does not read '{field}.{key}'",
+                                field=f"{field}.{key}")
+
+
+def _systems(scn, *names, extra=()):
+    """The system the scenario's ``system`` entry names, or one of each
+    factory in ``names``; a key of the entry other than its name, frequency,
+    the parameters of each system built and ``extra`` exits 2."""
+    cfg = _require(scn, "system")
+    built = [build_system(cfg, name) for name in names or (None,)]
+    if isinstance(cfg, dict):
+        _only_reads(cfg, {"name", *extra}.union(*(s.params for s in built)), "system")
+    return built
+
+
 def _probed_system(scn):
     """The system of a pipeline that probes it, and ``sample(count)``, its
     probes in the half-plane ``system.half_plane`` (1 or -1, default 1),
     drawn from one stream of the scenario's ``seed``."""
-    cfg = _require(scn, "system")
-    sysd = build_system(cfg)
+    sysd, = _systems(scn, extra=("half_plane",))
+    cfg = scn["system"]
     half_plane = _number(cfg.get("half_plane", 1) if isinstance(cfg, dict) else 1,
                          "system.half_plane", integer=True)
     if half_plane not in (1, -1):
@@ -264,21 +290,24 @@ def _t_span(scn, forward=False):
     return span[0], span[1]
 
 
-def _tolerances(scn, default_threshold=1e-6):
+def _tolerances(scn, threshold=None, solves=True):
+    """The integrator's abs and rel when the pipeline ``solves``, then the
+    threshold of its verdict, default ``threshold``, if it has one; any
+    other key of ``tolerances`` exits 2."""
     tols = scn.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ScenarioError("tolerances must be an object", field="tolerances")
-    abs_tol, rel_tol, threshold = (
-        _number(tols.get(key, default), f"tolerances.{key}")
-        for key, default in (("abs", DEFAULT_ABS_TOL), ("rel", DEFAULT_REL_TOL),
-                             ("threshold", default_threshold)))
-    if abs_tol <= 0 or rel_tol <= 0 or threshold <= 0:
+    read = {"abs": DEFAULT_ABS_TOL, "rel": DEFAULT_REL_TOL} if solves else {}
+    read.update({} if threshold is None else {"threshold": threshold})
+    _only_reads(tols, read, "tolerances")
+    values = {k: _number(tols.get(k, d), f"tolerances.{k}") for k, d in read.items()}
+    if not all(value > 0 for value in values.values()):
         raise ScenarioError("tolerances must be positive", field="tolerances")
-    if rel_tol < MIN_REL_TOL:
+    if values.get("rel", MIN_REL_TOL) < MIN_REL_TOL:
         raise ScenarioError("tolerances.rel must be at least 100 machine epsilons "
                             f"({MIN_REL_TOL:.6g}), the solver's floor",
                             field="tolerances.rel")
-    return abs_tol, rel_tol, threshold
+    return list(values.values())
 
 
 def _sample_times(scn, t0, t1):
@@ -297,9 +326,9 @@ def _keys(scn):
 # is [(suffix, header, rows)].
 
 def pipeline_integrate(scn):
-    sysd = build_system(_require(scn, "system"))
+    sysd, = _systems(scn)
     t0, t1 = _t_span(scn)
-    abs_tol, rel_tol, _ = _tolerances(scn)
+    abs_tol, rel_tol = _tolerances(scn)
     states = _initial_states(scn, sysd.dimension)
     times = _sample_times(scn, t0, t1)
     files, runs = [], []
@@ -316,7 +345,7 @@ def pipeline_integrate(scn):
 
 
 def pipeline_drift(scn):
-    sysd = build_system(_require(scn, "system"))
+    sysd, = _systems(scn)
     reg = sysd.invariants
     if not reg:
         raise ScenarioError(f"system {sysd.name} has no registered invariant",
@@ -326,7 +355,7 @@ def pipeline_drift(scn):
     for name in names:
         _choice(name, reg, "invariant", f"invariant of system {sysd.name}")
     t0, t1 = _t_span(scn)
-    abs_tol, rel_tol, threshold = _tolerances(scn)
+    abs_tol, rel_tol, threshold = _tolerances(scn, 1e-6)
     states = _initial_states(scn, sysd.dimension)
     files, runs = [], []
     # the rows in the order solved, from t0: a reversed span reads them backwards
@@ -364,8 +393,7 @@ def _oracle_runs(oracle, targets, got, times, span, tols, kind, key):
 def pipeline_superpose(scn):
     rule = _choice(scn.get("rule"), SUPERPOSE_RULES, "rule", "rule")
     t0, t1 = _t_span(scn, forward=rule != "linear")
-    syscfg = _require(scn, "system")
-    sysd = build_system(syscfg)
+    sysd, = _systems(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, 1e-5)
     times = _sample_times(scn, t0, t1)
     needs = "milne_pinney" if rule == "pinney" else "oscillator_1d"
@@ -400,7 +428,7 @@ def pipeline_superpose(scn):
         kind, extra = "abs", {"keys": [k_prime, k]}
 
     else:  # pinney: every state after y and z is a target
-        osc = build_system(syscfg, "oscillator_1d")
+        osc = build_system(scn["system"], "oscillator_1d")
         y, z = [osc.integrate(s, (t0, t1), abs_tol, rel_tol) for s in states[:2]]
         pair = Trajectory.from_function(lambda t: np.hstack([y.dense(t), z.dense(t)]),
                                         y.times)
@@ -421,14 +449,12 @@ def pipeline_superpose(scn):
 
 def pipeline_reduce(scn):
     method = _choice(scn.get("method"), REDUCE_METHODS, "method", "method")
-    syscfg = _require(scn, "system")
     t0, t1 = _t_span(scn, forward=True)
     abs_tol, rel_tol, threshold = _tolerances(scn, 1e-5)
     times = _sample_times(scn, t0, t1)
     states = _initial_states(scn, 2, *((1, 1) if method == "dalembert"
                                        else (2, MAX_STATES)))
-    osc = build_system(syscfg, "oscillator_1d")
-    mp = build_system(syscfg, "milne_pinney")
+    osc, mp = _systems(scn, "oscillator_1d", "milne_pinney")
     k = mp.params["k"]
     if method == "pinney-self" and k <= 0.0:
         raise ScenarioError("the pinney-self reduction needs k > 0", field="system.k")
@@ -460,7 +486,7 @@ def pipeline_reduce(scn):
 
 def pipeline_verify_algebra(scn):
     sysd, sample = _probed_system(scn)
-    _, _, threshold = _tolerances(scn, 1e-9)
+    threshold, = _tolerances(scn, 1e-9, solves=False)
     n_probes = _count(scn, "probes", 100, 1, MAX_PROBES)
     probes = sample(n_probes)
     report = verify_algebra(sysd.generators, sysd.constants, probes, threshold)
@@ -474,6 +500,7 @@ def pipeline_verify_algebra(scn):
 
 def pipeline_minimal_m(scn):
     sysd, sample = _probed_system(scn)
+    _tolerances(scn, solves=False)  # reads none, so any tolerance exits 2
     max_copies = _count(scn, "max_copies", 4, 1, MAX_COPIES)
     expected = scn.get("expected_m")
     if expected is not None:
@@ -489,7 +516,7 @@ def pipeline_minimal_m(scn):
 
 
 def pipeline_group_solve(scn):
-    osc = build_system(_require(scn, "system"), "oscillator_1d")
+    osc, = _systems(scn, "oscillator_1d")
     t0, t1 = _t_span(scn)
     abs_tol, rel_tol, threshold = _tolerances(scn, 1e-6)
     times = _sample_times(scn, t0, t1)
@@ -533,15 +560,10 @@ def cmd_run(args):
 
     out_dir = _resolve_out(args.out)
     try:
-        # The options replace their scenario fields in a copy, so that a
-        # pipeline reads its scenario and nothing else.
+        # --seed replaces the scenario's seed in a copy, so that a pipeline
+        # reads its scenario and nothing else.
         scn = {**scn, "seed": _seed(args.seed if args.seed is not None
                                     else scn.get("seed", 0))}
-        if args.tol_override is not None:
-            threshold = _number(args.tol_override, "--tol-override")
-            tols = scn.get("tolerances", {})
-            if isinstance(tols, dict):  # anything else is _tolerances' to reject
-                scn["tolerances"] = {**tols, "threshold": threshold}
         pipeline = _choice(_require(scn, "pipeline"), PIPELINES, "pipeline", "pipeline")
         stem = _stem(scn, args)
         # Looked up by name on every run, so that a rebinding of a module
@@ -584,7 +606,8 @@ def _stem(scn, args):
 def cmd_list(_args):
     print("systems:")
     for name in sorted(SYSTEM_FACTORIES):
-        print(f"  {name}")
+        params = list(inspect.signature(SYSTEM_FACTORIES[name]).parameters)[1:]
+        print(f"  {name:<20} parameters: {', '.join(params) or 'none'}")
     print("frequency profiles:")
     for name, factory in FREQUENCY_PROFILES.items():
         params = inspect.signature(factory).parameters.values()
@@ -647,9 +670,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=None,
                        help="override the random seed (default: scenario seed "
                             "or 0)")
-    run_p.add_argument("--tol-override", type=float, default=None,
-                       help="override the scenario pass/fail threshold")
-
     return parser
 
 

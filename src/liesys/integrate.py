@@ -23,6 +23,11 @@ SINGULARITY_RADIUS = 1e-6
 # Error bound of every panel of a tau clock.
 TAU_TOL = 1e-12
 
+# A tau clock stops at the first sample at which |x1| < VANISHING_POSITION
+# (or x1 has changed sign), and its window ends WINDOW_MARGIN before it.
+VANISHING_POSITION = 1e-9
+WINDOW_MARGIN = 1e-12
+
 
 @dataclass(frozen=True)
 class FrequencyProfile:
@@ -183,10 +188,11 @@ _GK_MAX_FAILED = 1 << 14
 
 
 def _first_vanishing_node(x1):
-    """Index of the first sample by which the position has come within 1e-9
-    of zero or changed sign since t0; len(times) if that never happens."""
+    """Index of the first sample by which the position has come within
+    VANISHING_POSITION of zero or changed sign since t0; len(times) if that
+    never happens."""
     xs = x1.states[:, 0]
-    vanished = ((np.minimum.accumulate(np.abs(xs)) < 1e-9)
+    vanished = ((np.minimum.accumulate(np.abs(xs)) < VANISHING_POSITION)
                 | (np.minimum.accumulate(xs) * np.maximum.accumulate(xs) < 0.0))
     return int(np.argmax(vanished)) if vanished[-1] else len(xs)
 
@@ -251,7 +257,7 @@ class TauClock:
         if m == 0:
             self._limit = -np.inf  # every window [t0, t] holds the sample t0
         elif m < len(times):
-            self._limit = times[m] - 1e-12
+            self._limit = times[m] - WINDOW_MARGIN
         else:
             self._limit = np.inf
         times = times[:max(m, 1)]

@@ -66,6 +66,11 @@ def _at_rows(X, block):
     return np.ascontiguousarray(X(block).T), X.jacobian(block)
 
 
+# The largest |residual| of the Jacobi identity that a table of structure
+# constants may have
+JACOBI_TOL = 1e-14
+
+
 @dataclass(frozen=True)
 class StructureConstants:
     """Table c[alpha, beta, gamma] of structure constants, indices 0-based."""
@@ -86,7 +91,7 @@ class StructureConstants:
             + np.einsum("bce,ead->abcd", c, c)
             + np.einsum("cae,ebd->abcd", c, c)
         )
-        if np.max(np.abs(jac)) > 1e-14:
+        if np.max(np.abs(jac)) > JACOBI_TOL:
             raise ValueError("structure constants violate the Jacobi identity")
 
 

@@ -1,7 +1,7 @@
 """Plant a relative defect of 1e-12 in each closed form, a wrong lane order
-in the solver's float form of the fields, a loosened bound in each verdict
-and in each pipeline's default threshold, and more work than the budget,
-and check that tier-1 sees each.
+in the solver's float form of the fields, a loosened bound in each verdict,
+in each pipeline's default threshold and in each bound of the domain, and
+more work than the budget, and check that tier-1 sees each.
 
     python3 tests/plant_defects.py SCRATCH_DIR [NAME ...]
 
@@ -106,20 +106,33 @@ DEFECTS = {
     # each pipeline's default threshold loosened 10x: superpose and reduce
     # share their default's text, so the line before it picks one
     "superpose_default": (
-        "cli.py", "sysd = build_system(syscfg)\n    abs_tol, rel_tol, threshold = "
+        "cli.py", "sysd, = _systems(scn)\n    abs_tol, rel_tol, threshold = "
         "_tolerances(scn, 1e-5)",
-        "sysd = build_system(syscfg)\n    abs_tol, rel_tol, threshold = "
+        "sysd, = _systems(scn)\n    abs_tol, rel_tol, threshold = "
         "_tolerances(scn, 1e-4)"),
     "reduce_default": (
         "cli.py", "forward=True)\n    abs_tol, rel_tol, threshold = _tolerances(scn, 1e-5)",
         "forward=True)\n    abs_tol, rel_tol, threshold = _tolerances(scn, 1e-4)"),
     "verify_algebra_default": (
-        "cli.py", "_tolerances(scn, 1e-9)", "_tolerances(scn, 1e-8)"),
+        "cli.py", "_tolerances(scn, 1e-9,", "_tolerances(scn, 1e-8,"),
+    # drift and group-solve share their default's text, so the line after it
+    # picks one
+    "drift_default": (
+        "cli.py", "_tolerances(scn, 1e-6)\n    states", "_tolerances(scn, 1e-5)\n    states"),
     "group_solve_default": (
-        "cli.py", "_tolerances(scn, 1e-6)", "_tolerances(scn, 1e-5)"),
-    "tolerances_default": (
-        "cli.py", "def _tolerances(scn, default_threshold=1e-6)",
-        "def _tolerances(scn, default_threshold=1e-5)"),
+        "cli.py", "_tolerances(scn, 1e-6)\n    times", "_tolerances(scn, 1e-5)\n    times"),
+    # each bound of the domain loosened
+    "max_steps": ("integrate.py", "MAX_STEPS = 10_000", "MAX_STEPS = 100_000"),
+    "min_rel_tol": ("integrate.py", "MIN_REL_TOL = 100 * EPS", "MIN_REL_TOL = 10 * EPS"),
+    "vanishing_position": (
+        "integrate.py", "VANISHING_POSITION = 1e-9", "VANISHING_POSITION = 1e-10"),
+    "window_margin": ("integrate.py", "WINDOW_MARGIN = 1e-12", "WINDOW_MARGIN = 0.0"),
+    "gk_max_depth": ("integrate.py", "_GK_MAX_DEPTH = 10", "_GK_MAX_DEPTH = 20"),
+    "parabolic_det": ("group.py", "_PARABOLIC_DET = 1e-12", "_PARABOLIC_DET = 1e-11"),
+    "rank_tol": ("vectorfield.py", "RANK_TOL = 1e-8", "RANK_TOL = 1e-7"),
+    "probes_per_level": (
+        "vectorfield.py", "PROBES_PER_LEVEL = 11", "PROBES_PER_LEVEL = 3"),
+    "jacobi_tol": ("vectorfield.py", "JACOBI_TOL = 1e-14", "JACOBI_TOL = 1e-13"),
     # more work than tests/work_budget.json allows
     "rk_step_extra_rhs_call": (
         "integrate.py", "    K[-1] = f_new\n",

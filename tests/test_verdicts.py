@@ -1,7 +1,11 @@
 """One fold behind every verdict: ``worst`` keeps a NaN wherever it sits, a
 NaN put into any verdict's errors fails the run or criterion, and an error
-equal to a verdict's bound fails it while the float just below passes."""
+equal to a verdict's bound fails it while the float just below passes.  The
+bounds of the domain (the solver's floor and budget, the tau clock's edges,
+the exponential's branches and the rank and Jacobi tests) hold at their
+edges too."""
 
+import importlib
 import itertools
 import json
 import math
@@ -15,8 +19,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from liesys import acceptance, cli, group, systems, vectorfield
-from liesys.errors import DomainError
-from liesys.integrate import compare, worst
+from liesys.errors import DomainError, IntegrationError, QuadratureError
+from liesys.integrate import Trajectory, compare, constant_frequency, worst
+
+integrate_module = importlib.import_module("liesys.integrate")
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -399,3 +405,125 @@ def test_every_planted_defect_finds_its_text_once():
                                path)) as fh:
             assert fh.read().count(text) == 1, (name, path)
         assert defect != text, name
+
+
+# --- each domain bound at its edge -------------------------------------------
+# Each case gives a property and two adjacent floats at its bound, the value
+# stated: the property holds at the first and not at the second, which pins
+# the bound's value and its comparison.
+
+def _parabolic(d):
+    # exp(M) of a traceless M with det M = -c3^2 / 4 - c1 c2 = d is exactly
+    # I + M on the parabolic branch, and cos / sin on the elliptic one
+    v = group.Sl2Vector(-d, 1.0, 0.0)
+    return np.array_equal(group.sl2_exp(v, 1.0).array, np.eye(2) + v.matrix)
+
+
+def _constant_field(vector):
+    vector = np.array(vector)
+    return vectorfield.VectorField(
+        2, lambda p: np.zeros_like(p) + vector.reshape((2,) + (1,) * (p.ndim - 1)),
+        lambda p: np.zeros(p.shape[1:] + (2, 2)))
+
+
+def _counts_both_rows(s):
+    # the rows (1, 0) and (0, s), whose singular values are 1 and s
+    fields = [_constant_field([1.0, 0.0]), _constant_field([0.0, s])]
+    return vectorfield.prolonged_rank(fields, 1, np.zeros(2)) == 2
+
+
+def _jacobi_holds(y):
+    # [e1, e2] = e3 and [e2, e3] = y e2, whose Jacobi residual is y
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2], c[1, 2, 1], c[2, 1, 1] = 1.0, -1.0, y, -y
+    try:
+        vectorfield.StructureConstants(3, c)
+    except ValueError:
+        return False
+    return True
+
+
+def _solves_at(rel_tol):
+    osc = systems.oscillator_1d(constant_frequency(1.0))
+    try:
+        osc.integrate([1.0, 0.0], (0.0, 1.0), 1e-10, rel_tol)
+    except ValueError:
+        return False
+    return True
+
+
+def _falls_to(x_edge, times):
+    """x1 = 1 before the last of ``times`` and ``x_edge`` from it on."""
+    return Trajectory.from_function(lambda t: np.column_stack(
+        [np.where(t < times[-1], 1.0, x_edge), np.zeros_like(t)]), times)
+
+
+def _outside_the_clock(x1, t):
+    try:
+        x1.tau_clock()(t)
+    except QuadratureError as exc:
+        return "vanishes inside the quadrature window" in str(exc)
+    return False
+
+
+DOMAIN_BOUNDS = {
+    # integrate.MIN_REL_TOL, the solver's floor
+    "min_rel_tol": (_solves_at, 100 * np.finfo(float).eps,
+                    np.nextafter(100 * np.finfo(float).eps, 0)),
+    # integrate.VANISHING_POSITION: a clock on x1, which reaches x at t = 1,
+    # covers t = 1 unless |x| is below it
+    "vanishing_position": (lambda x: _outside_the_clock(_falls_to(x, [0.0, 1.0]), 1.0),
+                           np.nextafter(1e-9, 0), 1e-9),
+    # integrate.WINDOW_MARGIN: x1 vanishes at t = 2, and the clock's window
+    # ends 1e-12 before it
+    "window_margin": (lambda t: _outside_the_clock(_falls_to(0.0, [0.0, 1.0, 2.0]), t),
+                      2.0 - 1e-12, np.nextafter(2.0 - 1e-12, 0)),
+    # group._PARABOLIC_DET
+    "parabolic_det": (_parabolic, np.nextafter(1e-12, 0), 1e-12),
+    # vectorfield.RANK_TOL, relative to the largest singular value
+    "rank_tol": (_counts_both_rows, np.nextafter(1e-8, 1), 1e-8),
+    # vectorfield.JACOBI_TOL
+    "jacobi_tol": (_jacobi_holds, 1e-14, np.nextafter(1e-14, 1)),
+}
+
+
+@pytest.mark.parametrize("case", DOMAIN_BOUNDS)
+def test_a_domain_bound_holds_at_its_edge(case):
+    holds, inside, outside = DOMAIN_BOUNDS[case]
+    assert holds(inside)
+    assert not holds(outside)
+
+
+def test_a_solve_stops_after_10000_steps():
+    # integrate.MAX_STEPS accepted steps, about 570 periods of an oscillator
+    def rhs(t, y, lanes=0):
+        return [y[1], -y[0]] if lanes else np.array([y[1], -y[0]])
+    with pytest.raises(IntegrationError, match="after 10000 steps"):
+        integrate_module.integrate(rhs, [1.0, 0.0], (0.0, 1e6), float_form=True)
+
+
+def test_a_quadrature_on_a_jump_gives_up_after_11_passes():
+    # the first pass and integrate._GK_MAX_DEPTH = 10 bisections, each pass
+    # one call of the integrand: a jump inside a panel keeps |K15 - G7| large
+    calls = []
+
+    def evaluate(t):
+        calls.append(len(t))
+        return np.column_stack([np.where(t < 0.3 * math.pi, 1.0, 2.0), np.zeros_like(t)])
+    x1 = Trajectory.from_function(evaluate, np.linspace(0.0, 1.0, 5))
+    calls.clear()
+    with pytest.raises(QuadratureError, match="after repeated bisection"):
+        x1.tau_clock()
+    assert len(calls) == 11
+
+
+def test_each_rank_level_votes_over_11_probes():
+    # vectorfield.PROBES_PER_LEVEL probes at each copy count, up to m = 2
+    rng, draws = np.random.default_rng(0), []
+
+    def draw(copies, count):
+        draws.append((copies, count))
+        return rng.uniform(0.5, 2.0, (2 * copies, count))
+    generators = systems.oscillator_1d(constant_frequency(1.0)).generators
+    assert vectorfield.minimal_m(generators, 4, draw) == [2, 3]
+    assert draws == [(1, 11), (2, 11)]
